@@ -10,6 +10,7 @@ a sufficient direction set the walk can only stop at a global optimum.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,9 @@ from .core import (IntMatrix, ParseError, Vec, hstack, negate, parse_int_matrix,
                    parse_int_vector, vstack)
 from .objective import (DiscreteConvexFn, SeparableObjective, format_objective,
                         parse_objective)
-from .testset import TestSet, compute_test_set
+from .testset import BOX_CANDIDATE_LIMIT, TestSet, box_test_set, compute_test_set
+
+logger = logging.getLogger(__name__)
 
 
 class InfeasibleStartError(ValueError):
@@ -347,23 +350,39 @@ def instance_test_set(inst: CipInstance, slack: bool = False,
                       symmetry=None) -> TestSet:
     """Sufficient direction set for the instance's objective family.
 
-    Composition rows come from composition_matrix.  With slack=True the
-    set covers the slack-lifted system and is exact under upper bounds.
-    symmetry passes coordinate permutations down to the basis
-    computation.
+    Composition rows come from composition_matrix.  On an unbounded
+    instance this is the projected lifted basis, compute_test_set.  On
+    a bounded one it is only the part that fits in the box |t_j| <= u_j,
+    testset.box_test_set: a direction outside it moves some coordinate
+    out of [0, u_j] in one unit step, so the walk never takes it and
+    its steps and endpoint are those of the full set.  With slack=True
+    the set covers the slack-lifted system and is exact under upper
+    bounds.  symmetry passes coordinate permutations down to the basis
+    computation of an unbounded instance; it has no effect on a bounded
+    one.
     """
-    base = compute_test_set(inst.a, composition_matrix(inst), symmetry=symmetry)
+    c = composition_matrix(inst)
+    if inst.upper is None:
+        base = compute_test_set(inst.a, c, symmetry=symmetry)
+        logger.info("test set: completion, %d directions", len(base))
+    else:
+        base, candidates = box_test_set(inst.a, c, inst.upper)
+        if candidates is None:
+            logger.info("test set: completion (box search over its %d-candidate "
+                        "budget), %d directions in the box", BOX_CANDIDATE_LIMIT, len(base))
+        else:
+            logger.info("test set: box, %d candidates, %d directions",
+                        candidates, len(base))
     return mirror_into_slack(inst, base) if slack else base
 
 
 def solve_bounded(inst: CipInstance, z0: Vec, best: bool = False,
                   cap: int = 10 ** 6,
-                  t_set: TestSet | None = None,
-                  symmetry=None) -> tuple[SolveReport, CipInstance]:
+                  t_set: TestSet | None = None) -> tuple[SolveReport, CipInstance]:
     """Slack-lift, solve, and report in the lifted coordinates."""
     lifted = slack_lifted(inst)
     if t_set is None:
-        t_set = instance_test_set(inst, slack=True, symmetry=symmetry)
+        t_set = instance_test_set(inst, slack=True)
     report = solve(lifted, t_set, embed_slack(inst, z0), best=best, cap=cap)
     return report, lifted
 

@@ -43,6 +43,7 @@ _FAST_ABS_LIMIT = 1 << 61
 _REFRESH_STEP = 64   # rebuild the norm-ordered scan permutation this often
 _ELEM_CHUNK = 2048   # reducer scan block, walked in ascending 1-norm order
 _CAND_CHUNK = 512    # candidate block in the batched reducer search
+_FILTER_ELEMS = 1 << 17  # cap on the elements of one minimality-filter temporary
 _BIG = np.int64(1) << 62
 
 # Diagnostic hook for long runs; called as _TRACE(pops, set size, queue size)
@@ -186,10 +187,9 @@ class _Completion:
         base = len(self.vecs)
         count = len(rows)
         self.vecs.extend(rows)
-        for v in rows:
-            self.norms.append(sum(abs(x) for x in v))
-            self.seen.add(v)
-            self.maxabs = max(self.maxabs, max(abs(x) for x in v))
+        self.norms.extend(sum(map(abs, v)) for v in rows)
+        self.seen.update(rows)
+        self.maxabs = max(self.maxabs, max(max(map(abs, v)) for v in rows))
         while base + count > self.cap:
             self.cap *= 2
         if self.arr.shape[0] < self.cap:
@@ -448,6 +448,16 @@ def _complete(seeds: list[Vec], n: int,
         heapq.heappush(heap, (state.norms[base], base, base + len(orbit)))
         return base, base + len(orbit)
 
+    def absorb_exact(cands) -> None:
+        """Add the irreducible class of each candidate, one at a time,
+        in arbitrary precision."""
+        for cand in cands:
+            r = state.normal_form(cand)
+            if r is not None:
+                c = canonical_rep(r)
+                if c not in state.seen:
+                    push(c)
+
     def absorb(cand: np.ndarray) -> None:
         """Add every irreducible class among the candidate rows.
 
@@ -472,6 +482,10 @@ def _complete(seeds: list[Vec], n: int,
                 clean = rest
                 continue
             base, end = push(c)
+            if state.maxabs >= _FAST_ABS_LIMIT:
+                # the fresh block has no int64 mirror rows to reduce by
+                absorb_exact(tuple(r) for r in rest.tolist())
+                return
             clean, work = _reduce_by_block(state, rest, base, end)
 
     for v in seeds:
@@ -488,12 +502,7 @@ def _complete(seeds: list[Vec], n: int,
         if state.maxabs < _FAST_ABS_LIMIT:
             absorb(_pop_candidates(state, pivot, m))
         else:
-            for cand in _pop_exact(state, pivot, m):
-                r = state.normal_form(cand)
-                if r is not None:
-                    c = canonical_rep(r)
-                    if c not in state.seen:
-                        push(c)
+            absorb_exact(_pop_exact(state, pivot, m))
     return _minimal_filter(state)
 
 
@@ -503,6 +512,10 @@ def _minimal_filter(state: _Completion) -> list[Vec]:
     A dominator distinct from the element has strictly smaller 1-norm
     (equal norms force equality entrywise), so demanding a strict norm
     drop excludes the self match for free.
+
+    Candidate blocks and magnitude checks are sized so that no
+    temporary holds more than _FILTER_ELEMS elements, whatever the set
+    size and dimension.
     """
     m = len(state.vecs)
     if m == 0:
@@ -515,26 +528,35 @@ def _minimal_filter(state: _Completion) -> list[Vec]:
     wnorm = np.array(state.norms, dtype=np.int64)
     wpos, wneg = state.posm[:m], state.negm[:m]
     keep = np.ones(m, dtype=bool)
+    pair_step = max(1, _FILTER_ELEMS // state.n)
     for idx, lo in state.scan_chunks():
         pending = np.nonzero(keep)[0]
         pending = pending[wnorm[pending] > lo]
         if pending.size == 0:
             continue
-        gp = state.posm[idx]
-        gn = state.negm[idx]
-        for start in range(0, pending.size, _CAND_CHUNK):
-            rows = pending[start:start + _CAND_CHUNK]
+        # candidates in ascending norm: a block only meets the chunk's
+        # elements of smaller norm, a prefix of the norm-sorted chunk
+        pending = pending[np.argsort(wnorm[pending], kind="stable")]
+        inorm = wnorm[idx]
+        step = max(1, _FILTER_ELEMS // (idx.size * state.words))
+        for start in range(0, pending.size, step):
+            rows = pending[start:start + step]
+            cut = idx[:np.searchsorted(inorm, wnorm[rows[-1]])]
+            gp = state.posm[cut][None]
+            gn = state.negm[cut][None]
             cp = wpos[rows][:, None, :]
             cn = wneg[rows][:, None, :]
-            plus = (((gp[None] & ~cp) | (gn[None] & ~cn)) == 0).all(axis=2)
-            minus = (((gp[None] & ~cn) | (gn[None] & ~cp)) == 0).all(axis=2)
+            plus = (((gp & ~cp) | (gn & ~cn)) == 0).all(axis=2)
+            minus = (((gp & ~cn) | (gn & ~cp)) == 0).all(axis=2)
             ci, gi = np.nonzero(plus | minus)
-            if ci.size == 0:
-                continue
-            ok = (wnorm[idx[gi]] < wnorm[rows[ci]]) & \
-                 (np.abs(state.arr[idx[gi]]) <= wabs[rows[ci]]).all(axis=1)
-            if ok.any():
-                keep[rows[np.unique(ci[ok])]] = False
+            gi = cut[gi]
+            ci = rows[ci]
+            smaller = wnorm[gi] < wnorm[ci]
+            ci, gi = ci[smaller], gi[smaller]
+            for s in range(0, ci.size, pair_step):
+                c, g = ci[s:s + pair_step], gi[s:s + pair_step]
+                ok = (wabs[g] <= wabs[c]).all(axis=1)
+                keep[c[ok]] = False
     return [state.vecs[i] for i in np.nonzero(keep)[0]]
 
 
@@ -570,7 +592,12 @@ def compute_graver(a: IntMatrix, symmetry=None) -> GraverBasis:
     return GraverBasis(a.cols, frozenset(minimal), source=a.format_tag())
 
 
-def box_kernel_vectors(a: IntMatrix, bounds: Vec) -> list[Vec]:
+class _OverLimit(Exception):
+    """Unwinds the box search once it runs over its budget."""
+
+
+def box_kernel_vectors(a: IntMatrix, bounds: Vec,
+                       limit: int | None = None) -> list[Vec] | None:
     """Canonical nonzero kernel vectors v with |v_j| <= bounds[j].
 
     Depth-first over the coordinates with per-row residual pruning: a
@@ -578,6 +605,12 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec) -> list[Vec]:
     still be cancelled by the coordinates left.  Coordinates before the
     first nonzero entry stay nonnegative, so each +/- pair is visited
     once, through its canonical representative.
+
+    With a limit, the search stops and returns None as soon as it has
+    found more than limit vectors or reached more than n * limit
+    partial assignments.  A vector costs at most n partial assignments,
+    so the second budget only binds first where the pruning leaves many
+    dead ends, and it caps the work there.
     """
     n = a.cols
     if len(bounds) != n:
@@ -596,16 +629,30 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec) -> list[Vec]:
     found: list[Vec] = []
     partial = [0] * a.rows
     point = [0] * n
+    budget = None if limit is None else n * limit
 
     def descend(j: int, lead: bool) -> None:
+        nonlocal budget
         if j == n:
             if not lead:
                 found.append(tuple(point))
+                if limit is not None and len(found) > limit:
+                    raise _OverLimit
             return
-        u = bounds[j]
-        for x in range(0 if lead else -u, u + 1):
-            if any(abs(partial[i] + c * x) > rest for i, c, rest in touching[j]):
-                continue
+        # the x keeping every row's partial sum within reach of the
+        # coordinates left, |p + c*x| <= rest, form one interval
+        lo, hi = (0 if lead else -bounds[j]), bounds[j]
+        for i, c, rest in touching[j]:
+            p = partial[i]
+            if c > 0:
+                lo, hi = max(lo, -((rest + p) // c)), min(hi, (rest - p) // c)
+            else:
+                lo, hi = max(lo, -((rest - p) // -c)), min(hi, (rest + p) // -c)
+        if budget is not None and hi >= lo:
+            budget -= hi - lo + 1
+            if budget < 0:
+                raise _OverLimit
+        for x in range(lo, hi + 1):
             point[j] = x
             for i, c, _ in touching[j]:
                 partial[i] += c * x
@@ -614,7 +661,10 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec) -> list[Vec]:
                 partial[i] -= c * x
         point[j] = 0
 
-    descend(0, True)
+    try:
+        descend(0, True)
+    except _OverLimit:
+        return None
     return found
 
 

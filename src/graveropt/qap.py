@@ -208,7 +208,7 @@ def solve_qap(q: QapInstance, start: Sequence[int] | None = None,
     """
     inst = to_cip(q)
     base, candidates = box_test_set(inst.a, composition_matrix(inst), inst.upper)
-    logger.info("test set: %d box candidates, %d applicable directions",
+    logger.info("test set: %s box candidates, %d applicable directions",
                 candidates, len(base))
     perm0 = tuple(start) if start is not None else tuple(range(q.n))
     report, _ = solve_bounded(inst, permutation_point(perm0), best=best,

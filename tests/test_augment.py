@@ -1,10 +1,13 @@
+import logging
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt.core import IntMatrix
-from graveropt.graver import compute_graver
+from graveropt.graver import box_kernel_vectors, compute_graver
 from graveropt.objective import (
     GeometricAbs,
     PiecewiseTable,
@@ -22,6 +25,7 @@ from graveropt.augment import (
     binary_split_minimum,
     brute_force_optimum,
     check_compatible,
+    composition_matrix,
     embed_slack,
     find_feasible_point,
     find_improving,
@@ -29,12 +33,13 @@ from graveropt.augment import (
     instance_test_set,
     line_search,
     max_feasible_step,
+    mirror_into_slack,
     parse_instance,
     slack_lifted,
     solve,
     solve_bounded,
 )
-from graveropt.testset import TestSet, compute_test_set
+from graveropt.testset import BOX_CANDIDATE_LIMIT, TestSet, compute_test_set
 from tests.conftest import two_square_instance
 
 
@@ -318,6 +323,100 @@ class TestRandomGlobalOptimality:
             _, want = brute_force_optimum(inst, upper)
             assert report.value == want, (a.entries, terms, upper)
             done += 1
+
+
+def boxed_completion(inst):
+    """The members of the full projected lifted basis that fit in the
+    instance's box, the set the bounded direction set must equal."""
+    full = compute_test_set(inst.a, composition_matrix(inst))
+    kept = frozenset(d for d in full.directions
+                     if all(abs(x) <= u for x, u in zip(d, inst.upper)))
+    return full, TestSet(full.dimension, kept, lift_rows=full.lift_rows,
+                         provenance=full.provenance)
+
+
+@st.composite
+def small_bounded_instances(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    a = IntMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=1)), cols=n)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=2))
+    terms = tuple(Term(ScaledEvenPower(draw(st.integers(1, 3)), 2), tuple(row),
+                       draw(st.integers(-2, 2))) for row in rows)
+    linear = tuple(Fraction(x) for x in draw(st.lists(entry, min_size=n, max_size=n)))
+    upper = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    z0 = tuple(draw(st.integers(0, u)) for u in upper)
+    inst = CipInstance(a, a.mat_vec(z0), upper, SeparableObjective(n, terms, linear))
+    return inst, z0
+
+
+class TestBoundedDirectionSet:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(small_bounded_instances())
+    def test_box_part_of_completion_and_same_walk(self, drawn):
+        inst, z0 = drawn
+        full, boxed = boxed_completion(inst)
+        got = instance_test_set(inst)
+        assert got == boxed
+        assert instance_test_set(inst, slack=True) == mirror_into_slack(inst, boxed)
+        report = solve(inst, got, z0)
+        # a direction outside the box never fits a unit step, so the walk
+        # on the full set takes the very same steps
+        assert report == solve(inst, full, z0)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.value == brute_force_optimum(inst, inst.upper)[1]
+
+    @staticmethod
+    def walk_family(upper):
+        # one sum row, four composition rows: 243 directions in the full set
+        a = IntMatrix.from_rows([[1, 1, 1, 1, 1]])
+        rows = ((-2, -1, -2, 2, 1), (-1, 1, 0, 2, 1),
+                (2, -1, 2, -2, -2), (1, 2, -1, 2, 2))
+        terms = tuple(Term(ScaledEvenPower(1, 2), r, 0) for r in rows)
+        obj = SeparableObjective(5, terms, (Fraction(0),) * 5)
+        return CipInstance(a, (sum(upper) // 2,), upper, obj)
+
+    def test_over_budget_box_takes_the_completion(self, caplog):
+        inst = self.walk_family((10,) * 5)
+        assert box_kernel_vectors(inst.a, inst.upper, limit=BOX_CANDIDATE_LIMIT) is None
+        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+            got = instance_test_set(inst)
+        full, boxed = boxed_completion(inst)
+        assert got == boxed
+        assert len(boxed) < len(full)
+        assert caplog.messages == [
+            "test set: completion (box search over its %d-candidate budget), "
+            "%d directions in the box"
+            % (BOX_CANDIDATE_LIMIT, len(boxed))]
+
+    def test_dead_end_box_takes_the_completion(self, caplog):
+        # 10**6 values of the first coordinate, one in 1000 closing the
+        # row: the search budget gives up long before the box is covered
+        a = IntMatrix.from_rows([[1, 1000]])
+        obj = SeparableObjective(2, (Term(ScaledEvenPower(1, 2), (1, -1), -5),),
+                                 (Fraction(0), Fraction(0)))
+        inst = CipInstance(a, (3000,), (10 ** 6, 10 ** 6), obj)
+        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+            got = instance_test_set(inst)
+        assert got.directions == {(1000, -1)}
+        assert "completion" in caplog.messages[0]
+        report = solve(inst, got, (3000, 0))
+        assert (report.optimum, report.value) == ((0, 3), 64)
+
+    def test_box_branch_logged(self, caplog):
+        inst = self.walk_family((2,) * 5)
+        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+            got = instance_test_set(inst)
+        count = len(box_kernel_vectors(inst.a, inst.upper))
+        assert caplog.messages == [
+            "test set: box, %d candidates, %d directions" % (count, len(got))]
+
+    def test_unbounded_branch_logged(self, square_pair, caplog):
+        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+            got = instance_test_set(square_pair)
+        assert caplog.messages == ["test set: completion, %d directions" % len(got)]
 
 
 class TestInstanceSerialization:

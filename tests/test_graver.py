@@ -1,13 +1,18 @@
 import random
+import signal
+import tracemalloc
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
 
+from graveropt import graver
 from graveropt.core import IntMatrix, canonical_rep, conformal_leq, negate
 from graveropt.graver import (
     GraverBasis,
     box_kernel_vectors,
     compute_graver,
+    conformally_minimal,
     expand_duplicated_column,
     expand_negated_column,
     graver_oracle,
@@ -81,6 +86,20 @@ class TestOracle:
             graver_oracle(IntMatrix.zero(0, 2), -1)
 
 
+@contextmanager
+def time_bound(seconds):
+    """Fail the enclosed block instead of letting it run past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBoxKernelVectors:
     def test_matches_product_enumeration(self):
         rng = random.Random(31)
@@ -93,11 +112,121 @@ class TestBoxKernelVectors:
             got = box_kernel_vectors(a, bounds)
             assert len(got) == len(expected) and set(got) == expected, a.entries
 
+    def test_limit_reports_overflow(self):
+        a = IntMatrix.from_rows([[1, 1, -1, -1]])
+        full = box_kernel_vectors(a, (2, 2, 2, 2))
+        assert len(full) > 10
+        assert box_kernel_vectors(a, (2, 2, 2, 2), limit=10) is None
+        assert box_kernel_vectors(a, (2, 2, 2, 2), limit=len(full) - 1) is None
+        assert box_kernel_vectors(a, (2, 2, 2, 2), limit=len(full)) == full
+        assert box_kernel_vectors(a, (2, 2, 2, 2), limit=10 * len(full)) == full
+
+    def test_limit_caps_dead_end_search(self):
+        # only multiples of 1000 in the first coordinate close the row,
+        # so the first level reaches 10**6 partial assignments for 1000
+        # vectors; the budget of n * limit gives up early
+        a = IntMatrix.from_rows([[1, 1000]])
+        with time_bound(5):
+            assert box_kernel_vectors(a, (10 ** 6, 10 ** 6), limit=4096) is None
+            got = box_kernel_vectors(a, (10 ** 4, 10 ** 4))
+        assert got == [(1000 * k, -k) for k in range(1, 11)]
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             box_kernel_vectors(IntMatrix.zero(0, 2), (1,))
         with pytest.raises(ValueError):
             box_kernel_vectors(IntMatrix.zero(0, 2), (1, -1))
+
+
+class TestInt64BoundCrossing:
+    """Lattice seeds below a lowered int64 bound and basis entries above
+    it: the completion crosses the bound while absorbing candidates and
+    has to finish on the exact path."""
+
+    @pytest.mark.parametrize("rows, bound", [
+        ([[1, -3, -3, 3], [-2, 1, 0, -2]], 6),
+        ([[0, -1, -1, -3], [3, -1, 1, 2]], 9),
+    ])
+    def test_matches_oracle_past_the_bound(self, monkeypatch, rows, bound):
+        a = IntMatrix.from_rows(rows)
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
+        seeds = graver.kernel_lattice_basis(a)
+        assert max(abs(x) for v in seeds for x in v) < 4
+        with time_bound(15):
+            got = compute_graver(a).elements
+        assert max(abs(x) for v in got for x in v) == bound
+        assert got == graver_oracle(a, 2 * bound)
+
+
+def naive_minimal(vectors):
+    """Double loop over the set: v stays unless some other member lies
+    conformally below v or -v.  A support bitmask skips pairs early."""
+    supp = [sum(1 << j for j, x in enumerate(v) if x) for v in vectors]
+
+    def below(g, v):
+        return all(x == 0 or (x * y > 0 and abs(x) <= abs(y)) for x, y in zip(g, v))
+
+    kept = set()
+    for i, v in enumerate(vectors):
+        neg = tuple(-x for x in v)
+        if not any(j != i and not supp[j] & ~supp[i] and (below(g, v) or below(g, neg))
+                   for j, g in enumerate(vectors)):
+            kept.add(v)
+    return kept
+
+
+def random_canonical_set(rng, size, n, weight):
+    """Distinct canonical vectors of at most ``weight`` nonzero entries,
+    half of them sums of two sign-compatible members with disjoint
+    supports, so plenty of members are dominated."""
+    out = set()
+    while len(out) < size:
+        v = [0] * n
+        for j in rng.sample(range(n), rng.randint(1, weight)):
+            v[j] = rng.choice((-2, -1, 1, 2))
+        out.add(canonical_rep(tuple(v)))
+        if len(out) < size and len(out) > 1 and rng.random() < 0.5:
+            g, h = rng.sample(sorted(out), 2)
+            if not any(x and y for x, y in zip(g, h)):
+                out.add(canonical_rep(tuple(x + y for x, y in zip(g, h))))
+    return sorted(out)
+
+
+class TestConformallyMinimal:
+    @pytest.mark.parametrize("n, weight, sizes", [
+        (6, 4, (1, 2, 40, 700, 1500)),     # one sign-mask word
+        (70, 4, (1, 40, 1500)),            # two words
+    ])
+    def test_matches_naive_filter(self, monkeypatch, n, weight, sizes):
+        rng = random.Random(n)
+        for size in sizes:
+            vectors = random_canonical_set(rng, size, n, weight)
+            want = naive_minimal(vectors)
+            if size > 2:
+                assert 0 < len(want) < size
+            # the default temporaries, then blocks of a row or two and
+            # many magnitude-check slices
+            for cap in (graver._FILTER_ELEMS, 64):
+                monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
+                got = conformally_minimal(vectors, n)
+                assert len(got) == len(set(got)) and set(got) == want, (n, size, cap)
+
+    def test_filter_transient_stays_small(self):
+        # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted
+        # by two composition rows
+        c = ((2, -1, 1, 0), (1, 1, -2, 3))
+        box = box_kernel_vectors(IntMatrix.zero(0, 4), (3, 3, 3, 3))
+        lifted = [z + tuple(-sum(x * y for x, y in zip(row, z)) for row in c)
+                  for z in box]
+        assert len(lifted) == 1200
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = conformally_minimal(lifted, 6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kept and peak < 4_000_000
 
 
 class TestAgainstOracle:

@@ -8,7 +8,6 @@ from graveropt.augment import (
     SolveStatus,
     composition_matrix,
     embed_slack,
-    instance_test_set,
     slack_lifted,
 )
 from graveropt.core import IntMatrix, ParseError
@@ -27,7 +26,7 @@ from graveropt.qap import (
     to_cip,
     write_qaplib,
 )
-from graveropt.testset import TestSet, box_test_set
+from graveropt.testset import TestSet, box_test_set, compute_test_set
 
 # Hand-checked assignment values for two facilities:
 #   flow [[0,1],[2,0]], distance [[0,3],[5,0]]
@@ -314,7 +313,8 @@ class TestBoxTestSet:
     def both(q):
         inst = to_cip(q)
         box, _ = box_test_set(inst.a, composition_matrix(inst), inst.upper)
-        full = applicable_directions(instance_test_set(inst), inst.upper)
+        full = applicable_directions(
+            compute_test_set(inst.a, composition_matrix(inst)), inst.upper)
         return box.directions, full.directions
 
     def test_pinned_instances(self):

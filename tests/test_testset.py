@@ -123,6 +123,14 @@ class TestBoxTestSet:
         # the minimality filter must have had something to drop
         assert pruned > 0
 
+    def test_lift_past_int64(self):
+        big = 1 << 62
+        c = IntMatrix.from_rows([[big, big, -big], [1, -2, 1]])
+        got, candidates = box_test_set(ZERO3, c, (2, 1, 2))
+        boxed = {d for d in compute_test_set(ZERO3, c).directions
+                 if all(abs(x) <= u for x, u in zip(d, (2, 1, 2)))}
+        assert candidates == 37 and got.directions == boxed
+
     def test_wide_triple_unit_box(self):
         got, _ = box_test_set(ZERO3, WIDE_TRIPLE, (1, 1, 1))
         assert got.directions == WIDE_TRIPLE_BOXED
