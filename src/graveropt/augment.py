@@ -346,8 +346,7 @@ def mirror_into_slack(inst: CipInstance, base: TestSet) -> TestSet:
     return TestSet(lifted.n, dirs, lift_rows=c.rows, provenance=(lifted.a, pad))
 
 
-def instance_test_set(inst: CipInstance, slack: bool = False,
-                      symmetry=None) -> TestSet:
+def instance_test_set(inst: CipInstance, slack: bool = False) -> TestSet:
     """Sufficient direction set for the instance's objective family.
 
     Composition rows come from composition_matrix.  On an unbounded
@@ -357,13 +356,11 @@ def instance_test_set(inst: CipInstance, slack: bool = False,
     out of [0, u_j] in one unit step, so the walk never takes it and
     its steps and endpoint are those of the full set.  With slack=True
     the set covers the slack-lifted system and is exact under upper
-    bounds.  symmetry passes coordinate permutations down to the basis
-    computation of an unbounded instance; it has no effect on a bounded
-    one.
+    bounds.
     """
     c = composition_matrix(inst)
     if inst.upper is None:
-        base = compute_test_set(inst.a, c, symmetry=symmetry)
+        base = compute_test_set(inst.a, c)
         logger.info("test set: completion, %d directions", len(base))
     else:
         base, candidates = box_test_set(inst.a, c, inst.upper)

@@ -1,25 +1,22 @@
 """Graver bases of integer matrices.
 
-compute_graver runs a completion procedure: seed with a lattice basis
-of ker(A), repeatedly form sums and differences of pairs, reduce each
-candidate against the current set under the conformal partial order,
-and keep irreducible remainders.  At the fixpoint every kernel vector
-is a sign-compatible sum of set members, so the conformally minimal
-members are exactly the Graver basis.
+compute_graver runs Hemmecke's project-and-lift: it starts from the
+Graver basis of the kernel lattice projected onto a few columns on
+which the projection is injective, and adds the other columns one at a
+time.  Each step lifts the basis so far onto the new column and runs a
+completion procedure on it: form sums and differences of pairs,
+reduce each candidate against the current set under the conformal
+partial order, and keep irreducible remainders.  Only the critical
+pairs are formed, those that are sign-compatible on the columns
+already lifted and opposed on the new one.  At the fixpoint every
+kernel vector of the projection is a sign-compatible sum of set
+members, so the conformally minimal members are exactly its Graver
+basis.
 
 Elements are taken up smallest 1-norm first, and the candidates of
 each round reduce in batches: packed sign bitmasks prefilter the
 reducer search so the magnitude comparison only runs on the few
 sign-compatible pairs.
-
-When the kernel is invariant under a group of coordinate permutations,
-compute_graver can exploit it: the working set stays closed under the
-group, so only one representative per orbit needs to run through the
-pairing step.  Pair coverage survives because any pair of set members
-is a group translate of some (representative, member) pair, and both
-the conformal order and reducibility commute with coordinate
-permutations.  The result is identical to the plain run; the pairing
-work drops by roughly the group order.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly.  It
@@ -30,7 +27,9 @@ path.
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,12 +43,10 @@ _REFRESH_STEP = 64   # rebuild the norm-ordered scan permutation this often
 _ELEM_CHUNK = 2048   # reducer scan block, walked in ascending 1-norm order
 _CAND_CHUNK = 512    # candidate block in the batched reducer search
 _FILTER_ELEMS = 1 << 17  # cap on the elements of one minimality-filter temporary
+_PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
 _BIG = np.int64(1) << 62
 
-# Diagnostic hook for long runs; called as _TRACE(pops, set size, queue size)
-# every _TRACE_EVERY pops.
-_TRACE = None
-_TRACE_EVERY = 256
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,74 +82,6 @@ def _pack_signs(mat: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
     wp[:, :pos.shape[1]] = pos
     wn[:, :neg.shape[1]] = neg
     return wp.view(np.uint64), wn.view(np.uint64)
-
-
-def close_permutation_group(perms, n: int, cap: int = 1_000_000) -> list[tuple[int, ...]]:
-    """Closure of coordinate permutations under composition.
-
-    A permutation acts by gathering, (p . v)[j] = v[p[j]]; the identity
-    is always included.  Finite order makes the compositional closure a
-    group without tracking inverses.
-    """
-    ident = tuple(range(n))
-    gens = []
-    for p in perms:
-        t = tuple(int(x) for x in p)
-        if sorted(t) != list(range(n)):
-            raise ValueError("symmetry: not a permutation of range(%d)" % n)
-        if t != ident:
-            gens.append(t)
-    members = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for q in frontier:
-            for g in gens:
-                r = tuple(q[x] for x in g)
-                if r not in members:
-                    if len(members) >= cap:
-                        raise ValueError("symmetry: group closure exceeds %d elements" % cap)
-                    members.add(r)
-                    fresh.append(r)
-        frontier = fresh
-    return sorted(members)
-
-
-def _check_kernel_invariance(a: IntMatrix, seeds: list[Vec], perms) -> None:
-    """Every permuted lattice basis vector must stay in ker(A)."""
-    if a.rows == 0 or not seeds:
-        return
-    amax = max((abs(x) for row in a.entries for x in row), default=0)
-    smax = max(abs(x) for v in seeds for x in v)
-    if amax == 0:
-        return
-    if amax * smax * a.cols < (1 << 62):
-        an = np.array(a.entries, dtype=np.int64)
-        pm = np.array(perms, dtype=np.intp)
-        sd = np.array(seeds, dtype=np.int64)
-        imgs = sd[:, pm]                       # (seeds, group, n)
-        prod = np.tensordot(imgs, an, axes=([2], [1]))
-        bad = prod.any()
-    else:
-        bad = any(
-            sum(row[j] * v[p[j]] for j in range(a.cols)) != 0
-            for v in seeds for p in perms for row in a.entries)
-    if bad:
-        raise ValueError("symmetry: permutation does not preserve the kernel")
-
-
-def _orbit_rows(group: np.ndarray, v: Vec) -> list[Vec]:
-    """Distinct sign-canonical images of v under the group, v first."""
-    if max(abs(x) for x in v) < _FAST_ABS_LIMIT:
-        mat = np.array(v, dtype=np.int64)[group]
-        nz = mat != 0
-        lead = mat[np.arange(len(mat)), nz.argmax(axis=1)]
-        mat = np.where((lead < 0)[:, None], -mat, mat)
-        rows = {tuple(r) for r in mat.tolist()}
-    else:
-        rows = {canonical_rep(tuple(v[j] for j in p)) for p in group.tolist()}
-    rows.discard(v)
-    return [v] + sorted(rows)
 
 
 class _Completion:
@@ -346,25 +275,25 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
     return out
 
 
-def _pop_candidates(state: _Completion, pivot: int, m: int) -> np.ndarray:
-    """Nonzero sums and differences of the pivot with the first m elements."""
-    if m == 0:
-        return np.zeros((0, state.n), dtype=np.int64)
-    row = state.arr[pivot]
-    block = state.arr[:m]
-    b_pos = block > 0
-    b_neg = block < 0
-    want_sum = ((b_pos & (row < 0)) | (b_neg & (row > 0))).any(axis=1)
-    want_diff = ((b_pos & (row > 0)) | (b_neg & (row < 0))).any(axis=1)
-    parts = []
-    if want_sum.any():
-        parts.append(block[want_sum] + row)
-    if want_diff.any():
-        parts.append(block[want_diff] - row)
-    if not parts:
-        return np.zeros((0, state.n), dtype=np.int64)
-    cand = np.vstack(parts)
-    return cand[(cand != 0).any(axis=1)]
+def _pop_candidates(state: _Completion, pivots: np.ndarray,
+                    old: np.ndarray) -> np.ndarray:
+    """Sums and differences of each pivot with the elements added
+    before it.
+
+    A pair is formed only when its two summands are sign-compatible on
+    the columns of the packed mask old and opposed on some other
+    column (the pairing rule of _complete).
+    """
+    m = int(pivots.max())
+    rp, rn = state.posm[pivots][:, None], state.negm[pivots][:, None]
+    bp, bn = state.posm[:m][None], state.negm[:m][None]
+    opp = (bp & rn) | (bn & rp)
+    same = (bp & rp) | (bn & rn)
+    before = np.arange(m)[None] < pivots[:, None]
+    pi, ti = np.nonzero(before & ~(opp & old).any(axis=2) & (opp & ~old).any(axis=2))
+    di, tj = np.nonzero(before & ~(same & old).any(axis=2) & (same & ~old).any(axis=2))
+    arr = state.arr
+    return np.vstack([arr[ti] + arr[pivots[pi]], arr[tj] - arr[pivots[di]]])
 
 
 def _reduce_by_block(state: _Completion, work: np.ndarray,
@@ -416,37 +345,49 @@ def _reduce_by_block(state: _Completion, work: np.ndarray,
     return work[~touched], work[touched & nonzero]
 
 
-def _pop_exact(state: _Completion, pivot: int, m: int) -> list[Vec]:
-    """Arbitrary-precision pairing path; reduction happens in the caller."""
+def _pop_exact(state: _Completion, pivot: int, fixed: int) -> list[Vec]:
+    """Arbitrary-precision pairing path for one pivot, same rule as
+    _pop_candidates; reduction happens in the caller."""
     vm = state.vecs[pivot]
     out = []
-    for t in range(m):
+    for t in range(pivot):
         vt = state.vecs[t]
-        if any(a * b < 0 for a, b in zip(vt, vm)):
+        prod = [a * b for a, b in zip(vt, vm)]
+        old, new = prod[:fixed], prod[fixed:]
+        if min(old, default=0) >= 0 and min(new) < 0:
             out.append(tuple(a + b for a, b in zip(vt, vm)))
-        if any(a * b > 0 for a, b in zip(vt, vm)):
+        if max(old, default=0) <= 0 and max(new) > 0:
             out.append(tuple(a - b for a, b in zip(vt, vm)))
-    return [c for c in out if any(c)]
+    return out
 
 
-def _complete(seeds: list[Vec], n: int,
-              group: np.ndarray | None = None) -> list[Vec]:
+def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
+    """Complete the seeds (distinct up to sign, nonzero) and keep the
+    conformally minimal members.
+
+    Two members u, v give the candidates u + v and u - v only where the
+    summands are sign-compatible on the first fixed columns and opposed
+    on a later one.  With fixed = 0 that is every pair that is not
+    sign-compatible (a sign-compatible sum reduces to a member at
+    once); with fixed = n - 1 it is the critical-pair rule of a lift
+    step (see compute_graver).
+
+    Returns the minimal members and the number of candidates formed.
+    """
     state = _Completion(n)
-    # (1-norm, pivot, pair block end): small elements first.  Without a
-    # group the pivot pairs with everything added before it; with one,
-    # a single orbit representative pairs with everything up to and
-    # including its own orbit block.
-    heap: list[tuple[int, int, int]] = []
+    if seeds:
+        state.add_block([canonical_rep(v) for v in seeds])
+    # columns [0, fixed) as a packed sign mask
+    old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0][0]
+    # (1-norm, pivot): small elements first; the pivot pairs with
+    # everything added before it
+    heap = [(norm, idx) for idx, norm in enumerate(state.norms)]
+    heapq.heapify(heap)
 
     def push(v: Vec) -> tuple[int, int]:
-        if group is None:
-            idx = state.add(v)
-            heapq.heappush(heap, (state.norms[idx], idx, idx))
-            return idx, idx + 1
-        orbit = _orbit_rows(group, v)
-        base = state.add_block(orbit)
-        heapq.heappush(heap, (state.norms[base], base, base + len(orbit)))
-        return base, base + len(orbit)
+        idx = state.add(v)
+        heapq.heappush(heap, (state.norms[idx], idx))
+        return idx, idx + 1
 
     def absorb_exact(cands) -> None:
         """Add the irreducible class of each candidate, one at a time,
@@ -488,22 +429,24 @@ def _complete(seeds: list[Vec], n: int,
                 return
             clean, work = _reduce_by_block(state, rest, base, end)
 
-    for v in seeds:
-        if any(v):
-            c = canonical_rep(v)
-            if c not in state.seen:
-                push(c)
-    pops = 0
+    candidates = 0
     while heap:
-        _, pivot, m = heapq.heappop(heap)
-        pops += 1
-        if _TRACE is not None and pops % _TRACE_EVERY == 0:
-            _TRACE(pops, len(state.vecs), len(heap))
+        norm, pivot = heapq.heappop(heap)
         if state.maxabs < _FAST_ABS_LIMIT:
-            absorb(_pop_candidates(state, pivot, m))
+            # pivots of one norm pair in one batch, while the batch's
+            # pivot-by-prefix mask stays under _PAIR_BATCH entries
+            batch = [pivot]
+            while (heap and heap[0][0] == norm
+                   and (len(batch) + 1) * heap[0][1] <= _PAIR_BATCH):
+                batch.append(heapq.heappop(heap)[1])
+            cand = _pop_candidates(state, np.array(batch), old)
+            candidates += len(cand)
+            absorb(cand)
         else:
-            absorb_exact(_pop_exact(state, pivot, m))
-    return _minimal_filter(state)
+            cand = _pop_exact(state, pivot, fixed)
+            candidates += len(cand)
+            absorb_exact(cand)
+    return _minimal_filter(state), candidates
 
 
 def _minimal_filter(state: _Completion) -> list[Vec]:
@@ -572,24 +515,139 @@ def _minimal_filter_exact(state: _Completion) -> list[Vec]:
     return keep
 
 
-def compute_graver(a: IntMatrix, symmetry=None) -> GraverBasis:
+def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
+    """r columns on which the r lattice basis vectors have full rank.
+
+    Unimodular row operations (Euclid on one column over the rows not
+    yet used) bring the basis to echelon form; its pivot columns are
+    the choice.  A first sweep takes only columns whose pivot is +/-1,
+    a second sweep fills up with any nonzero pivot, so the determinant
+    on the chosen columns is the product of the pivots and is +/-1
+    whenever the sweeps find unit pivots throughout.
+
+    Returns the chosen columns, ascending, and the transformed basis,
+    which spans the same lattice.
+    """
+    rows = [list(v) for v in seeds]
+    free = list(range(len(rows)))
+    chosen: list[int] = []
+    for unit_only in (True, False):
+        for j in range(n):
+            if not free:
+                break
+            if j in chosen:
+                continue
+            live = [i for i in free if rows[i][j]]
+            while len(live) > 1:
+                p = min(live, key=lambda i: abs(rows[i][j]))
+                for i in live:
+                    q = rows[i][j] // rows[p][j]
+                    if i != p and q:
+                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[p])]
+                live = [i for i in live if rows[i][j]]
+            if live and (not unit_only or abs(rows[live[0]][j]) == 1):
+                chosen.append(j)
+                free.remove(live[0])
+    return sorted(chosen), rows
+
+
+def _lift_map(basis: list[list[int]], sigma: list[int],
+              order: list[int]) -> tuple[int, list[list[int]]]:
+    """(det B, adj(B) . basis) for B the basis on the columns sigma.
+
+    A lattice vector with sigma part y is x . basis for the unique x
+    with x . B = y, so it equals y . adj(B) . basis / det B exactly.
+    The columns of the returned map follow order.
+    """
+    r = len(sigma)
+    work = [[Fraction(row[j]) for j in sigma] + [Fraction(int(i == k)) for k in range(r)]
+            for i, row in enumerate(basis)]
+    det = Fraction(1)
+    for c in range(r):
+        p = next(i for i in range(c, r) if work[i][c])
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            det = -det
+        piv = work[c][c]
+        det *= piv
+        work[c] = [x / piv for x in work[c]]
+        for i in range(r):
+            if i != c and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    adj = [[int(det * x) for x in row[r:]] for row in work]
+    cols = [[row[j] for row in basis] for j in order]
+    return int(det), [[sum(a * b for a, b in zip(arow, col)) for col in cols]
+                      for arow in adj]
+
+
+def _lift_column(vectors: list[Vec], col: list[int], det: int) -> list[Vec]:
+    """Append to each vector its entry y . col / det, where y is its
+    leading len(col) part; int64 while the products fit, Python ints
+    past that."""
+    r = len(col)
+    if not vectors:
+        return []
+    ys = [v[:r] for v in vectors]
+    reach = max(abs(x) for y in ys for x in y) * sum(map(abs, col))
+    dtype = np.int64 if reach <= np.iinfo(np.int64).max else object
+    vals = (np.array(ys, dtype=dtype) @ np.array(col, dtype=dtype)) // det
+    return [v + (x,) for v, x in zip(vectors, vals.tolist())]
+
+
+def compute_graver(a: IntMatrix) -> GraverBasis:
     """Graver basis of {v : Av = 0}, canonical representatives only.
 
-    symmetry, when given, is an iterable of coordinate permutations
-    (generators suffice) under which the kernel is invariant; the
-    closure is validated against the kernel lattice basis and the
-    completion then runs one representative per orbit.  The returned
-    basis is identical to the plain computation.
+    Project-and-lift (Hemmecke, Math. Program. 96 (2003)).  Take r
+    columns sigma on which the rank-r kernel lattice L projects
+    injectively (_start_columns).  The Graver basis of the projection
+    of L onto sigma is the unit vectors when the lattice basis has
+    determinant +/-1 there; otherwise the completion computes it from
+    the projected basis.  Then the other columns join one at a time:
+    each element of the basis so far is lifted to its unique
+    continuation on the new column (the exact map of _lift_map), and
+    a completion that pairs u, v only when they are sign-compatible on
+    the columns already lifted and have opposite signs on the new one
+    yields the Graver basis of the larger projection.
+
+    Why the critical pairs suffice: by induction every vector of L is
+    a sum of lifted elements that are conformal to it on the columns
+    already lifted (the positive sum property of the previous basis).
+    If such a representation is not conformal on the new column j,
+    two of its summands are compatible on the old columns and have
+    opposite signs on j.  Their sum is a candidate, and its normal
+    form writes it as a sum of set members conformal to it, so the
+    summands stay conformal to the vector on the old columns while
+    sum |g_j| over the summands strictly drops.  After finitely many
+    replacements the representation is conformal everywhere, so each
+    Graver element of the larger projection is in the completed set,
+    and the minimality filter keeps exactly those.
     """
     seeds = kernel_lattice_basis(a)
-    group = None
-    if symmetry is not None and seeds:
-        perms = close_permutation_group(symmetry, a.cols)
-        if len(perms) > 1:
-            _check_kernel_invariance(a, seeds, perms)
-            group = np.array(perms, dtype=np.intp)
-    minimal = _complete(seeds, a.cols, group)
-    return GraverBasis(a.cols, frozenset(minimal), source=a.format_tag())
+    n, r = a.cols, len(seeds)
+    if r == 0:
+        return GraverBasis(n, frozenset(), source=a.format_tag())
+    sigma, basis = _start_columns(seeds, n)
+    order = sigma + [j for j in range(n) if j not in sigma]
+    det, lift = _lift_map(basis, sigma, order)
+    if abs(det) == 1:
+        current = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    else:
+        current, _ = _complete([tuple(row[j] for j in sigma) for row in basis], r, 0)
+    logger.debug("start: columns %s, |det| %d, %d elements", sigma, abs(det), len(current))
+    for d in range(r + 1, n + 1):
+        lifted = _lift_column(current, [row[d - 1] for row in lift], det)
+        current, candidates = _complete(lifted, d, d - 1)
+        logger.debug("lift step %d: column %d, %d elements in, %d candidates, "
+                     "%d elements out", d - r, order[d - 1], len(lifted),
+                     candidates, len(current))
+    out = set()
+    for v in current:
+        full = [0] * n
+        for j, x in zip(order, v):
+            full[j] = x
+        out.add(canonical_rep(full))
+    return GraverBasis(n, frozenset(out), source=a.format_tag())
 
 
 class _OverLimit(Exception):

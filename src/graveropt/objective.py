@@ -8,7 +8,7 @@ composed with integer linear forms, plus a rational linear part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -90,6 +90,7 @@ class PiecewiseTable(DiscreteConvexFn):
 
     increments: tuple[tuple[int, Fraction], ...]
     extend: bool = False
+    _table: dict[int, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.increments, dict):
@@ -103,12 +104,10 @@ class PiecewiseTable(DiscreteConvexFn):
         if keys != list(range(keys[0], keys[-1] + 1)):
             raise ValueError("PiecewiseTable: window must be contiguous")
         object.__setattr__(self, "increments", norm)
-
-    def _table(self) -> dict[int, Fraction]:
-        return dict(self.increments)
+        object.__setattr__(self, "_table", dict(norm))
 
     def increment(self, j: int) -> Fraction:
-        table = self._table()
+        table = self._table
         if j in table:
             return table[j]
         lo = self.increments[0][0]

@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import (IntMatrix, ParseError, Vec, canonical_rep, hstack,
                    parse_int_matrix, vstack)
-from .graver import (box_kernel_vectors, close_permutation_group, compute_graver,
-                     conformally_minimal, project_first_n)
+from .graver import (box_kernel_vectors, compute_graver, conformally_minimal,
+                     project_first_n)
 
 
 # Past this many box kernel vectors (or n times as many partial
@@ -64,48 +64,10 @@ def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
     return vstack(top, bottom)
 
 
-def _lift_symmetry(perms, c: IntMatrix) -> list[tuple[int, ...]]:
-    """Extend coordinate permutations across the tracking block.
-
-    A permutation qualifies when gathering every composition row by it
-    lands back in the row set; each tracking variable then follows the
-    row it tracks.  Rows must be distinct for the matching to be
-    unambiguous.
-    """
-    n = c.cols
-    index = {row: i for i, row in enumerate(c.entries)}
-    if len(index) != c.rows:
-        raise ValueError("symmetry: composition rows must be distinct")
-    out = []
-    for p in perms:
-        # gather(C[i], p) == C[target[i]]; the tracking column of slot r
-        # must read from the row that gathers onto row r
-        follow = [0] * c.rows
-        for i, row in enumerate(c.entries):
-            g = tuple(row[j] for j in p)
-            target = index.get(g)
-            if target is None:
-                raise ValueError("symmetry: permutation does not preserve the rows")
-            follow[target] = i
-        out.append(tuple(p) + tuple(n + r for r in follow))
-    return out
-
-
-def compute_test_set(a: IntMatrix, c: IntMatrix, symmetry=None) -> TestSet:
-    """Project the lifted Graver basis onto the first n coordinates.
-
-    symmetry: optional coordinate permutations of the first n columns
-    that fix ker(A) and permute the rows of C among themselves; the
-    basis computation exploits them, the result does not change.
-    """
+def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
+    """Project the lifted Graver basis onto the first n coordinates."""
     lifted = build_lifted_matrix(a, c)
-    if symmetry is None:
-        basis = compute_graver(lifted)
-    else:
-        perms = close_permutation_group(symmetry, a.cols)
-        lifted_perms = _lift_symmetry(perms, c) if c.rows else perms
-        basis = compute_graver(lifted, symmetry=lifted_perms)
-    dirs = project_first_n(basis.elements, a.cols)
+    dirs = project_first_n(compute_graver(lifted).elements, a.cols)
     return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c))
 
 

@@ -1,3 +1,4 @@
+import logging
 import random
 import signal
 import tracemalloc
@@ -5,6 +6,8 @@ from contextlib import contextmanager
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt import graver
 from graveropt.core import IntMatrix, canonical_rep, conformal_leq, negate
@@ -157,6 +160,26 @@ class TestInt64BoundCrossing:
         assert max(abs(x) for v in got for x in v) == bound
         assert got == graver_oracle(a, 2 * bound)
 
+    def test_crossed_inside_a_lift_step(self, monkeypatch):
+        # the last lift step starts from entries below the bound and its
+        # completion has to create the basis elements with entry 6
+        a = IntMatrix.from_rows([[-2, 0, 1, 3], [-2, 1, 0, 0]])
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
+        steps = []
+        complete = graver._complete
+
+        def spy(seeds, n, fixed):
+            minimal, candidates = complete(seeds, n, fixed)
+            steps.append((fixed, max(abs(x) for v in seeds for x in v),
+                          max(abs(x) for v in minimal for x in v)))
+            return minimal, candidates
+
+        monkeypatch.setattr(graver, "_complete", spy)
+        with time_bound(15):
+            got = compute_graver(a).elements
+        assert steps[-1] == (3, 3, 6)
+        assert got == graver_oracle(a, 12)
+
 
 def naive_minimal(vectors):
     """Double loop over the set: v stays unless some other member lies
@@ -229,7 +252,31 @@ class TestConformallyMinimal:
         assert kept and peak < 4_000_000
 
 
+small_matrices = st.integers(0, 2).flatmap(lambda rows: st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows).map(
+        lambda entries: IntMatrix.from_rows(entries, cols=cols))))
+
+
 class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_matrices)
+    def test_random_small_matrices(self, a):
+        assert verify_against_oracle(a, compute_graver(a)), a.entries
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([[2, 3]], 2),                      # start lattice 3Z: not unimodular
+        ([[6, 10, 15]], 3),                 # |det| 5 on the start columns
+        ([], 3),                            # 0-row A: unit vectors
+        ([[0, 1, -1, 0], [0, 2, 1, 0]], 4),  # zero columns
+        ([[1, 0], [0, 1]], 2),              # trivial kernel
+        ([[1, 2, 0], [0, 0, 0]], 3),        # zero row and zero column
+    ])
+    def test_edge_cases(self, rows, cols):
+        a = IntMatrix.from_rows(rows, cols=cols)
+        assert verify_against_oracle(a, compute_graver(a)), rows
+
+
     def test_random_matrices_verify(self):
         rng = random.Random(23)
         for _ in range(8):
@@ -331,71 +378,47 @@ class TestGraverBasisType:
         assert hash(b) == hash(GraverBasis(2, frozenset({(1, 0)})))
 
 
-class TestSymmetry:
-    S3 = [(1, 0, 2), (1, 2, 0)]  # a transposition and a 3-cycle generate S3
+class TestProjectAndLift:
+    def test_unit_pivots_preferred(self):
+        # column 0 has pivot 2 on the kernel basis, columns 1 and 2 a unit one
+        a = IntMatrix.from_rows([[1, 2, 2]])
+        sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), 3)
+        det, _ = graver._lift_map(basis, sigma, [0, 1, 2])
+        assert sigma == [1, 2] and abs(det) == 1
 
-    def test_closure_of_s3_generators(self):
-        from graveropt.graver import close_permutation_group
-        assert len(close_permutation_group(self.S3, 3)) == 6
+    def test_lift_map_is_exact(self):
+        # every basis element is recovered column by column from its
+        # part on the start columns
+        for rows in ([[6, 10, 15]], [[2, 3]], [[1, -3, -3, 3], [-2, 1, 0, -2]]):
+            a = IntMatrix.from_rows(rows)
+            n = a.cols
+            sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), n)
+            det, lift = graver._lift_map(basis, sigma, list(range(n)))
+            for v in compute_graver(a).elements:
+                head = tuple(v[j] for j in sigma)
+                got = tuple(graver._lift_column([head], [row[j] for row in lift], det)[0][-1]
+                            for j in range(n))
+                assert got == v, (rows, v)
 
-    def test_closure_contains_identity(self):
-        from graveropt.graver import close_permutation_group
-        assert (0, 1, 2) in close_permutation_group([(1, 2, 0)], 3)
+    def test_lift_column_past_int64(self):
+        big = 1 << 62
+        got = graver._lift_column([(big, 3), (-1, 2)], [4, 2], 2)
+        assert got == [(big, 3, 2 * big + 3), (-1, 2, 0)]
 
-    def test_closure_rejects_non_permutation(self):
-        from graveropt.graver import close_permutation_group
-        with pytest.raises(ValueError):
-            close_permutation_group([(0, 0, 1)], 3)
-
-    def test_closure_cap(self):
-        from graveropt.graver import close_permutation_group
-        with pytest.raises(ValueError):
-            close_permutation_group(self.S3, 3, cap=3)
-
-    def test_sum_of_three_with_full_symmetry(self):
-        a = IntMatrix(1, 3, ((1, 1, 1),))
-        plain = compute_graver(a)
-        sym = compute_graver(a, symmetry=self.S3)
-        assert plain.elements == sym.elements
-
-    def test_cyclic_symmetry_on_four_columns(self):
-        a = IntMatrix(1, 4, ((1, 1, 1, 1),))
-        plain = compute_graver(a)
-        sym = compute_graver(a, symmetry=[(1, 2, 3, 0)])
-        assert plain.elements == sym.elements
-
-    def test_partial_symmetry(self):
-        # only the outer columns are exchangeable here
-        a = IntMatrix(2, 3, ((1, 1, 0), (0, 1, 1)))
-        plain = compute_graver(a)
-        sym = compute_graver(a, symmetry=[(2, 1, 0)])
-        assert plain.elements == sym.elements
-
-    def test_kernel_violation_rejected(self):
-        a = IntMatrix(1, 3, ((1, 2, 0),))
-        with pytest.raises(ValueError):
-            compute_graver(a, symmetry=[(1, 0, 2)])
-
-    def test_trivial_kernel_skips_validation(self):
-        # no seeds means no completion and no group to check
-        a = IntMatrix(2, 2, ((1, 0), (0, 1)))
-        assert len(compute_graver(a, symmetry=[(1, 0)])) == 0
-
-    def test_identity_only_group_matches_plain(self):
-        a = IntMatrix(1, 3, ((1, 1, 1),))
-        sym = compute_graver(a, symmetry=[(0, 1, 2)])
-        assert sym.elements == compute_graver(a).elements
-
-    def test_random_circulant_systems(self):
-        rng = random.Random(11)
-        shift = (1, 2, 3, 4, 0)
-        for _ in range(10):
-            row = tuple(rng.randint(-2, 2) for _ in range(5))
-            a_rows = [row]
-            for _ in range(4):
-                row = tuple(row[j] for j in shift)
-                a_rows.append(row)
-            a = IntMatrix(5, 5, tuple(a_rows))
-            plain = compute_graver(a)
-            sym = compute_graver(a, symmetry=[shift])
-            assert plain.elements == sym.elements
+    def test_one_log_line_per_lift_step(self, caplog):
+        a = IntMatrix.from_rows([[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]])
+        with caplog.at_level(logging.DEBUG, logger="graveropt.graver"):
+            basis = compute_graver(a)
+        records = [r for r in caplog.records if r.name == "graveropt.graver"]
+        start, steps = records[0], records[1:]
+        assert start.getMessage().startswith("start: columns [")
+        assert len(steps) == a.cols - 3   # kernel rank 3
+        previous = start.args[-1]
+        for k, rec in enumerate(steps, 1):
+            step, column, elements_in, candidates, elements_out = rec.args
+            assert rec.levelno == logging.DEBUG
+            assert step == k and 0 <= column < a.cols
+            assert elements_in == previous and candidates >= 0
+            previous = elements_out
+        assert previous == len(basis)
+        assert sorted(start.args[0] + [r.args[1] for r in steps]) == list(range(a.cols))

@@ -106,6 +106,31 @@ class TestPiecewiseTable:
         assert g.value(3) == 6
         assert g.increment(10) == 2
 
+    @pytest.mark.parametrize("extend", [False, True])
+    def test_value_is_the_sum_of_increments(self, extend):
+        incs = {-2: Fraction(-5, 2), -1: Fraction(-1), 0: Fraction(-1, 3),
+                1: Fraction(0), 2: Fraction(3, 4), 3: Fraction(2)}
+        g = PiecewiseTable(incs, extend=extend)
+        reach = 7 if extend else 3
+
+        def inc(j):
+            return incs[min(max(j, -2), 3)]
+
+        # g(x) = sum_{j=1..x} g(j)-g(j-1) right of 0, minus the
+        # increments of (x, 0] left of it
+        for x in range(-reach, reach + 1):
+            if x >= 0:
+                want = sum((inc(j) for j in range(1, x + 1)), Fraction(0))
+            else:
+                want = -sum((inc(j) for j in range(x + 1, 1)), Fraction(0))
+            assert g.value(x) == want, x
+        if not extend:
+            for x in (-4, 4):
+                with pytest.raises(ValueError):
+                    g.value(x)
+        assert g == PiecewiseTable(dict(incs), extend=extend)
+        assert hash(g) == hash(PiecewiseTable(dict(incs), extend=extend))
+
     def test_window_must_be_contiguous(self):
         with pytest.raises(ValueError):
             PiecewiseTable({0: Fraction(0), 2: Fraction(1)})
