@@ -160,6 +160,28 @@ def point_permutation(z: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def relabeling_symmetries(inst: CipInstance, n: int) -> list[tuple[int, ...]] | None:
+    """Facility/location relabelings fixing the objective's row set.
+
+    Every (sigma, tau) pair permutes the assignment constraints among
+    themselves, so a pair qualifies as soon as it maps each quadratic
+    term's coefficient row to another one.  Qualifying pairs form a
+    group; the n!^2 sweep stays cheap at desk scale.  Returns None when
+    only the identity survives.  solve_qap walks on the box path and
+    does not call this.
+    """
+    if n > 5:
+        return None
+    rows = {t.coeffs for t in inst.objective.terms if any(t.coeffs)}
+    found = []
+    for sigma in permutations(range(n)):
+        for tau in permutations(range(n)):
+            p = tuple(sigma[i] * n + tau[k] for i in range(n) for k in range(n))
+            if all(tuple(row[j] for j in p) in rows for row in rows):
+                found.append(p)
+    return found if len(found) > 1 else None
+
+
 def applicable_directions(t_set: TestSet, upper: Vec) -> TestSet:
     """Drop directions no feasible step can ever use.
 

@@ -64,6 +64,34 @@ def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
     return vstack(top, bottom)
 
 
+def _lift_symmetry(perms, c: IntMatrix) -> list[tuple[int, ...]]:
+    """Extend coordinate permutations across the tracking block.
+
+    A permutation qualifies when gathering every composition row by it
+    lands back in the row set; each tracking variable then follows the
+    row it tracks.  Rows must be distinct for the matching to be
+    unambiguous.  compute_test_set takes no symmetry, so no solve path
+    calls this.
+    """
+    n = c.cols
+    index = {row: i for i, row in enumerate(c.entries)}
+    if len(index) != c.rows:
+        raise ValueError("symmetry: composition rows must be distinct")
+    out = []
+    for p in perms:
+        # gather(C[i], p) == C[target[i]]; the tracking column of slot r
+        # must read from the row that gathers onto row r
+        follow = [0] * c.rows
+        for i, row in enumerate(c.entries):
+            g = tuple(row[j] for j in p)
+            target = index.get(g)
+            if target is None:
+                raise ValueError("symmetry: permutation does not preserve the rows")
+            follow[target] = i
+        out.append(tuple(p) + tuple(n + r for r in follow))
+    return out
+
+
 def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
     """Project the lifted Graver basis onto the first n coordinates."""
     lifted = build_lifted_matrix(a, c)

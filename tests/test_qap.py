@@ -21,6 +21,7 @@ from graveropt.qap import (
     permutation_value,
     point_permutation,
     read_qaplib,
+    relabeling_symmetries,
     solve_qap,
     to_cip,
     write_qaplib,
@@ -250,6 +251,46 @@ class TestPoints:
     def test_rejects_reused_column(self):
         with pytest.raises(ValueError):
             point_permutation((1, 0, 1, 0), 2)
+
+
+class TestRelabelingSymmetries:
+    def test_dense_two_facilities(self):
+        q = koopmans_beckmann(((0, 2), (2, 0)), ((0, 3), (3, 0)))
+        syms = relabeling_symmetries(to_cip(q), 2)
+        # every facility relabeling times every location relabeling
+        assert syms is not None and len(syms) == 4
+
+    def test_dense_three_facilities(self):
+        rng = random.Random(9)
+        q = random_kb(rng, 3, lo=1)
+        syms = relabeling_symmetries(to_cip(q), 3)
+        assert syms is not None and len(syms) == 36
+
+    def test_contains_identity(self):
+        q = koopmans_beckmann(((0, 1), (1, 0)), ((0, 1), (1, 0)))
+        syms = relabeling_symmetries(to_cip(q), 2)
+        assert tuple(range(4)) in syms
+
+    def test_large_sizes_are_skipped(self):
+        q = koopmans_beckmann(((0,) * 6,) * 6, ((0,) * 6,) * 6)
+        assert relabeling_symmetries(to_cip(q), 6) is None
+
+    def test_symmetries_permute_the_quadratic_rows(self):
+        rng = random.Random(10)
+        q = random_kb(rng, 3, lo=1)
+        inst = to_cip(q)
+        rows = {t.coeffs for t in inst.objective.terms if any(t.coeffs)}
+        for p in relabeling_symmetries(inst, 3):
+            assert {tuple(r[j] for j in p) for r in rows} == rows
+
+    def test_symmetries_map_assignments_to_assignments(self):
+        rng = random.Random(10)
+        q = random_kb(rng, 3, lo=1)
+        inst = to_cip(q)
+        for p in relabeling_symmetries(inst, 3):
+            for perm in permutations(range(3)):
+                moved = tuple(permutation_point(perm)[p[j]] for j in range(9))
+                point_permutation(moved, 3)  # raises if not an assignment
 
 
 class TestApplicableDirections:

@@ -246,3 +246,28 @@ class TestSerialization:
     def test_comments_ignored(self):
         t = parse_test_set("# anything at all\n1 2\n1 -1\n# trailing\n")
         assert t.directions == {(1, -1)}
+
+
+class TestSymmetricComputation:
+    def test_lift_follows_row_permutation(self):
+        from graveropt.testset import _lift_symmetry
+        c = IntMatrix(2, 2, ((1, 0), (0, 1)))
+        # swapping the two variables swaps the two composition rows
+        assert _lift_symmetry([(1, 0)], c) == [(1, 0, 3, 2)]
+
+    def test_lift_identity(self):
+        from graveropt.testset import _lift_symmetry
+        c = IntMatrix(2, 2, ((2, 1), (1, 3)))
+        assert _lift_symmetry([(0, 1)], c) == [(0, 1, 2, 3)]
+
+    def test_lift_rejects_unpreserved_rows(self):
+        from graveropt.testset import _lift_symmetry
+        c = IntMatrix(2, 2, ((1, 0), (0, 2)))
+        with pytest.raises(ValueError):
+            _lift_symmetry([(1, 0)], c)
+
+    def test_lift_rejects_duplicate_rows(self):
+        from graveropt.testset import _lift_symmetry
+        c = IntMatrix(2, 2, ((1, 1), (1, 1)))
+        with pytest.raises(ValueError):
+            _lift_symmetry([(1, 0)], c)
