@@ -153,11 +153,20 @@ def find_improving(inst: CipInstance, t_set: TestSet, z: Vec,
 
 
 def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
-    """Refuse a test set whose provenance does not cover the instance."""
+    """Refuse a test set whose provenance does not cover the instance.
+
+    A set without provenance must at least keep Az = b: each of its
+    directions has to lie in the kernel of A.
+    """
     if t_set.dimension != inst.n:
         raise ValueError("test set dimension %d != instance dimension %d"
                          % (t_set.dimension, inst.n))
     if t_set.provenance is None:
+        zero = (0,) * inst.a.rows
+        for d in t_set.directions:
+            if inst.a.mat_vec(d) != zero:
+                raise ValueError("test set direction %s is not in the kernel of "
+                                 "the constraint matrix" % (d,))
         return
     a, c = t_set.provenance
     if a != inst.a:
@@ -298,8 +307,8 @@ def slack_lifted(inst: CipInstance) -> CipInstance:
     """Append z + s = upper rows; the result has no explicit bounds.
 
     Directions computed for the lifted system respect the original
-    bounds through the slack block, so augmentation on the lifted
-    instance is exact for the bounded one.
+    bounds through the slack block; solve_bounded reports its walks in
+    these coordinates.
     """
     if inst.upper is None:
         raise ValueError("slack_lifted: instance has no upper bounds")
@@ -328,25 +337,7 @@ def composition_matrix(inst: CipInstance) -> IntMatrix:
     return IntMatrix(len(rows), inst.n, tuple(rows))
 
 
-def mirror_into_slack(inst: CipInstance, base: TestSet) -> TestSet:
-    """A direction set for the instance, carried over to its slack lift.
-
-    Every kernel vector of the slack-lifted system mirrors its z block
-    into the slack block, and a mirrored coordinate repeats the
-    original's sign and magnitude constraints under the conformal
-    order, so the two lifts have the same minimal elements.  Compute
-    on the plain lift and mirror, instead of dragging n extra columns
-    through the completion.
-    """
-    lifted = slack_lifted(inst)
-    c = composition_matrix(inst)
-    pad = IntMatrix(c.rows, lifted.n,
-                    tuple(r + (0,) * inst.n for r in c.entries))
-    dirs = frozenset(t + negate(t) for t in base.directions)
-    return TestSet(lifted.n, dirs, lift_rows=c.rows, provenance=(lifted.a, pad))
-
-
-def instance_test_set(inst: CipInstance, slack: bool = False) -> TestSet:
+def instance_test_set(inst: CipInstance) -> TestSet:
     """Sufficient direction set for the instance's objective family.
 
     Composition rows come from composition_matrix.  On an unbounded
@@ -354,9 +345,7 @@ def instance_test_set(inst: CipInstance, slack: bool = False) -> TestSet:
     a bounded one it is only the part that fits in the box |t_j| <= u_j,
     testset.box_test_set: a direction outside it moves some coordinate
     out of [0, u_j] in one unit step, so the walk never takes it and
-    its steps and endpoint are those of the full set.  With slack=True
-    the set covers the slack-lifted system and is exact under upper
-    bounds.
+    its steps and endpoint are those of the full set.
     """
     c = composition_matrix(inst)
     if inst.upper is None:
@@ -370,18 +359,43 @@ def instance_test_set(inst: CipInstance, slack: bool = False) -> TestSet:
         else:
             logger.info("test set: box, %d candidates, %d directions",
                         candidates, len(base))
-    return mirror_into_slack(inst, base) if slack else base
+    return base
 
 
 def solve_bounded(inst: CipInstance, z0: Vec, best: bool = False,
                   cap: int = 10 ** 6,
                   t_set: TestSet | None = None) -> tuple[SolveReport, CipInstance]:
-    """Slack-lift, solve, and report in the lifted coordinates."""
+    """Solve a bounded instance; report in slack-lifted coordinates.
+
+    The walk runs once, on the instance itself with its box direction
+    set, and the report is mapped onto slack_lifted(inst): each step t
+    becomes (t, -t) and the optimum z becomes embed_slack(inst, z).
+    This is the walk the lifted instance would take on the mirrored
+    set.  There, max_feasible_step reads slack coordinate j as
+    (u_j - z_j) // (-t_j), which is the bound rule of the plain
+    instance; (t, -t) sorts and canonicalises exactly as t does; and
+    the objective ignores the slack block.  So the steps match one for
+    one.
+
+    t_set may cover the instance (n columns) or its slack lift (2n
+    columns); a lifted set is checked against the lifted matrix, which
+    forces each slack block to be minus the z block, and projected to
+    its z block.
+    """
     lifted = slack_lifted(inst)
+    n = inst.n
     if t_set is None:
-        t_set = instance_test_set(inst, slack=True)
-    report = solve(lifted, t_set, embed_slack(inst, z0), best=best, cap=cap)
-    return report, lifted
+        t_set = instance_test_set(inst)
+    elif t_set.dimension == 2 * n:
+        # a kernel vector of the lifted matrix has slack block -z
+        check_compatible(lifted, t_set)
+        t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions),
+                        lift_rows=t_set.lift_rows)
+    report = solve(inst, t_set, z0, best=best, cap=cap)
+    steps = tuple(Step(s.direction + negate(s.direction), s.length, s.value_after)
+                  for s in report.steps)
+    return SolveReport(report.status, embed_slack(inst, report.optimum),
+                       report.value, steps), lifted
 
 
 # ---------------------------------------------------------------------------

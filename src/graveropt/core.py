@@ -196,7 +196,13 @@ def format_int_matrix(a: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_int_matrix(text: str) -> IntMatrix:
+def split_matrix_text(text: str) -> tuple[int, int, list[str]]:
+    """Shape and body tokens of a matrix text, for any entry type.
+
+    The header must give rows >= 0 and cols >= 1, and the body must
+    hold exactly rows * cols tokens; both are checked before a caller
+    builds anything of that shape.
+    """
     tokens = text.split()
     if len(tokens) < 2:
         raise ParseError("matrix header: expected 'rows cols'")
@@ -211,6 +217,11 @@ def parse_int_matrix(text: str) -> IntMatrix:
     if len(body) != rows * cols:
         raise ParseError("matrix body: expected %d entries, got %d"
                          % (rows * cols, len(body)))
+    return rows, cols, body
+
+
+def parse_int_matrix(text: str) -> IntMatrix:
+    rows, cols, body = split_matrix_text(text)
     try:
         vals = [int(t) for t in body]
     except ValueError as e:

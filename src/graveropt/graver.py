@@ -84,39 +84,6 @@ def _pack_signs(mat: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
     return wp.view(np.uint64), wn.view(np.uint64)
 
 
-def close_permutation_group(perms, n: int, cap: int = 1_000_000) -> list[tuple[int, ...]]:
-    """Closure of coordinate permutations under composition.
-
-    A permutation acts by gathering, (p . v)[j] = v[p[j]]; the identity
-    is always included.  Finite order makes the compositional closure a
-    group without tracking inverses.  A standalone group utility:
-    compute_graver takes no symmetry and nothing in the solve path
-    calls it.
-    """
-    ident = tuple(range(n))
-    gens = []
-    for p in perms:
-        t = tuple(int(x) for x in p)
-        if sorted(t) != list(range(n)):
-            raise ValueError("symmetry: not a permutation of range(%d)" % n)
-        if t != ident:
-            gens.append(t)
-    members = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for q in frontier:
-            for g in gens:
-                r = tuple(q[x] for x in g)
-                if r not in members:
-                    if len(members) >= cap:
-                        raise ValueError("symmetry: group closure exceeds %d elements" % cap)
-                    members.add(r)
-                    fresh.append(r)
-        frontier = fresh
-    return sorted(members)
-
-
 class _Completion:
     """Working state of the completion run.
 

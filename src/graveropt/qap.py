@@ -15,12 +15,11 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .augment import (CipInstance, SolveReport, composition_matrix,
-                      mirror_into_slack, solve_bounded)
+from .augment import CipInstance, SolveReport, composition_matrix, solve_bounded
 from .core import IntMatrix, ParseError, Vec
 from .objective import ScaledEvenPower, SeparableObjective, Term
 from .quadratic import RatMatrix, binary_rephrase, rat_matrix
-from .testset import TestSet, box_test_set
+from .testset import box_test_set
 
 logger = logging.getLogger(__name__)
 
@@ -160,60 +159,23 @@ def point_permutation(z: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def relabeling_symmetries(inst: CipInstance, n: int) -> list[tuple[int, ...]] | None:
-    """Facility/location relabelings fixing the objective's row set.
-
-    Every (sigma, tau) pair permutes the assignment constraints among
-    themselves, so a pair qualifies as soon as it maps each quadratic
-    term's coefficient row to another one.  Qualifying pairs form a
-    group; the n!^2 sweep stays cheap at desk scale.  Returns None when
-    only the identity survives.  solve_qap walks on the box path and
-    does not call this.
-    """
-    if n > 5:
-        return None
-    rows = {t.coeffs for t in inst.objective.terms if any(t.coeffs)}
-    found = []
-    for sigma in permutations(range(n)):
-        for tau in permutations(range(n)):
-            p = tuple(sigma[i] * n + tau[k] for i in range(n) for k in range(n))
-            if all(tuple(row[j] for j in p) in rows for row in rows):
-                found.append(p)
-    return found if len(found) > 1 else None
-
-
-def applicable_directions(t_set: TestSet, upper: Vec) -> TestSet:
-    """Drop directions no feasible step can ever use.
-
-    With every variable confined to [0, u], a step between feasible
-    points moves each coordinate by at most u, so directions exceeding
-    the bounds componentwise can be removed without weakening the set.
-    """
-    kept = frozenset(
-        d for d in t_set.directions
-        if all(abs(x) <= u for x, u in zip(d, upper)))
-    return TestSet(t_set.dimension, kept, lift_rows=t_set.lift_rows,
-                   provenance=t_set.provenance)
-
-
 def solve_qap(q: QapInstance, start: Sequence[int] | None = None,
               best: bool = False) -> tuple[tuple[int, ...], Fraction, SolveReport]:
     """Augment from a starting permutation to a globally optimal one.
 
     The walk only ever moves between 0/1 points, so the direction set
     is the 0/1-box part of the instance's test set, built directly by
-    testset.box_test_set without the full lifted basis.  It is mirrored
-    into the slack lift, which enforces the bounds exactly, so it
-    certifies optimality at the walk's endpoint; the report's points
-    are in the slack-lifted coordinates.
+    testset.box_test_set without the full lifted basis.  That set is
+    exact for the bounded walk, so it certifies optimality at the
+    walk's endpoint; solve_bounded reports the points in slack-lifted
+    coordinates.
     """
     inst = to_cip(q)
     base, candidates = box_test_set(inst.a, composition_matrix(inst), inst.upper)
     logger.info("test set: %s box candidates, %d applicable directions",
                 candidates, len(base))
     perm0 = tuple(start) if start is not None else tuple(range(q.n))
-    report, _ = solve_bounded(inst, permutation_point(perm0), best=best,
-                              t_set=mirror_into_slack(inst, base))
+    report, _ = solve_bounded(inst, permutation_point(perm0), best=best, t_set=base)
     z = report.optimum[:q.n * q.n]
     perm = point_permutation(z, q.n)
     return perm, report.value, report

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .core import ParseError, Vec, canonical_rep
+from .core import ParseError, Vec, canonical_rep, split_matrix_text
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -316,17 +316,7 @@ def format_rat_matrix(q: RatMatrix) -> str:
 
 
 def parse_rat_matrix(text: str) -> RatMatrix:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ParseError("matrix header: expected 'rows cols'")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ParseError("matrix header: expected two integers") from None
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ParseError("matrix body: expected %d entries, got %d"
-                         % (rows * cols, len(body)))
+    rows, cols, body = split_matrix_text(text)
     try:
         vals = [Fraction(t) for t in body]
     except (ValueError, ZeroDivisionError) as e:

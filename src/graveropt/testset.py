@@ -64,34 +64,6 @@ def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
     return vstack(top, bottom)
 
 
-def _lift_symmetry(perms, c: IntMatrix) -> list[tuple[int, ...]]:
-    """Extend coordinate permutations across the tracking block.
-
-    A permutation qualifies when gathering every composition row by it
-    lands back in the row set; each tracking variable then follows the
-    row it tracks.  Rows must be distinct for the matching to be
-    unambiguous.  compute_test_set takes no symmetry, so no solve path
-    calls this.
-    """
-    n = c.cols
-    index = {row: i for i, row in enumerate(c.entries)}
-    if len(index) != c.rows:
-        raise ValueError("symmetry: composition rows must be distinct")
-    out = []
-    for p in perms:
-        # gather(C[i], p) == C[target[i]]; the tracking column of slot r
-        # must read from the row that gathers onto row r
-        follow = [0] * c.rows
-        for i, row in enumerate(c.entries):
-            g = tuple(row[j] for j in p)
-            target = index.get(g)
-            if target is None:
-                raise ValueError("symmetry: permutation does not preserve the rows")
-            follow[target] = i
-        out.append(tuple(p) + tuple(n + r for r in follow))
-    return out
-
-
 def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
     """Project the lifted Graver basis onto the first n coordinates."""
     lifted = build_lifted_matrix(a, c)
@@ -168,22 +140,6 @@ def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:
             pad[2 * k * i + k + t] = 1
         rows.append(c.row(i) + tuple(pad))
     return IntMatrix(a.rows + s, width, tuple(rows))
-
-
-def filter_directions(t: TestSet, z: Vec, upper: Vec | None = None) -> set[Vec]:
-    """Signed directions whose unit step from z respects the bounds."""
-    if len(z) != t.dimension:
-        raise ValueError("filter_directions: point has wrong dimension")
-    if upper is not None and len(upper) != t.dimension:
-        raise ValueError("filter_directions: bound vector has wrong dimension")
-    out: set[Vec] = set()
-    for d in t.directions:
-        for cand in (d, tuple(-x for x in d)):
-            nxt = tuple(a - b for a, b in zip(z, cand))
-            if all(x >= 0 for x in nxt) and (
-                    upper is None or all(x <= u for x, u in zip(nxt, upper))):
-                out.add(cand)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from graveropt.augment import (
     instance_test_set,
     line_search,
     max_feasible_step,
-    mirror_into_slack,
     parse_instance,
     slack_lifted,
     solve,
@@ -187,6 +186,15 @@ class TestCompatibility:
     def test_anonymous_sets_trusted(self, square_pair):
         check_compatible(square_pair, axis_only())
 
+    def test_anonymous_direction_off_the_kernel_rejected(self):
+        inst = CipInstance(IntMatrix.from_rows([[1, 1]]), (2,), (2, 2),
+                           linear_objective([1, 2]))
+        check_compatible(inst, TestSet(2, frozenset({(1, -1)})))
+        with pytest.raises(ValueError, match="kernel"):
+            check_compatible(inst, TestSet(2, frozenset({(1, -1), (1, 0)})))
+        with pytest.raises(ValueError, match="kernel"):
+            solve(inst, TestSet(2, frozenset({(1, 0)})), (2, 0))
+
 
 class TestBruteForce:
     def test_square_pair_box(self, square_pair):
@@ -272,12 +280,33 @@ class TestSlackMode:
 
     def test_mirror_equals_direct_computation(self):
         inst = self.bounded_instance()
-        fast = instance_test_set(inst, slack=True)
         lifted = slack_lifted(inst)
         direct = compute_test_set(
             lifted.a, IntMatrix.from_rows([(1, -1, 0, 0)], cols=4))
-        assert fast.directions == direct.directions
-        assert fast.dimension == 4
+        assert direct.directions == {
+            t + tuple(-x for x in t) for t in instance_test_set(inst).directions}
+        for best in (False, True):
+            report, got_lifted = solve_bounded(inst, (0, 0), best=best)
+            assert got_lifted == lifted
+            assert report.steps
+            assert report == lifted_walk(inst, (0, 0), best)
+
+    def test_lifted_test_set_is_projected(self):
+        inst = self.bounded_instance()
+        plain = instance_test_set(inst)
+        mirrored = TestSet(4, frozenset(t + tuple(-x for x in t)
+                                        for t in plain.directions))
+        want = solve_bounded(inst, (0, 0))
+        assert solve_bounded(inst, (0, 0), t_set=mirrored) == want
+        assert solve_bounded(inst, (0, 0), t_set=plain) == want
+
+    def test_lifted_test_set_needs_mirrored_slack(self):
+        inst = self.bounded_instance()
+        bad = TestSet(4, frozenset({(1, 0, -1, 0), (0, 1, 0, 0)}))
+        with pytest.raises(ValueError, match="kernel"):
+            solve_bounded(inst, (0, 0), t_set=bad)
+        with pytest.raises(ValueError, match="dimension"):
+            solve_bounded(inst, (0, 0), t_set=TestSet(3, frozenset({(1, 0, 0)})))
 
     def test_bounded_solve_exact(self):
         # minimum of (x - y - 3)^2 within [0,2]^2 is 1, e.g. at (2, 0)
@@ -325,6 +354,16 @@ class TestRandomGlobalOptimality:
             done += 1
 
 
+def lifted_walk(inst, z0, best):
+    """The walk on the slack lift itself, over the lifted system's own
+    projected basis: the composition rows padded with n zero columns."""
+    lifted = slack_lifted(inst)
+    c = composition_matrix(inst)
+    pad = IntMatrix(c.rows, lifted.n, tuple(r + (0,) * inst.n for r in c.entries))
+    return solve(lifted, compute_test_set(lifted.a, pad), embed_slack(inst, z0),
+                 best=best)
+
+
 def boxed_completion(inst):
     """The members of the full projected lifted basis that fit in the
     instance's box, the set the bounded direction set must equal."""
@@ -360,7 +399,9 @@ class TestBoundedDirectionSet:
         full, boxed = boxed_completion(inst)
         got = instance_test_set(inst)
         assert got == boxed
-        assert instance_test_set(inst, slack=True) == mirror_into_slack(inst, boxed)
+        for best in (False, True):
+            # the bounded solve maps a plain walk onto the slack lift
+            assert solve_bounded(inst, z0, best=best)[0] == lifted_walk(inst, z0, best)
         report = solve(inst, got, z0)
         # a direction outside the box never fits a unit step, so the walk
         # on the full set takes the very same steps

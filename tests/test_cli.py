@@ -1,12 +1,13 @@
 import json
 import os
+import signal
 
 import pytest
 
-from graveropt.augment import format_instance
+from graveropt.augment import CipInstance, format_instance
 from graveropt.cli import main
 from graveropt.core import IntMatrix, parse_int_matrix
-from graveropt.objective import parse_objective
+from graveropt.objective import linear_objective, parse_objective
 from graveropt.testset import TestSet, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
 
@@ -196,6 +197,33 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "status: optimal" in out
 
+    def row_sum_files(self, tmp_path):
+        # A = [[1, 1]], b = 2, upper (2, 2), from the corner (2, 0)
+        inst = CipInstance(IntMatrix.from_rows([[1, 1]]), (2,), (2, 2),
+                           linear_objective([2, 1]))
+        return (put(tmp_path, "row.cip", format_instance(inst)),
+                put(tmp_path, "z0.vec", "2 0\n"))
+
+    def test_hand_direction_off_the_kernel_is_an_input_error(self, tmp_path, capsys):
+        inst, start = self.row_sum_files(tmp_path)
+        ts = put(tmp_path, "off.ts", "1 2\n1 0\n")
+        assert main(["solve", inst, start, "--testset", ts]) == 2
+        assert "not in the kernel" in capsys.readouterr().err
+
+    def test_lifted_hand_direction_off_the_kernel_is_an_input_error(self, tmp_path, capsys):
+        inst, start = self.row_sum_files(tmp_path)
+        ts = put(tmp_path, "off.ts", "1 4\n1 0 -1 0\n")
+        assert main(["solve", inst, start, "--testset", ts, "--slack-bounds"]) == 2
+        assert "not in the kernel" in capsys.readouterr().err
+
+    def test_lifted_hand_set_walks_in_slack_coordinates(self, tmp_path, capsys):
+        inst, start = self.row_sum_files(tmp_path)
+        ts = put(tmp_path, "pair.ts", "1 4\n1 -1 -1 1\n")
+        assert main(["solve", inst, start, "--testset", ts, "--slack-bounds"]) == 0
+        assert capsys.readouterr().out == (
+            "step 1: t=(1,-1,-1,1) lambda=2 value=2\n"
+            "optimum: 0 2 2 0\nvalue: 2\nstatus: optimal\n")
+
     def test_best_improving_accepted(self, tmp_path, capsys):
         inst = self.instance_file(tmp_path)
         start = put(tmp_path, "z0.vec", "1 1\n")
@@ -229,6 +257,34 @@ class TestQuadCommand:
         assert main(["quad", q, "--c", c]) == 0
         obj = parse_objective(capsys.readouterr().out)
         assert obj.linear == (0.5,)
+
+
+class _Overran(Exception):
+    """Raised by the alarm; main() does not catch it."""
+
+
+def within_seconds(seconds, fn, *args):
+    def stop(signum, frame):
+        raise _Overran("still running after %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestMatrixHeaders:
+    def test_negative_shape_exits_2(self, tmp_path, capsys):
+        q = put(tmp_path, "q.mat", "-1 -1\n5\n")
+        assert main(["quad", q]) == 2
+        assert "invalid shape" in capsys.readouterr().err
+
+    def test_huge_empty_header_exits_2_promptly(self, tmp_path, capsys):
+        q = put(tmp_path, "q.mat", "9999999999999999999999 0\n")
+        assert within_seconds(2.0, main, ["quad", q]) == 2
+        assert "invalid shape" in capsys.readouterr().err
 
 
 class TestQapCommand:

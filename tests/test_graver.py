@@ -378,28 +378,6 @@ class TestGraverBasisType:
         assert hash(b) == hash(GraverBasis(2, frozenset({(1, 0)})))
 
 
-class TestSymmetry:
-    S3 = [(1, 0, 2), (1, 2, 0)]  # a transposition and a 3-cycle generate S3
-
-    def test_closure_of_s3_generators(self):
-        from graveropt.graver import close_permutation_group
-        assert len(close_permutation_group(self.S3, 3)) == 6
-
-    def test_closure_contains_identity(self):
-        from graveropt.graver import close_permutation_group
-        assert (0, 1, 2) in close_permutation_group([(1, 2, 0)], 3)
-
-    def test_closure_rejects_non_permutation(self):
-        from graveropt.graver import close_permutation_group
-        with pytest.raises(ValueError):
-            close_permutation_group([(0, 0, 1)], 3)
-
-    def test_closure_cap(self):
-        from graveropt.graver import close_permutation_group
-        with pytest.raises(ValueError):
-            close_permutation_group(self.S3, 3, cap=3)
-
-
 class TestProjectAndLift:
     def test_unit_pivots_preferred(self):
         # column 0 has pivot 2 on the kernel basis, columns 1 and 2 a unit one

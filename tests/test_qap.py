@@ -13,7 +13,6 @@ from graveropt.augment import (
 from graveropt.core import IntMatrix, ParseError
 from graveropt.qap import (
     QapInstance,
-    applicable_directions,
     assignment_matrix,
     koopmans_beckmann,
     permutation_oracle,
@@ -21,12 +20,11 @@ from graveropt.qap import (
     permutation_value,
     point_permutation,
     read_qaplib,
-    relabeling_symmetries,
     solve_qap,
     to_cip,
     write_qaplib,
 )
-from graveropt.testset import TestSet, box_test_set, compute_test_set
+from graveropt.testset import box_test_set, compute_test_set
 
 # Hand-checked assignment values for two facilities:
 #   flow [[0,1],[2,0]], distance [[0,3],[5,0]]
@@ -253,58 +251,6 @@ class TestPoints:
             point_permutation((1, 0, 1, 0), 2)
 
 
-class TestRelabelingSymmetries:
-    def test_dense_two_facilities(self):
-        q = koopmans_beckmann(((0, 2), (2, 0)), ((0, 3), (3, 0)))
-        syms = relabeling_symmetries(to_cip(q), 2)
-        # every facility relabeling times every location relabeling
-        assert syms is not None and len(syms) == 4
-
-    def test_dense_three_facilities(self):
-        rng = random.Random(9)
-        q = random_kb(rng, 3, lo=1)
-        syms = relabeling_symmetries(to_cip(q), 3)
-        assert syms is not None and len(syms) == 36
-
-    def test_contains_identity(self):
-        q = koopmans_beckmann(((0, 1), (1, 0)), ((0, 1), (1, 0)))
-        syms = relabeling_symmetries(to_cip(q), 2)
-        assert tuple(range(4)) in syms
-
-    def test_large_sizes_are_skipped(self):
-        q = koopmans_beckmann(((0,) * 6,) * 6, ((0,) * 6,) * 6)
-        assert relabeling_symmetries(to_cip(q), 6) is None
-
-    def test_symmetries_permute_the_quadratic_rows(self):
-        rng = random.Random(10)
-        q = random_kb(rng, 3, lo=1)
-        inst = to_cip(q)
-        rows = {t.coeffs for t in inst.objective.terms if any(t.coeffs)}
-        for p in relabeling_symmetries(inst, 3):
-            assert {tuple(r[j] for j in p) for r in rows} == rows
-
-    def test_symmetries_map_assignments_to_assignments(self):
-        rng = random.Random(10)
-        q = random_kb(rng, 3, lo=1)
-        inst = to_cip(q)
-        for p in relabeling_symmetries(inst, 3):
-            for perm in permutations(range(3)):
-                moved = tuple(permutation_point(perm)[p[j]] for j in range(9))
-                point_permutation(moved, 3)  # raises if not an assignment
-
-
-class TestApplicableDirections:
-    def test_drops_oversized_directions(self):
-        t = TestSet(2, frozenset({(1, 0), (0, 1), (2, 1), (1, -2)}))
-        kept = applicable_directions(t, (1, 1))
-        assert kept.directions == frozenset({(1, 0), (0, 1)})
-
-    def test_keeps_metadata(self):
-        t = TestSet(2, frozenset({(1, 0)}), lift_rows=1)
-        kept = applicable_directions(t, (1, 1))
-        assert kept.dimension == 2 and kept.lift_rows == 1
-
-
 class TestBoxTestSet:
     """The 0/1-box set solve_qap walks on, against the box members of the
     full lifted completion, which shares no enumeration code with it."""
@@ -313,9 +259,10 @@ class TestBoxTestSet:
     def both(q):
         inst = to_cip(q)
         box, _ = box_test_set(inst.a, composition_matrix(inst), inst.upper)
-        full = applicable_directions(
-            compute_test_set(inst.a, composition_matrix(inst)), inst.upper)
-        return box.directions, full.directions
+        full = compute_test_set(inst.a, composition_matrix(inst))
+        return box.directions, frozenset(
+            d for d in full.directions
+            if all(abs(x) <= u for x, u in zip(d, inst.upper)))
 
     def test_pinned_instances(self):
         for q in (koopmans_beckmann(FLOW_A, DIST_A),

@@ -288,6 +288,11 @@ class TestRationalFormat:
         with pytest.raises(ParseError):
             parse_rat_matrix("2 2\n1 2 3\n")
 
+    @pytest.mark.parametrize("bad", ["-1 -1\n5\n", "-1 2\n", "2 0\n", "0 0\n"])
+    def test_invalid_shape(self, bad):
+        with pytest.raises(ParseError, match="invalid shape"):
+            parse_rat_matrix(bad)
+
     def test_bad_entry(self):
         with pytest.raises(ParseError):
             parse_rat_matrix("1 2\n1 q\n")

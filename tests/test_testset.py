@@ -10,7 +10,6 @@ from graveropt.testset import (
     build_lifted_matrix,
     build_split_matrix,
     compute_test_set,
-    filter_directions,
     format_test_set,
     parse_test_set,
 )
@@ -195,29 +194,6 @@ class TestBuildSplitMatrix:
             build_split_matrix(IntMatrix.zero(0, 2), SUM_PAIR, 1)
 
 
-class TestFilterDirections:
-    def test_origin_keeps_only_negatives(self):
-        t = TestSet(2, frozenset({(1, 0), (0, 1)}))
-        assert filter_directions(t, (0, 0)) == {(-1, 0), (0, -1)}
-
-    def test_upper_bound_keeps_descending_step(self):
-        t = TestSet(2, frozenset({(1, 1)}))
-        assert (1, 1) in filter_directions(t, (1, 1), upper=(1, 1))
-        assert (-1, -1) not in filter_directions(t, (1, 1), upper=(1, 1))
-
-    def test_negated_direction_survives(self):
-        t = TestSet(2, frozenset({(0, -1)}))
-        got = filter_directions(t, (1, 0), upper=(1, 1))
-        assert (0, -1) in got
-
-    def test_dimension_checks(self):
-        t = TestSet(2, frozenset({(1, 0)}))
-        with pytest.raises(ValueError):
-            filter_directions(t, (0, 0, 0))
-        with pytest.raises(ValueError):
-            filter_directions(t, (0, 0), upper=(1,))
-
-
 class TestSerialization:
     def test_round_trip(self):
         t = compute_test_set(ZERO3, SUM_PAIR)
@@ -246,28 +222,3 @@ class TestSerialization:
     def test_comments_ignored(self):
         t = parse_test_set("# anything at all\n1 2\n1 -1\n# trailing\n")
         assert t.directions == {(1, -1)}
-
-
-class TestSymmetricComputation:
-    def test_lift_follows_row_permutation(self):
-        from graveropt.testset import _lift_symmetry
-        c = IntMatrix(2, 2, ((1, 0), (0, 1)))
-        # swapping the two variables swaps the two composition rows
-        assert _lift_symmetry([(1, 0)], c) == [(1, 0, 3, 2)]
-
-    def test_lift_identity(self):
-        from graveropt.testset import _lift_symmetry
-        c = IntMatrix(2, 2, ((2, 1), (1, 3)))
-        assert _lift_symmetry([(0, 1)], c) == [(0, 1, 2, 3)]
-
-    def test_lift_rejects_unpreserved_rows(self):
-        from graveropt.testset import _lift_symmetry
-        c = IntMatrix(2, 2, ((1, 0), (0, 2)))
-        with pytest.raises(ValueError):
-            _lift_symmetry([(1, 0)], c)
-
-    def test_lift_rejects_duplicate_rows(self):
-        from graveropt.testset import _lift_symmetry
-        c = IntMatrix(2, 2, ((1, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            _lift_symmetry([(1, 0)], c)
