@@ -18,7 +18,7 @@ from .augment import (CipInstance, InfeasibleStartError, SolveReport,
                       SolveStatus, brute_force_optimum, instance_test_set,
                       parse_instance, solve, solve_bounded)
 from .core import (IntMatrix, ParseError, format_int_matrix, parse_int_matrix,
-                   parse_int_vector)
+                   parse_int_vector, split_matrix_text)
 from .graver import compute_graver, verify_against_oracle
 from .objective import ScaledEvenPower, SeparableObjective, Term, format_objective
 from .qap import permutation_oracle, read_qaplib, solve_qap
@@ -151,7 +151,11 @@ def cmd_solve(args) -> int:
 
 def cmd_quad(args) -> int:
     _require_files(args.q, args.c)
-    q = parse_rat_matrix(_read(args.q))
+    text = _read(args.q)
+    rows, cols, _ = split_matrix_text(text)
+    if rows != cols:
+        raise ParseError("quad: matrix must be square, got %d x %d" % (rows, cols))
+    q = parse_rat_matrix(text)
     n = len(q)
     c = parse_rat_vector(_read(args.c)) if args.c else (Fraction(0),) * n
     if args.binary:

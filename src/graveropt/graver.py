@@ -16,12 +16,13 @@ basis.
 Elements are taken up smallest 1-norm first, and the candidates of
 each round reduce in batches: packed sign bitmasks prefilter the
 reducer search so the magnitude comparison only runs on the few
-sign-compatible pairs.
+sign-compatible pairs.  One code path serves every integer size: the
+entry matrix is int64 while the members' 1-norms stay below
+_FAST_ABS_LIMIT and holds Python ints (dtype object) from then on.
 
 graver_oracle is the independent check: enumerate every kernel vector
-in a box (box_kernel_vectors) and filter the minimal ones directly.  It
-shares only the one-line conformal_leq primitive with the completion
-path.
+in a box (box_kernel_vectors) and filter the minimal ones directly with
+conformal_leq, which the completion does not use.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_basis
 
-# Beyond this magnitude the int64 scan arrays could overflow, so the
-# reducer search drops to the arbitrary-precision path.
+# Member 1-norm at which the completion's entry matrix leaves int64 for
+# Python ints; below it every norm and every pair sum fits in int64.
 _FAST_ABS_LIMIT = 1 << 61
 
 _REFRESH_STEP = 64   # rebuild the norm-ordered scan permutation this often
@@ -44,7 +45,6 @@ _ELEM_CHUNK = 2048   # reducer scan block, walked in ascending 1-norm order
 _CAND_CHUNK = 512    # candidate block in the batched reducer search
 _FILTER_ELEMS = 1 << 17  # cap on the elements of one minimality-filter temporary
 _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
-_BIG = np.int64(1) << 62
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +84,28 @@ def _pack_signs(mat: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
     return wp.view(np.uint64), wn.view(np.uint64)
 
 
+def _sign_fits(gp: np.ndarray, gn: np.ndarray, cp: np.ndarray,
+               cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) over the broadcast mask rows: whether each g has
+    its support inside c's with the signs of c, and of -c."""
+    plus = (((gp & ~cp) | (gn & ~cn)) == 0).all(axis=2)
+    minus = (((gp & ~cn) | (gn & ~cp)) == 0).all(axis=2)
+    return plus, minus
+
+
+def _subtract_max_multiple(w: np.ndarray, wabs: np.ndarray, g: np.ndarray,
+                           sign: np.ndarray) -> np.ndarray:
+    """w - k * sign * g row by row, k the largest with k|g| <= |w|.
+
+    Each sign * g must be conformally below its row of w.  Zero entries
+    of g get the fill max|w| + 1, above every ratio of the row.
+    """
+    gabs = np.abs(g)
+    fill = wabs.max(axis=1, keepdims=True) + 1
+    k = np.where(gabs > 0, wabs // np.maximum(gabs, 1), fill).min(axis=1)
+    return w - (k * sign)[:, None] * g
+
+
 class _Completion:
     """Working state of the completion run.
 
@@ -92,6 +114,11 @@ class _Completion:
     packed sign bitmasks used as a compatibility prefilter.  Scans walk
     chunks in ascending 1-norm order so that the small vectors that do
     nearly all reductions are tried first.
+
+    The entry matrix is int64 while every member's 1-norm is below
+    _FAST_ABS_LIMIT; then each entry, norm and pair sum fits in int64.
+    The first block reaching the limit turns it into an object array of
+    Python ints, once, and every scan runs unchanged on either dtype.
     """
 
     def __init__(self, n: int):
@@ -100,7 +127,7 @@ class _Completion:
         self.vecs: list[Vec] = []          # insertion order, never reordered
         self.norms: list[int] = []
         self.seen: set[Vec] = set()
-        self.maxabs = 0
+        self.maxnorm = 0
         self.cap = 64
         self.arr = np.zeros((self.cap, n), dtype=np.int64)
         self.posm = np.zeros((self.cap, self.words), dtype=np.uint64)
@@ -115,10 +142,13 @@ class _Completion:
         """Append canonical nonzero rows in one batch; index of the first."""
         base = len(self.vecs)
         count = len(rows)
+        norms = [sum(map(abs, v)) for v in rows]
         self.vecs.extend(rows)
-        self.norms.extend(sum(map(abs, v)) for v in rows)
+        self.norms.extend(norms)
         self.seen.update(rows)
-        self.maxabs = max(self.maxabs, max(max(map(abs, v)) for v in rows))
+        self.maxnorm = max(self.maxnorm, max(norms))
+        if self.maxnorm >= _FAST_ABS_LIMIT and self.arr.dtype != object:
+            self.arr = self.arr.astype(object)
         while base + count > self.cap:
             self.cap *= 2
         if self.arr.shape[0] < self.cap:
@@ -127,17 +157,17 @@ class _Completion:
                 grown = np.zeros((self.cap, old.shape[1]), dtype=old.dtype)
                 grown[:base] = old[:base]
                 setattr(self, name, grown)
-        if self.maxabs < _FAST_ABS_LIMIT:
-            mat = np.array(rows, dtype=np.int64)
-            self.arr[base:base + count] = mat
-            p, q = _pack_signs(mat, self.words)
-            self.posm[base:base + count] = p
-            self.negm[base:base + count] = q
+        mat = np.array(rows, dtype=self.arr.dtype)
+        self.arr[base:base + count] = mat
+        p, q = _pack_signs(mat, self.words)
+        self.posm[base:base + count] = p
+        self.negm[base:base + count] = q
         return base
 
     def _refresh_scan_order(self) -> None:
         m = len(self.vecs)
-        self.scan_order = np.argsort(np.array(self.norms[:m]), kind="stable")
+        norms = np.array(self.norms[:m], dtype=self.arr.dtype)
+        self.scan_order = np.argsort(norms, kind="stable")
         self.sorted_upto = m
 
     def scan_chunks(self):
@@ -152,55 +182,6 @@ class _Completion:
             yield idx, self.norms[int(idx[0])]
         if self.sorted_upto < m:
             yield np.arange(self.sorted_upto, m, dtype=np.intp), 0
-
-    def find_reducer(self, s: Vec) -> tuple[Vec, int] | None:
-        """First element g (in scan order) with g or -g conformally below s.
-
-        Returns (g, sign) so that sign*g is the reducer, or None.
-        """
-        if self.maxabs >= _FAST_ABS_LIMIT or max(abs(x) for x in s) >= _FAST_ABS_LIMIT:
-            return self._find_reducer_exact(s)
-        sv = np.array(s, dtype=np.int64)
-        s_norm = int(np.abs(sv).sum())
-        s_pos = sv > 0
-        s_neg = sv < 0
-        s_abs = np.abs(sv)
-        for idx, lo in self.scan_chunks():
-            if idx.size == 0 or lo > s_norm:
-                continue
-            block = self.arr[idx]
-            b_pos = block > 0
-            b_neg = block < 0
-            too_big = np.abs(block) > s_abs
-            plus_bad = ((b_pos & s_neg) | (b_neg & s_pos) | too_big).any(axis=1)
-            minus_bad = ((b_pos & s_pos) | (b_neg & s_neg) | too_big).any(axis=1)
-            hit = np.nonzero(~(plus_bad & minus_bad))[0]
-            if hit.size:
-                k = int(hit[0])
-                g = self.vecs[int(idx[k])]
-                return g, (1 if not plus_bad[k] else -1)
-        return None
-
-    def _find_reducer_exact(self, s: Vec) -> tuple[Vec, int] | None:
-        neg = tuple(-x for x in s)
-        for g in self.vecs:
-            if conformal_leq(g, s):
-                return g, 1
-            if conformal_leq(g, neg):
-                return g, -1
-        return None
-
-    def normal_form(self, s: Vec) -> Vec | None:
-        """Reduce s by maximal multiples of reducers; None when it hits 0."""
-        while True:
-            hit = self.find_reducer(s)
-            if hit is None:
-                return s
-            g, sign = hit
-            k = min(abs(a) // abs(b) for a, b in zip(s, g) if b)
-            s = tuple(a - sign * k * b for a, b in zip(s, g))
-            if not any(s):
-                return None
 
 
 def _batch_find_reducers(state: _Completion, work: np.ndarray, wabs: np.ndarray,
@@ -223,14 +204,12 @@ def _batch_find_reducers(state: _Completion, work: np.ndarray, wabs: np.ndarray,
             pending = pending[wnorm[pending] >= lo]
             if pending.size == 0:
                 continue
-        gp = state.posm[idx]
-        gn = state.negm[idx]
+        gp = state.posm[idx][None]
+        gn = state.negm[idx][None]
         for start in range(0, pending.size, _CAND_CHUNK):
             rows = pending[start:start + _CAND_CHUNK]
-            cp = wpos[rows][:, None, :]
-            cn = wneg[rows][:, None, :]
-            plus = (((gp[None] & ~cp) | (gn[None] & ~cn)) == 0).all(axis=2)
-            minus = (((gp[None] & ~cn) | (gn[None] & ~cp)) == 0).all(axis=2)
+            plus, minus = _sign_fits(gp, gn, wpos[rows][:, None, :],
+                                     wneg[rows][:, None, :])
             ci, gi = np.nonzero(plus | minus)
             if ci.size == 0:
                 continue
@@ -265,12 +244,8 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
         live = ~done
         if not live.any():
             break
-        w = work[live]
-        g = state.arr[red[live]]
-        gabs = np.abs(g)
-        ratios = np.where(gabs > 0, wabs[live] // np.maximum(gabs, 1), _BIG)
-        k = ratios.min(axis=1)
-        w = w - (k * sign[live])[:, None] * g
+        w = _subtract_max_multiple(work[live], wabs[live], state.arr[red[live]],
+                                   sign[live])
         work = w[(w != 0).any(axis=1)]
     return out
 
@@ -304,10 +279,9 @@ def _reduce_by_block(state: _Completion, work: np.ndarray,
     first part keep whatever irreducibility they had before; rows in
     the second need a fresh full reduction.
     """
-    idx = np.arange(base, end, dtype=np.intp)
-    gp = state.posm[idx][None]
-    gn = state.negm[idx][None]
-    garr = state.arr[idx]
+    gp = state.posm[base:end][None]
+    gn = state.negm[base:end][None]
+    garr = state.arr[base:end]
     gabs = np.abs(garr)
     touched = np.zeros(len(work), dtype=bool)
     alive = np.ones(len(work), dtype=bool)
@@ -318,10 +292,7 @@ def _reduce_by_block(state: _Completion, work: np.ndarray,
         w = work[rows]
         wabs = np.abs(w)
         wpos, wneg = _pack_signs(w, state.words)
-        cp = wpos[:, None, :]
-        cn = wneg[:, None, :]
-        plus = (((gp & ~cp) | (gn & ~cn)) == 0).all(axis=2)
-        minus = (((gp & ~cn) | (gn & ~cp)) == 0).all(axis=2)
+        plus, minus = _sign_fits(gp, gn, wpos[:, None, :], wneg[:, None, :])
         ci, gi = np.nonzero(plus | minus)
         if ci.size == 0:
             break
@@ -331,34 +302,14 @@ def _reduce_by_block(state: _Completion, work: np.ndarray,
             break
         plus_hit = plus[ci, gi]
         uniq, first = np.unique(ci, return_index=True)
-        g = garr[gi[first]]
-        sgn = np.where(plus_hit[first], 1, -1)
-        ga = np.abs(g)
-        ratios = np.where(ga > 0, wabs[uniq] // np.maximum(ga, 1), _BIG)
-        k = ratios.min(axis=1)
         hit = rows[uniq]
-        work[hit] -= (k * sgn)[:, None] * g
+        work[hit] = _subtract_max_multiple(w[uniq], wabs[uniq], garr[gi[first]],
+                                           np.where(plus_hit[first], 1, -1))
         touched[hit] = True
         alive[:] = False
         alive[hit] = (work[hit] != 0).any(axis=1)
     nonzero = (work != 0).any(axis=1)
     return work[~touched], work[touched & nonzero]
-
-
-def _pop_exact(state: _Completion, pivot: int, fixed: int) -> list[Vec]:
-    """Arbitrary-precision pairing path for one pivot, same rule as
-    _pop_candidates; reduction happens in the caller."""
-    vm = state.vecs[pivot]
-    out = []
-    for t in range(pivot):
-        vt = state.vecs[t]
-        prod = [a * b for a, b in zip(vt, vm)]
-        old, new = prod[:fixed], prod[fixed:]
-        if min(old, default=0) >= 0 and min(new) < 0:
-            out.append(tuple(a + b for a, b in zip(vt, vm)))
-        if max(old, default=0) <= 0 and max(new) > 0:
-            out.append(tuple(a - b for a, b in zip(vt, vm)))
-    return out
 
 
 def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
@@ -384,21 +335,6 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
     heap = [(norm, idx) for idx, norm in enumerate(state.norms)]
     heapq.heapify(heap)
 
-    def push(v: Vec) -> tuple[int, int]:
-        idx = state.add(v)
-        heapq.heappush(heap, (state.norms[idx], idx))
-        return idx, idx + 1
-
-    def absorb_exact(cands) -> None:
-        """Add the irreducible class of each candidate, one at a time,
-        in arbitrary precision."""
-        for cand in cands:
-            r = state.normal_form(cand)
-            if r is not None:
-                c = canonical_rep(r)
-                if c not in state.seen:
-                    push(c)
-
     def absorb(cand: np.ndarray) -> None:
         """Add every irreducible class among the candidate rows.
 
@@ -406,12 +342,12 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
         remaining rows only need re-checking against the fresh block,
         and just the rows it altered rejoin the full pass.
         """
-        work, clean = cand, np.zeros((0, n), dtype=np.int64)
+        work, clean = cand, np.zeros((0, n), dtype=state.arr.dtype)
         while True:
             if len(work):
                 reduced = _batch_normal_form(state, work)
                 if reduced:
-                    clean = np.vstack([clean, np.array(reduced, dtype=np.int64)])
+                    clean = np.vstack([clean, np.array(reduced, dtype=state.arr.dtype)])
                 work = ()
             if not len(clean):
                 return
@@ -422,30 +358,23 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
             if c in state.seen:
                 clean = rest
                 continue
-            base, end = push(c)
-            if state.maxabs >= _FAST_ABS_LIMIT:
-                # the fresh block has no int64 mirror rows to reduce by
-                absorb_exact(tuple(r) for r in rest.tolist())
-                return
-            clean, work = _reduce_by_block(state, rest, base, end)
+            base = state.add(c)
+            heapq.heappush(heap, (state.norms[base], base))
+            clean, work = _reduce_by_block(
+                state, rest.astype(state.arr.dtype, copy=False), base, base + 1)
 
     candidates = 0
     while heap:
         norm, pivot = heapq.heappop(heap)
-        if state.maxabs < _FAST_ABS_LIMIT:
-            # pivots of one norm pair in one batch, while the batch's
-            # pivot-by-prefix mask stays under _PAIR_BATCH entries
-            batch = [pivot]
-            while (heap and heap[0][0] == norm
-                   and (len(batch) + 1) * heap[0][1] <= _PAIR_BATCH):
-                batch.append(heapq.heappop(heap)[1])
-            cand = _pop_candidates(state, np.array(batch), old)
-            candidates += len(cand)
-            absorb(cand)
-        else:
-            cand = _pop_exact(state, pivot, fixed)
-            candidates += len(cand)
-            absorb_exact(cand)
+        # pivots of one norm pair in one batch, while the batch's
+        # pivot-by-prefix mask stays under _PAIR_BATCH entries
+        batch = [pivot]
+        while (heap and heap[0][0] == norm
+               and (len(batch) + 1) * heap[0][1] <= _PAIR_BATCH):
+            batch.append(heapq.heappop(heap)[1])
+        cand = _pop_candidates(state, np.array(batch), old)
+        candidates += len(cand)
+        absorb(cand)
     return _minimal_filter(state), candidates
 
 
@@ -463,12 +392,10 @@ def _minimal_filter(state: _Completion) -> list[Vec]:
     m = len(state.vecs)
     if m == 0:
         return []
-    if state.maxabs >= _FAST_ABS_LIMIT:
-        return _minimal_filter_exact(state)
     state._refresh_scan_order()
     work = state.arr[:m]
     wabs = np.abs(work)
-    wnorm = np.array(state.norms, dtype=np.int64)
+    wnorm = np.array(state.norms, dtype=state.arr.dtype)
     wpos, wneg = state.posm[:m], state.negm[:m]
     keep = np.ones(m, dtype=bool)
     pair_step = max(1, _FILTER_ELEMS // state.n)
@@ -485,12 +412,8 @@ def _minimal_filter(state: _Completion) -> list[Vec]:
         for start in range(0, pending.size, step):
             rows = pending[start:start + step]
             cut = idx[:np.searchsorted(inorm, wnorm[rows[-1]])]
-            gp = state.posm[cut][None]
-            gn = state.negm[cut][None]
-            cp = wpos[rows][:, None, :]
-            cn = wneg[rows][:, None, :]
-            plus = (((gp & ~cp) | (gn & ~cn)) == 0).all(axis=2)
-            minus = (((gp & ~cn) | (gn & ~cp)) == 0).all(axis=2)
+            plus, minus = _sign_fits(state.posm[cut][None], state.negm[cut][None],
+                                     wpos[rows][:, None, :], wneg[rows][:, None, :])
             ci, gi = np.nonzero(plus | minus)
             gi = cut[gi]
             ci = rows[ci]
@@ -501,18 +424,6 @@ def _minimal_filter(state: _Completion) -> list[Vec]:
                 ok = (wabs[g] <= wabs[c]).all(axis=1)
                 keep[c[ok]] = False
     return [state.vecs[i] for i in np.nonzero(keep)[0]]
-
-
-def _minimal_filter_exact(state: _Completion) -> list[Vec]:
-    keep = []
-    for i, s in enumerate(state.vecs):
-        neg = tuple(-x for x in s)
-        dominated = any(
-            j != i and (conformal_leq(g, s) or conformal_leq(g, neg))
-            for j, g in enumerate(state.vecs))
-        if not dominated:
-            keep.append(s)
-    return keep
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:

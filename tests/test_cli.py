@@ -62,6 +62,14 @@ class TestGraverCommand:
         assert main(["graver", str(tmp_path / "absent.mat")]) == 2
         capsys.readouterr()
 
+    def test_norm_past_int64(self, tmp_path, capsys):
+        # kernel spanned by (K, K, K, K, K, 1) with K = 2^61 - 1
+        k = (1 << 61) - 1
+        matrix = put(tmp_path, "a.mat", "5 6\n1 -1 0 0 0 0\n0 1 -1 0 0 0\n"
+                     "0 0 1 -1 0 0\n0 0 0 1 -1 0\n0 0 0 0 1 %d\n" % -k)
+        assert main(["graver", matrix]) == 0
+        assert capsys.readouterr().out == "1 6\n%d %d %d %d %d 1\n" % ((k,) * 5)
+
     def test_runs_are_byte_identical(self, tmp_path):
         matrix = put(tmp_path, "a.mat", "1 4\n1 -1 2 0\n")
         out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -257,6 +265,16 @@ class TestQuadCommand:
         assert main(["quad", q, "--c", c]) == 0
         obj = parse_objective(capsys.readouterr().out)
         assert obj.linear == (0.5,)
+
+
+    @pytest.mark.parametrize("header, linear", [("0 1", None), ("0 3", "1 2")])
+    def test_non_square_header_exits_2(self, tmp_path, capsys, header, linear):
+        # no rows, so only the header keeps the column count
+        argv = ["quad", put(tmp_path, "q.mat", header + "\n")]
+        if linear is not None:
+            argv += ["--c", put(tmp_path, "c.vec", linear + "\n")]
+        assert main(argv) == 2
+        assert "must be square" in capsys.readouterr().err
 
 
 class _Overran(Exception):

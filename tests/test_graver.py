@@ -5,6 +5,7 @@ import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,10 +142,16 @@ class TestBoxKernelVectors:
             box_kernel_vectors(IntMatrix.zero(0, 2), (1, -1))
 
 
+def norm1(v):
+    return sum(map(abs, v))
+
+
 class TestInt64BoundCrossing:
-    """Lattice seeds below a lowered int64 bound and basis entries above
-    it: the completion crosses the bound while absorbing candidates and
-    has to finish on the exact path."""
+    """Lattice seeds below a lowered int64 bound and basis elements
+    above it: the completion crosses the bound on a member's 1-norm
+    while absorbing candidates and has to finish on object arrays."""
+
+    LIMIT = 11   # seed 1-norms are 5 to 10, basis 1-norms reach 11 to 17
 
     @pytest.mark.parametrize("rows, bound", [
         ([[1, -3, -3, 3], [-2, 1, 0, -2]], 6),
@@ -152,33 +159,55 @@ class TestInt64BoundCrossing:
     ])
     def test_matches_oracle_past_the_bound(self, monkeypatch, rows, bound):
         a = IntMatrix.from_rows(rows)
-        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", self.LIMIT)
         seeds = graver.kernel_lattice_basis(a)
-        assert max(abs(x) for v in seeds for x in v) < 4
+        assert max(map(norm1, seeds)) < self.LIMIT
         with time_bound(15):
             got = compute_graver(a).elements
+        assert max(map(norm1, got)) >= self.LIMIT
         assert max(abs(x) for v in got for x in v) == bound
         assert got == graver_oracle(a, 2 * bound)
 
     def test_crossed_inside_a_lift_step(self, monkeypatch):
-        # the last lift step starts from entries below the bound and its
-        # completion has to create the basis elements with entry 6
+        # the last lift step starts from 1-norms below the bound and its
+        # completion has to create the basis element of 1-norm 11
         a = IntMatrix.from_rows([[-2, 0, 1, 3], [-2, 1, 0, 0]])
-        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", self.LIMIT)
         steps = []
         complete = graver._complete
 
         def spy(seeds, n, fixed):
             minimal, candidates = complete(seeds, n, fixed)
-            steps.append((fixed, max(abs(x) for v in seeds for x in v),
-                          max(abs(x) for v in minimal for x in v)))
+            steps.append((fixed, max(map(norm1, seeds)), max(map(norm1, minimal))))
             return minimal, candidates
 
         monkeypatch.setattr(graver, "_complete", spy)
         with time_bound(15):
             got = compute_graver(a).elements
-        assert steps[-1] == (3, 3, 6)
+        assert steps[-1] == (3, 5, 11)
         assert got == graver_oracle(a, 12)
+
+    def test_norm_past_int64_with_entries_below_the_bound(self):
+        # kernel spanned by (K, K, K, K, K, 1): every entry is below
+        # _FAST_ABS_LIMIT, the 1-norm is past 2^63
+        k = (1 << 61) - 1
+        rows = [[int(j == i) - int(j == i + 1) for j in range(6)] for i in range(4)]
+        rows.append([0, 0, 0, 0, 1, -k])
+        with time_bound(15):
+            got = compute_graver(IntMatrix.from_rows(rows)).elements
+        assert got == {(k, k, k, k, k, 1)}
+
+
+class TestMaximalMultiple:
+    def test_multiple_past_int64_in_one_step(self, monkeypatch):
+        # (2^200, 1) drops to (0, 1) by one subtraction of 2^200 (1, 0);
+        # a fill for the zero entry below 2^200 would cap the multiple
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 1)
+        state = graver._Completion(2)
+        state.add((1, 0))
+        with time_bound(5):
+            got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object))
+        assert got == [(0, 1)]
 
 
 def naive_minimal(vectors):
@@ -222,17 +251,21 @@ class TestConformallyMinimal:
     ])
     def test_matches_naive_filter(self, monkeypatch, n, weight, sizes):
         rng = random.Random(n)
+        caps = (graver._FILTER_ELEMS, 64)
+        limits = (graver._FAST_ABS_LIMIT, 4)
         for size in sizes:
             vectors = random_canonical_set(rng, size, n, weight)
             want = naive_minimal(vectors)
             if size > 2:
                 assert 0 < len(want) < size
             # the default temporaries, then blocks of a row or two and
-            # many magnitude-check slices
-            for cap in (graver._FILTER_ELEMS, 64):
+            # many magnitude-check slices; int64 arrays, then object
+            # arrays from the first member of 1-norm 4 on
+            for cap, limit in product(caps, limits):
                 monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
+                monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", limit)
                 got = conformally_minimal(vectors, n)
-                assert len(got) == len(set(got)) and set(got) == want, (n, size, cap)
+                assert len(got) == len(set(got)) and set(got) == want, (n, size, cap, limit)
 
     def test_filter_transient_stays_small(self):
         # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted
@@ -262,7 +295,11 @@ class TestAgainstOracle:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(small_matrices)
     def test_random_small_matrices(self, a):
-        assert verify_against_oracle(a, compute_graver(a)), a.entries
+        # the default bound, then object arrays from 1-norm 4 on
+        for limit in (graver._FAST_ABS_LIMIT, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graver, "_FAST_ABS_LIMIT", limit)
+                assert verify_against_oracle(a, compute_graver(a)), (a.entries, limit)
 
     @pytest.mark.parametrize("rows, cols", [
         ([[2, 3]], 2),                      # start lattice 3Z: not unimodular
