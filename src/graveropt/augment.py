@@ -155,12 +155,18 @@ def find_improving(inst: CipInstance, t_set: TestSet, z: Vec,
 def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
     """Refuse a test set whose provenance does not cover the instance.
 
-    A set without provenance must at least keep Az = b: each of its
+    A set cut down to a box only covers instances bounded inside it: a
+    wider box admits steps longer than any of its directions.  A set
+    without provenance must at least keep Az = b: each of its
     directions has to lie in the kernel of A.
     """
     if t_set.dimension != inst.n:
         raise ValueError("test set dimension %d != instance dimension %d"
                          % (t_set.dimension, inst.n))
+    if t_set.box is not None and (inst.upper is None or any(
+            u > w for u, w in zip(inst.upper, t_set.box))):
+        raise ValueError("test set was cut down to the box %s, which does not "
+                         "contain the instance's box" % (t_set.box,))
     if t_set.provenance is None:
         zero = (0,) * inst.a.rows
         for d in t_set.directions:

@@ -113,11 +113,6 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows,
                          tuple(self.column(j) for j in range(self.cols)))
 
-    def format_tag(self) -> str:
-        """Compact identifying string, used as provenance for derived objects."""
-        body = ";".join(" ".join(str(x) for x in r) for r in self.entries)
-        return "%dx%d:%s" % (self.rows, self.cols, body)
-
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:

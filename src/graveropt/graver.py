@@ -13,10 +13,15 @@ kernel vector of the projection is a sign-compatible sum of set
 members, so the conformally minimal members are exactly its Graver
 basis.
 
-Elements are taken up smallest 1-norm first, and the candidates of
-each round reduce in batches: packed sign bitmasks prefilter the
-reducer search so the magnitude comparison only runs on the few
-sign-compatible pairs.  One code path serves every integer size: the
+Elements are taken up smallest 1-norm first.  The candidates of each
+round reduce in one batch, and their normal forms join the set one
+1-norm level at a time: forms of equal 1-norm cannot reduce one
+another (the ordering of Hemmecke and Malkin, J. Symb. Comput. 44
+(2009)), so the lightest level is added whole and only the heavier
+forms reduce again.  One scan, _find_below, serves both the reduction
+and the final minimality filter: packed sign bitmasks prefilter pairs
+of rows and members so the magnitude comparison only runs on the few
+sign-compatible ones.  One code path serves every integer size: the
 entry matrix is int64 while the members' 1-norms stay below
 _FAST_ABS_LIMIT and holds Python ints (dtype object) from then on.
 
@@ -40,10 +45,8 @@ from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_b
 # Python ints; below it every norm and every pair sum fits in int64.
 _FAST_ABS_LIMIT = 1 << 61
 
-_REFRESH_STEP = 64   # rebuild the norm-ordered scan permutation this often
-_ELEM_CHUNK = 2048   # reducer scan block, walked in ascending 1-norm order
-_CAND_CHUNK = 512    # candidate block in the batched reducer search
-_FILTER_ELEMS = 1 << 17  # cap on the elements of one minimality-filter temporary
+_ELEM_CHUNK = 2048   # member scan block, walked in ascending 1-norm order
+_FILTER_ELEMS = 1 << 17  # cap on the elements of one scan temporary
 _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
 
 logger = logging.getLogger(__name__)
@@ -59,7 +62,6 @@ class GraverBasis:
 
     dimension: int
     elements: frozenset[Vec]
-    source: str = ""
 
     def __contains__(self, v: Vec) -> bool:
         if len(v) != self.dimension or not any(v):
@@ -75,13 +77,11 @@ class GraverBasis:
 
 def _pack_signs(mat: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
     """Row sign patterns as little-endian uint64 bitmask words."""
-    pos = np.packbits(mat > 0, axis=1, bitorder="little")
-    neg = np.packbits(mat < 0, axis=1, bitorder="little")
-    wp = np.zeros((mat.shape[0], words * 8), dtype=np.uint8)
-    wn = np.zeros_like(wp)
-    wp[:, :pos.shape[1]] = pos
-    wn[:, :neg.shape[1]] = neg
-    return wp.view(np.uint64), wn.view(np.uint64)
+    bits = np.zeros((2, mat.shape[0], words * 64), dtype=bool)
+    bits[0, :, :mat.shape[1]] = mat > 0
+    bits[1, :, :mat.shape[1]] = mat < 0
+    packed = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    return packed[0], packed[1]
 
 
 def _sign_fits(gp: np.ndarray, gn: np.ndarray, cp: np.ndarray,
@@ -109,15 +109,18 @@ def _subtract_max_multiple(w: np.ndarray, wabs: np.ndarray, g: np.ndarray,
 class _Completion:
     """Working state of the completion run.
 
-    Elements are stored once per +/- pair (canonical representative).
-    NumPy mirrors support the vectorized scans: the entry matrix plus
-    packed sign bitmasks used as a compatibility prefilter.  Scans walk
-    chunks in ascending 1-norm order so that the small vectors that do
-    nearly all reductions are tried first.
+    Members are stored once per +/- pair (canonical representative) and
+    never removed.  NumPy mirrors support the vectorized scans: the
+    entry matrix arr, the members' 1-norms, and packed sign bitmasks
+    used as a compatibility prefilter.  Scans walk the members in
+    chunks of ascending 1-norm, re-sorted whenever the set has grown
+    since the last sort, so the small vectors that do nearly all
+    reductions are tried first and a row only meets the members whose
+    norm does not exceed its own.
 
-    The entry matrix is int64 while every member's 1-norm is below
+    arr and the norms are int64 while every member's 1-norm is below
     _FAST_ABS_LIMIT; then each entry, norm and pair sum fits in int64.
-    The first block reaching the limit turns it into an object array of
+    The first block reaching the limit turns both into object arrays of
     Python ints, once, and every scan runs unchanged on either dtype.
     """
 
@@ -125,18 +128,12 @@ class _Completion:
         self.n = n
         self.words = (n + 63) // 64
         self.vecs: list[Vec] = []          # insertion order, never reordered
-        self.norms: list[int] = []
-        self.seen: set[Vec] = set()
-        self.maxnorm = 0
         self.cap = 64
         self.arr = np.zeros((self.cap, n), dtype=np.int64)
+        self.norm = np.zeros(self.cap, dtype=np.int64)
         self.posm = np.zeros((self.cap, self.words), dtype=np.uint64)
         self.negm = np.zeros((self.cap, self.words), dtype=np.uint64)
         self.scan_order: np.ndarray = np.zeros(0, dtype=np.intp)
-        self.sorted_upto = 0
-
-    def add(self, v: Vec) -> int:
-        return self.add_block([v])
 
     def add_block(self, rows: list[Vec]) -> int:
         """Append canonical nonzero rows in one batch; index of the first."""
@@ -144,84 +141,93 @@ class _Completion:
         count = len(rows)
         norms = [sum(map(abs, v)) for v in rows]
         self.vecs.extend(rows)
-        self.norms.extend(norms)
-        self.seen.update(rows)
-        self.maxnorm = max(self.maxnorm, max(norms))
-        if self.maxnorm >= _FAST_ABS_LIMIT and self.arr.dtype != object:
+        if max(norms) >= _FAST_ABS_LIMIT and self.arr.dtype != object:
             self.arr = self.arr.astype(object)
+            self.norm = self.norm.astype(object)
         while base + count > self.cap:
             self.cap *= 2
         if self.arr.shape[0] < self.cap:
-            for name in ("arr", "posm", "negm"):
+            for name in ("arr", "norm", "posm", "negm"):
                 old = getattr(self, name)
-                grown = np.zeros((self.cap, old.shape[1]), dtype=old.dtype)
+                grown = np.zeros((self.cap,) + old.shape[1:], dtype=old.dtype)
                 grown[:base] = old[:base]
                 setattr(self, name, grown)
         mat = np.array(rows, dtype=self.arr.dtype)
         self.arr[base:base + count] = mat
+        self.norm[base:base + count] = norms
         p, q = _pack_signs(mat, self.words)
         self.posm[base:base + count] = p
         self.negm[base:base + count] = q
         return base
 
-    def _refresh_scan_order(self) -> None:
-        m = len(self.vecs)
-        norms = np.array(self.norms[:m], dtype=self.arr.dtype)
-        self.scan_order = np.argsort(norms, kind="stable")
-        self.sorted_upto = m
-
     def scan_chunks(self):
-        """Yield (indices, norm lower bound): sorted prefix chunks with
-        their smallest member norm, then recent appends with bound 0."""
+        """Yield (indices, their 1-norms): all members, in chunks of
+        ascending 1-norm."""
         m = len(self.vecs)
-        if m - self.sorted_upto >= _REFRESH_STEP:
-            self._refresh_scan_order()
-        order = self.scan_order
-        for start in range(0, len(order), _ELEM_CHUNK):
-            idx = order[start:start + _ELEM_CHUNK]
-            yield idx, self.norms[int(idx[0])]
-        if self.sorted_upto < m:
-            yield np.arange(self.sorted_upto, m, dtype=np.intp), 0
+        if len(self.scan_order) < m:
+            self.scan_order = np.argsort(self.norm[:m], kind="stable")
+        for start in range(0, m, _ELEM_CHUNK):
+            idx = self.scan_order[start:start + _ELEM_CHUNK]
+            yield idx, self.norm[idx]
 
 
-def _batch_find_reducers(state: _Completion, work: np.ndarray, wabs: np.ndarray,
-                         wnorm: np.ndarray, wpos: np.ndarray,
-                         wneg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per work row: index of a reducer element and its sign, or -1.
+def _find_below(state: _Completion, rows: np.ndarray,
+                strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the index of a member conformally below the row (sign
+    +1) or below its negation (sign -1), and that sign; index -1 where
+    no member is.
 
-    Prefilters on packed sign masks (support containment with agreeing
-    signs), then confirms entrywise magnitudes on the surviving pairs.
-    A reducer needs 1-norm at most the candidate's, so whole chunks
-    drop out once their smallest norm is too large.
+    With strict, only members of smaller 1-norm count.  A member
+    conformally below a vector of equal 1-norm equals it up to sign, so
+    this keeps a member's own row out when the rows are the members.
+
+    Packed sign masks prefilter the pairs (support containment with
+    agreeing signs), and entrywise magnitudes confirm the survivors.
+    Rows go in ascending 1-norm, so a block of them only meets the
+    prefix of each norm-sorted chunk up to the block's largest norm.
+    Blocks and magnitude checks are sized so that no temporary over
+    pairs holds more than _FILTER_ELEMS elements, whatever the set size
+    and dimension.
     """
-    red = np.full(len(work), -1, dtype=np.intp)
-    sign = np.zeros(len(work), dtype=np.int64)
-    for idx, lo in state.scan_chunks():
-        pending = np.nonzero(red < 0)[0]
+    red = np.full(len(rows), -1, dtype=np.intp)
+    sign = np.zeros(len(rows), dtype=np.int64)
+    if not len(rows):
+        return red, sign
+    rabs = np.abs(rows)
+    # the largest member 1-norm each row may meet
+    reach = rabs.sum(axis=1) - int(strict)
+    rpos, rneg = _pack_signs(rows, state.words)
+    by_reach = np.argsort(reach, kind="stable")
+    pair_step = max(1, _FILTER_ELEMS // state.n)
+    for idx, inorm in state.scan_chunks():
+        pending = by_reach[red[by_reach] < 0]
+        # rows lighter than the whole chunk meet none of it, nor any
+        # later chunk
+        pending = pending[np.searchsorted(reach[pending], inorm[0]):]
         if pending.size == 0:
             break
-        if lo:
-            pending = pending[wnorm[pending] >= lo]
-            if pending.size == 0:
-                continue
-        gp = state.posm[idx][None]
-        gn = state.negm[idx][None]
-        for start in range(0, pending.size, _CAND_CHUNK):
-            rows = pending[start:start + _CAND_CHUNK]
-            plus, minus = _sign_fits(gp, gn, wpos[rows][:, None, :],
-                                     wneg[rows][:, None, :])
+        gp, gn = state.posm[idx], state.negm[idx]
+        step = max(1, _FILTER_ELEMS // (idx.size * state.words))
+        for start in range(0, pending.size, step):
+            blk = pending[start:start + step]
+            k = np.searchsorted(inorm, reach[blk[-1]], side="right")
+            cut = idx[:k]
+            plus, minus = _sign_fits(gp[None, :k], gn[None, :k],
+                                     rpos[blk][:, None, :], rneg[blk][:, None, :])
             ci, gi = np.nonzero(plus | minus)
-            if ci.size == 0:
-                continue
-            ok = (np.abs(state.arr[idx[gi]]) <= wabs[rows[ci]]).all(axis=1)
-            ci, gi = ci[ok], gi[ok]
-            if ci.size == 0:
-                continue
-            plus_hit = plus[ci, gi]
-            uniq, first = np.unique(ci, return_index=True)
-            chosen = rows[uniq]
-            red[chosen] = idx[gi[first]]
-            sign[chosen] = np.where(plus_hit[first], 1, -1)
+            light = inorm[gi] <= reach[blk[ci]]
+            ci, gi = ci[light], gi[light]
+            for s in range(0, ci.size, pair_step):
+                c, g = ci[s:s + pair_step], gi[s:s + pair_step]
+                ok = (np.abs(state.arr[cut[g]]) <= rabs[blk[c]]).all(axis=1)
+                c, g = c[ok], g[ok]
+                # pairs come row by row: take each unmatched row's first
+                first = np.ones(c.size, dtype=bool)
+                first[1:] = c[1:] != c[:-1]
+                first &= red[blk[c]] < 0
+                c, g = c[first], g[first]
+                red[blk[c]] = cut[g]
+                sign[blk[c]] = np.where(plus[c, g], 1, -1)
     return red, sign
 
 
@@ -234,17 +240,13 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
     out: list[Vec] = []
     work = cand
     while len(work):
-        wabs = np.abs(work)
-        wnorm = wabs.sum(axis=1)
-        wpos, wneg = _pack_signs(work, state.words)
-        red, sign = _batch_find_reducers(state, work, wabs, wnorm, wpos, wneg)
+        red, sign = _find_below(state, work, strict=False)
         done = red < 0
-        if done.any():
-            out.extend(tuple(r) for r in work[done].tolist())
+        out.extend(tuple(r) for r in work[done].tolist())
         live = ~done
         if not live.any():
             break
-        w = _subtract_max_multiple(work[live], wabs[live], state.arr[red[live]],
+        w = _subtract_max_multiple(work[live], np.abs(work[live]), state.arr[red[live]],
                                    sign[live])
         work = w[(w != 0).any(axis=1)]
     return out
@@ -271,47 +273,6 @@ def _pop_candidates(state: _Completion, pivots: np.ndarray,
     return np.vstack([arr[ti] + arr[pivots[pi]], arr[tj] - arr[pivots[di]]])
 
 
-def _reduce_by_block(state: _Completion, work: np.ndarray,
-                     base: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce rows by maximal multiples of elements arr[base:end] only.
-
-    Returns (rows never hit, hit rows that remain nonzero).  Rows in the
-    first part keep whatever irreducibility they had before; rows in
-    the second need a fresh full reduction.
-    """
-    gp = state.posm[base:end][None]
-    gn = state.negm[base:end][None]
-    garr = state.arr[base:end]
-    gabs = np.abs(garr)
-    touched = np.zeros(len(work), dtype=bool)
-    alive = np.ones(len(work), dtype=bool)
-    while True:
-        rows = np.nonzero(alive)[0]
-        if rows.size == 0:
-            break
-        w = work[rows]
-        wabs = np.abs(w)
-        wpos, wneg = _pack_signs(w, state.words)
-        plus, minus = _sign_fits(gp, gn, wpos[:, None, :], wneg[:, None, :])
-        ci, gi = np.nonzero(plus | minus)
-        if ci.size == 0:
-            break
-        ok = (gabs[gi] <= wabs[ci]).all(axis=1)
-        ci, gi = ci[ok], gi[ok]
-        if ci.size == 0:
-            break
-        plus_hit = plus[ci, gi]
-        uniq, first = np.unique(ci, return_index=True)
-        hit = rows[uniq]
-        work[hit] = _subtract_max_multiple(w[uniq], wabs[uniq], garr[gi[first]],
-                                           np.where(plus_hit[first], 1, -1))
-        touched[hit] = True
-        alive[:] = False
-        alive[hit] = (work[hit] != 0).any(axis=1)
-    nonzero = (work != 0).any(axis=1)
-    return work[~touched], work[touched & nonzero]
-
-
 def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
     """Complete the seeds (distinct up to sign, nonzero) and keep the
     conformally minimal members.
@@ -332,36 +293,35 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
     old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0][0]
     # (1-norm, pivot): small elements first; the pivot pairs with
     # everything added before it
-    heap = [(norm, idx) for idx, norm in enumerate(state.norms)]
+    heap = [(norm, i) for i, norm in enumerate(state.norm[:len(state.vecs)].tolist())]
     heapq.heapify(heap)
 
     def absorb(cand: np.ndarray) -> None:
-        """Add every irreducible class among the candidate rows.
+        """Add the normal forms of the candidate rows, one 1-norm level
+        at a time.
 
-        Full reduction runs once per round; after an addition the
-        remaining rows only need re-checking against the fresh block,
-        and just the rows it altered rejoin the full pass.
+        A normal form is irreducible against the set, so it is no
+        member up to sign, and normal forms of equal 1-norm cannot
+        reduce one another unless they agree up to sign.  So the
+        lightest level joins the set as one block of distinct canonical
+        representatives, and the heavier rows reduce again against the
+        grown set.
         """
-        work, clean = cand, np.zeros((0, n), dtype=state.arr.dtype)
-        while True:
-            if len(work):
-                reduced = _batch_normal_form(state, work)
-                if reduced:
-                    clean = np.vstack([clean, np.array(reduced, dtype=state.arr.dtype)])
-                work = ()
-            if not len(clean):
+        work = cand
+        while len(work):
+            forms = _batch_normal_form(state, work)
+            if not forms:
                 return
-            norms = np.abs(clean).sum(axis=1)
-            j = int(norms.argmin())
-            c = canonical_rep(tuple(int(x) for x in clean[j]))
-            rest = np.delete(clean, j, axis=0)
-            if c in state.seen:
-                clean = rest
-                continue
-            base = state.add(c)
-            heapq.heappush(heap, (state.norms[base], base))
-            clean, work = _reduce_by_block(
-                state, rest.astype(state.arr.dtype, copy=False), base, base + 1)
+            rows = np.array(forms, dtype=state.arr.dtype)
+            norms = np.abs(rows).sum(axis=1)
+            low = norms.min()
+            level = list(dict.fromkeys(canonical_rep(v)
+                                       for v, s in zip(forms, norms) if s == low))
+            base = state.add_block(level)
+            for i in range(base, base + len(level)):
+                heapq.heappush(heap, (int(low), i))
+            # the block may have turned the set's arrays to object
+            work = rows[norms > low].astype(state.arr.dtype, copy=False)
 
     candidates = 0
     while heap:
@@ -379,51 +339,10 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
 
 
 def _minimal_filter(state: _Completion) -> list[Vec]:
-    """Keep elements with no other set member conformally below them.
-
-    A dominator distinct from the element has strictly smaller 1-norm
-    (equal norms force equality entrywise), so demanding a strict norm
-    drop excludes the self match for free.
-
-    Candidate blocks and magnitude checks are sized so that no
-    temporary holds more than _FILTER_ELEMS elements, whatever the set
-    size and dimension.
-    """
+    """Keep the members with no other member conformally below them."""
     m = len(state.vecs)
-    if m == 0:
-        return []
-    state._refresh_scan_order()
-    work = state.arr[:m]
-    wabs = np.abs(work)
-    wnorm = np.array(state.norms, dtype=state.arr.dtype)
-    wpos, wneg = state.posm[:m], state.negm[:m]
-    keep = np.ones(m, dtype=bool)
-    pair_step = max(1, _FILTER_ELEMS // state.n)
-    for idx, lo in state.scan_chunks():
-        pending = np.nonzero(keep)[0]
-        pending = pending[wnorm[pending] > lo]
-        if pending.size == 0:
-            continue
-        # candidates in ascending norm: a block only meets the chunk's
-        # elements of smaller norm, a prefix of the norm-sorted chunk
-        pending = pending[np.argsort(wnorm[pending], kind="stable")]
-        inorm = wnorm[idx]
-        step = max(1, _FILTER_ELEMS // (idx.size * state.words))
-        for start in range(0, pending.size, step):
-            rows = pending[start:start + step]
-            cut = idx[:np.searchsorted(inorm, wnorm[rows[-1]])]
-            plus, minus = _sign_fits(state.posm[cut][None], state.negm[cut][None],
-                                     wpos[rows][:, None, :], wneg[rows][:, None, :])
-            ci, gi = np.nonzero(plus | minus)
-            gi = cut[gi]
-            ci = rows[ci]
-            smaller = wnorm[gi] < wnorm[ci]
-            ci, gi = ci[smaller], gi[smaller]
-            for s in range(0, ci.size, pair_step):
-                c, g = ci[s:s + pair_step], gi[s:s + pair_step]
-                ok = (wabs[g] <= wabs[c]).all(axis=1)
-                keep[c[ok]] = False
-    return [state.vecs[i] for i in np.nonzero(keep)[0]]
+    red, _ = _find_below(state, state.arr[:m], strict=True)
+    return [state.vecs[i] for i in np.nonzero(red < 0)[0]]
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -537,7 +456,7 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
     seeds = kernel_lattice_basis(a)
     n, r = a.cols, len(seeds)
     if r == 0:
-        return GraverBasis(n, frozenset(), source=a.format_tag())
+        return GraverBasis(n, frozenset())
     sigma, basis = _start_columns(seeds, n)
     order = sigma + [j for j in range(n) if j not in sigma]
     det, lift = _lift_map(basis, sigma, order)
@@ -558,7 +477,7 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
         for j, x in zip(order, v):
             full[j] = x
         out.add(canonical_rep(full))
-    return GraverBasis(n, frozenset(out), source=a.format_tag())
+    return GraverBasis(n, frozenset(out))
 
 
 class _OverLimit(Exception):
@@ -723,8 +642,7 @@ def expand_negated_column(g: GraverBasis) -> GraverBasis:
             for a, b in _split_range(p):
                 out.add(canonical_rep(u + (a, b)))
     out.add((0,) * n + (1, 1))
-    return GraverBasis(g.dimension + 1, frozenset(out),
-                       source="negated-column(%s)" % g.source)
+    return GraverBasis(g.dimension + 1, frozenset(out))
 
 
 def expand_duplicated_column(g: GraverBasis) -> GraverBasis:
@@ -743,5 +661,4 @@ def expand_duplicated_column(g: GraverBasis) -> GraverBasis:
             for a, b in _join_range(p):
                 out.add(canonical_rep(u + (a, b)))
     out.add((0,) * n + (1, -1))
-    return GraverBasis(g.dimension + 1, frozenset(out),
-                       source="duplicated-column(%s)" % g.source)
+    return GraverBasis(g.dimension + 1, frozenset(out))

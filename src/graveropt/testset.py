@@ -35,7 +35,9 @@ class TestSet:
 
     provenance keeps the pair the set was computed from, so a solver
     can refuse to apply it to an unrelated instance.  Hand-assembled
-    sets may leave it None.
+    sets may leave it None.  box is the upper bound vector u of a set
+    cut down to |t_j| <= u_j (box_test_set), None for a full set; such
+    a set only serves instances whose box lies inside u.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -44,6 +46,7 @@ class TestSet:
     directions: frozenset[Vec]
     lift_rows: int = 0
     provenance: tuple[IntMatrix, IntMatrix] | None = None
+    box: Vec | None = None
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -92,8 +95,9 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int |
     assignments), the same set is taken from compute_test_set(a, c)
     instead.
 
-    Returns the set and the number of box candidates it was kept from,
-    or None for the count when the full basis was used.
+    Returns the set, which records upper as its box, and the number of
+    box candidates it was kept from, or None for the count when the
+    full basis was used.
     """
     if a.cols != c.cols:
         raise ValueError("box_test_set: A and C must have equal column counts")
@@ -113,7 +117,7 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int |
         lifted = np.hstack([z, -(z @ cm.T)]).tolist()
         kept = conformally_minimal(list(map(tuple, lifted)), a.cols + c.rows)
         dirs = frozenset(v[:a.cols] for v in kept)
-    return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c)), \
+    return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c), box=tuple(upper)), \
         None if cands is None else len(cands)
 
 

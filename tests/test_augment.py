@@ -183,6 +183,24 @@ class TestCompatibility:
         with pytest.raises(ValueError):
             check_compatible(inst, t)
 
+    def test_box_set_refused_past_its_box(self):
+        # cut down to the unit box, the set lacks (2, 0, 1), the only
+        # improving step from 0 once the box is (4, 4, 4)
+        a = IntMatrix.from_rows([[1, 1, -2]])
+        sq = ScaledEvenPower(1, 2)
+        obj = SeparableObjective(3, (Term(sq, (1, 0, 0), -2),
+                                     Term(ScaledEvenPower(10, 2), (0, 1, 0), 0),
+                                     Term(sq, (0, 0, 1), -1)), (Fraction(0),) * 3)
+        t = instance_test_set(CipInstance(a, (0,), (1, 1, 1), obj))
+        for upper in ((4, 4, 4), (1, 2, 1), None):
+            with pytest.raises(ValueError, match="box"):
+                solve(CipInstance(a, (0,), upper, obj), t, (0, 0, 0))
+        assert t.box == (1, 1, 1)
+        check_compatible(CipInstance(a, (0,), (1, 0, 1), obj), t)
+        wide = CipInstance(a, (0,), (4, 4, 4), obj)
+        report = solve(wide, instance_test_set(wide), (0, 0, 0))
+        assert report.optimum == (2, 0, 1) and report.value == 0
+
     def test_anonymous_sets_trusted(self, square_pair):
         check_compatible(square_pair, axis_only())
 
@@ -366,12 +384,13 @@ def lifted_walk(inst, z0, best):
 
 def boxed_completion(inst):
     """The members of the full projected lifted basis that fit in the
-    instance's box, the set the bounded direction set must equal."""
+    instance's box, recording that box: the set the bounded direction
+    set must equal."""
     full = compute_test_set(inst.a, composition_matrix(inst))
     kept = frozenset(d for d in full.directions
                      if all(abs(x) <= u for x, u in zip(d, inst.upper)))
     return full, TestSet(full.dimension, kept, lift_rows=full.lift_rows,
-                         provenance=full.provenance)
+                         provenance=full.provenance, box=tuple(inst.upper))
 
 
 @st.composite

@@ -204,7 +204,7 @@ class TestMaximalMultiple:
         # a fill for the zero entry below 2^200 would cap the multiple
         monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 1)
         state = graver._Completion(2)
-        state.add((1, 0))
+        state.add_block([(1, 0)])
         with time_bound(5):
             got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object))
         assert got == [(0, 1)]
@@ -253,6 +253,7 @@ class TestConformallyMinimal:
         rng = random.Random(n)
         caps = (graver._FILTER_ELEMS, 64)
         limits = (graver._FAST_ABS_LIMIT, 4)
+        chunks = (graver._ELEM_CHUNK, 16)
         for size in sizes:
             vectors = random_canonical_set(rng, size, n, weight)
             want = naive_minimal(vectors)
@@ -260,12 +261,15 @@ class TestConformallyMinimal:
                 assert 0 < len(want) < size
             # the default temporaries, then blocks of a row or two and
             # many magnitude-check slices; int64 arrays, then object
-            # arrays from the first member of 1-norm 4 on
-            for cap, limit in product(caps, limits):
+            # arrays from the first member of 1-norm 4 on; one scan
+            # chunk, then many
+            for cap, limit, chunk in product(caps, limits, chunks):
                 monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
                 monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", limit)
+                monkeypatch.setattr(graver, "_ELEM_CHUNK", chunk)
                 got = conformally_minimal(vectors, n)
-                assert len(got) == len(set(got)) and set(got) == want, (n, size, cap, limit)
+                assert len(got) == len(set(got)) and set(got) == want, \
+                    (n, size, cap, limit, chunk)
 
     def test_filter_transient_stays_small(self):
         # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted
@@ -295,11 +299,14 @@ class TestAgainstOracle:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(small_matrices)
     def test_random_small_matrices(self, a):
-        # the default bound, then object arrays from 1-norm 4 on
-        for limit in (graver._FAST_ABS_LIMIT, 4):
+        # the default bound, then object arrays from 1-norm 4 on; one
+        # scan chunk, then chunks of 2 members (these completions hold
+        # at most 9, so larger chunks would never split them)
+        for limit, chunk in product((graver._FAST_ABS_LIMIT, 4), (graver._ELEM_CHUNK, 2)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(graver, "_FAST_ABS_LIMIT", limit)
-                assert verify_against_oracle(a, compute_graver(a)), (a.entries, limit)
+                mp.setattr(graver, "_ELEM_CHUNK", chunk)
+                assert verify_against_oracle(a, compute_graver(a)), (a.entries, limit, chunk)
 
     @pytest.mark.parametrize("rows, cols", [
         ([[2, 3]], 2),                      # start lattice 3Z: not unimodular
