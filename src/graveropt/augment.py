@@ -5,6 +5,8 @@ with f separable discrete-convex.  The solver walks from a feasible
 point: scan the direction set for an improving signed step, slide as
 far as the one-dimensional restriction keeps decreasing, repeat.  With
 a sufficient direction set the walk can only stop at a global optimum.
+The walk carries f(z): each point it tries is evaluated once, and the
+line search hands back the value where it lands.
 """
 
 from __future__ import annotations
@@ -95,38 +97,33 @@ def max_feasible_step(inst: CipInstance, z: Vec, t: Vec) -> int | None:
     return lam
 
 
-def line_search(inst: CipInstance, z: Vec, t: Vec, cap: int = 10 ** 6) -> int | None:
-    """Largest improving step count along -t from z.
+def line_search(inst: CipInstance, z: Vec, t: Vec, value: Fraction,
+                cap: int = 10 ** 6) -> tuple[int, Fraction] | None:
+    """Largest improving step count along -t from z, and where it lands.
 
-    Returns the smallest lam >= 1 minimizing f(z - lam*t) over the
-    feasible ray (discrete convexity makes the first non-improving
-    increment final), or None when the unit step is infeasible or not
-    an improvement.  A ray that is still descending after ``cap`` steps
-    raises RuntimeError as a suspected unbounded instance.
+    value is f(z).  Returns (lam, f(z - lam*t)) for the smallest
+    lam >= 1 minimizing f(z - lam*t) over the feasible ray (discrete
+    convexity makes the first non-improving increment final), or None
+    when the unit step is infeasible or not an improvement.  A ray that
+    is still descending after ``cap`` steps raises RuntimeError as a
+    suspected unbounded instance.
     """
     limit = max_feasible_step(inst, z, t)
-    if limit is not None and limit < 1:
-        return None
     f = inst.objective.value
-    prev = f(z)
-    cur = f(tuple(a - b for a, b in zip(z, t)))
-    if cur >= prev:
-        return None
-    lam = 1
+    lam, cur = 0, value
     while limit is None or lam < limit:
-        if lam >= cap:
+        if lam and lam >= cap:
             raise RuntimeError("line_search: still descending after %d steps" % cap)
         nxt = f(tuple(a - (lam + 1) * b for a, b in zip(z, t)))
         if nxt >= cur:
             break
-        cur = nxt
-        lam += 1
-    return lam
+        lam, cur = lam + 1, nxt
+    return (lam, cur) if lam else None
 
 
 def find_improving(inst: CipInstance, t_set: TestSet, z: Vec,
                    best: bool = False, cap: int = 10 ** 6):
-    """An improving signed direction and step length, or None at optima.
+    """An improving (direction, step length, value after), or None at optima.
 
     Default scan: canonical directions in sorted order, + before -,
     first improvement wins.  With best=True every signed direction is
@@ -135,20 +132,15 @@ def find_improving(inst: CipInstance, t_set: TestSet, z: Vec,
     """
     if not inst.feasible(z):
         raise InfeasibleStartError("find_improving: start point infeasible")
-    f = inst.objective.value
-    base = f(z)
+    value = inst.objective.value(z)
     champion = None
-    champion_val = base
     for d in t_set.sorted_directions():
         for t in (d, tuple(-x for x in d)):
-            lam = line_search(inst, z, t, cap=cap)
-            if lam is None:
-                continue
-            if not best:
-                return t, lam
-            val = f(tuple(a - lam * b for a, b in zip(z, t)))
-            if val < champion_val:
-                champion, champion_val = (t, lam), val
+            found = line_search(inst, z, t, value, cap=cap)
+            if found is not None and (champion is None or found[1] < champion[2]):
+                champion = (t,) + found
+                if not best:
+                    return champion
     return champion
 
 
@@ -190,8 +182,7 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
     if not inst.feasible(z0):
         raise InfeasibleStartError("solve: start point infeasible")
     z = tuple(z0)
-    f = inst.objective.value
-    value = f(z)
+    value = inst.objective.value(z)
     steps: list[Step] = []
     for _ in range(cap):
         try:
@@ -200,9 +191,8 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
             return SolveReport(SolveStatus.UNBOUNDED_SUSPECTED, z, value, tuple(steps))
         if found is None:
             return SolveReport(SolveStatus.OPTIMAL, z, value, tuple(steps))
-        t, lam = found
+        t, lam, new_value = found
         z = tuple(a - lam * b for a, b in zip(z, t))
-        new_value = f(z)
         assert new_value < value
         value = new_value
         steps.append(Step(t, lam, value))

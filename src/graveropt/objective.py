@@ -118,14 +118,22 @@ class PiecewiseTable(DiscreteConvexFn):
         return table[lo if j < lo else hi]
 
     def value(self, x: int) -> Fraction:
-        total = Fraction(0)
-        if x >= 0:
-            for j in range(1, x + 1):
-                total += self.increment(j)
-        else:
-            for j in range(x + 1, 1):
-                total -= self.increment(j)
-        return total
+        """Sum of the increments of [1, x], or minus those of [x+1, 0].
+
+        The increments inside the window are added one by one and each
+        boundary increment once, times its overshoot, so the cost is
+        O(min(|x|, window)).
+        """
+        a, b = (1, x) if x >= 0 else (x + 1, 0)
+        lo = self.increments[0][0]
+        hi = self.increments[-1][0]
+        if a <= b and not self.extend and (a < lo or b > hi):
+            self.increment(a if a < lo else max(a, hi + 1))  # raises
+        table = self._table
+        total = sum((table[j] for j in range(max(a, lo), min(b, hi) + 1)), Fraction(0))
+        total += table[lo] * max(0, min(b, lo - 1) - a + 1)
+        total += table[hi] * max(0, b - max(a, hi + 1) + 1)
+        return total if x >= 0 else -total
 
 
 def check_convex_window(g: DiscreteConvexFn, lo: int, hi: int) -> bool:

@@ -9,19 +9,15 @@ as a separable sum of squares on 0/1 points.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .augment import CipInstance, SolveReport, composition_matrix, solve_bounded
+from .augment import CipInstance, SolveReport, solve_bounded
 from .core import IntMatrix, ParseError, Vec
 from .objective import ScaledEvenPower, SeparableObjective, Term
 from .quadratic import RatMatrix, binary_rephrase, rat_matrix
-from .testset import box_test_set
-
-logger = logging.getLogger(__name__)
 
 _ORACLE_LIMIT = 8  # 8! permutations is the most the oracle will enumerate
 
@@ -163,19 +159,16 @@ def solve_qap(q: QapInstance, start: Sequence[int] | None = None,
               best: bool = False) -> tuple[tuple[int, ...], Fraction, SolveReport]:
     """Augment from a starting permutation to a globally optimal one.
 
-    The walk only ever moves between 0/1 points, so the direction set
-    is the 0/1-box part of the instance's test set, built directly by
-    testset.box_test_set without the full lifted basis.  That set is
-    exact for the bounded walk, so it certifies optimality at the
-    walk's endpoint; solve_bounded reports the points in slack-lifted
+    The walk only ever moves between 0/1 points, so solve_bounded walks
+    it on the 0/1-box part of the instance's test set, which
+    instance_test_set builds without the full lifted basis.  That set
+    is exact for the bounded walk, so it certifies optimality at the
+    walk's endpoint; the report gives the points in slack-lifted
     coordinates.
     """
     inst = to_cip(q)
-    base, candidates = box_test_set(inst.a, composition_matrix(inst), inst.upper)
-    logger.info("test set: %s box candidates, %d applicable directions",
-                candidates, len(base))
     perm0 = tuple(start) if start is not None else tuple(range(q.n))
-    report, _ = solve_bounded(inst, permutation_point(perm0), best=best, t_set=base)
+    report, _ = solve_bounded(inst, permutation_point(perm0), best=best)
     z = report.optimum[:q.n * q.n]
     perm = point_permutation(z, q.n)
     return perm, report.value, report

@@ -304,13 +304,13 @@ def test_criterion_10_assignment_instances(capsys, caplog):
         failures = []
         for idx, q in enumerate(instances):
             caplog.clear()
-            with caplog.at_level(logging.INFO, logger="graveropt.qap"):
+            with caplog.at_level(logging.INFO, logger="graveropt.augment"):
                 t0 = time.perf_counter()
                 perm, value, _ = solve_qap(q)
                 elapsed = time.perf_counter() - t0
             oracle_value = permutation_oracle(q)[1]
             sizes_line = next((r.getMessage() for r in caplog.records
-                               if "applicable" in r.getMessage()), "")
+                               if r.getMessage().startswith("test set:")), "")
             ok = value == oracle_value and elapsed < 60.0
             note("instance %d (n=%d): value %s %s enumeration, %.2fs%s"
                  % (idx, q.n, value, "==" if value == oracle_value else "!=",

@@ -75,27 +75,27 @@ class TestMaxFeasibleStep:
 
 class TestLineSearch:
     def test_linear_slides_to_bound(self):
-        assert line_search(linear_instance(), (3, 2), (1, 0)) == 3
+        assert line_search(linear_instance(), (3, 2), (1, 0), 5) == (3, 2)
 
     def test_quadratic_stops_at_minimum(self, square_pair):
-        assert line_search(square_pair, (2, 2), (1, 1)) == 2
+        assert line_search(square_pair, (2, 2), (1, 1), 16) == (2, 0)
 
     def test_infeasible_unit_step(self):
-        assert line_search(linear_instance(), (0, 0), (1, 0)) is None
+        assert line_search(linear_instance(), (0, 0), (1, 0), 0) is None
 
     def test_non_improving_step(self, square_pair):
-        assert line_search(square_pair, (1, 1), (-1, -1)) is None
+        assert line_search(square_pair, (1, 1), (-1, -1), 4) is None
 
     def test_descending_ray_hits_cap(self):
         inst = CipInstance(FREE2, (), None, linear_objective([1, 1]))
         with pytest.raises(RuntimeError):
-            line_search(inst, (10 ** 7, 0), (1, 0), cap=1000)
+            line_search(inst, (10 ** 7, 0), (1, 0), 10 ** 7, cap=1000)
 
 
 class TestFindImproving:
     def test_coupling_direction_found(self, square_pair):
         t = pair_test_set()
-        assert find_improving(square_pair, t, (1, 1)) == ((1, 1), 1)
+        assert find_improving(square_pair, t, (1, 1)) == ((1, 1), 1, 0)
 
     def test_axis_set_stalls(self, square_pair):
         assert find_improving(square_pair, axis_only(), (1, 1)) is None
@@ -113,9 +113,32 @@ class TestFindImproving:
         inst = CipInstance(FREE2, (), None, linear_objective([3, 1]))
         t = TestSet(2, frozenset({(0, 1), (1, 1)}))
         first = find_improving(inst, t, (2, 3))
-        assert first == ((0, 1), 3)
+        assert first == ((0, 1), 3, 6)
         best = find_improving(inst, t, (2, 3), best=True)
-        assert best == ((1, 1), 2)
+        assert best == ((1, 1), 2, 1)
+
+    @pytest.mark.parametrize("best", [False, True])
+    def test_optimum_evaluates_once_per_feasible_direction(self, monkeypatch, best):
+        # (x+y-4)^2 + 4(x-y)^2 is least at (2,2); the bound x <= 2 makes
+        # the unit step infeasible along three of the eight signed
+        # directions, and each other one is tried at its unit step only
+        obj = SeparableObjective(2, (
+            Term(ScaledEvenPower(1, 2), (1, 1), -4),
+            Term(ScaledEvenPower(4, 2), (1, -1), 0),
+        ), (Fraction(0), Fraction(0)))
+        inst = CipInstance(FREE2, (), (2, 3), obj)
+        t_set = pair_test_set()
+        z = (2, 2)
+        feasible = [t for d in t_set.directions for t in (d, tuple(-x for x in d))
+                    if inst.feasible(tuple(a - b for a, b in zip(z, t)))]
+        assert len(feasible) == 5
+        calls = []
+        value = SeparableObjective.value
+        monkeypatch.setattr(SeparableObjective, "value",
+                            lambda self, p: calls.append(tuple(p)) or value(self, p))
+        assert find_improving(inst, t_set, z, best=best) is None
+        assert len(calls) == 1 + len(feasible)
+        assert calls[0] == z
 
 
 class TestSolve:
@@ -477,6 +500,32 @@ class TestBoundedDirectionSet:
         with caplog.at_level(logging.INFO, logger="graveropt.augment"):
             got = instance_test_set(square_pair)
         assert caplog.messages == ["test set: completion, %d directions" % len(got)]
+
+
+def objective_at(obj, z):
+    """f(z) summed term by term, without SeparableObjective.value."""
+    total = Fraction(0)
+    for term in obj.terms:
+        total += term.fn.value(sum(c * x for c, x in zip(term.coeffs, z)) + term.offset)
+    return total + sum((c * x for c, x in zip(obj.linear, z)), Fraction(0))
+
+
+class TestWalkValues:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(small_bounded_instances())
+    def test_reported_values_are_those_of_the_walked_points(self, drawn):
+        inst, z0 = drawn
+        t_set = instance_test_set(inst)
+        for best in (False, True):
+            bounded, lifted = solve_bounded(inst, z0, best=best)
+            runs = ((solve(inst, t_set, z0, best=best), inst.objective, z0),
+                    (bounded, lifted.objective, embed_slack(inst, z0)))
+            for report, obj, z in runs:
+                for step in report.steps:
+                    z = tuple(x - step.length * d for x, d in zip(z, step.direction))
+                    assert step.value_after == objective_at(obj, z)
+                assert report.optimum == z
+                assert report.value == objective_at(obj, z)
 
 
 class TestInstanceSerialization:

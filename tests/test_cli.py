@@ -142,6 +142,16 @@ class TestSolveCommand:
         assert "value: 0" in out
         assert "status: optimal" in out
 
+    def test_huge_table_argument_solves_promptly(self, tmp_path, capsys):
+        # the piece is read at z1 + 10^11, 10^11 increments past 0
+        inst = put(tmp_path, "big.cip", "A\n1 2\n1 1\nb\n2\nobjective\n"
+                   "table extend 0:-1 1:1 | 1 0 | 100000000000\nlinear | 0 0\n")
+        start = put(tmp_path, "z0.vec", "1 1\n")
+        assert within_seconds(5.0, main, ["solve", inst, start]) == 0
+        out = capsys.readouterr().out
+        assert "optimum: 0 2" in out
+        assert "value: 100000000000" in out
+
     def test_axis_directions_get_stuck(self, tmp_path, capsys):
         # value 4 at (1,1); each axis neighbor costs 5 or 13, so the
         # truncated direction set sees no improvement at all

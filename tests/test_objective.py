@@ -18,6 +18,7 @@ from graveropt.objective import (
     parse_objective,
 )
 from tests.conftest import two_square_instance
+from tests.test_cli import within_seconds
 
 
 class TestCatalogValues:
@@ -130,6 +131,18 @@ class TestPiecewiseTable:
                     g.value(x)
         assert g == PiecewiseTable(dict(incs), extend=extend)
         assert hash(g) == hash(PiecewiseTable(dict(incs), extend=extend))
+
+    def test_huge_argument_in_closed_form(self):
+        incs = {-1: Fraction(-3), 0: Fraction(-1, 2), 1: Fraction(1), 2: Fraction(5, 2)}
+        g = PiecewiseTable(incs, extend=True)
+        x = 10 ** 12
+        # past the window every step adds the boundary increment again
+        assert within_seconds(2.0, g.value, x) == 1 + Fraction(5, 2) * (x - 1)
+        assert within_seconds(2.0, g.value, -x) == Fraction(7, 2) + 3 * (x - 2)
+        bare = PiecewiseTable(incs)
+        for arg, first in ((x, 3), (-x, 1 - x)):
+            with pytest.raises(ValueError, match="increment %d outside" % first):
+                within_seconds(2.0, bare.value, arg)
 
     def test_window_must_be_contiguous(self):
         with pytest.raises(ValueError):
