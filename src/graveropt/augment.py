@@ -33,7 +33,6 @@ class InfeasibleStartError(ValueError):
 
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
-    NO_FEASIBLE_START = "no-feasible-start"
     UNBOUNDED_SUSPECTED = "unbounded-suspected"
 
 
@@ -121,18 +120,17 @@ def line_search(inst: CipInstance, z: Vec, t: Vec, value: Fraction,
     return (lam, cur) if lam else None
 
 
-def find_improving(inst: CipInstance, t_set: TestSet, z: Vec,
+def find_improving(inst: CipInstance, t_set: TestSet, z: Vec, value: Fraction,
                    best: bool = False, cap: int = 10 ** 6):
     """An improving (direction, step length, value after), or None at optima.
 
-    Default scan: canonical directions in sorted order, + before -,
-    first improvement wins.  With best=True every signed direction is
-    line-searched and the deepest landing value wins (ties keep scan
-    order).
+    value is f(z).  Default scan: canonical directions in sorted order,
+    + before -, first improvement wins.  With best=True every signed
+    direction is line-searched and the deepest landing value wins (ties
+    keep scan order).
     """
     if not inst.feasible(z):
         raise InfeasibleStartError("find_improving: start point infeasible")
-    value = inst.objective.value(z)
     champion = None
     for d in t_set.sorted_directions():
         for t in (d, tuple(-x for x in d)):
@@ -186,7 +184,7 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
     steps: list[Step] = []
     for _ in range(cap):
         try:
-            found = find_improving(inst, t_set, z, best=best, cap=cap)
+            found = find_improving(inst, t_set, z, value, best=best, cap=cap)
         except RuntimeError:
             return SolveReport(SolveStatus.UNBOUNDED_SUSPECTED, z, value, tuple(steps))
         if found is None:
@@ -304,7 +302,7 @@ def slack_lifted(inst: CipInstance) -> CipInstance:
 
     Directions computed for the lifted system respect the original
     bounds through the slack block; solve_bounded reports its walks in
-    these coordinates.
+    these coordinates and checks a 2n-column test set against it.
     """
     if inst.upper is None:
         raise ValueError("slack_lifted: instance has no upper bounds")
@@ -359,8 +357,7 @@ def instance_test_set(inst: CipInstance) -> TestSet:
 
 
 def solve_bounded(inst: CipInstance, z0: Vec, best: bool = False,
-                  cap: int = 10 ** 6,
-                  t_set: TestSet | None = None) -> tuple[SolveReport, CipInstance]:
+                  cap: int = 10 ** 6, t_set: TestSet | None = None) -> SolveReport:
     """Solve a bounded instance; report in slack-lifted coordinates.
 
     The walk runs once, on the instance itself with its box direction
@@ -378,20 +375,21 @@ def solve_bounded(inst: CipInstance, z0: Vec, best: bool = False,
     forces each slack block to be minus the z block, and projected to
     its z block.
     """
-    lifted = slack_lifted(inst)
+    if inst.upper is None:
+        raise ValueError("solve_bounded: instance has no upper bounds")
     n = inst.n
     if t_set is None:
         t_set = instance_test_set(inst)
     elif t_set.dimension == 2 * n:
         # a kernel vector of the lifted matrix has slack block -z
-        check_compatible(lifted, t_set)
+        check_compatible(slack_lifted(inst), t_set)
         t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions),
                         lift_rows=t_set.lift_rows)
     report = solve(inst, t_set, z0, best=best, cap=cap)
     steps = tuple(Step(s.direction + negate(s.direction), s.length, s.value_after)
                   for s in report.steps)
     return SolveReport(report.status, embed_slack(inst, report.optimum),
-                       report.value, steps), lifted
+                       report.value, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,8 @@ def cmd_solve(args) -> int:
     z0 = parse_int_vector(_read(args.start))
     t_set = parse_test_set(_read(args.testset)) if args.testset else None
     if args.slack_bounds:
-        report, _ = solve_bounded(inst, z0, best=args.best_improving,
-                                  cap=args.cap, t_set=t_set)
+        report = solve_bounded(inst, z0, best=args.best_improving,
+                               cap=args.cap, t_set=t_set)
         optimum = report.optimum[:inst.n]
     else:
         if t_set is None:
@@ -166,8 +166,7 @@ def cmd_quad(args) -> int:
         if not is_psd(q):
             raise ParseError("quad: matrix is not positive semidefinite "
                              "(use --binary for 0/1 variables)")
-        res = to_separable(q)
-        terms, cbar = res.terms, tuple(c)
+        terms, cbar = to_separable(q), tuple(c)
         if reconstruct(terms, n) != rat_matrix(q):
             raise VerificationError("quad: reconstruction check failed")
     obj = SeparableObjective(n, tuple(Term(ScaledEvenPower(a, 2), cv, 0)
@@ -221,7 +220,7 @@ def _selftest_psd(rng) -> bool:
         b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         q = rat_matrix([[sum(b[k][i] * b[k][j] for k in range(n))
                          for j in range(n)] for i in range(n)])
-        if reconstruct(to_separable(q).terms, n) != q:
+        if reconstruct(to_separable(q), n) != q:
             return False
     return True
 
@@ -252,7 +251,7 @@ def _selftest_solve(rng) -> bool:
         obj = SeparableObjective(n, terms,
                                  tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
         inst = CipInstance(a, a.mat_vec(zstar), upper, obj)
-        report, _ = solve_bounded(inst, zstar)
+        report = solve_bounded(inst, zstar)
         _, best_val = brute_force_optimum(inst, upper)
         if report.status is not SolveStatus.OPTIMAL or report.value != best_val:
             return False

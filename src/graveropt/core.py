@@ -47,14 +47,6 @@ def negate(v: Sequence[int]) -> Vec:
     return tuple(-x for x in v)
 
 
-def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("dot: dimension mismatch")
@@ -108,10 +100,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise ValueError("mat_vec: dimension mismatch")
         return tuple(dot(r, v) for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.column(j) for j in range(self.cols)))
 
 
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -223,10 +211,6 @@ def parse_int_matrix(text: str) -> IntMatrix:
         raise ParseError("matrix body: non-integer entry (%s)" % e) from None
     ent = tuple(tuple(vals[i * cols:(i + 1) * cols]) for i in range(rows))
     return IntMatrix(rows, cols, ent)
-
-
-def format_int_vector(v: Sequence[int]) -> str:
-    return " ".join(str(x) for x in v) + "\n"
 
 
 def parse_int_vector(text: str) -> Vec:

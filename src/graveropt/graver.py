@@ -587,18 +587,15 @@ def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:
     return frozenset(minimal)
 
 
-def verify_against_oracle(a: IntMatrix, basis: GraverBasis, factor: int = 2) -> bool:
+def verify_against_oracle(a: IntMatrix, basis: GraverBasis) -> bool:
     """Re-derive the basis by enumeration inside a box covering it.
 
-    The box bound is ``factor`` times the largest max-norm in the
-    computed basis, so any spurious or missing element up to that size
-    is caught.
+    The box bound is twice the largest max-norm in the computed basis
+    (2 for an empty basis), so any spurious or missing element up to
+    that size is caught.
     """
-    if not basis.elements:
-        bound = factor
-    else:
-        bound = factor * max(max(abs(x) for x in v) for v in basis.elements)
-    return graver_oracle(a, bound) == basis.elements
+    peak = max((abs(x) for v in basis.elements for x in v), default=1)
+    return graver_oracle(a, 2 * peak) == basis.elements
 
 
 def project_first_n(vectors, n: int) -> frozenset[Vec]:
@@ -611,27 +608,14 @@ def project_first_n(vectors, n: int) -> frozenset[Vec]:
     return frozenset(out)
 
 
-def _split_range(p: int):
-    """All (v, w) with v - w = p, v*w <= 0."""
-    if p >= 0:
-        return [(x, x - p) for x in range(0, p + 1)]
-    return [(x, x - p) for x in range(p, 1)]
+def _expand_last_column(g: GraverBasis, s: int) -> GraverBasis:
+    """From the basis of (A|a), the basis of (A|a|s*a), s = -1 or 1.
 
-
-def _join_range(p: int):
-    """All (v, w) with v + w = p, v*w >= 0."""
-    if p >= 0:
-        return [(x, p - x) for x in range(0, p + 1)]
-    return [(x, p - x) for x in range(p, 1)]
-
-
-def expand_negated_column(g: GraverBasis) -> GraverBasis:
-    """From the basis of (A|a), the basis of (A|a|-a).
-
-    Each element (u, p) splits its last entry into all opposite-sign
-    pairs v - w = p; the swap vector (0,..,0,1,1) joins the set.  The
+    Each element (u, p) splits its last entry p into every pair
+    (x, s*(p - x)) with x from 0 to p, which stays in the kernel since
+    x + s*s*(p - x) = p; the vector (0,..,0,1,-s) joins the set.  The
     split column a must be nonzero: a zero column makes each of the two
-    new unit vectors a kernel element on its own, and the swap vector
+    new unit vectors a kernel element on its own, and (0,..,0,1,-s)
     stops being minimal.
     """
     n = g.dimension - 1
@@ -639,26 +623,17 @@ def expand_negated_column(g: GraverBasis) -> GraverBasis:
     for rep in g.elements:
         for v in (rep, tuple(-x for x in rep)):
             u, p = v[:n], v[n]
-            for a, b in _split_range(p):
-                out.add(canonical_rep(u + (a, b)))
-    out.add((0,) * n + (1, 1))
+            for x in range(min(p, 0), max(p, 0) + 1):
+                out.add(canonical_rep(u + (x, s * (p - x))))
+    out.add((0,) * n + (1, -s))
     return GraverBasis(g.dimension + 1, frozenset(out))
+
+
+def expand_negated_column(g: GraverBasis) -> GraverBasis:
+    """From the basis of (A|a), the basis of (A|a|-a)."""
+    return _expand_last_column(g, -1)
 
 
 def expand_duplicated_column(g: GraverBasis) -> GraverBasis:
-    """From the basis of (A|a), the basis of (A|a|a).
-
-    Each element (u, p) splits its last entry into all same-sign pairs
-    v + w = p; the exchange vector (0,..,0,1,-1) joins the set.  As
-    with the negated split, the column a must be nonzero for the
-    exchange vector to be minimal.
-    """
-    n = g.dimension - 1
-    out: set[Vec] = set()
-    for rep in g.elements:
-        for v in (rep, tuple(-x for x in rep)):
-            u, p = v[:n], v[n]
-            for a, b in _join_range(p):
-                out.add(canonical_rep(u + (a, b)))
-    out.add((0,) * n + (1, -1))
-    return GraverBasis(g.dimension + 1, frozenset(out))
+    """From the basis of (A|a), the basis of (A|a|a)."""
+    return _expand_last_column(g, 1)

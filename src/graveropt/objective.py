@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntMatrix, ParseError, Vec, dot
+from .core import ParseError, Vec, dot
 
 
 class DiscreteConvexFn:
@@ -188,11 +188,6 @@ class SeparableObjective:
             raise ValueError("objective value: point has wrong dimension")
         total = sum((t.fn.value(t.argument(z)) for t in self.terms), Fraction(0))
         return total + sum((c * x for c, x in zip(self.linear, z)), Fraction(0))
-
-    def coefficient_matrix(self) -> IntMatrix:
-        """Rows are the terms' composition vectors, in term order."""
-        return IntMatrix(len(self.terms), self.n,
-                         tuple(t.coeffs for t in self.terms))
 
     def extended(self, total: int) -> "SeparableObjective":
         """Same objective over a wider variable vector (zero padding)."""

@@ -168,7 +168,7 @@ def solve_qap(q: QapInstance, start: Sequence[int] | None = None,
     """
     inst = to_cip(q)
     perm0 = tuple(start) if start is not None else tuple(range(q.n))
-    report, _ = solve_bounded(inst, permutation_point(perm0), best=best)
+    report = solve_bounded(inst, permutation_point(perm0), best=best)
     z = report.optimum[:q.n * q.n]
     perm = point_permutation(z, q.n)
     return perm, report.value, report

@@ -9,7 +9,6 @@ linear part, so any symmetric Q gets an exact separable form there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -24,11 +23,6 @@ def rat_matrix(rows: Sequence[Sequence]) -> RatMatrix:
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("rat_matrix: ragged rows")
     return out
-
-
-def rat_identity(n: int) -> RatMatrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
 
 
 def is_symmetric(q: RatMatrix) -> bool:
@@ -74,27 +68,15 @@ def rat_inverse(a: RatMatrix) -> RatMatrix:
     return tuple(tuple(r[n:]) for r in work)
 
 
-@dataclass(frozen=True)
-class DiagonalizationResult:
-    """Separable form of a PSD quadratic: Q = sum alpha_i c_i c_i^T."""
-
-    terms: tuple[tuple[Fraction, Vec], ...]
-    linear_correction: tuple[Fraction, ...]
-    u: RatMatrix
-    d: tuple[Fraction, ...]
-
-
-def congruence_diagonalize(q: RatMatrix, pivot: str = "first") -> tuple[RatMatrix, tuple[Fraction, ...]]:
+def congruence_diagonalize(q: RatMatrix) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """U, D with Q = U^T diag(D) U, U invertible, all exact.
 
     Symmetric Gaussian congruence.  A zero diagonal pivot is repaired
-    by swapping in a later row/column with nonzero diagonal (pivot
-    strategy "first" or "max" chooses which) or, failing that, by a
-    congruence row/column addition that manufactures one.
+    by swapping in the first later row/column with nonzero diagonal or,
+    failing that, by a congruence row/column addition that manufactures
+    one.
     """
     n = _require_symmetric(q)
-    if pivot not in ("first", "max"):
-        raise ValueError("congruence_diagonalize: unknown pivot strategy %r" % pivot)
     m = [list(r) for r in q]
     e = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
@@ -112,12 +94,6 @@ def congruence_diagonalize(q: RatMatrix, pivot: str = "first") -> tuple[RatMatri
         e[i] = [x + y for x, y in zip(e[i], e[j])]
 
     for k in range(n):
-        if pivot == "max":
-            cands = [j for j in range(k, n) if m[j][j]]
-            if cands:
-                j = max(cands, key=lambda i: (abs(m[i][i]), -i))
-                if j != k:
-                    swap(k, j)
         if m[k][k] == 0:
             j = next((i for i in range(k + 1, n) if m[i][i]), None)
             if j is not None:
@@ -137,13 +113,6 @@ def congruence_diagonalize(q: RatMatrix, pivot: str = "first") -> tuple[RatMatri
     d = tuple(m[i][i] for i in range(n))
     u = rat_transpose(rat_inverse(rat_matrix(e)))
     return u, d
-
-
-def inertia(q: RatMatrix, pivot: str = "first") -> tuple[int, int, int]:
-    """(positive, zero, negative) counts of the congruence diagonal."""
-    _, d = congruence_diagonalize(q, pivot=pivot)
-    return (sum(1 for x in d if x > 0), sum(1 for x in d if x == 0),
-            sum(1 for x in d if x < 0))
 
 
 def is_psd(q: RatMatrix) -> bool:
@@ -171,8 +140,9 @@ def _integerize(row: Sequence[Fraction]) -> tuple[Vec, Fraction]:
     return c, Fraction(flip * g, denom)
 
 
-def to_separable(q: RatMatrix) -> DiagonalizationResult:
-    """Exact sum-of-squares form of a PSD matrix, at most rank(Q) terms."""
+def to_separable(q: RatMatrix) -> tuple[tuple[Fraction, Vec], ...]:
+    """Exact sum-of-squares form of a PSD matrix: terms (alpha_i, c_i)
+    with Q = sum alpha_i c_i c_i^T, at most rank(Q) of them."""
     n = _require_symmetric(q)
     u, d = congruence_diagonalize(q)
     if any(x < 0 for x in d):
@@ -183,7 +153,7 @@ def to_separable(q: RatMatrix) -> DiagonalizationResult:
             continue
         c, kappa = _integerize(u[i])
         terms.append((d[i] * kappa * kappa, c))
-    return DiagonalizationResult(tuple(terms), (Fraction(0),) * n, u, d)
+    return tuple(terms)
 
 
 def reconstruct(terms: Sequence[tuple[Fraction, Sequence[int]]], n: int) -> RatMatrix:
@@ -268,17 +238,16 @@ def binary_rephrase(q: RatMatrix, c: Sequence | None = None,
     if strategy != "auto":
         raise ValueError("binary_rephrase: unknown strategy %r" % strategy)
     if is_psd(q):
-        return to_separable(q).terms, cvec
+        return to_separable(q), cvec
     if offdiag_ok:
         delta = []
         for i in range(n):
             off = sum((q[i][j] for j in range(n) if j != i), Fraction(0))
             delta.append(max(Fraction(0), off - q[i][i]))
-        res = to_separable(_diag_absorbed(q, delta))
-        return res.terms, tuple(x - dlt for x, dlt in zip(cvec, delta))
+        return (to_separable(_diag_absorbed(q, delta)),
+                tuple(x - dlt for x, dlt in zip(cvec, delta)))
     lam = choose_lambda_bar(q)
-    res = to_separable(_diag_absorbed(q, [lam] * n))
-    return res.terms, tuple(x - lam for x in cvec)
+    return to_separable(_diag_absorbed(q, [lam] * n)), tuple(x - lam for x in cvec)
 
 
 def binary_identity_holds(q: RatMatrix, c: Sequence,
@@ -306,14 +275,6 @@ def binary_identity_holds(q: RatMatrix, c: Sequence,
 
 # ---------------------------------------------------------------------------
 # text format: like the integer matrix format, entries may be p/q
-
-def format_rat_matrix(q: RatMatrix) -> str:
-    rows = len(q)
-    cols = len(q[0]) if rows else 0
-    lines = ["%d %d" % (rows, cols)]
-    lines.extend(" ".join(str(x) for x in r) for r in q)
-    return "\n".join(lines) + "\n"
-
 
 def parse_rat_matrix(text: str) -> RatMatrix:
     rows, cols, body = split_matrix_text(text)

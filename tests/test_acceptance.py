@@ -44,6 +44,7 @@ from graveropt.objective import (
 from graveropt.qap import koopmans_beckmann, permutation_oracle, solve_qap
 from graveropt.quadratic import (
     binary_rephrase,
+    congruence_diagonalize,
     rat_matrix,
     rat_mat_mul,
     rat_transpose,
@@ -228,19 +229,19 @@ def test_criterion_08_random_bounded_quadratics(capsys):
                                  for y in range(n)] for x in range(n)])
                 separable = to_separable(q)
                 peak = max((max(abs(x) for x in row)
-                            for _, row in separable.terms), default=0)
+                            for _, row in separable), default=0)
                 if peak <= 6:
                     break
                 redraws += 1
             linear = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
             terms = tuple(Term(ScaledEvenPower(alpha, 2), row, rng.randint(-1, 1))
-                          for alpha, row in separable.terms)
+                          for alpha, row in separable)
             objective = SeparableObjective(n, terms, linear)
             a = random_matrix(rng, rng.randint(0, 1), n, -1, 2)
             upper = tuple(rng.randint(1, 3) for _ in range(n))
             z0 = tuple(rng.randint(0, u) for u in upper)
             inst = CipInstance(a, a.mat_vec(z0), upper, objective)
-            report, _ = solve_bounded(inst, z0)
+            report = solve_bounded(inst, z0)
             assert report.status is SolveStatus.OPTIMAL, i
             _, best_value = brute_force_optimum(inst, upper)
             assert report.value == best_value, i
@@ -256,14 +257,14 @@ def test_criterion_09_exact_decompositions(capsys):
             b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
             q = rat_matrix([[sum(b[k][x] * b[k][y] for k in range(n))
                              for y in range(n)] for x in range(n)])
-            res = to_separable(q)
-            assert len(res.terms) <= n
-            diag = [[res.d[i] if i == j else Fraction(0) for j in range(n)]
+            u, d = congruence_diagonalize(q)
+            diag = [[d[i] if i == j else Fraction(0) for j in range(n)]
                     for i in range(n)]
-            assert rat_mat_mul(rat_mat_mul(rat_transpose(res.u), rat_matrix(diag)),
-                               res.u) == q
+            assert rat_mat_mul(rat_mat_mul(rat_transpose(u), rat_matrix(diag)), u) == q
+            terms = to_separable(q)
+            assert len(terms) <= n
             rebuilt = [[Fraction(0)] * n for _ in range(n)]
-            for alpha, row in res.terms:
+            for alpha, row in terms:
                 for x in range(n):
                     for y in range(n):
                         rebuilt[x][y] += alpha * row[x] * row[y]

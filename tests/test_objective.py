@@ -203,10 +203,6 @@ class TestSeparableObjective:
         assert f.value((3,)) == 0
         assert f.value((5,)) == 4
 
-    def test_coefficient_matrix(self):
-        f = two_square_instance().objective
-        assert f.coefficient_matrix().entries == ((1, 1), (1, -1))
-
     def test_extended_preserves_values(self):
         f = two_square_instance().objective
         wide = f.extended(4)
