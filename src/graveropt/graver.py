@@ -171,8 +171,8 @@ class _Completion:
             yield idx, self.norm[idx]
 
 
-def _find_below(state: _Completion, rows: np.ndarray,
-                strict: bool) -> tuple[np.ndarray, np.ndarray]:
+def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
+                rneg: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per row: the index of a member conformally below the row (sign
     +1) or below its negation (sign -1), and that sign; index -1 where
     no member is.
@@ -181,13 +181,13 @@ def _find_below(state: _Completion, rows: np.ndarray,
     conformally below a vector of equal 1-norm equals it up to sign, so
     this keeps a member's own row out when the rows are the members.
 
-    Packed sign masks prefilter the pairs (support containment with
-    agreeing signs), and entrywise magnitudes confirm the survivors.
-    Rows go in ascending 1-norm, so a block of them only meets the
-    prefix of each norm-sorted chunk up to the block's largest norm.
-    Blocks and magnitude checks are sized so that no temporary over
-    pairs holds more than _FILTER_ELEMS elements, whatever the set size
-    and dimension.
+    The rows' packed sign masks rpos, rneg (_pack_signs) prefilter the
+    pairs (support containment with agreeing signs), and entrywise
+    magnitudes confirm the survivors.  Rows go in ascending 1-norm, so
+    a block of them only meets the prefix of each norm-sorted chunk up
+    to the block's largest norm.  Blocks and magnitude checks are sized
+    so that no temporary over pairs holds more than _FILTER_ELEMS
+    elements, whatever the set size and dimension.
     """
     red = np.full(len(rows), -1, dtype=np.intp)
     sign = np.zeros(len(rows), dtype=np.int64)
@@ -196,7 +196,6 @@ def _find_below(state: _Completion, rows: np.ndarray,
     rabs = np.abs(rows)
     # the largest member 1-norm each row may meet
     reach = rabs.sum(axis=1) - int(strict)
-    rpos, rneg = _pack_signs(rows, state.words)
     by_reach = np.argsort(reach, kind="stable")
     pair_step = max(1, _FILTER_ELEMS // state.n)
     for idx, inorm in state.scan_chunks():
@@ -240,7 +239,8 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
     out: list[Vec] = []
     work = cand
     while len(work):
-        red, sign = _find_below(state, work, strict=False)
+        red, sign = _find_below(state, work, *_pack_signs(work, state.words),
+                                strict=False)
         done = red < 0
         out.extend(tuple(r) for r in work[done].tolist())
         live = ~done
@@ -341,7 +341,8 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
 def _minimal_filter(state: _Completion) -> list[Vec]:
     """Keep the members with no other member conformally below them."""
     m = len(state.vecs)
-    red, _ = _find_below(state, state.arr[:m], strict=True)
+    red, _ = _find_below(state, state.arr[:m], state.posm[:m], state.negm[:m],
+                         strict=True)
     return [state.vecs[i] for i in np.nonzero(red < 0)[0]]
 
 

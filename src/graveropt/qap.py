@@ -105,34 +105,56 @@ def permutation_oracle(q: QapInstance) -> tuple[tuple[int, ...], Fraction]:
     return best
 
 
+def _exact(x) -> int | Fraction:
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _pairwise(w: list[list], c: Sequence[Fraction]) -> tuple[list, tuple]:
+    """z^T (W/2) z + c^T z on 0/1 points for a symmetric W with a
+    nonnegative off-diagonal: each positive W[v][u] (v < u) gives the
+    term W[v][u]/2 (z_v + z_u)^2, whose square parts join the diagonal
+    in the linear part.  Composition rows stay 0/1, keeping test sets small."""
+    nn = len(w)
+    terms = [(Fraction(w[v][u], 2),
+              (0,) * v + (1,) + (0,) * (u - v - 1) + (1,) + (0,) * (nn - u - 1))
+             for v in range(nn) for u in range(v + 1, nn) if w[v][u] > 0]
+    cbar = tuple(cv + Fraction(2 * row[v] - sum(row), 2)
+                 for v, (cv, row) in enumerate(zip(c, w)))
+    return terms, cbar
+
+
 def to_cip(q: QapInstance) -> CipInstance:
     """0/1 encoding with the quadratic cost made separable exactly.
 
-    The symmetrized cost matrix of a nonnegative instance has only
-    nonnegative off-diagonal entries, so the pairwise rephrasing
-    applies and keeps every composition row a 0/1 vector; otherwise
-    the general rephrasing takes over.
+    The cost is z^T Q z + fixed^T z, Q the symmetrized cost matrix.
+    W = 2Q, W[i*n+j][k*n+l] = cost(i, j, k, l) + cost(k, l, i, j), is
+    built in Python ints (Fractions only for rational data) and halved
+    once, where a term weight or linear entry is formed; each equals
+    its value from Q in Fractions, so the instance is the one Q gives.
+    Nonnegative data rephrase pairwise; otherwise binary_rephrase.
     """
     n = q.n
     nn = n * n
-    sym = [[Fraction(0)] * nn for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            vi = i * n + j
-            for k in range(n):
-                for l in range(n):
-                    vj = k * n + l
-                    sym[vi][vj] = (q.cost(i, j, k, l) + q.cost(k, l, i, j)) / 2
-    qm = rat_matrix(sym)
+    if q.tensor is not None:
+        t = [[[[_exact(x) for x in r] for r in b] for b in a] for a in q.tensor]
+        w = [[t[i][j][k][l] + t[k][l][i][j] for k in range(n) for l in range(n)]
+             for i in range(n) for j in range(n)]
+    else:
+        f = [[_exact(x) for x in r] for r in q.flow]
+        d = [[_exact(x) for x in r] for r in q.distance]
+        w = [[f[i][k] * d[j][l] + f[k][i] * d[l][j] for k in range(n) for l in range(n)]
+             for i in range(n) for j in range(n)]
     cvec = tuple(q.fixed_cost(i, j) for i in range(n) for j in range(n))
-    offdiag_ok = all(qm[i][j] >= 0 for i in range(nn) for j in range(nn) if i != j)
-    terms, cbar = binary_rephrase(qm, cvec,
-                                  strategy="pairwise" if offdiag_ok else "auto")
+    if all(x >= 0 for v, row in enumerate(w) for u, x in enumerate(row) if u != v):
+        terms, cbar = _pairwise(w, cvec)
+    else:
+        terms, cbar = binary_rephrase(
+            tuple(tuple(Fraction(x, 2) for x in row) for row in w), cvec)
     obj_terms = tuple(Term(ScaledEvenPower(alpha, 2), coeffs, 0)
                       for alpha, coeffs in terms)
     a, b = assignment_matrix(n)
-    objective = SeparableObjective(nn, obj_terms, cbar)
-    return CipInstance(a, b, (1,) * nn, objective)
+    return CipInstance(a, b, (1,) * nn, SeparableObjective(nn, obj_terms, cbar))
 
 
 def permutation_point(perm: Sequence[int]) -> Vec:

@@ -200,46 +200,23 @@ def _diag_absorbed(q: RatMatrix, delta: Sequence[Fraction]) -> RatMatrix:
                  for i in range(n))
 
 
-def binary_rephrase(q: RatMatrix, c: Sequence | None = None,
-                    strategy: str = "auto") -> tuple[tuple[tuple[Fraction, Vec], ...],
-                                                     tuple[Fraction, ...]]:
+def binary_rephrase(q: RatMatrix, c: Sequence | None = None
+                    ) -> tuple[tuple[tuple[Fraction, Vec], ...], tuple[Fraction, ...]]:
     """Terms and adjusted linear part with
     z^T Q z + c^T z = sum alpha_i (c_i^T z)^2 + cbar^T z on {0,1}^n.
 
-    auto: PSD matrices convert directly; a matrix whose negative
-    entries are confined to the diagonal gets its diagonal raised to
-    row dominance (the raise moves to the linear part via z_i^2 = z_i);
-    anything else is shifted by choose_lambda_bar.  Both keep the term
-    count at most n.
-
-    pairwise: requires nonnegative off-diagonal entries; every positive
-    entry Q_ij (i<j) becomes the term Q_ij (z_i + z_j)^2 and the whole
-    diagonal is absorbed linearly.  More terms, but the composition
-    rows stay 0/1, which keeps downstream direction sets small.
+    PSD matrices convert directly; a matrix whose negative entries are
+    confined to the diagonal gets its diagonal raised to row dominance
+    (the raise moves to the linear part via z_i^2 = z_i); anything else
+    is shifted by choose_lambda_bar.  Each gives at most n terms.
     """
     n = _require_symmetric(q)
     cvec = tuple(Fraction(x) for x in (c if c is not None else [0] * n))
     if len(cvec) != n:
         raise ValueError("binary_rephrase: linear part has wrong length")
-    offdiag_ok = all(q[i][j] >= 0 for i in range(n) for j in range(n) if i != j)
-    if strategy == "pairwise":
-        if not offdiag_ok:
-            raise ValueError("binary_rephrase: pairwise needs nonnegative off-diagonal")
-        terms = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if q[i][j] > 0:
-                    e = tuple(1 if t in (i, j) else 0 for t in range(n))
-                    terms.append((q[i][j], e))
-        cbar = tuple(cvec[i] + q[i][i] - sum((q[i][j] for j in range(n) if j != i),
-                                             Fraction(0))
-                     for i in range(n))
-        return tuple(terms), cbar
-    if strategy != "auto":
-        raise ValueError("binary_rephrase: unknown strategy %r" % strategy)
     if is_psd(q):
         return to_separable(q), cvec
-    if offdiag_ok:
+    if all(q[i][j] >= 0 for i in range(n) for j in range(n) if i != j):
         delta = []
         for i in range(n):
             off = sum((q[i][j] for j in range(n) if j != i), Fraction(0))

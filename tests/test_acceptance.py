@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graveropt.core import IntMatrix
-from graveropt.graver import box_kernel_vectors, compute_graver
+from graveropt.graver import box_kernel_vectors
 from graveropt.objective import (
     GeometricAbs,
     PiecewiseTable,
@@ -39,7 +39,6 @@ from graveropt.augment import (
     solve_bounded,
 )
 from graveropt.testset import BOX_CANDIDATE_LIMIT, TestSet, compute_test_set
-from tests.conftest import two_square_instance
 
 
 def pair_test_set():

@@ -3,14 +3,18 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt.augment import (
+    CipInstance,
     SolveStatus,
     composition_matrix,
     embed_slack,
     slack_lifted,
 )
-from graveropt.core import IntMatrix, ParseError
+from graveropt.core import ParseError
+from graveropt.objective import ScaledEvenPower, SeparableObjective, Term
 from graveropt.qap import (
     QapInstance,
     assignment_matrix,
@@ -24,6 +28,7 @@ from graveropt.qap import (
     to_cip,
     write_qaplib,
 )
+from graveropt.quadratic import binary_identity_holds
 from graveropt.testset import box_test_set, compute_test_set
 
 # Hand-checked assignment values for two facilities:
@@ -59,6 +64,74 @@ def exhaustive_best(q):
         if best is None or s < best[1]:
             best = (p, s)
     return best
+
+
+def criterion_10_draws():
+    """The seed-2026 assignment draws of acceptance criterion 10."""
+    rng = random.Random(2026)
+    sizes = [rng.choice((3, 4)) for _ in range(10)]
+    draws = []
+    for n in sizes:
+        def hollow():
+            m = [[rng.randint(0, 5) for _ in range(n)] for _ in range(n)]
+            for d in range(n):
+                m[d][d] = 0
+            return m
+        draws.append(koopmans_beckmann(hollow(), hollow()))
+    return draws
+
+
+def symmetrized_cost(q):
+    """(cost(v, u) + cost(u, v)) / 2 over the flattened grid, from
+    QapInstance.cost in Fractions."""
+    n = q.n
+    return tuple(tuple((q.cost(i, j, k, l) + q.cost(k, l, i, j)) / 2
+                       for k in range(n) for l in range(n))
+                 for i in range(n) for j in range(n))
+
+
+def reference_to_cip(q):
+    """The n^4 Fraction construction of the pairwise encoding: each
+    positive off-diagonal Q[v][u] (v < u) gives Q[v][u] (z_v + z_u)^2,
+    and the linear part is fixed + diagonal - off-diagonal row mass."""
+    nn = q.n * q.n
+    sym = symmetrized_cost(q)
+    assert all(sym[v][u] >= 0 for v in range(nn) for u in range(nn) if u != v)
+    terms = tuple(Term(ScaledEvenPower(sym[v][u], 2),
+                       tuple(1 if t in (v, u) else 0 for t in range(nn)), 0)
+                  for v in range(nn) for u in range(v + 1, nn) if sym[v][u] > 0)
+    fixed = [q.fixed_cost(i, j) for i in range(q.n) for j in range(q.n)]
+    cbar = tuple(fixed[v] + sym[v][v]
+                 - sum((sym[v][u] for u in range(nn) if u != v), Fraction(0))
+                 for v in range(nn))
+    a, b = assignment_matrix(q.n)
+    return CipInstance(a, b, (1,) * nn, SeparableObjective(nn, terms, cbar))
+
+
+@st.composite
+def qap_data(draw):
+    """Flow/distance or tensor data for 1 to 4 facilities; entries
+    nonnegative or of mixed sign, integral or rational, with or
+    without fixed costs."""
+    n = draw(st.integers(1, 4))
+    lo = draw(st.sampled_from((0, -3)))
+    den = draw(st.sampled_from((1, 3)))
+
+    def entries(count, low=lo):
+        nums = draw(st.lists(st.integers(low, 5), min_size=count, max_size=count))
+        dens = draw(st.lists(st.integers(1, den), min_size=count, max_size=count))
+        return [Fraction(a, b) for a, b in zip(nums, dens)]
+
+    def square(vals):
+        return [vals[i * n:(i + 1) * n] for i in range(n)]
+    fixed = square(entries(n * n, -3)) if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        return koopmans_beckmann(square(entries(n * n)), square(entries(n * n)), fixed)
+    t, r = entries(n ** 4), range(n)
+    tensor = tuple(tuple(tuple(tuple(t[((i * n + j) * n + k) * n + l] for l in r)
+                               for k in r) for j in r) for i in r)
+    return QapInstance(n, tensor=tensor,
+                       fixed=tuple(map(tuple, fixed)) if fixed else None)
 
 
 class TestInstance:
@@ -228,6 +301,36 @@ class TestToCip:
         inst = to_cip(q)
         for p in permutations(range(2)):
             assert inst.feasible(permutation_point(p))
+
+    def test_pairwise_terms_and_linear(self):
+        # W = 2 Q has the off-diagonal pairs x_00 x_11: 1*3 + 2*5 = 13
+        # and x_01 x_10: 1*5 + 2*3 = 11, and a zero diagonal
+        q = koopmans_beckmann(FLOW_A, DIST_A, fixed=((1, -2), (3, 0)))
+        obj = to_cip(q).objective
+        assert obj.terms == (
+            Term(ScaledEvenPower(Fraction(13, 2), 2), (1, 0, 0, 1), 0),
+            Term(ScaledEvenPower(Fraction(11, 2), 2), (0, 1, 1, 0), 0))
+        assert obj.linear == (Fraction(-11, 2), Fraction(-15, 2),
+                              Fraction(-5, 2), Fraction(-13, 2))
+        assert obj.value(permutation_point((0, 1))) == 14
+        assert obj.value(permutation_point((1, 0))) == 12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(qap_data())
+    def test_matches_the_cost_oracle(self, q):
+        inst = to_cip(q)
+        for p in permutations(range(q.n)):
+            assert inst.objective.value(permutation_point(p)) == permutation_value(q, p)
+        fixed = [q.fixed_cost(i, j) for i in range(q.n) for j in range(q.n)]
+        terms = [(t.fn.alpha, t.coeffs) for t in inst.objective.terms]
+        assert binary_identity_holds(symmetrized_cost(q), fixed, terms,
+                                     inst.objective.linear)
+
+    def test_equals_the_fraction_construction(self):
+        for q in criterion_10_draws():
+            got, want = to_cip(q), reference_to_cip(q)
+            assert got == want
+            assert repr(got) == repr(want)
 
 
 class TestPoints:

@@ -196,25 +196,9 @@ class TestBinaryRephrase:
         assert terms == ()
         assert cbar == (Fraction(-1), Fraction(-2))
 
-    def test_pairwise_terms_and_linear(self):
-        terms, cbar = binary_rephrase(HOLLOW3, strategy="pairwise")
-        assert set(terms) == {(Fraction(1), (1, 1, 0)),
-                              (Fraction(1), (1, 0, 1)),
-                              (Fraction(2), (0, 1, 1))}
-        assert cbar == (Fraction(-2), Fraction(-3), Fraction(-3))
-        self.binary_check(HOLLOW3, (0, 0, 0), terms, cbar)
-
-    def test_pairwise_rejects_negative_offdiagonal(self):
-        with pytest.raises(ValueError):
-            binary_rephrase(rat_matrix([[1, -1], [-1, 1]]), strategy="pairwise")
-
     def test_rejects_bad_linear_length(self):
         with pytest.raises(ValueError):
             binary_rephrase(ID2, c=(1,))
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            binary_rephrase(ID2, strategy="greedy")
 
     def test_random_exhaustive_identity(self):
         rng = random.Random(17)

@@ -5,7 +5,6 @@ import pytest
 from graveropt.core import IntMatrix, ParseError
 from graveropt.graver import compute_graver, graver_oracle, project_first_n
 from graveropt.testset import (
-    TestSet,
     box_test_set,
     build_lifted_matrix,
     build_split_matrix,
