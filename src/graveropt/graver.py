@@ -13,17 +13,19 @@ kernel vector of the projection is a sign-compatible sum of set
 members, so the conformally minimal members are exactly its Graver
 basis.
 
-Elements are taken up smallest 1-norm first.  The candidates of each
-round reduce in one batch, and their normal forms join the set one
-1-norm level at a time: forms of equal 1-norm cannot reduce one
-another (the ordering of Hemmecke and Malkin, J. Symb. Comput. 44
-(2009)), so the lightest level is added whole and only the heavier
-forms reduce again.  One scan, _find_below, serves both the reduction
-and the final minimality filter: packed sign bitmasks prefilter pairs
-of rows and members so the magnitude comparison only runs on the few
-sign-compatible ones.  One code path serves every integer size: the
-entry matrix is int64 while the members' 1-norms stay below
-_FAST_ABS_LIMIT and holds Python ints (dtype object) from then on.
+The completion runs in rounds.  A round pairs every pending element
+with the members added before it, lightest first, and the candidates
+of the round reduce in one batch.  Of their normal forms, those that
+no other form of the batch lies conformally below join the set as one
+block; they are irreducible against the set and against each other,
+and every other form has one of them below it, so it reduces again
+against the grown set and strictly shrinks.  One scan, _find_below,
+serves both the reduction and the final minimality filter: packed
+sign bitmasks prefilter pairs of rows and members so the magnitude
+comparison only runs on the few sign-compatible ones.  One code path
+serves every integer size: the entry matrix is int64 while the
+members' 1-norms stay below _FAST_ABS_LIMIT and holds Python ints
+(dtype object) from then on.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -273,7 +275,8 @@ def _pop_candidates(state: _Completion, pivots: np.ndarray,
     return np.vstack([arr[ti] + arr[pivots[pi]], arr[tj] - arr[pivots[di]]])
 
 
-def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
+def _complete(seeds: list[Vec], n: int,
+              fixed: int) -> tuple[list[Vec], tuple[int, int]]:
     """Complete the seeds (distinct up to sign, nonzero) and keep the
     conformally minimal members.
 
@@ -284,7 +287,13 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
     once); with fixed = n - 1 it is the critical-pair rule of a lift
     step (see compute_graver).
 
-    Returns the minimal members and the number of candidates formed.
+    Pivots pair in rounds: a round pairs every pending pivot with the
+    members added before it, so each pair is formed once, when its
+    later member is the pivot, and absorb then adds the round's normal
+    forms.  A round that _PAIR_BATCH cuts short leaves the other
+    pending pivots to the next.
+
+    Returns the minimal members and (candidates formed, rounds).
     """
     state = _Completion(n)
     if seeds:
@@ -297,45 +306,47 @@ def _complete(seeds: list[Vec], n: int, fixed: int) -> tuple[list[Vec], int]:
     heapq.heapify(heap)
 
     def absorb(cand: np.ndarray) -> None:
-        """Add the normal forms of the candidate rows, one 1-norm level
-        at a time.
+        """Add the normal forms of the candidate rows, batch-minimal
+        forms first.
 
-        A normal form is irreducible against the set, so it is no
-        member up to sign, and normal forms of equal 1-norm cannot
-        reduce one another unless they agree up to sign.  So the
-        lightest level joins the set as one block of distinct canonical
-        representatives, and the heavier rows reduce again against the
-        grown set.
+        The distinct forms (canonical representatives) of a batch that
+        no other form of the batch lies conformally below join the set
+        as one block, and the other forms reduce again against the
+        grown set.  Each kept form is irreducible against the set (a
+        normal form) and against the other kept forms, so every member
+        is irreducible when it enters.  Each form not kept has a kept
+        form below it, since the conformal order is transitive up to
+        sign and 1-norms strictly drop along a chain of distinct forms,
+        so each re-reduction subtracts at least once and the loop ends.
         """
         work = cand
         while len(work):
             forms = _batch_normal_form(state, work)
+            forms = list(dict.fromkeys(map(canonical_rep, forms)))
             if not forms:
                 return
-            rows = np.array(forms, dtype=state.arr.dtype)
-            norms = np.abs(rows).sum(axis=1)
-            low = norms.min()
-            level = list(dict.fromkeys(canonical_rep(v)
-                                       for v, s in zip(forms, norms) if s == low))
-            base = state.add_block(level)
-            for i in range(base, base + len(level)):
-                heapq.heappush(heap, (int(low), i))
+            keep = conformally_minimal(forms, state.n)
+            base = state.add_block(keep)
+            for i, norm in enumerate(state.norm[base:base + len(keep)].tolist(), base):
+                heapq.heappush(heap, (norm, i))
+            kept = set(keep)
             # the block may have turned the set's arrays to object
-            work = rows[norms > low].astype(state.arr.dtype, copy=False)
+            work = np.array([v for v in forms if v not in kept], dtype=state.arr.dtype)
 
-    candidates = 0
+    candidates = rounds = 0
     while heap:
-        norm, pivot = heapq.heappop(heap)
-        # pivots of one norm pair in one batch, while the batch's
+        # a round pairs every pending pivot, lightest first, while its
         # pivot-by-prefix mask stays under _PAIR_BATCH entries
-        batch = [pivot]
-        while (heap and heap[0][0] == norm
-               and (len(batch) + 1) * heap[0][1] <= _PAIR_BATCH):
+        batch = [heapq.heappop(heap)[1]]
+        top = batch[0]
+        while heap and (len(batch) + 1) * max(top, heap[0][1]) <= _PAIR_BATCH:
+            top = max(top, heap[0][1])
             batch.append(heapq.heappop(heap)[1])
         cand = _pop_candidates(state, np.array(batch), old)
         candidates += len(cand)
+        rounds += 1
         absorb(cand)
-    return _minimal_filter(state), candidates
+    return _minimal_filter(state), (candidates, rounds)
 
 
 def _minimal_filter(state: _Completion) -> list[Vec]:
@@ -468,10 +479,10 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
     logger.debug("start: columns %s, |det| %d, %d elements", sigma, abs(det), len(current))
     for d in range(r + 1, n + 1):
         lifted = _lift_column(current, [row[d - 1] for row in lift], det)
-        current, candidates = _complete(lifted, d, d - 1)
+        current, (candidates, rounds) = _complete(lifted, d, d - 1)
         logger.debug("lift step %d: column %d, %d elements in, %d candidates, "
-                     "%d elements out", d - r, order[d - 1], len(lifted),
-                     candidates, len(current))
+                     "%d rounds, %d elements out", d - r, order[d - 1], len(lifted),
+                     candidates, rounds, len(current))
     out = set()
     for v in current:
         full = [0] * n

@@ -22,10 +22,11 @@ from .graver import (box_kernel_vectors, compute_graver, conformally_minimal,
 # Past this many box kernel vectors (or n times as many partial
 # assignments of the search), box_test_set builds the full lifted basis
 # instead.  On a 2-core host the box path costs about 60 us per
-# candidate, while the completion costs a fixed amount per (A, C): 0.02 s
-# to 5 s over the bounded families measured.  At 4096 the box path's
-# worst case stays near 0.25 s, and no assignment or bounded quadratic
-# of the acceptance battery (at most 1200 candidates) reaches it.
+# candidate, while the completion costs a fixed amount per (A, C): 0.0003 s
+# to 0.25 s over the acceptance battery's 50 bounded quadratics, and
+# 0.015 s for the walk-dense family.  At 4096 the box path's worst case
+# stays near 0.25 s, and no assignment or bounded quadratic of the
+# acceptance battery (at most 1200 candidates) reaches it.
 BOX_CANDIDATE_LIMIT = 4096
 
 

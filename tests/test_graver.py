@@ -3,7 +3,7 @@ import random
 import signal
 import tracemalloc
 from contextlib import contextmanager
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -301,12 +301,34 @@ class TestAgainstOracle:
     def test_random_small_matrices(self, a):
         # the default bound, then object arrays from 1-norm 4 on; one
         # scan chunk, then chunks of 2 members (these completions hold
-        # at most 9, so larger chunks would never split them)
-        for limit, chunk in product((graver._FAST_ABS_LIMIT, 4), (graver._ELEM_CHUNK, 2)):
+        # at most 9, so larger chunks would never split them); whole
+        # pairing rounds, then one pivot per round
+        for limit, chunk, batch in product((graver._FAST_ABS_LIMIT, 4),
+                                           (graver._ELEM_CHUNK, 2),
+                                           (graver._PAIR_BATCH, 1)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(graver, "_FAST_ABS_LIMIT", limit)
                 mp.setattr(graver, "_ELEM_CHUNK", chunk)
-                assert verify_against_oracle(a, compute_graver(a)), (a.entries, limit, chunk)
+                mp.setattr(graver, "_PAIR_BATCH", batch)
+                assert verify_against_oracle(a, compute_graver(a)), \
+                    (a.entries, limit, chunk, batch)
+
+    def test_absorb_reduces_a_form_again(self, monkeypatch):
+        # some batch of normal forms holds a form with another form of
+        # the batch below it, so that form reduces again
+        a = IntMatrix.from_rows([[1, 2, 3, 4]])
+        sizes = []
+        minimal = graver.conformally_minimal
+
+        def spy(vectors, n):
+            kept = minimal(vectors, n)
+            sizes.append((len(vectors), len(kept)))
+            return kept
+
+        monkeypatch.setattr(graver, "conformally_minimal", spy)
+        basis = compute_graver(a)
+        assert any(kept < given for given, kept in sizes), sizes
+        assert verify_against_oracle(a, basis)
 
     @pytest.mark.parametrize("rows, cols", [
         ([[2, 3]], 2),                      # start lattice 3Z: not unimodular
@@ -345,6 +367,41 @@ class TestAgainstOracle:
                 if not any(v) or any(a.mat_vec(v)):
                     continue
                 assert any(conformal_leq(g, v) for g in signed), (a.entries, v)
+
+
+def table_cycles(r, c):
+    """Canonical +/-1 vectors of the cycles of K_{r,c}, entry i*c + j
+    for cell (i, j): rows i_1..i_k and columns j_1..j_k give +1 at
+    (i_t, j_t) and -1 at (i_{t+1}, j_t), indices mod k."""
+    out = set()
+    for k in range(2, min(r, c) + 1):
+        for rows in permutations(range(r), k):
+            for cols in permutations(range(c), k):
+                v = [0] * (r * c)
+                for t in range(k):
+                    v[rows[t] * c + cols[t]] = 1
+                    v[rows[(t + 1) % k] * c + cols[t]] = -1
+                if next(x for x in v if x) < 0:
+                    v = [-x for x in v]
+                out.add(tuple(v))
+    return out
+
+
+class TestTwoWayTables:
+    """The Graver basis of the r x c two-way table matrix (row and
+    column sums) is its set of circuits, the cycles of K_{r,c}."""
+
+    @pytest.mark.parametrize("r, c, size", [(3, 3, 15), (3, 4, 42), (3, 5, 90), (4, 4, 204)])
+    @pytest.mark.parametrize("batch", [graver._PAIR_BATCH, 256])
+    def test_basis_is_the_cycles(self, monkeypatch, r, c, size, batch):
+        # a cap of 256 splits the rounds of the larger lift steps into
+        # calls of a few pivots each
+        monkeypatch.setattr(graver, "_PAIR_BATCH", batch)
+        rows = [[int(j // c == i) for j in range(r * c)] for i in range(r)]
+        rows += [[int(j % c == i) for j in range(r * c)] for i in range(c)]
+        want = table_cycles(r, c)
+        assert len(want) == size
+        assert compute_graver(IntMatrix.from_rows(rows)).elements == want
 
 
 class TestColumnExpansion:
@@ -459,10 +516,10 @@ class TestProjectAndLift:
         assert len(steps) == a.cols - 3   # kernel rank 3
         previous = start.args[-1]
         for k, rec in enumerate(steps, 1):
-            step, column, elements_in, candidates, elements_out = rec.args
+            step, column, elements_in, candidates, rounds, elements_out = rec.args
             assert rec.levelno == logging.DEBUG
             assert step == k and 0 <= column < a.cols
-            assert elements_in == previous and candidates >= 0
+            assert elements_in == previous and candidates >= 0 and rounds >= 1
             previous = elements_out
         assert previous == len(basis)
         assert sorted(start.args[0] + [r.args[1] for r in steps]) == list(range(a.cols))
