@@ -175,7 +175,13 @@ def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
 
 def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
           best: bool = False, cap: int = 10 ** 6) -> SolveReport:
-    """Monotone augmentation from z0 until no direction improves."""
+    """Monotone augmentation from z0 until no direction improves.
+
+    cap bounds both the number of steps and each step's length; it has
+    to be at least 1.
+    """
+    if cap < 1:
+        raise ValueError("solve: step cap must be at least 1, got %d" % cap)
     check_compatible(inst, t_set)
     if not inst.feasible(z0):
         raise InfeasibleStartError("solve: start point infeasible")

@@ -276,15 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "programs with separable discrete-convex objectives.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", help="write result to this path (atomic)")
-
     p = sub.add_parser("graver", help="Graver basis of an integer matrix")
     p.add_argument("matrix")
     p.add_argument("--verify", action="store_true",
                    help="re-derive by box enumeration and compare")
-    common(p)
+    p.add_argument("--out", help="write result to this path (atomic)")
     p.set_defaults(func=cmd_graver)
 
     p = sub.add_parser("testset", help="direction set for an (A, C) family")
@@ -292,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("compositions")
     p.add_argument("--verify", action="store_true",
                    help="check the Graver basis of A is contained")
-    common(p)
+    p.add_argument("--out", help="write result to this path (atomic)")
     p.set_defaults(func=cmd_testset)
 
     p = sub.add_parser("ak", help="widened lift with k-column unit splits")
     p.add_argument("matrix")
     p.add_argument("compositions")
     p.add_argument("k", type=int)
-    common(p)
+    p.add_argument("--out", help="write result to this path (atomic)")
     p.set_defaults(func=cmd_ak)
 
     p = sub.add_parser("solve", help="augment an instance to optimality")
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, nargs="+",
                    help="enumeration box for --verify")
     p.add_argument("--json", action="store_true")
-    common(p)
+    p.add_argument("--out", help="write result to this path (atomic)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("quad", help="separable form of a rational quadratic")
@@ -323,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", help="linear part (one line of rationals)")
     p.add_argument("--binary", action="store_true",
                    help="allow the 0/1 identity z^2 = z")
-    common(p)
+    p.add_argument("--out", help="write result to this path (atomic)")
     p.set_defaults(func=cmd_quad)
 
     p = sub.add_parser("qap", help="solve a quadratic assignment file")
@@ -332,12 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against permutation enumeration")
     p.add_argument("--best-improving", action="store_true")
     p.add_argument("--json", action="store_true")
-    common(p)
+    p.add_argument("--out", help="write result to this path (atomic)")
     p.set_defaults(func=cmd_qap)
 
     p = sub.add_parser("selftest", help="randomized internal cross-checks")
     p.add_argument("--seed", type=int, default=0)
-    common(p, out=False)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -13,14 +13,14 @@ kernel vector of the projection is a sign-compatible sum of set
 members, so the conformally minimal members are exactly its Graver
 basis.
 
-The completion runs in rounds.  A round pairs every pending element
-with the members added before it, lightest first, and the candidates
+The completion runs in rounds.  A round pairs the pending elements,
+oldest first, with the members added before each, and the candidates
 of the round reduce in one batch.  Of their normal forms, those that
 no other form of the batch lies conformally below join the set as one
 block; they are irreducible against the set and against each other,
 and every other form has one of them below it, so it reduces again
-against the grown set and strictly shrinks.  One scan, _find_below,
-serves both the reduction and the final minimality filter: packed
+against the grown set and strictly shrinks.  One scan over the
+members in ascending 1-norm, _find_below, serves both the reduction and the final minimality filter: packed
 sign bitmasks prefilter pairs of rows and members so the magnitude
 comparison only runs on the few sign-compatible ones.  One code path
 serves every integer size: the entry matrix is int64 while the
@@ -34,7 +34,6 @@ conformal_leq, which the completion does not use.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +46,6 @@ from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_b
 # Python ints; below it every norm and every pair sum fits in int64.
 _FAST_ABS_LIMIT = 1 << 61
 
-_ELEM_CHUNK = 2048   # member scan block, walked in ascending 1-norm order
 _FILTER_ELEMS = 1 << 17  # cap on the elements of one scan temporary
 _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
 
@@ -111,14 +109,14 @@ def _subtract_max_multiple(w: np.ndarray, wabs: np.ndarray, g: np.ndarray,
 class _Completion:
     """Working state of the completion run.
 
-    Members are stored once per +/- pair (canonical representative) and
-    never removed.  NumPy mirrors support the vectorized scans: the
-    entry matrix arr, the members' 1-norms, and packed sign bitmasks
-    used as a compatibility prefilter.  Scans walk the members in
-    chunks of ascending 1-norm, re-sorted whenever the set has grown
-    since the last sort, so the small vectors that do nearly all
-    reductions are tried first and a row only meets the members whose
-    norm does not exceed its own.
+    Members are stored once per +/- pair (canonical representative),
+    in insertion order, and never removed.  Plain NumPy arrays hold
+    them for the vectorized scans: the entry matrix arr, the members'
+    1-norms, and packed sign bitmasks used as a compatibility
+    prefilter.  order lists the members by ascending 1-norm (stable),
+    so the small vectors that do nearly all reductions are tried first
+    and a row only meets the members whose norm does not exceed its
+    own.
 
     arr and the norms are int64 while every member's 1-norm is below
     _FAST_ABS_LIMIT; then each entry, norm and pair sum fits in int64.
@@ -129,48 +127,28 @@ class _Completion:
     def __init__(self, n: int):
         self.n = n
         self.words = (n + 63) // 64
-        self.vecs: list[Vec] = []          # insertion order, never reordered
-        self.cap = 64
-        self.arr = np.zeros((self.cap, n), dtype=np.int64)
-        self.norm = np.zeros(self.cap, dtype=np.int64)
-        self.posm = np.zeros((self.cap, self.words), dtype=np.uint64)
-        self.negm = np.zeros((self.cap, self.words), dtype=np.uint64)
-        self.scan_order: np.ndarray = np.zeros(0, dtype=np.intp)
+        self.arr = np.zeros((0, n), dtype=np.int64)
+        self.norm = np.zeros(0, dtype=np.int64)
+        self.posm = np.zeros((0, self.words), dtype=np.uint64)
+        self.negm = np.zeros((0, self.words), dtype=np.uint64)
+        self.order = np.zeros(0, dtype=np.intp)
 
-    def add_block(self, rows: list[Vec]) -> int:
-        """Append canonical nonzero rows in one batch; index of the first."""
-        base = len(self.vecs)
-        count = len(rows)
+    def __len__(self) -> int:
+        return len(self.arr)
+
+    def add_block(self, rows: list[Vec]) -> None:
+        """Append canonical nonzero rows in one batch."""
         norms = [sum(map(abs, v)) for v in rows]
-        self.vecs.extend(rows)
         if max(norms) >= _FAST_ABS_LIMIT and self.arr.dtype != object:
             self.arr = self.arr.astype(object)
             self.norm = self.norm.astype(object)
-        while base + count > self.cap:
-            self.cap *= 2
-        if self.arr.shape[0] < self.cap:
-            for name in ("arr", "norm", "posm", "negm"):
-                old = getattr(self, name)
-                grown = np.zeros((self.cap,) + old.shape[1:], dtype=old.dtype)
-                grown[:base] = old[:base]
-                setattr(self, name, grown)
         mat = np.array(rows, dtype=self.arr.dtype)
-        self.arr[base:base + count] = mat
-        self.norm[base:base + count] = norms
         p, q = _pack_signs(mat, self.words)
-        self.posm[base:base + count] = p
-        self.negm[base:base + count] = q
-        return base
-
-    def scan_chunks(self):
-        """Yield (indices, their 1-norms): all members, in chunks of
-        ascending 1-norm."""
-        m = len(self.vecs)
-        if len(self.scan_order) < m:
-            self.scan_order = np.argsort(self.norm[:m], kind="stable")
-        for start in range(0, m, _ELEM_CHUNK):
-            idx = self.scan_order[start:start + _ELEM_CHUNK]
-            yield idx, self.norm[idx]
+        self.arr = np.concatenate([self.arr, mat])
+        self.norm = np.concatenate([self.norm, np.array(norms, dtype=self.norm.dtype)])
+        self.posm = np.concatenate([self.posm, p])
+        self.negm = np.concatenate([self.negm, q])
+        self.order = np.argsort(self.norm, kind="stable")
 
 
 def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
@@ -186,10 +164,12 @@ def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
     The rows' packed sign masks rpos, rneg (_pack_signs) prefilter the
     pairs (support containment with agreeing signs), and entrywise
     magnitudes confirm the survivors.  Rows go in ascending 1-norm, so
-    a block of them only meets the prefix of each norm-sorted chunk up
+    a block of them only meets the prefix of the norm-sorted members up
     to the block's largest norm.  Blocks and magnitude checks are sized
     so that no temporary over pairs holds more than _FILTER_ELEMS
-    elements, whatever the set size and dimension.
+    elements while the set has at most _FILTER_ELEMS / words members
+    (a block holds at least one row, and that row meets the whole
+    sorted prefix).
     """
     red = np.full(len(rows), -1, dtype=np.intp)
     sign = np.zeros(len(rows), dtype=np.int64)
@@ -199,36 +179,33 @@ def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
     # the largest member 1-norm each row may meet
     reach = rabs.sum(axis=1) - int(strict)
     by_reach = np.argsort(reach, kind="stable")
+    idx = state.order
+    inorm = state.norm[idx]
+    # rows lighter than every member meet none of them
+    pending = by_reach[np.searchsorted(reach[by_reach], inorm[0]):]
+    gp, gn = state.posm[idx], state.negm[idx]
+    step = max(1, _FILTER_ELEMS // (idx.size * state.words))
     pair_step = max(1, _FILTER_ELEMS // state.n)
-    for idx, inorm in state.scan_chunks():
-        pending = by_reach[red[by_reach] < 0]
-        # rows lighter than the whole chunk meet none of it, nor any
-        # later chunk
-        pending = pending[np.searchsorted(reach[pending], inorm[0]):]
-        if pending.size == 0:
-            break
-        gp, gn = state.posm[idx], state.negm[idx]
-        step = max(1, _FILTER_ELEMS // (idx.size * state.words))
-        for start in range(0, pending.size, step):
-            blk = pending[start:start + step]
-            k = np.searchsorted(inorm, reach[blk[-1]], side="right")
-            cut = idx[:k]
-            plus, minus = _sign_fits(gp[None, :k], gn[None, :k],
-                                     rpos[blk][:, None, :], rneg[blk][:, None, :])
-            ci, gi = np.nonzero(plus | minus)
-            light = inorm[gi] <= reach[blk[ci]]
-            ci, gi = ci[light], gi[light]
-            for s in range(0, ci.size, pair_step):
-                c, g = ci[s:s + pair_step], gi[s:s + pair_step]
-                ok = (np.abs(state.arr[cut[g]]) <= rabs[blk[c]]).all(axis=1)
-                c, g = c[ok], g[ok]
-                # pairs come row by row: take each unmatched row's first
-                first = np.ones(c.size, dtype=bool)
-                first[1:] = c[1:] != c[:-1]
-                first &= red[blk[c]] < 0
-                c, g = c[first], g[first]
-                red[blk[c]] = cut[g]
-                sign[blk[c]] = np.where(plus[c, g], 1, -1)
+    for start in range(0, pending.size, step):
+        blk = pending[start:start + step]
+        k = np.searchsorted(inorm, reach[blk[-1]], side="right")
+        cut = idx[:k]
+        plus, minus = _sign_fits(gp[None, :k], gn[None, :k],
+                                 rpos[blk][:, None, :], rneg[blk][:, None, :])
+        ci, gi = np.nonzero(plus | minus)
+        light = inorm[gi] <= reach[blk[ci]]
+        ci, gi = ci[light], gi[light]
+        for s in range(0, ci.size, pair_step):
+            c, g = ci[s:s + pair_step], gi[s:s + pair_step]
+            ok = (np.abs(state.arr[cut[g]]) <= rabs[blk[c]]).all(axis=1)
+            c, g = c[ok], g[ok]
+            # pairs come row by row: take each unmatched row's first
+            first = np.ones(c.size, dtype=bool)
+            first[1:] = c[1:] != c[:-1]
+            first &= red[blk[c]] < 0
+            c, g = c[first], g[first]
+            red[blk[c]] = cut[g]
+            sign[blk[c]] = np.where(plus[c, g], 1, -1)
     return red, sign
 
 
@@ -254,25 +231,25 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
     return out
 
 
-def _pop_candidates(state: _Completion, pivots: np.ndarray,
+def _pop_candidates(state: _Completion, lo: int, hi: int,
                     old: np.ndarray) -> np.ndarray:
-    """Sums and differences of each pivot with the elements added
-    before it.
+    """Sums and differences of each pivot in [lo, hi) with the members
+    added before it.
 
     A pair is formed only when its two summands are sign-compatible on
     the columns of the packed mask old and opposed on some other
     column (the pairing rule of _complete).
     """
-    m = int(pivots.max())
-    rp, rn = state.posm[pivots][:, None], state.negm[pivots][:, None]
+    m = hi - 1
+    rp, rn = state.posm[lo:hi][:, None], state.negm[lo:hi][:, None]
     bp, bn = state.posm[:m][None], state.negm[:m][None]
     opp = (bp & rn) | (bn & rp)
     same = (bp & rp) | (bn & rn)
-    before = np.arange(m)[None] < pivots[:, None]
+    before = np.arange(m)[None] < np.arange(lo, hi)[:, None]
     pi, ti = np.nonzero(before & ~(opp & old).any(axis=2) & (opp & ~old).any(axis=2))
     di, tj = np.nonzero(before & ~(same & old).any(axis=2) & (same & ~old).any(axis=2))
     arr = state.arr
-    return np.vstack([arr[ti] + arr[pivots[pi]], arr[tj] - arr[pivots[di]]])
+    return np.vstack([arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]])
 
 
 def _complete(seeds: list[Vec], n: int,
@@ -287,11 +264,24 @@ def _complete(seeds: list[Vec], n: int,
     once); with fixed = n - 1 it is the critical-pair rule of a lift
     step (see compute_graver).
 
-    Pivots pair in rounds: a round pairs every pending pivot with the
-    members added before it, so each pair is formed once, when its
-    later member is the pivot, and absorb then adds the round's normal
-    forms.  A round that _PAIR_BATCH cuts short leaves the other
-    pending pivots to the next.
+    Pivots pair in rounds.  The members not yet paired are always the
+    suffix [done, len(state)), and a round pairs the pivots [done, end)
+    with the members added before each, oldest pivot first, so each
+    pair is formed once, when its later member is the pivot.  end is
+    the largest that keeps the pivot-by-prefix mask within _PAIR_BATCH
+    entries, (end - done + 1) * end <= _PAIR_BATCH, and a round takes
+    at least one pivot.
+
+    The round's candidates then join as normal forms, batch-minimal
+    forms first.  The distinct forms (canonical representatives) of a
+    batch that no other form of the batch lies conformally below join
+    the set as one block, and the other forms reduce again against the
+    grown set.  Each kept form is irreducible against the set (a
+    normal form) and against the other kept forms, so every member is
+    irreducible when it enters.  Each form not kept has a kept form
+    below it, since the conformal order is transitive up to sign and
+    1-norms strictly drop along a chain of distinct forms, so each
+    re-reduction subtracts at least once and the loop ends.
 
     Returns the minimal members and (candidates formed, rounds).
     """
@@ -300,61 +290,32 @@ def _complete(seeds: list[Vec], n: int,
         state.add_block([canonical_rep(v) for v in seeds])
     # columns [0, fixed) as a packed sign mask
     old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0][0]
-    # (1-norm, pivot): small elements first; the pivot pairs with
-    # everything added before it
-    heap = [(norm, i) for i, norm in enumerate(state.norm[:len(state.vecs)].tolist())]
-    heapq.heapify(heap)
-
-    def absorb(cand: np.ndarray) -> None:
-        """Add the normal forms of the candidate rows, batch-minimal
-        forms first.
-
-        The distinct forms (canonical representatives) of a batch that
-        no other form of the batch lies conformally below join the set
-        as one block, and the other forms reduce again against the
-        grown set.  Each kept form is irreducible against the set (a
-        normal form) and against the other kept forms, so every member
-        is irreducible when it enters.  Each form not kept has a kept
-        form below it, since the conformal order is transitive up to
-        sign and 1-norms strictly drop along a chain of distinct forms,
-        so each re-reduction subtracts at least once and the loop ends.
-        """
-        work = cand
+    done = candidates = rounds = 0
+    while done < len(state):
+        end = done + 1
+        while end < len(state) and (end - done + 1) * end <= _PAIR_BATCH:
+            end += 1
+        work = _pop_candidates(state, done, end, old)
+        done = end
+        candidates += len(work)
+        rounds += 1
         while len(work):
             forms = _batch_normal_form(state, work)
             forms = list(dict.fromkeys(map(canonical_rep, forms)))
             if not forms:
-                return
-            keep = conformally_minimal(forms, state.n)
-            base = state.add_block(keep)
-            for i, norm in enumerate(state.norm[base:base + len(keep)].tolist(), base):
-                heapq.heappush(heap, (norm, i))
+                break
+            keep = conformally_minimal(forms, n)
+            state.add_block(keep)
             kept = set(keep)
             # the block may have turned the set's arrays to object
             work = np.array([v for v in forms if v not in kept], dtype=state.arr.dtype)
-
-    candidates = rounds = 0
-    while heap:
-        # a round pairs every pending pivot, lightest first, while its
-        # pivot-by-prefix mask stays under _PAIR_BATCH entries
-        batch = [heapq.heappop(heap)[1]]
-        top = batch[0]
-        while heap and (len(batch) + 1) * max(top, heap[0][1]) <= _PAIR_BATCH:
-            top = max(top, heap[0][1])
-            batch.append(heapq.heappop(heap)[1])
-        cand = _pop_candidates(state, np.array(batch), old)
-        candidates += len(cand)
-        rounds += 1
-        absorb(cand)
     return _minimal_filter(state), (candidates, rounds)
 
 
 def _minimal_filter(state: _Completion) -> list[Vec]:
     """Keep the members with no other member conformally below them."""
-    m = len(state.vecs)
-    red, _ = _find_below(state, state.arr[:m], state.posm[:m], state.negm[:m],
-                         strict=True)
-    return [state.vecs[i] for i in np.nonzero(red < 0)[0]]
+    red, _ = _find_below(state, state.arr, state.posm, state.negm, strict=True)
+    return [tuple(v) for v in state.arr[red < 0].tolist()]
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -474,9 +435,12 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
     det, lift = _lift_map(basis, sigma, order)
     if abs(det) == 1:
         current = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+        candidates = rounds = 0
     else:
-        current, _ = _complete([tuple(row[j] for j in sigma) for row in basis], r, 0)
-    logger.debug("start: columns %s, |det| %d, %d elements", sigma, abs(det), len(current))
+        current, (candidates, rounds) = _complete(
+            [tuple(row[j] for j in sigma) for row in basis], r, 0)
+    logger.debug("start: columns %s, |det| %d, %d candidates, %d rounds, %d elements",
+                 sigma, abs(det), candidates, rounds, len(current))
     for d in range(r + 1, n + 1):
         lifted = _lift_column(current, [row[d - 1] for row in lift], det)
         current, (candidates, rounds) = _complete(lifted, d, d - 1)

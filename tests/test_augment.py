@@ -186,6 +186,16 @@ class TestSolve:
         with pytest.raises(InfeasibleStartError):
             solve(square_pair, pair_test_set(), (0, 5, 5))
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_cap_rejected(self, square_pair, cap):
+        # a walk allowed no step would report a bounded instance as
+        # suspected unbounded
+        with pytest.raises(ValueError, match="step cap"):
+            solve(square_pair, pair_test_set(), (5, 3), cap=cap)
+        bounded = CipInstance(FREE2, (), (2, 2), square_pair.objective)
+        with pytest.raises(ValueError, match="step cap"):
+            solve_bounded(bounded, (1, 1), cap=cap)
+
 
 class TestCompatibility:
     def test_wrong_dimension_rejected(self, square_pair):

@@ -1,5 +1,6 @@
 import json
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from graveropt.core import IntMatrix, parse_int_matrix
 from graveropt.objective import linear_objective, parse_objective
 from graveropt.testset import TestSet, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def put(tmp_path, name, text):
@@ -184,6 +187,15 @@ class TestSolveCommand:
         ts = pair_directions_file(tmp_path)
         assert main(["solve", inst, start, "--testset", ts]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_exits_2(self, cap, capsys):
+        # the instance is bounded, optimal at 1 0 4 1 with the default cap
+        inst, start = str(GOLDEN / "bounded.cip"), str(GOLDEN / "start.vec")
+        for extra in ([], ["--slack-bounds"]):
+            assert main(["solve", inst, start, "--cap", cap] + extra) == 2
+            captured = capsys.readouterr()
+            assert "step cap" in captured.err and captured.out == ""
 
     def test_json_report(self, tmp_path, capsys):
         inst = self.instance_file(tmp_path)

@@ -253,7 +253,6 @@ class TestConformallyMinimal:
         rng = random.Random(n)
         caps = (graver._FILTER_ELEMS, 64)
         limits = (graver._FAST_ABS_LIMIT, 4)
-        chunks = (graver._ELEM_CHUNK, 16)
         for size in sizes:
             vectors = random_canonical_set(rng, size, n, weight)
             want = naive_minimal(vectors)
@@ -261,15 +260,13 @@ class TestConformallyMinimal:
                 assert 0 < len(want) < size
             # the default temporaries, then blocks of a row or two and
             # many magnitude-check slices; int64 arrays, then object
-            # arrays from the first member of 1-norm 4 on; one scan
-            # chunk, then many
-            for cap, limit, chunk in product(caps, limits, chunks):
+            # arrays from the first member of 1-norm 4 on
+            for cap, limit in product(caps, limits):
                 monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
                 monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", limit)
-                monkeypatch.setattr(graver, "_ELEM_CHUNK", chunk)
                 got = conformally_minimal(vectors, n)
                 assert len(got) == len(set(got)) and set(got) == want, \
-                    (n, size, cap, limit, chunk)
+                    (n, size, cap, limit)
 
     def test_filter_transient_stays_small(self):
         # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted
@@ -299,19 +296,19 @@ class TestAgainstOracle:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(small_matrices)
     def test_random_small_matrices(self, a):
-        # the default bound, then object arrays from 1-norm 4 on; one
-        # scan chunk, then chunks of 2 members (these completions hold
-        # at most 9, so larger chunks would never split them); whole
-        # pairing rounds, then one pivot per round
-        for limit, chunk, batch in product((graver._FAST_ABS_LIMIT, 4),
-                                           (graver._ELEM_CHUNK, 2),
-                                           (graver._PAIR_BATCH, 1)):
+        # the default bound, then object arrays from 1-norm 4 on; the
+        # default temporaries, then one-row scan blocks and one-pair
+        # magnitude slices; whole pairing rounds, then one pivot per
+        # round
+        for limit, cap, batch in product((graver._FAST_ABS_LIMIT, 4),
+                                         (graver._FILTER_ELEMS, 1),
+                                         (graver._PAIR_BATCH, 1)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(graver, "_FAST_ABS_LIMIT", limit)
-                mp.setattr(graver, "_ELEM_CHUNK", chunk)
+                mp.setattr(graver, "_FILTER_ELEMS", cap)
                 mp.setattr(graver, "_PAIR_BATCH", batch)
                 assert verify_against_oracle(a, compute_graver(a)), \
-                    (a.entries, limit, chunk, batch)
+                    (a.entries, limit, cap, batch)
 
     def test_absorb_reduces_a_form_again(self, monkeypatch):
         # some batch of normal forms holds a form with another form of
@@ -507,19 +504,29 @@ class TestProjectAndLift:
         assert got == [(big, 3, 2 * big + 3), (-1, 2, 0)]
 
     def test_one_log_line_per_lift_step(self, caplog):
-        a = IntMatrix.from_rows([[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]])
-        with caplog.at_level(logging.DEBUG, logger="graveropt.graver"):
-            basis = compute_graver(a)
-        records = [r for r in caplog.records if r.name == "graveropt.graver"]
-        start, steps = records[0], records[1:]
-        assert start.getMessage().startswith("start: columns [")
-        assert len(steps) == a.cols - 3   # kernel rank 3
-        previous = start.args[-1]
-        for k, rec in enumerate(steps, 1):
-            step, column, elements_in, candidates, rounds, elements_out = rec.args
-            assert rec.levelno == logging.DEBUG
-            assert step == k and 0 <= column < a.cols
-            assert elements_in == previous and candidates >= 0 and rounds >= 1
-            previous = elements_out
-        assert previous == len(basis)
-        assert sorted(start.args[0] + [r.args[1] for r in steps]) == list(range(a.cols))
+        # a unit start, then a start of |det| 5 that needs a completion
+        for rows, rank, det in (([[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]], 3, 1),
+                                ([[2, 3, 5]], 2, 5)):
+            a = IntMatrix.from_rows(rows)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="graveropt.graver"):
+                basis = compute_graver(a)
+            records = [r for r in caplog.records if r.name == "graveropt.graver"]
+            start, steps = records[0], records[1:]
+            assert start.getMessage().startswith("start: columns [")
+            columns, start_det, candidates, rounds, _ = start.args
+            assert start_det == det
+            if det == 1:
+                assert candidates == rounds == 0
+            else:
+                assert candidates > 0 and rounds >= 1
+            assert len(steps) == a.cols - rank
+            previous = start.args[-1]
+            for k, rec in enumerate(steps, 1):
+                step, column, elements_in, candidates, rounds, elements_out = rec.args
+                assert rec.levelno == logging.DEBUG
+                assert step == k and 0 <= column < a.cols
+                assert elements_in == previous and candidates >= 0 and rounds >= 1
+                previous = elements_out
+            assert previous == len(basis)
+            assert sorted(columns + [r.args[1] for r in steps]) == list(range(a.cols))
