@@ -13,19 +13,14 @@ kernel vector of the projection is a sign-compatible sum of set
 members, so the conformally minimal members are exactly its Graver
 basis.
 
-The completion runs in rounds.  A round pairs the pending elements,
-oldest first, with the members added before each, and the candidates
-of the round reduce in one batch.  Of their normal forms, those that
-no other form of the batch lies conformally below join the set as one
-block; they are irreducible against the set and against each other,
-and every other form has one of them below it, so it reduces again
-against the grown set and strictly shrinks.  One scan over the
-members in ascending 1-norm, _find_below, serves both the reduction and the final minimality filter: packed
-sign bitmasks prefilter pairs of rows and members so the magnitude
-comparison only runs on the few sign-compatible ones.  One code path
-serves every integer size: the entry matrix is int64 while the
-members' 1-norms stay below _FAST_ABS_LIMIT and holds Python ints
-(dtype object) from then on.
+The completion runs in rounds (_complete): a round's candidates reduce
+in one batch, and their normal forms that no other form of the batch
+lies below join the set as one block.  One scan over the members in
+ascending 1-norm, _find_below, serves both the reduction and the final
+minimality filter: packed sign bitmasks prefilter (row, member) pairs
+so the magnitude comparison only runs on the few sign-compatible ones.
+A reduction stops at the lightest member below its row; the filter
+stops meeting the members it has found non-minimal.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -75,22 +70,26 @@ class GraverBasis:
         return sorted(self.elements)
 
 
-def _pack_signs(mat: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row sign patterns as little-endian uint64 bitmask words."""
-    bits = np.zeros((2, mat.shape[0], words * 64), dtype=bool)
-    bits[0, :, :mat.shape[1]] = mat > 0
-    bits[1, :, :mat.shape[1]] = mat < 0
-    packed = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
-    return packed[0], packed[1]
+def _pack_signs(mat: np.ndarray, words: int) -> np.ndarray:
+    """Row sign patterns as uint64 words: column j sets bit j % 32 of
+    word j // 32 where positive, bit 32 + j % 32 where negative."""
+    bits = np.zeros((len(mat), 2, words * 32), dtype=bool)
+    bits[:, 0, :mat.shape[1]], bits[:, 1, :mat.shape[1]] = mat > 0, mat < 0
+    bits = bits.reshape(len(mat), 2, words, 32).transpose(0, 2, 1, 3)
+    return np.packbits(bits.reshape(len(mat), words, 64), axis=2,
+                       bitorder="little").view(np.uint64)[:, :, 0]
 
 
-def _sign_fits(gp: np.ndarray, gn: np.ndarray, cp: np.ndarray,
-               cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(plus, minus) over the broadcast mask rows: whether each g has
-    its support inside c's with the signs of c, and of -c."""
-    plus = (((gp & ~cp) | (gn & ~cn)) == 0).all(axis=2)
-    minus = (((gp & ~cn) | (gn & ~cp)) == 0).all(axis=2)
-    return plus, minus
+def _flip(masks: np.ndarray) -> np.ndarray:
+    """The masks of the negated rows: each word's halves swap."""
+    return (masks >> np.uint64(32)) | (masks << np.uint64(32))
+
+
+def _sign_fits(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) over the broadcast mask rows, words on the last axis:
+    whether each g has its support inside c's with the signs of c, and of -c."""
+    fits = ((g & ~c) == 0, (g & ~_flip(c)) == 0)
+    return tuple(f[..., 0] if f.shape[-1] == 1 else f.all(axis=-1) for f in fits)
 
 
 def _subtract_max_multiple(w: np.ndarray, wabs: np.ndarray, g: np.ndarray,
@@ -110,13 +109,11 @@ class _Completion:
     """Working state of the completion run.
 
     Members are stored once per +/- pair (canonical representative),
-    in insertion order, and never removed.  Plain NumPy arrays hold
-    them for the vectorized scans: the entry matrix arr, the members'
-    1-norms, and packed sign bitmasks used as a compatibility
-    prefilter.  order lists the members by ascending 1-norm (stable),
-    so the small vectors that do nearly all reductions are tried first
-    and a row only meets the members whose norm does not exceed its
-    own.
+    in insertion order, and never removed.  NumPy arrays hold their
+    entries arr, 1-norms norm and sign masks mask (_pack_signs) for the
+    vectorized scans; order lists them by ascending 1-norm (stable), so
+    the light members that do nearly all reductions come first and a
+    row only meets the members no heavier than itself.
 
     arr and the norms are int64 while every member's 1-norm is below
     _FAST_ABS_LIMIT; then each entry, norm and pair sum fits in int64.
@@ -126,42 +123,47 @@ class _Completion:
 
     def __init__(self, n: int):
         self.n = n
-        self.words = (n + 63) // 64
+        self.words = (n + 31) // 32
         self.arr = np.zeros((0, n), dtype=np.int64)
         self.norm = np.zeros(0, dtype=np.int64)
-        self.posm = np.zeros((0, self.words), dtype=np.uint64)
-        self.negm = np.zeros((0, self.words), dtype=np.uint64)
+        self.mask = np.zeros((0, self.words), dtype=np.uint64)
         self.order = np.zeros(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.arr)
 
-    def add_block(self, rows: list[Vec]) -> None:
-        """Append canonical nonzero rows in one batch."""
-        norms = [sum(map(abs, v)) for v in rows]
-        if max(norms) >= _FAST_ABS_LIMIT and self.arr.dtype != object:
-            self.arr = self.arr.astype(object)
-            self.norm = self.norm.astype(object)
-        mat = np.array(rows, dtype=self.arr.dtype)
-        p, q = _pack_signs(mat, self.words)
+    def add_block(self, rows) -> None:
+        """Append canonical nonzero rows (tuples, or an int64 or object array) at
+        once; norms sum in int64 only if max|entry| * n < _FAST_ABS_LIMIT."""
+        if (isinstance(rows, np.ndarray) and rows.dtype != object
+                and int(np.abs(rows).max(initial=0)) * self.n < _FAST_ABS_LIMIT):
+            mat = rows.astype(self.arr.dtype, copy=False)
+            norms = np.abs(rows).sum(axis=1).astype(self.norm.dtype, copy=False)
+        else:
+            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            norms = [sum(map(abs, v)) for v in rows]
+            if max(norms) >= _FAST_ABS_LIMIT and self.arr.dtype != object:
+                self.arr = self.arr.astype(object)
+                self.norm = self.norm.astype(object)
+            mat = np.array(rows, dtype=self.arr.dtype)
+            norms = np.array(norms, dtype=self.norm.dtype)
         self.arr = np.concatenate([self.arr, mat])
-        self.norm = np.concatenate([self.norm, np.array(norms, dtype=self.norm.dtype)])
-        self.posm = np.concatenate([self.posm, p])
-        self.negm = np.concatenate([self.negm, q])
+        self.norm = np.concatenate([self.norm, norms])
+        self.mask = np.concatenate([self.mask, _pack_signs(mat, self.words)])
         self.order = np.argsort(self.norm, kind="stable")
 
 
-def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
-                rneg: np.ndarray, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
+                strict: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """Per row: the index of a member conformally below the row (sign
     +1) or below its negation (sign -1), and that sign; index -1 where
-    no member is.
+    no member is.  Also the (row, member) pairs the sign prefilter met.
 
     With strict, only members of smaller 1-norm count.  A member
     conformally below a vector of equal 1-norm equals it up to sign, so
     this keeps a member's own row out when the rows are the members.
 
-    The rows' packed sign masks rpos, rneg (_pack_signs) prefilter the
+    The rows' packed sign masks rmask (_pack_signs) prefilter the
     pairs (support containment with agreeing signs), and entrywise
     magnitudes confirm the survivors.  Rows go in ascending 1-norm, so
     a block of them only meets the prefix of the norm-sorted members up
@@ -170,11 +172,23 @@ def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
     elements while the set has at most _FILTER_ELEMS / words members
     (a block holds at least one row, and that row meets the whole
     sorted prefix).
+
+    A reduction scan meets that prefix in chunks of 64, 64, 128, ...
+    members; a row leaves after the first chunk holding a member below
+    it, so it still gets the first in norm order.
+
+    A strict scan's rows must be the members, in member order.  After
+    each row block, the members that block found a member below leave
+    the prefix that later blocks meet.  The verdicts stay exact: if a
+    dropped w lies below v up to sign, some minimal w' lies below w,
+    so below v, and w' has a smaller 1-norm than w and is never
+    dropped.  Only the reducer index can change, and strict callers
+    read the verdict alone.
     """
     red = np.full(len(rows), -1, dtype=np.intp)
     sign = np.zeros(len(rows), dtype=np.int64)
     if not len(rows):
-        return red, sign
+        return red, sign, 0
     rabs = np.abs(rows)
     # the largest member 1-norm each row may meet
     reach = rabs.sum(axis=1) - int(strict)
@@ -183,30 +197,41 @@ def _find_below(state: _Completion, rows: np.ndarray, rpos: np.ndarray,
     inorm = state.norm[idx]
     # rows lighter than every member meet none of them
     pending = by_reach[np.searchsorted(reach[by_reach], inorm[0]):]
-    gp, gn = state.posm[idx], state.negm[idx]
+    gm = state.mask[idx]
     step = max(1, _FILTER_ELEMS // (idx.size * state.words))
     pair_step = max(1, _FILTER_ELEMS // state.n)
+    met = 0
     for start in range(0, pending.size, step):
+        if strict and start:
+            live = red[idx] < 0
+            idx, inorm, gm = idx[live], inorm[live], gm[live]
         blk = pending[start:start + step]
-        k = np.searchsorted(inorm, reach[blk[-1]], side="right")
-        cut = idx[:k]
-        plus, minus = _sign_fits(gp[None, :k], gn[None, :k],
-                                 rpos[blk][:, None, :], rneg[blk][:, None, :])
-        ci, gi = np.nonzero(plus | minus)
-        light = inorm[gi] <= reach[blk[ci]]
-        ci, gi = ci[light], gi[light]
-        for s in range(0, ci.size, pair_step):
-            c, g = ci[s:s + pair_step], gi[s:s + pair_step]
-            ok = (np.abs(state.arr[cut[g]]) <= rabs[blk[c]]).all(axis=1)
-            c, g = c[ok], g[ok]
-            # pairs come row by row: take each unmatched row's first
-            first = np.ones(c.size, dtype=bool)
-            first[1:] = c[1:] != c[:-1]
-            first &= red[blk[c]] < 0
-            c, g = c[first], g[first]
-            red[blk[c]] = cut[g]
-            sign[blk[c]] = np.where(plus[c, g], 1, -1)
-    return red, sign
+        k = int(np.searchsorted(inorm, reach[blk[-1]], side="right"))
+        lo, hi = 0, k if strict else min(k, 64)
+        while blk.size:
+            met += blk.size * (hi - lo)
+            cut = idx[lo:hi]
+            plus, minus = _sign_fits(gm[None, lo:hi], rmask[blk][:, None])
+            ci, gi = np.nonzero(plus | minus)
+            light = inorm[lo + gi] <= reach[blk[ci]]
+            ci, gi = ci[light], gi[light]
+            for s in range(0, ci.size, pair_step):
+                c, g = ci[s:s + pair_step], gi[s:s + pair_step]
+                ok = (np.abs(state.arr[cut[g]]) <= rabs[blk[c]]).all(axis=1)
+                c, g = c[ok], g[ok]
+                # pairs come row by row: take each unmatched row's first
+                first = np.ones(c.size, dtype=bool)
+                first[1:] = c[1:] != c[:-1]
+                first &= red[blk[c]] < 0
+                c, g = c[first], g[first]
+                red[blk[c]] = cut[g]
+                sign[blk[c]] = np.where(plus[c, g], 1, -1)
+            if hi == k:
+                break
+            # the unmatched rows that reach the next member go on
+            blk = blk[(red[blk] < 0) & (reach[blk] >= inorm[hi])]
+            lo, hi = hi, min(k, 2 * hi)
+    return red, sign, met
 
 
 def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
@@ -218,8 +243,8 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
     out: list[Vec] = []
     work = cand
     while len(work):
-        red, sign = _find_below(state, work, *_pack_signs(work, state.words),
-                                strict=False)
+        red, sign, _ = _find_below(state, work, _pack_signs(work, state.words),
+                                   strict=False)
         done = red < 0
         out.extend(tuple(r) for r in work[done].tolist())
         live = ~done
@@ -241,10 +266,8 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
     column (the pairing rule of _complete).
     """
     m = hi - 1
-    rp, rn = state.posm[lo:hi][:, None], state.negm[lo:hi][:, None]
-    bp, bn = state.posm[:m][None], state.negm[:m][None]
-    opp = (bp & rn) | (bn & rp)
-    same = (bp & rp) | (bn & rn)
+    r, b = state.mask[lo:hi][:, None], state.mask[:m][None]
+    opp, same = b & _flip(r), b & r
     before = np.arange(m)[None] < np.arange(lo, hi)[:, None]
     pi, ti = np.nonzero(before & ~(opp & old).any(axis=2) & (opp & ~old).any(axis=2))
     di, tj = np.nonzero(before & ~(same & old).any(axis=2) & (same & ~old).any(axis=2))
@@ -288,8 +311,8 @@ def _complete(seeds: list[Vec], n: int,
     state = _Completion(n)
     if seeds:
         state.add_block([canonical_rep(v) for v in seeds])
-    # columns [0, fixed) as a packed sign mask
-    old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0][0]
+    # columns [0, fixed), either sign, as a packed mask
+    old = np.bitwise_or.reduce(_pack_signs(np.outer((1, -1), np.arange(n) < fixed), state.words))
     done = candidates = rounds = 0
     while done < len(state):
         end = done + 1
@@ -309,13 +332,13 @@ def _complete(seeds: list[Vec], n: int,
             kept = set(keep)
             # the block may have turned the set's arrays to object
             work = np.array([v for v in forms if v not in kept], dtype=state.arr.dtype)
-    return _minimal_filter(state), (candidates, rounds)
+    return list(map(tuple, _minimal_filter(state)[0].tolist())), (candidates, rounds)
 
 
-def _minimal_filter(state: _Completion) -> list[Vec]:
-    """Keep the members with no other member conformally below them."""
-    red, _ = _find_below(state, state.arr, state.posm, state.negm, strict=True)
-    return [tuple(v) for v in state.arr[red < 0].tolist()]
+def _minimal_filter(state: _Completion) -> tuple[np.ndarray, int]:
+    """Rows of the members no other lies conformally below; the scan's pair count."""
+    red, _, met = _find_below(state, state.arr, state.mask, strict=True)
+    return state.arr[red < 0], met
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -536,12 +559,13 @@ def conformally_minimal(vectors, n: int) -> list[Vec]:
     """Members of a set of distinct canonical vectors with no other
     member conformally below them (up to sign).
 
-    Runs the completion's vectorized sign-mask scan over the given set.
+    Runs the completion's strict scan (_find_below) over the given set;
+    it meets about len(vectors) * (kept + one row block) pairs.
     """
     state = _Completion(n)
     if vectors:
         state.add_block(list(vectors))
-    return _minimal_filter(state)
+    return list(map(tuple, _minimal_filter(state)[0].tolist()))
 
 
 def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:

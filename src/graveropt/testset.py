@@ -9,24 +9,28 @@ the Graver basis of A and is in general strictly larger.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (IntMatrix, ParseError, Vec, canonical_rep, hstack,
                    parse_int_matrix, vstack)
-from .graver import (box_kernel_vectors, compute_graver, conformally_minimal,
+from .graver import (_Completion, _minimal_filter, box_kernel_vectors, compute_graver,
                      project_first_n)
+
+logger = logging.getLogger(__name__)
 
 
 # Past this many box kernel vectors (or n times as many partial
 # assignments of the search), box_test_set builds the full lifted basis
-# instead.  On a 2-core host the box path costs about 60 us per
-# candidate, while the completion costs a fixed amount per (A, C): 0.0003 s
-# to 0.25 s over the acceptance battery's 50 bounded quadratics, and
-# 0.015 s for the walk-dense family.  At 4096 the box path's worst case
-# stays near 0.25 s, and no assignment or bounded quadratic of the
-# acceptance battery (at most 1200 candidates) reaches it.
+# instead.  On a 2-core host the box path costs 5 to 7 us per candidate
+# on sets of 500 or more (12 to 23 ms for the 3280 of |z_j| <= 4 in Z^4);
+# the completion costs 0.0003 s to 0.25 s per (A, C) over the acceptance
+# battery's 50 bounded quadratics, none past 1200 candidates.  A higher
+# limit would now be cheap, but it would change which path serves an
+# instance, so the limit stays.
 BOX_CANDIDATE_LIMIT = 4096
 
 
@@ -53,7 +57,11 @@ class TestSet:
         return len(self.directions)
 
     def sorted_directions(self) -> list[Vec]:
-        return sorted(self.directions)
+        return list(self._sorted)
+
+    @cached_property
+    def _sorted(self) -> tuple[Vec, ...]:  # not a field: == and hash ignore it
+        return tuple(sorted(self.directions))
 
 
 def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
@@ -115,9 +123,12 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int |
         dtype = np.int64 if reach <= np.iinfo(np.int64).max else object
         z = np.array(cands, dtype=dtype).reshape(len(cands), a.cols)
         cm = np.array(c.entries, dtype=dtype).reshape(c.rows, c.cols)
-        lifted = np.hstack([z, -(z @ cm.T)]).tolist()
-        kept = conformally_minimal(list(map(tuple, lifted)), a.cols + c.rows)
-        dirs = frozenset(v[:a.cols] for v in kept)
+        state = _Completion(a.cols + c.rows)
+        state.add_block(np.hstack([z, -(z @ cm.T)]))
+        kept, met = _minimal_filter(state)
+        dirs = frozenset(map(tuple, kept[:, :a.cols].tolist()))
+        logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
+                     len(cands), len(kept), met)
     return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c), box=tuple(upper)), \
         None if cands is None else len(cands)
 

@@ -247,7 +247,7 @@ def random_canonical_set(rng, size, n, weight):
 class TestConformallyMinimal:
     @pytest.mark.parametrize("n, weight, sizes", [
         (6, 4, (1, 2, 40, 700, 1500)),     # one sign-mask word
-        (70, 4, (1, 40, 1500)),            # two words
+        (70, 4, (1, 40, 1500)),            # three words
     ])
     def test_matches_naive_filter(self, monkeypatch, n, weight, sizes):
         rng = random.Random(n)

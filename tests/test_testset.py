@@ -1,10 +1,13 @@
+import logging
 import random
 
 import pytest
 
-from graveropt.core import IntMatrix, ParseError
+from graveropt import graver
+from graveropt.core import IntMatrix, ParseError, conformal_leq
 from graveropt.graver import compute_graver, graver_oracle, project_first_n
 from graveropt.testset import (
+    TestSet,
     box_test_set,
     build_lifted_matrix,
     build_split_matrix,
@@ -129,6 +132,72 @@ class TestBoxTestSet:
                  if all(abs(x) <= u for x, u in zip(d, (2, 1, 2)))}
         assert candidates == 37 and got.directions == boxed
 
+    def test_norms_exact_past_int64(self):
+        # every lifted entry fits in int64 and every lifted 1-norm
+        # passes 2^63; all four candidates are minimal
+        b = (1 << 62) - 1
+        c = ((b, b), (b, -b), (b, b))
+        got, candidates = box_test_set(IntMatrix.zero(0, 2), IntMatrix.from_rows(c), (1, 1))
+        boxed = [(1, 0), (0, 1), (1, 1), (1, -1)]
+        lifted = [z + tuple(-(x * z[0] + y * z[1]) for x, y in c) for z in boxed]
+        minimal = {v[:2] for v in lifted
+                   if not any(g != v and (conformal_leq(g, v)
+                                          or conformal_leq(g, tuple(-x for x in v)))
+                              for g in lifted)}
+        assert candidates == 4 and got.directions == minimal == set(boxed)
+
+    def test_pruned_scan_matches_boxed_completion(self, monkeypatch):
+        # boxes of 3 over 4 and 5 columns, several hundred candidates
+        # each; the default scan blocks, then blocks of one or two rows,
+        # so non-minimal members leave the scan after nearly every row
+        rng = random.Random(5)
+        shapes = []
+        while len(shapes) < 4:
+            cols = 4 + len(shapes) % 2
+            a = random_int_matrix(rng, cols - 4, cols, -1, 2)
+            c = random_int_matrix(rng, rng.randint(1, 2), cols, -1, 2)
+            boxed = {d for d in compute_test_set(a, c).directions if max(map(abs, d)) <= 3}
+            shapes.append((a, c, boxed))
+        for cap in (graver._FILTER_ELEMS, 1 << 10):
+            monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
+            for a, c, boxed in shapes:
+                got, candidates = box_test_set(a, c, (3,) * a.cols)
+                assert candidates >= 300 and len(got) < candidates, (a.entries, c.entries)
+                assert got.directions == boxed, (a.entries, c.entries, cap)
+
+    def test_debug_line_counts_prefilter_pairs(self, caplog, monkeypatch):
+        # the 3280 canonical vectors of the box |z_j| <= 4 in Z^4, lifted
+        # by two composition rows
+        c = ((2, -1, 1, 0), (1, 1, -2, 3))
+        met = []
+        fits = graver._sign_fits
+
+        def spy(*masks):
+            plus, minus = fits(*masks)
+            met.append(plus.size)
+            return plus, minus
+
+        monkeypatch.setattr(graver, "_sign_fits", spy)
+        with caplog.at_level(logging.DEBUG, logger="graveropt.testset"):
+            got, candidates = box_test_set(IntMatrix.zero(0, 4), IntMatrix.from_rows(c),
+                                           (4, 4, 4, 4))
+        records = [r for r in caplog.records if r.name == "graveropt.testset"]
+        assert len(records) == 1
+        assert records[0].getMessage() == \
+            "box: 3280 candidates, 48 kept, 185933 sign-prefilter pairs"
+        assert candidates == 3280 and len(got) == 48 and sum(met) == 185933
+        # the scan without dropping: one-member-word blocks of 2^17 //
+        # 3280 rows in ascending 1-norm, each meeting every member up to
+        # the largest norm of its rows less one
+        norms = sorted(sum(map(abs, z)) + sum(abs(sum(x * y for x, y in zip(row, z)))
+                                              for row in c)
+                       for z in graver.box_kernel_vectors(IntMatrix.zero(0, 4), (4,) * 4))
+        reach = [x - 1 for x in norms if x > norms[0]]
+        step = (1 << 17) // len(norms)
+        unpruned = sum(len(reach[s:s + step]) * sum(x <= reach[s:s + step][-1] for x in norms)
+                       for s in range(0, len(reach), step))
+        assert unpruned == 5261145 > 185933
+
     def test_wide_triple_unit_box(self):
         got, _ = box_test_set(ZERO3, WIDE_TRIPLE, (1, 1, 1))
         assert got.directions == WIDE_TRIPLE_BOXED
@@ -160,6 +229,16 @@ class TestSetInvariants:
             a = random_int_matrix(rng, rng.randint(0, 2), rng.randint(2, 3))
             c = random_int_matrix(rng, rng.randint(1, 2), a.cols)
             assert compute_graver(a).elements <= compute_test_set(a, c).directions
+
+    def test_sorted_once_keeps_equality_and_hash(self):
+        t = compute_test_set(ZERO3, SUM_PAIR)
+        twin = TestSet(t.dimension, t.directions, t.lift_rows, t.provenance)
+        first = t.sorted_directions()
+        first.append((9, 9, 9))
+        assert t.sorted_directions() == sorted(SUM_PAIR_SET)
+        assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+        with pytest.raises(AttributeError):
+            t.directions = frozenset()
 
 
 class TestBuildSplitMatrix:
