@@ -15,14 +15,11 @@ import enum
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
-from .core import (IntMatrix, ParseError, Vec, hstack, negate, parse_int_matrix,
-                   parse_int_vector, vstack)
-from .objective import (DiscreteConvexFn, SeparableObjective, format_objective,
-                        parse_objective)
-from .testset import BOX_CANDIDATE_LIMIT, TestSet, box_test_set, compute_test_set
+from .core import IntMatrix, ParseError, Vec, parse_int_matrix, parse_int_vector
+from .objective import SeparableObjective, parse_objective
+from .testset import TestSet, box_test_set, compute_test_set
 
 logger = logging.getLogger(__name__)
 
@@ -262,70 +259,6 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
     return best
 
 
-def find_feasible_point(inst: CipInstance, box: Vec) -> Vec | None:
-    """First feasible point in the box by the same pruned enumeration."""
-    try:
-        probe = CipInstance(inst.a, inst.b, inst.upper,
-                            SeparableObjective(inst.n, (), (Fraction(0),) * inst.n))
-        z, _ = brute_force_optimum(probe, box)
-        return z
-    except ValueError:
-        return None
-
-
-def binary_split_minimum(g: DiscreteConvexFn, p: int, k: int) -> Fraction:
-    """Minimum of the 0/1 split of one piece at displacement p.
-
-    2k binary variables: x_j steps up with cost g(j) - g(j-1), y_j
-    steps down with cost g(-j) - g(-j+1); sum x - sum y must equal p.
-    Exhaustive, meant as an oracle for small k.  The optimal value
-    equals g(p) - g(0) whenever k >= |p|.
-    """
-    if k < abs(p):
-        raise ValueError("binary_split_minimum: k must be at least |p|")
-    best: Fraction | None = None
-    for bits in product((0, 1), repeat=2 * k):
-        x, y = bits[:k], bits[k:]
-        if sum(x) - sum(y) != p:
-            continue
-        cost = Fraction(0)
-        for j in range(1, k + 1):
-            if x[j - 1]:
-                cost += g.value(j) - g.value(j - 1)
-            if y[j - 1]:
-                cost += g.value(-j) - g.value(-j + 1)
-        if best is None or cost < best:
-            best = cost
-    assert best is not None
-    return best
-
-
-# ---------------------------------------------------------------------------
-# bounded instances, exactly: move the bounds into the constraints
-
-def slack_lifted(inst: CipInstance) -> CipInstance:
-    """Append z + s = upper rows; the result has no explicit bounds.
-
-    Directions computed for the lifted system respect the original
-    bounds through the slack block; solve_bounded reports its walks in
-    these coordinates and checks a 2n-column test set against it.
-    """
-    if inst.upper is None:
-        raise ValueError("slack_lifted: instance has no upper bounds")
-    n = inst.n
-    top = hstack(inst.a, IntMatrix.zero(inst.a.rows, n))
-    bottom = hstack(IntMatrix.identity(n), IntMatrix.identity(n))
-    a2 = vstack(top, bottom)
-    b2 = inst.b + tuple(inst.upper)
-    return CipInstance(a2, b2, None, inst.objective.extended(2 * n))
-
-
-def embed_slack(inst: CipInstance, z: Vec) -> Vec:
-    if inst.upper is None:
-        raise ValueError("embed_slack: instance has no upper bounds")
-    return tuple(z) + tuple(u - x for u, x in zip(inst.upper, z))
-
-
 def composition_matrix(inst: CipInstance) -> IntMatrix:
     """The objective's composition rows, deduplicated, zero rows dropped."""
     rows = []
@@ -345,75 +278,19 @@ def instance_test_set(inst: CipInstance) -> TestSet:
     a bounded one it is only the part that fits in the box |t_j| <= u_j,
     testset.box_test_set: a direction outside it moves some coordinate
     out of [0, u_j] in one unit step, so the walk never takes it and
-    its steps and endpoint are those of the full set.
+    its steps and endpoint are those of the full set.  The branch taken
+    is logged at INFO, by box_test_set for a bounded instance.
     """
     c = composition_matrix(inst)
-    if inst.upper is None:
-        base = compute_test_set(inst.a, c)
-        logger.info("test set: completion, %d directions", len(base))
-    else:
-        base, candidates = box_test_set(inst.a, c, inst.upper)
-        if candidates is None:
-            logger.info("test set: completion (box search over its %d-candidate "
-                        "budget), %d directions in the box", BOX_CANDIDATE_LIMIT, len(base))
-        else:
-            logger.info("test set: box, %d candidates, %d directions",
-                        candidates, len(base))
+    if inst.upper is not None:
+        return box_test_set(inst.a, c, inst.upper)
+    base = compute_test_set(inst.a, c)
+    logger.info("test set: completion, %d directions", len(base))
     return base
-
-
-def solve_bounded(inst: CipInstance, z0: Vec, best: bool = False,
-                  cap: int = 10 ** 6, t_set: TestSet | None = None) -> SolveReport:
-    """Solve a bounded instance; report in slack-lifted coordinates.
-
-    The walk runs once, on the instance itself with its box direction
-    set, and the report is mapped onto slack_lifted(inst): each step t
-    becomes (t, -t) and the optimum z becomes embed_slack(inst, z).
-    This is the walk the lifted instance would take on the mirrored
-    set.  There, max_feasible_step reads slack coordinate j as
-    (u_j - z_j) // (-t_j), which is the bound rule of the plain
-    instance; (t, -t) sorts and canonicalises exactly as t does; and
-    the objective ignores the slack block.  So the steps match one for
-    one.
-
-    t_set may cover the instance (n columns) or its slack lift (2n
-    columns); a lifted set is checked against the lifted matrix, which
-    forces each slack block to be minus the z block, and projected to
-    its z block.
-    """
-    if inst.upper is None:
-        raise ValueError("solve_bounded: instance has no upper bounds")
-    n = inst.n
-    if t_set is None:
-        t_set = instance_test_set(inst)
-    elif t_set.dimension == 2 * n:
-        # a kernel vector of the lifted matrix has slack block -z
-        check_compatible(slack_lifted(inst), t_set)
-        t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions),
-                        lift_rows=t_set.lift_rows)
-    report = solve(inst, t_set, z0, best=best, cap=cap)
-    steps = tuple(Step(s.direction + negate(s.direction), s.length, s.value_after)
-                  for s in report.steps)
-    return SolveReport(report.status, embed_slack(inst, report.optimum),
-                       report.value, steps)
 
 
 # ---------------------------------------------------------------------------
 # instance file format: sections A / b / upper (optional) / objective
-
-def format_instance(inst: CipInstance) -> str:
-    parts = ["A", "%d %d" % (inst.a.rows, inst.a.cols)]
-    parts.extend(" ".join(str(x) for x in r) for r in inst.a.entries)
-    parts.append("b")
-    if inst.b:
-        parts.append(" ".join(str(x) for x in inst.b))
-    if inst.upper is not None:
-        parts.append("upper")
-        parts.append(" ".join(str(x) for x in inst.upper))
-    parts.append("objective")
-    parts.append(format_objective(inst.objective).rstrip("\n"))
-    return "\n".join(parts) + "\n"
-
 
 def parse_instance(text: str) -> CipInstance:
     lines = [ln for ln in text.splitlines()

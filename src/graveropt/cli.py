@@ -15,18 +15,18 @@ import tempfile
 from fractions import Fraction
 
 from .augment import (CipInstance, InfeasibleStartError, SolveReport,
-                      SolveStatus, brute_force_optimum, instance_test_set,
-                      parse_instance, solve, solve_bounded)
-from .core import (IntMatrix, ParseError, format_int_matrix, parse_int_matrix,
-                   parse_int_vector, split_matrix_text)
+                      SolveStatus, Step, brute_force_optimum, instance_test_set,
+                      parse_instance, solve)
+from .core import (IntMatrix, ParseError, Vec, format_int_matrix, negate,
+                   parse_int_matrix, parse_int_vector, split_matrix_text)
 from .graver import compute_graver, verify_against_oracle
 from .objective import ScaledEvenPower, SeparableObjective, Term, format_objective
 from .qap import permutation_oracle, read_qaplib, solve_qap
 from .quadratic import (binary_identity_holds, binary_rephrase, is_psd,
                         parse_rat_matrix, parse_rat_vector, rat_matrix,
                         reconstruct, to_separable)
-from .testset import (build_split_matrix, compute_test_set, format_test_set,
-                      parse_test_set)
+from .testset import (TestSet, build_split_matrix, compute_test_set,
+                      format_test_set, parse_test_set)
 
 
 class VerificationError(Exception):
@@ -118,21 +118,40 @@ def cmd_ak(args) -> int:
     return 0
 
 
+def _slack_view(report: SolveReport, upper: Vec) -> SolveReport:
+    """The walk in the coordinates (z, u - z) of the slack lift z + s = u:
+    the walk the lift would take on the mirrored set, since its bound
+    rule on slack j is (u_j - z_j) // (-t_j), the plain instance's,
+    (t, -t) sorts and canonicalises as t does, and f ignores s."""
+    z = report.optimum
+    steps = tuple(Step(s.direction + negate(s.direction), s.length, s.value_after)
+                  for s in report.steps)
+    return SolveReport(report.status, z + tuple(u - x for u, x in zip(upper, z)),
+                       report.value, steps)
+
+
 def cmd_solve(args) -> int:
     _require_files(args.instance, args.start, args.testset)
     inst = parse_instance(_read(args.instance))
     z0 = parse_int_vector(_read(args.start))
-    t_set = parse_test_set(_read(args.testset)) if args.testset else None
-    if args.slack_bounds:
-        report = solve_bounded(inst, z0, best=args.best_improving,
-                               cap=args.cap, t_set=t_set)
-        optimum = report.optimum[:inst.n]
+    if args.slack_bounds and inst.upper is None:
+        raise ValueError("solve --slack-bounds: instance has no upper bounds")
+    if args.testset is None:
+        t_set = instance_test_set(inst)
     else:
-        if t_set is None:
-            t_set = instance_test_set(inst)
-        report = solve(inst, t_set, z0, best=args.best_improving, cap=args.cap)
-        optimum = report.optimum
-    _emit(_report_text(report, args.json), args.out)
+        t_set = parse_test_set(_read(args.testset))
+        if args.slack_bounds and t_set.dimension == 2 * inst.n:
+            # a kernel vector (t, s) of the slack lift [[A, 0], [I, I]] has
+            # s = -t; solve checks that t lies in ker A
+            n = inst.n
+            for d in t_set.directions:
+                if d[n:] != negate(d[:n]):
+                    raise ValueError("test set direction %s is not in the kernel of "
+                                     "the slack-lifted constraint matrix" % (d,))
+            t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions))
+    report = solve(inst, t_set, z0, best=args.best_improving, cap=args.cap)
+    shown = _slack_view(report, inst.upper) if args.slack_bounds else report
+    _emit(_report_text(shown, args.json), args.out)
     if args.verify:
         if report.status is not SolveStatus.OPTIMAL:
             raise VerificationError("solve: walk ended with status %s"
@@ -140,7 +159,7 @@ def cmd_solve(args) -> int:
         if args.box is not None:
             box = tuple(args.box)
         else:
-            peak = [max(a, b) for a, b in zip(z0, optimum)]
+            peak = [max(a, b) for a, b in zip(z0, report.optimum)]
             box = tuple(x + 5 for x in peak)
         _, best_val = brute_force_optimum(inst, box)
         if best_val != report.value:
@@ -251,7 +270,7 @@ def _selftest_solve(rng) -> bool:
         obj = SeparableObjective(n, terms,
                                  tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)))
         inst = CipInstance(a, a.mat_vec(zstar), upper, obj)
-        report = solve_bounded(inst, zstar)
+        report = solve(inst, instance_test_set(inst), zstar)
         _, best_val = brute_force_optimum(inst, upper)
         if report.status is not SolveStatus.OPTIMAL or report.value != best_val:
             return False
@@ -303,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("start")
     p.add_argument("--testset", help="precomputed direction set file")
     p.add_argument("--slack-bounds", action="store_true",
-                   help="move upper bounds into constraints (exact)")
+                   help="print the walk in the slack coordinates (z, u - z) of "
+                        "z + s = u; a 2n-column --testset holds rows (t, -t)")
     p.add_argument("--best-improving", action="store_true")
     p.add_argument("--cap", type=int, default=10 ** 6)
     p.add_argument("--verify", action="store_true",

@@ -1,7 +1,6 @@
 """Exact integer linear algebra primitives.
 
-All arithmetic uses Python's arbitrary-precision integers (and
-``fractions.Fraction`` where a division is unavoidable), so nothing
+All arithmetic uses Python's arbitrary-precision integers, so nothing
 here can overflow or round.  Vectors are plain tuples of ints; matrices
 are immutable row-major grids that remember their shape explicitly,
 because a 0xN matrix is meaningful (its kernel is all of Z^N).
@@ -10,7 +9,6 @@ because a 0xN matrix is meaningful (its kernel is all of Z^N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -148,26 +146,6 @@ def kernel_lattice_basis(a: IntMatrix) -> list[Vec]:
             u[r], u[j] = u[j], u[r]
             r += 1
     return [tuple(u[j]) for j in range(r, n)]
-
-
-def exact_rank(a: IntMatrix) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in a.entries]
-    rank = 0
-    for j in range(a.cols):
-        piv = next((i for i in range(rank, a.rows) if work[i][j]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        for i in range(a.rows):
-            if i != rank and work[i][j]:
-                f = work[i][j] / prow[j]
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -606,34 +606,3 @@ def project_first_n(vectors, n: int) -> frozenset[Vec]:
         if any(head):
             out.add(canonical_rep(head))
     return frozenset(out)
-
-
-def _expand_last_column(g: GraverBasis, s: int) -> GraverBasis:
-    """From the basis of (A|a), the basis of (A|a|s*a), s = -1 or 1.
-
-    Each element (u, p) splits its last entry p into every pair
-    (x, s*(p - x)) with x from 0 to p, which stays in the kernel since
-    x + s*s*(p - x) = p; the vector (0,..,0,1,-s) joins the set.  The
-    split column a must be nonzero: a zero column makes each of the two
-    new unit vectors a kernel element on its own, and (0,..,0,1,-s)
-    stops being minimal.
-    """
-    n = g.dimension - 1
-    out: set[Vec] = set()
-    for rep in g.elements:
-        for v in (rep, tuple(-x for x in rep)):
-            u, p = v[:n], v[n]
-            for x in range(min(p, 0), max(p, 0) + 1):
-                out.add(canonical_rep(u + (x, s * (p - x))))
-    out.add((0,) * n + (1, -s))
-    return GraverBasis(g.dimension + 1, frozenset(out))
-
-
-def expand_negated_column(g: GraverBasis) -> GraverBasis:
-    """From the basis of (A|a), the basis of (A|a|-a)."""
-    return _expand_last_column(g, -1)
-
-
-def expand_duplicated_column(g: GraverBasis) -> GraverBasis:
-    """From the basis of (A|a), the basis of (A|a|a)."""
-    return _expand_last_column(g, 1)

@@ -85,7 +85,8 @@ class PiecewiseTable(DiscreteConvexFn):
     increments maps j to g(j) - g(j-1).  Queries outside the window
     raise unless extend=True, which continues with the boundary
     increment (a convexity-preserving growth rule).  Tables are not
-    validated here; check_convex_window reports on them.
+    validated here; the objective parser rejects any table that
+    check_convex_window refuses over its whole window.
     """
 
     increments: tuple[tuple[int, Fraction], ...]
@@ -189,15 +190,6 @@ class SeparableObjective:
         total = sum((t.fn.value(t.argument(z)) for t in self.terms), Fraction(0))
         return total + sum((c * x for c, x in zip(self.linear, z)), Fraction(0))
 
-    def extended(self, total: int) -> "SeparableObjective":
-        """Same objective over a wider variable vector (zero padding)."""
-        if total < self.n:
-            raise ValueError("extended: cannot shrink")
-        pad = (0,) * (total - self.n)
-        terms = tuple(Term(t.fn, t.coeffs + pad, t.offset) for t in self.terms)
-        return SeparableObjective(total, terms,
-                                  self.linear + (Fraction(0),) * (total - self.n))
-
 
 def linear_objective(c: Sequence) -> SeparableObjective:
     cs = tuple(Fraction(x) for x in c)
@@ -246,7 +238,12 @@ def _parse_fn(text: str) -> DiscreteConvexFn:
             for cell in args:
                 j, _, v = cell.partition(":")
                 cells.append((int(j), Fraction(v)))
-            return PiecewiseTable(tuple(cells), extend=extend)
+            table = PiecewiseTable(tuple(cells), extend=extend)
+            lo, hi = table.increments[0][0], table.increments[-1][0]
+            if not check_convex_window(table, lo - 1, hi):
+                raise ValueError("increments must not decrease, and must be <= 0 "
+                                 "up to 0 and >= 0 from 1")
+            return table
     except (IndexError, ValueError, ZeroDivisionError) as e:
         raise ParseError("objective term %r: %s" % (text, e)) from None
     raise ParseError("objective term: unknown kind %r" % kind)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .augment import CipInstance, SolveReport, solve_bounded
+from .augment import CipInstance, SolveReport, instance_test_set, solve
 from .core import IntMatrix, ParseError, Vec
 from .objective import ScaledEvenPower, SeparableObjective, Term
 from .quadratic import RatMatrix, binary_rephrase, rat_matrix
@@ -181,19 +181,17 @@ def solve_qap(q: QapInstance, start: Sequence[int] | None = None,
               best: bool = False) -> tuple[tuple[int, ...], Fraction, SolveReport]:
     """Augment from a starting permutation to a globally optimal one.
 
-    The walk only ever moves between 0/1 points, so solve_bounded walks
-    it on the 0/1-box part of the instance's test set, which
-    instance_test_set builds without the full lifted basis.  That set
-    is exact for the bounded walk, so it certifies optimality at the
-    walk's endpoint; the report gives the points in slack-lifted
-    coordinates.
+    The walk only ever moves between 0/1 points, so it runs on the
+    0/1-box part of the instance's test set, which instance_test_set
+    builds without the full lifted basis.  That set is exact for the
+    bounded walk, so it certifies optimality at the walk's endpoint.
+    Returns the permutation, its value and the walk's report, in the
+    n^2 coordinates x_ij of to_cip.
     """
     inst = to_cip(q)
     perm0 = tuple(start) if start is not None else tuple(range(q.n))
-    report = solve_bounded(inst, permutation_point(perm0), best=best)
-    z = report.optimum[:q.n * q.n]
-    perm = point_permutation(z, q.n)
-    return perm, report.value, report
+    report = solve(inst, instance_test_set(inst), permutation_point(perm0), best=best)
+    return point_permutation(report.optimum, q.n), report.value, report
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +227,3 @@ def read_qaplib(text: str) -> QapInstance:
         raise ParseError("qap file: unexpected trailing token %r on line %d"
                          % (tok, lineno))
     return koopmans_beckmann(flow, dist)
-
-
-def write_qaplib(q: QapInstance) -> str:
-    if q.flow is None or q.distance is None:
-        raise ValueError("write_qaplib: instance is not in flow/distance form")
-    def block(m: RatMatrix) -> str:
-        return "\n".join(" ".join(str(int(x)) for x in row) for row in m)
-    return "%d\n\n%s\n\n%s\n" % (q.n, block(q.flow), block(q.distance))

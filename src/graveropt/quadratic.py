@@ -37,61 +37,33 @@ def _require_symmetric(q: RatMatrix) -> int:
     return len(q)
 
 
-def rat_mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("rat_mat_mul: dimension mismatch")
-    return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0))
-                       for j in range(len(b[0]))) for row in a)
-
-
-def rat_transpose(a: RatMatrix) -> RatMatrix:
-    if not a:
-        return a
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
-def rat_inverse(a: RatMatrix) -> RatMatrix:
-    n = len(a)
-    work = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, r in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            raise ValueError("rat_inverse: singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return tuple(tuple(r[n:]) for r in work)
-
-
 def congruence_diagonalize(q: RatMatrix) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """U, D with Q = U^T diag(D) U, U invertible, all exact.
 
     Symmetric Gaussian congruence.  A zero diagonal pivot is repaired
     by swapping in the first later row/column with nonzero diagonal or,
     failing that, by a congruence row/column addition that manufactures
-    one.
+    one.  Each step is a row operation S with M <- S M S^T, so U, which
+    starts at I, takes the inverse transposed step U <- S^-T U: a swap
+    swaps rows of U, row i += row j becomes u_j -= u_i, and
+    row i -= f row k becomes u_k += f u_i.
     """
     n = _require_symmetric(q)
     m = [list(r) for r in q]
-    e = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def swap(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
-        e[i], e[j] = e[j], e[i]
+        u[i], u[j] = u[j], u[i]
 
     def add_row(i: int, j: int) -> None:
         # congruence: row i += row j, then col i += col j
         m[i] = [x + y for x, y in zip(m[i], m[j])]
         for row in m:
             row[i] = row[i] + row[j]
-        e[i] = [x + y for x, y in zip(e[i], e[j])]
+        u[j] = [y - x for x, y in zip(u[i], u[j])]
 
     for k in range(n):
         if m[k][k] == 0:
@@ -109,10 +81,8 @@ def congruence_diagonalize(q: RatMatrix) -> tuple[RatMatrix, tuple[Fraction, ...
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
                 for row in m:
                     row[i] = row[i] - f * row[k]
-                e[i] = [x - f * y for x, y in zip(e[i], e[k])]
-    d = tuple(m[i][i] for i in range(n))
-    u = rat_transpose(rat_inverse(rat_matrix(e)))
-    return u, d
+                u[k] = [x + f * y for x, y in zip(u[k], u[i])]
+    return tuple(map(tuple, u)), tuple(m[i][i] for i in range(n))
 
 
 def is_psd(q: RatMatrix) -> bool:

@@ -83,7 +83,7 @@ def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
     return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c))
 
 
-def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int | None]:
+def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     """The directions of compute_test_set(a, c) that fit in |t_j| <= u_j.
 
     A step between two points of the box 0 <= z <= u moves coordinate j
@@ -102,11 +102,8 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int |
     When the box search runs over its budget (more than
     BOX_CANDIDATE_LIMIT candidates, or n times as many partial
     assignments), the same set is taken from compute_test_set(a, c)
-    instead.
-
-    Returns the set, which records upper as its box, and the number of
-    box candidates it was kept from, or None for the count when the
-    full basis was used.
+    instead.  One INFO line names the branch taken.  The returned set
+    records upper as its box.
     """
     if a.cols != c.cols:
         raise ValueError("box_test_set: A and C must have equal column counts")
@@ -116,6 +113,8 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int |
     if cands is None:
         dirs = frozenset(d for d in compute_test_set(a, c).directions
                          if all(abs(x) <= u for x, u in zip(d, upper)))
+        logger.info("test set: completion (box search over its %d-candidate budget), "
+                    "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
     else:
         # |(Cz)_i| and every partial sum of it are at most sum_j |c_ij| u_j
         reach = max([sum(abs(x) * u for x, u in zip(row, upper)) for row in c.entries]
@@ -129,8 +128,8 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, int |
         dirs = frozenset(map(tuple, kept[:, :a.cols].tolist()))
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
                      len(cands), len(kept), met)
-    return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c), box=tuple(upper)), \
-        None if cands is None else len(cands)
+        logger.info("test set: box, %d candidates, %d directions", len(cands), len(dirs))
+    return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c), box=tuple(upper))
 
 
 def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:

@@ -1,0 +1,140 @@
+"""Helpers that only the tests call: instance and assignment writers,
+exact rational products and rank, and the exhaustive or constructive
+oracles for the paper's column splits and 0/1 split minima."""
+
+from fractions import Fraction
+from itertools import product
+
+from graveropt.augment import CipInstance, brute_force_optimum
+from graveropt.core import IntMatrix, Vec, canonical_rep
+from graveropt.graver import GraverBasis
+from graveropt.objective import DiscreteConvexFn, SeparableObjective, format_objective
+from graveropt.qap import QapInstance
+from graveropt.quadratic import RatMatrix
+
+
+def exact_rank(a: IntMatrix) -> int:
+    """Rank over the rationals, by exact Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in a.entries]
+    rank = 0
+    for j in range(a.cols):
+        piv = next((i for i in range(rank, a.rows) if work[i][j]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        for i in range(a.rows):
+            if i != rank and work[i][j]:
+                f = work[i][j] / prow[j]
+                work[i] = [x - f * y for x, y in zip(work[i], prow)]
+        rank += 1
+        if rank == a.rows:
+            break
+    return rank
+
+
+def rat_mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("rat_mat_mul: dimension mismatch")
+    return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0))
+                       for j in range(len(b[0]))) for row in a)
+
+
+def rat_transpose(a: RatMatrix) -> RatMatrix:
+    if not a:
+        return a
+    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+
+
+def find_feasible_point(inst: CipInstance, box: Vec) -> Vec | None:
+    """First feasible point in the box by brute_force_optimum's pruned
+    enumeration."""
+    try:
+        probe = CipInstance(inst.a, inst.b, inst.upper,
+                            SeparableObjective(inst.n, (), (Fraction(0),) * inst.n))
+        z, _ = brute_force_optimum(probe, box)
+        return z
+    except ValueError:
+        return None
+
+
+def format_instance(inst: CipInstance) -> str:
+    """The instance file that augment.parse_instance reads."""
+    parts = ["A", "%d %d" % (inst.a.rows, inst.a.cols)]
+    parts.extend(" ".join(str(x) for x in r) for r in inst.a.entries)
+    parts.append("b")
+    if inst.b:
+        parts.append(" ".join(str(x) for x in inst.b))
+    if inst.upper is not None:
+        parts.append("upper")
+        parts.append(" ".join(str(x) for x in inst.upper))
+    parts.append("objective")
+    parts.append(format_objective(inst.objective).rstrip("\n"))
+    return "\n".join(parts) + "\n"
+
+
+def write_qaplib(q: QapInstance) -> str:
+    """The assignment file that qap.read_qaplib reads."""
+    if q.flow is None or q.distance is None:
+        raise ValueError("write_qaplib: instance is not in flow/distance form")
+    def block(m: RatMatrix) -> str:
+        return "\n".join(" ".join(str(int(x)) for x in row) for row in m)
+    return "%d\n\n%s\n\n%s\n" % (q.n, block(q.flow), block(q.distance))
+
+
+def binary_split_minimum(g: DiscreteConvexFn, p: int, k: int) -> Fraction:
+    """Minimum of the 0/1 split of one piece at displacement p.
+
+    2k binary variables: x_j steps up with cost g(j) - g(j-1), y_j
+    steps down with cost g(-j) - g(-j+1); sum x - sum y must equal p.
+    Exhaustive, meant as an oracle for small k.  The optimal value
+    equals g(p) - g(0) whenever k >= |p|.
+    """
+    if k < abs(p):
+        raise ValueError("binary_split_minimum: k must be at least |p|")
+    best: Fraction | None = None
+    for bits in product((0, 1), repeat=2 * k):
+        x, y = bits[:k], bits[k:]
+        if sum(x) - sum(y) != p:
+            continue
+        cost = Fraction(0)
+        for j in range(1, k + 1):
+            if x[j - 1]:
+                cost += g.value(j) - g.value(j - 1)
+            if y[j - 1]:
+                cost += g.value(-j) - g.value(-j + 1)
+        if best is None or cost < best:
+            best = cost
+    assert best is not None
+    return best
+
+
+def _expand_last_column(g: GraverBasis, s: int) -> GraverBasis:
+    """From the basis of (A|a), the basis of (A|a|s*a), s = -1 or 1.
+
+    Each element (u, p) splits its last entry p into every pair
+    (x, s*(p - x)) with x from 0 to p, which stays in the kernel since
+    x + s*s*(p - x) = p; the vector (0,..,0,1,-s) joins the set.  The
+    split column a must be nonzero: a zero column makes each of the two
+    new unit vectors a kernel element on its own, and (0,..,0,1,-s)
+    stops being minimal.
+    """
+    n = g.dimension - 1
+    out: set[Vec] = set()
+    for rep in g.elements:
+        for v in (rep, tuple(-x for x in rep)):
+            u, p = v[:n], v[n]
+            for x in range(min(p, 0), max(p, 0) + 1):
+                out.add(canonical_rep(u + (x, s * (p - x))))
+    out.add((0,) * n + (1, -s))
+    return GraverBasis(g.dimension + 1, frozenset(out))
+
+
+def expand_negated_column(g: GraverBasis) -> GraverBasis:
+    """From the basis of (A|a), the basis of (A|a|-a)."""
+    return _expand_last_column(g, -1)
+
+
+def expand_duplicated_column(g: GraverBasis) -> GraverBasis:
+    """From the basis of (A|a), the basis of (A|a|a)."""
+    return _expand_last_column(g, 1)

@@ -20,18 +20,12 @@ import pytest
 from graveropt.augment import (
     CipInstance,
     SolveStatus,
-    binary_split_minimum,
     brute_force_optimum,
+    instance_test_set,
     solve,
-    solve_bounded,
 )
 from graveropt.core import IntMatrix
-from graveropt.graver import (
-    compute_graver,
-    expand_duplicated_column,
-    expand_negated_column,
-    project_first_n,
-)
+from graveropt.graver import compute_graver, project_first_n
 from graveropt.objective import (
     GeometricAbs,
     PiecewiseTable,
@@ -46,11 +40,16 @@ from graveropt.quadratic import (
     binary_rephrase,
     congruence_diagonalize,
     rat_matrix,
-    rat_mat_mul,
-    rat_transpose,
     to_separable,
 )
 from graveropt.testset import build_split_matrix, compute_test_set
+from tests.helpers import (
+    binary_split_minimum,
+    expand_duplicated_column,
+    expand_negated_column,
+    rat_mat_mul,
+    rat_transpose,
+)
 
 ZERO2 = IntMatrix.zero(0, 2)
 ZERO3 = IntMatrix.zero(0, 3)
@@ -241,7 +240,7 @@ def test_criterion_08_random_bounded_quadratics(capsys):
             upper = tuple(rng.randint(1, 3) for _ in range(n))
             z0 = tuple(rng.randint(0, u) for u in upper)
             inst = CipInstance(a, a.mat_vec(z0), upper, objective)
-            report = solve_bounded(inst, z0)
+            report = solve(inst, instance_test_set(inst), z0)
             assert report.status is SolveStatus.OPTIMAL, i
             _, best_value = brute_force_optimum(inst, upper)
             assert report.value == best_value, i
@@ -305,7 +304,7 @@ def test_criterion_10_assignment_instances(capsys, caplog):
         failures = []
         for idx, q in enumerate(instances):
             caplog.clear()
-            with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+            with caplog.at_level(logging.INFO, logger="graveropt.testset"):
                 t0 = time.perf_counter()
                 perm, value, _ = solve_qap(q)
                 elapsed = time.perf_counter() - t0

@@ -22,23 +22,19 @@ from graveropt.augment import (
     CipInstance,
     InfeasibleStartError,
     SolveStatus,
-    binary_split_minimum,
     brute_force_optimum,
     check_compatible,
     composition_matrix,
-    embed_slack,
-    find_feasible_point,
     find_improving,
-    format_instance,
     instance_test_set,
     line_search,
     max_feasible_step,
     parse_instance,
-    slack_lifted,
     solve,
-    solve_bounded,
 )
+from graveropt.cli import _slack_view
 from graveropt.testset import BOX_CANDIDATE_LIMIT, TestSet, compute_test_set
+from tests.helpers import binary_split_minimum, find_feasible_point, format_instance
 
 
 def pair_test_set():
@@ -194,7 +190,7 @@ class TestSolve:
             solve(square_pair, pair_test_set(), (5, 3), cap=cap)
         bounded = CipInstance(FREE2, (), (2, 2), square_pair.objective)
         with pytest.raises(ValueError, match="step cap"):
-            solve_bounded(bounded, (1, 1), cap=cap)
+            solve(bounded, instance_test_set(bounded), (1, 1), cap=cap)
 
 
 class TestCompatibility:
@@ -306,6 +302,9 @@ class TestBinarySplitMinimum:
 
 
 class TestSlackMode:
+    """The walk of `graveropt solve --slack-bounds`, the plain walk seen in
+    slack coordinates, against a walk on the slack lift itself."""
+
     def bounded_instance(self):
         obj = SeparableObjective(2, (
             Term(ScaledEvenPower(1, 2), (1, -1), -3),), (Fraction(0), Fraction(0)))
@@ -313,7 +312,7 @@ class TestSlackMode:
 
     def test_lift_shape(self):
         inst = self.bounded_instance()
-        lifted = slack_lifted(inst)
+        lifted = slack_lift(inst)
         assert lifted.a.entries == ((1, 0, 1, 0), (0, 1, 0, 1))
         assert lifted.b == (2, 2)
         assert lifted.upper is None
@@ -322,52 +321,26 @@ class TestSlackMode:
         inst = self.bounded_instance()
         assert embed_slack(inst, (1, 2)) == (1, 2, 1, 0)
 
-    def test_lift_requires_bounds(self, square_pair):
-        with pytest.raises(ValueError):
-            slack_lifted(square_pair)
-        with pytest.raises(ValueError):
-            embed_slack(square_pair, (0, 0))
-        with pytest.raises(ValueError, match="no upper bounds"):
-            solve_bounded(square_pair, (0, 0))
-
     def test_mirror_equals_direct_computation(self):
         inst = self.bounded_instance()
-        lifted = slack_lifted(inst)
+        lifted = slack_lift(inst)
         direct = compute_test_set(
             lifted.a, IntMatrix.from_rows([(1, -1, 0, 0)], cols=4))
-        assert direct.directions == {
-            t + tuple(-x for x in t) for t in instance_test_set(inst).directions}
+        t_set = instance_test_set(inst)
+        assert direct.directions == {t + tuple(-x for x in t) for t in t_set.directions}
         for best in (False, True):
-            report = solve_bounded(inst, (0, 0), best=best)
+            report = _slack_view(solve(inst, t_set, (0, 0), best=best), inst.upper)
             assert report.steps
             assert report == lifted_walk(inst, (0, 0), best)
-
-    def test_lifted_test_set_is_projected(self):
-        inst = self.bounded_instance()
-        plain = instance_test_set(inst)
-        mirrored = TestSet(4, frozenset(t + tuple(-x for x in t)
-                                        for t in plain.directions))
-        want = solve_bounded(inst, (0, 0))
-        assert solve_bounded(inst, (0, 0), t_set=mirrored) == want
-        assert solve_bounded(inst, (0, 0), t_set=plain) == want
-
-    def test_lifted_test_set_needs_mirrored_slack(self):
-        inst = self.bounded_instance()
-        bad = TestSet(4, frozenset({(1, 0, -1, 0), (0, 1, 0, 0)}))
-        with pytest.raises(ValueError, match="kernel"):
-            solve_bounded(inst, (0, 0), t_set=bad)
-        with pytest.raises(ValueError, match="dimension"):
-            solve_bounded(inst, (0, 0), t_set=TestSet(3, frozenset({(1, 0, 0)})))
 
     def test_bounded_solve_exact(self):
         # minimum of (x - y - 3)^2 within [0,2]^2 is 1, e.g. at (2, 0)
         inst = self.bounded_instance()
-        report = solve_bounded(inst, (0, 0))
+        report = solve(inst, instance_test_set(inst), (0, 0))
         assert report.status is SolveStatus.OPTIMAL
         assert report.value == 1
-        z = report.optimum[:2]
-        assert inst.feasible(z)
-        assert inst.objective.value(z) == 1
+        assert inst.feasible(report.optimum)
+        assert inst.objective.value(report.optimum) == 1
 
     def test_unbounded_test_set_skips_slack_rows(self, square_pair):
         t = instance_test_set(square_pair)
@@ -398,17 +371,34 @@ class TestRandomGlobalOptimality:
             z0 = find_feasible_point(inst, upper)
             if z0 is None:
                 continue
-            report = solve_bounded(inst, z0)
+            report = solve(inst, instance_test_set(inst), z0)
             assert report.status is SolveStatus.OPTIMAL
             _, want = brute_force_optimum(inst, upper)
             assert report.value == want, (a.entries, terms, upper)
             done += 1
 
 
+def slack_lift(inst):
+    """The bounds of inst moved into the constraints: rows z + s = u
+    appended, no bounds, and the objective padded to ignore s."""
+    n = inst.n
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    a = IntMatrix(inst.a.rows + n, 2 * n,
+                  tuple(r + (0,) * n for r in inst.a.entries) + tuple(e + e for e in unit))
+    obj = SeparableObjective(2 * n, tuple(Term(t.fn, t.coeffs + (0,) * n, t.offset)
+                                          for t in inst.objective.terms),
+                             inst.objective.linear + (Fraction(0),) * n)
+    return CipInstance(a, inst.b + tuple(inst.upper), None, obj)
+
+
+def embed_slack(inst, z):
+    return tuple(z) + tuple(u - x for u, x in zip(inst.upper, z))
+
+
 def lifted_walk(inst, z0, best):
     """The walk on the slack lift itself, over the lifted system's own
     projected basis: the composition rows padded with n zero columns."""
-    lifted = slack_lifted(inst)
+    lifted = slack_lift(inst)
     c = composition_matrix(inst)
     pad = IntMatrix(c.rows, lifted.n, tuple(r + (0,) * inst.n for r in c.entries))
     return solve(lifted, compute_test_set(lifted.a, pad), embed_slack(inst, z0),
@@ -452,8 +442,9 @@ class TestBoundedDirectionSet:
         got = instance_test_set(inst)
         assert got == boxed
         for best in (False, True):
-            # the bounded solve maps a plain walk onto the slack lift
-            assert solve_bounded(inst, z0, best=best) == lifted_walk(inst, z0, best)
+            # the slack view of the plain walk is the walk on the slack lift
+            assert (_slack_view(solve(inst, got, z0, best=best), inst.upper)
+                    == lifted_walk(inst, z0, best))
         report = solve(inst, got, z0)
         # a direction outside the box never fits a unit step, so the walk
         # on the full set takes the very same steps
@@ -474,7 +465,7 @@ class TestBoundedDirectionSet:
     def test_over_budget_box_takes_the_completion(self, caplog):
         inst = self.walk_family((10,) * 5)
         assert box_kernel_vectors(inst.a, inst.upper, limit=BOX_CANDIDATE_LIMIT) is None
-        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+        with caplog.at_level(logging.INFO, logger="graveropt.testset"):
             got = instance_test_set(inst)
         full, boxed = boxed_completion(inst)
         assert got == boxed
@@ -491,7 +482,7 @@ class TestBoundedDirectionSet:
         obj = SeparableObjective(2, (Term(ScaledEvenPower(1, 2), (1, -1), -5),),
                                  (Fraction(0), Fraction(0)))
         inst = CipInstance(a, (3000,), (10 ** 6, 10 ** 6), obj)
-        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+        with caplog.at_level(logging.INFO, logger="graveropt.testset"):
             got = instance_test_set(inst)
         assert got.directions == {(1000, -1)}
         assert "completion" in caplog.messages[0]
@@ -500,7 +491,7 @@ class TestBoundedDirectionSet:
 
     def test_box_branch_logged(self, caplog):
         inst = self.walk_family((2,) * 5)
-        with caplog.at_level(logging.INFO, logger="graveropt.augment"):
+        with caplog.at_level(logging.INFO, logger="graveropt.testset"):
             got = instance_test_set(inst)
         count = len(box_kernel_vectors(inst.a, inst.upper))
         assert caplog.messages == [
@@ -526,10 +517,11 @@ class TestWalkValues:
     def test_reported_values_are_those_of_the_walked_points(self, drawn):
         inst, z0 = drawn
         t_set = instance_test_set(inst)
-        lifted = slack_lifted(inst)
+        lifted = slack_lift(inst)
         for best in (False, True):
-            runs = ((solve(inst, t_set, z0, best=best), inst.objective, z0),
-                    (solve_bounded(inst, z0, best=best), lifted.objective,
+            report = solve(inst, t_set, z0, best=best)
+            runs = ((report, inst.objective, z0),
+                    (_slack_view(report, inst.upper), lifted.objective,
                      embed_slack(inst, z0)))
             for report, obj, z in runs:
                 for step in report.steps:

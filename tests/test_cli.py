@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from graveropt.augment import CipInstance, format_instance
+from graveropt.augment import CipInstance
 from graveropt.cli import main
 from graveropt.core import IntMatrix, parse_int_matrix
 from graveropt.objective import linear_objective, parse_objective
 from graveropt.testset import TestSet, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
+from tests.helpers import format_instance
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -154,6 +155,17 @@ class TestSolveCommand:
         assert "optimum: 0 2" in out
         assert "value: 100000000000" in out
 
+    def test_non_convex_table_is_an_input_error(self, tmp_path, capsys):
+        # increments -1, 5, -10, -10: read as convex, the walk would stop
+        # at 1 3 (value -1) although 4 0 is worth -16
+        inst = put(tmp_path, "bad.cip", "A\n1 2\n1 1\nb\n4\nobjective\n"
+                   "table 1:-1 2:5 3:-10 4:-10 | 1 0 | 0\nlinear | 0 0\n")
+        start = put(tmp_path, "z0.vec", "0 4\n")
+        for extra in ([], ["--verify", "--box", "4", "4"]):
+            assert main(["solve", inst, start] + extra) == 2
+            captured = capsys.readouterr()
+            assert "objective term" in captured.err and captured.out == ""
+
     def test_axis_directions_get_stuck(self, tmp_path, capsys):
         # value 4 at (1,1); each axis neighbor costs 5 or 13, so the
         # truncated direction set sees no improvement at all
@@ -213,18 +225,50 @@ class TestSolveCommand:
         assert main(["solve", inst, start]) == 0
         assert "optimum: 0 0" in capsys.readouterr().out
 
-    def test_slack_bounds_mode(self, tmp_path, capsys):
-        from fractions import Fraction
-        from graveropt.augment import CipInstance
-        from graveropt.objective import ScaledEvenPower, SeparableObjective, Term
-        obj = SeparableObjective(2, (Term(ScaledEvenPower(1, 2), (1, -1), -3),),
-                                 (Fraction(0), Fraction(0)))
+    def slack_instance_files(self, tmp_path):
+        # (x - y - 3)^2 over [0, 2]^2, least (1) at (2, 0), from (0, 0)
+        obj = parse_objective("evenpower 1 2 | 1 -1 | -3\nlinear | 0 0\n")
         bounded = CipInstance(IntMatrix.zero(0, 2), (), (2, 2), obj)
-        inst = put(tmp_path, "b.cip", format_instance(bounded))
-        start = put(tmp_path, "z0.vec", "0 0\n")
+        return (put(tmp_path, "b.cip", format_instance(bounded)),
+                put(tmp_path, "z0.vec", "0 0\n"))
+
+    def test_slack_bounds_mode(self, tmp_path, capsys):
+        inst, start = self.slack_instance_files(tmp_path)
         assert main(["solve", inst, start, "--slack-bounds", "--verify"]) == 0
         out = capsys.readouterr().out
         assert "status: optimal" in out
+
+    def test_slack_bounds_needs_upper_bounds(self, tmp_path, capsys):
+        inst = self.instance_file(tmp_path)
+        start = put(tmp_path, "z0.vec", "1 1\n")
+        assert main(["solve", inst, start, "--slack-bounds"]) == 2
+        captured = capsys.readouterr()
+        assert "no upper bounds" in captured.err and captured.out == ""
+
+    def test_lifted_test_set_is_projected(self, tmp_path, capsys):
+        # the slack view of the walk is the same on the instance's own set,
+        # on that set written out, and on its mirror (t, -t)
+        inst, start = self.slack_instance_files(tmp_path)
+        plain = compute_test_set(IntMatrix.zero(0, 2), IntMatrix.from_rows([[1, -1]]))
+        mirrored = TestSet(4, frozenset(t + tuple(-x for x in t) for t in plain.directions))
+        outs = []
+        for ts in (None, plain, mirrored):
+            extra = [] if ts is None else [
+                "--testset", put(tmp_path, "set.ts", format_test_set(ts))]
+            assert main(["solve", inst, start, "--slack-bounds"] + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0].endswith("optimum: 2 0 0 2\nvalue: 1\nstatus: optimal\n")
+
+    def test_lifted_test_set_needs_mirrored_slack(self, tmp_path, capsys):
+        # (0, 1, 0, 0) has slack block 0, not -(0, 1); three columns fit
+        # neither the instance nor its slack lift
+        inst, start = self.slack_instance_files(tmp_path)
+        for rows, err in (("2 4\n1 0 -1 0\n0 1 0 0\n", "kernel"),
+                          ("1 3\n1 0 0\n", "dimension")):
+            ts = put(tmp_path, "bad.ts", rows)
+            assert main(["solve", inst, start, "--testset", ts, "--slack-bounds"]) == 2
+            assert err in capsys.readouterr().err
 
     def row_sum_files(self, tmp_path):
         # A = [[1, 1]], b = 2, upper (2, 2), from the corner (2, 0)
@@ -242,6 +286,13 @@ class TestSolveCommand:
     def test_lifted_hand_direction_off_the_kernel_is_an_input_error(self, tmp_path, capsys):
         inst, start = self.row_sum_files(tmp_path)
         ts = put(tmp_path, "off.ts", "1 4\n1 0 -1 0\n")
+        assert main(["solve", inst, start, "--testset", ts, "--slack-bounds"]) == 2
+        assert "not in the kernel" in capsys.readouterr().err
+
+    def test_lifted_hand_set_with_unmirrored_slack_is_an_input_error(self, tmp_path, capsys):
+        # the z block (1, -1) lies in ker A; the slack block (0, 0) is not -z
+        inst, start = self.row_sum_files(tmp_path)
+        ts = put(tmp_path, "off.ts", "1 4\n1 -1 0 0\n")
         assert main(["solve", inst, start, "--testset", ts, "--slack-bounds"]) == 2
         assert "not in the kernel" in capsys.readouterr().err
 

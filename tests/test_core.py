@@ -10,7 +10,6 @@ from graveropt.core import (
     canonical_rep,
     conformal_leq,
     dot,
-    exact_rank,
     format_int_matrix,
     hstack,
     kernel_lattice_basis,
@@ -20,6 +19,7 @@ from graveropt.core import (
     vstack,
 )
 from tests.conftest import random_int_matrix
+from tests.helpers import exact_rank
 
 
 class TestConformalOrder:

@@ -17,13 +17,12 @@ from graveropt.graver import (
     box_kernel_vectors,
     compute_graver,
     conformally_minimal,
-    expand_duplicated_column,
-    expand_negated_column,
     graver_oracle,
     project_first_n,
     verify_against_oracle,
 )
 from tests.conftest import random_int_matrix
+from tests.helpers import expand_duplicated_column, expand_negated_column
 
 
 class TestComputeGraver:

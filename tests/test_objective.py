@@ -203,13 +203,6 @@ class TestSeparableObjective:
         assert f.value((3,)) == 0
         assert f.value((5,)) == 4
 
-    def test_extended_preserves_values(self):
-        f = two_square_instance().objective
-        wide = f.extended(4)
-        assert wide.value((1, 1, 9, 9)) == f.value((1, 1))
-        with pytest.raises(ValueError):
-            f.extended(1)
-
     def test_mismatched_widths_rejected(self):
         with pytest.raises(ValueError):
             SeparableObjective(2, (Term(Zero(), (1,), 0),), (Fraction(0), Fraction(0)))
@@ -260,6 +253,8 @@ class TestSerialization:
         "mystery | 1 | 0\nlinear | 1",       # unknown kind
         "zero | 1 1 | 0\nlinear | 1",        # width clash
         "zero | 1 | x\nlinear | 1",          # bad offset
+        "table 0:1 1:0 | 1 | 0\nlinear | 1",  # increments decrease
+        "table 0:1 1:2 | 1 | 0\nlinear | 1",  # rises left of the origin
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ParseError):

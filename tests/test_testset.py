@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import pytest
 
@@ -103,11 +104,22 @@ class TestComputeTestSet:
         assert got.dimension == 3
 
 
+def counted_box_set(caplog, a, c, upper):
+    """box_test_set(a, c, upper) and the candidate count its INFO line gives."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="graveropt.testset"):
+        got = box_test_set(a, c, upper)
+    found = re.fullmatch(r"test set: box, (\d+) candidates, (\d+) directions",
+                         caplog.messages[-1])
+    assert found and int(found.group(2)) == len(got)
+    return got, int(found.group(1))
+
+
 class TestBoxTestSet:
     """The directly built box set against the box members of the full
     completion, which shares no enumeration code with it."""
 
-    def test_matches_boxed_completion(self):
+    def test_matches_boxed_completion(self, caplog):
         rng = random.Random(41)
         pruned = 0
         for _ in range(12):
@@ -115,7 +127,7 @@ class TestBoxTestSet:
             a = random_int_matrix(rng, rng.randint(0, 1), cols, -1, 2)
             c = random_int_matrix(rng, rng.randint(1, 2), cols, -1, 2)
             upper = tuple(rng.randint(1, 2) for _ in range(cols))
-            got, candidates = box_test_set(a, c, upper)
+            got, candidates = counted_box_set(caplog, a, c, upper)
             boxed = {d for d in compute_test_set(a, c).directions
                      if all(abs(x) <= u for x, u in zip(d, upper))}
             assert got.directions == boxed, (a.entries, c.entries, upper)
@@ -124,20 +136,21 @@ class TestBoxTestSet:
         # the minimality filter must have had something to drop
         assert pruned > 0
 
-    def test_lift_past_int64(self):
+    def test_lift_past_int64(self, caplog):
         big = 1 << 62
         c = IntMatrix.from_rows([[big, big, -big], [1, -2, 1]])
-        got, candidates = box_test_set(ZERO3, c, (2, 1, 2))
+        got, candidates = counted_box_set(caplog, ZERO3, c, (2, 1, 2))
         boxed = {d for d in compute_test_set(ZERO3, c).directions
                  if all(abs(x) <= u for x, u in zip(d, (2, 1, 2)))}
         assert candidates == 37 and got.directions == boxed
 
-    def test_norms_exact_past_int64(self):
+    def test_norms_exact_past_int64(self, caplog):
         # every lifted entry fits in int64 and every lifted 1-norm
         # passes 2^63; all four candidates are minimal
         b = (1 << 62) - 1
         c = ((b, b), (b, -b), (b, b))
-        got, candidates = box_test_set(IntMatrix.zero(0, 2), IntMatrix.from_rows(c), (1, 1))
+        got, candidates = counted_box_set(caplog, IntMatrix.zero(0, 2),
+                                          IntMatrix.from_rows(c), (1, 1))
         boxed = [(1, 0), (0, 1), (1, 1), (1, -1)]
         lifted = [z + tuple(-(x * z[0] + y * z[1]) for x, y in c) for z in boxed]
         minimal = {v[:2] for v in lifted
@@ -146,7 +159,7 @@ class TestBoxTestSet:
                               for g in lifted)}
         assert candidates == 4 and got.directions == minimal == set(boxed)
 
-    def test_pruned_scan_matches_boxed_completion(self, monkeypatch):
+    def test_pruned_scan_matches_boxed_completion(self, monkeypatch, caplog):
         # boxes of 3 over 4 and 5 columns, several hundred candidates
         # each; the default scan blocks, then blocks of one or two rows,
         # so non-minimal members leave the scan after nearly every row
@@ -161,7 +174,7 @@ class TestBoxTestSet:
         for cap in (graver._FILTER_ELEMS, 1 << 10):
             monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
             for a, c, boxed in shapes:
-                got, candidates = box_test_set(a, c, (3,) * a.cols)
+                got, candidates = counted_box_set(caplog, a, c, (3,) * a.cols)
                 assert candidates >= 300 and len(got) < candidates, (a.entries, c.entries)
                 assert got.directions == boxed, (a.entries, c.entries, cap)
 
@@ -179,13 +192,12 @@ class TestBoxTestSet:
 
         monkeypatch.setattr(graver, "_sign_fits", spy)
         with caplog.at_level(logging.DEBUG, logger="graveropt.testset"):
-            got, candidates = box_test_set(IntMatrix.zero(0, 4), IntMatrix.from_rows(c),
-                                           (4, 4, 4, 4))
+            got = box_test_set(IntMatrix.zero(0, 4), IntMatrix.from_rows(c), (4, 4, 4, 4))
         records = [r for r in caplog.records if r.name == "graveropt.testset"]
-        assert len(records) == 1
-        assert records[0].getMessage() == \
-            "box: 3280 candidates, 48 kept, 185933 sign-prefilter pairs"
-        assert candidates == 3280 and len(got) == 48 and sum(met) == 185933
+        assert [r.getMessage() for r in records] == [
+            "box: 3280 candidates, 48 kept, 185933 sign-prefilter pairs",
+            "test set: box, 3280 candidates, 48 directions"]
+        assert len(got) == 48 and sum(met) == 185933
         # the scan without dropping: one-member-word blocks of 2^17 //
         # 3280 rows in ascending 1-norm, each meeting every member up to
         # the largest norm of its rows less one
@@ -199,7 +211,7 @@ class TestBoxTestSet:
         assert unpruned == 5261145 > 185933
 
     def test_wide_triple_unit_box(self):
-        got, _ = box_test_set(ZERO3, WIDE_TRIPLE, (1, 1, 1))
+        got = box_test_set(ZERO3, WIDE_TRIPLE, (1, 1, 1))
         assert got.directions == WIDE_TRIPLE_BOXED
 
     def test_shape_checks(self):
