@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 
 import numpy as np
 
 from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_basis
 
-# Member 1-norm at which the completion's entry matrix leaves int64 for
-# Python ints; below it every norm and every pair sum fits in int64.
+# Magnitude at which arrays leave int64 for Python ints (int_dtype); below
+# it every member 1-norm and pair sum of a completion fits in int64.
 _FAST_ABS_LIMIT = 1 << 61
 
 _FILTER_ELEMS = 1 << 17  # cap on the elements of one scan temporary
@@ -68,6 +68,35 @@ class GraverBasis:
 
     def sorted_elements(self) -> list[Vec]:
         return sorted(self.elements)
+
+
+def int_dtype(reach: int) -> type:
+    """int64 if reach, a bound on every magnitude an array will hold, is
+    below _FAST_ABS_LIMIT, else object (Python ints).  Never left to
+    np.array: it infers float64 for some ints in [2^63, 2^64)."""
+    return np.int64 if reach < _FAST_ABS_LIMIT else object
+
+
+def append_products(x: np.ndarray, m: list[list[int]], det: int = 1) -> np.ndarray:
+    """x with its leading len(m) columns times m appended, divided by det
+    (exactly); int64 while max|x| times the largest column 1-norm of m,
+    each taken as at least 1, is below _FAST_ABS_LIMIT."""
+    colsums = [sum(map(abs, col)) for col in zip(*m)]
+    dtype = int_dtype(int(np.abs(x).max(initial=1)) * max(colsums + [1]))
+    x = x.astype(dtype, copy=False)
+    products = x[:, :len(m)] @ np.array(m, dtype=dtype).reshape(len(m), -1)
+    return np.concatenate([x, products // det], axis=1)
+
+
+def _canonical(rows: np.ndarray) -> np.ndarray:
+    """The canonical representatives (first nonzero entry positive) of
+    nonzero rows, each distinct one once, in first-occurrence order."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    rows = np.where((lead < 0)[:, None], -rows, rows)
+    by_row = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[by_row[1:]] != rows[by_row[:-1]]).any(axis=1)
+    return rows[np.sort(by_row[first])]
 
 
 def _pack_signs(mat: np.ndarray, words: int) -> np.ndarray:
@@ -115,10 +144,9 @@ class _Completion:
     the light members that do nearly all reductions come first and a
     row only meets the members no heavier than itself.
 
-    arr and the norms are int64 while every member's 1-norm is below
-    _FAST_ABS_LIMIT; then each entry, norm and pair sum fits in int64.
-    The first block reaching the limit turns both into object arrays of
-    Python ints, once, and every scan runs unchanged on either dtype.
+    arr and the norms take int_dtype of the largest member 1-norm: the
+    first block reaching _FAST_ABS_LIMIT turns both into object arrays
+    of Python ints, once, and every scan runs unchanged on either dtype.
     """
 
     def __init__(self, n: int):
@@ -132,23 +160,15 @@ class _Completion:
     def __len__(self) -> int:
         return len(self.arr)
 
-    def add_block(self, rows) -> None:
-        """Append canonical nonzero rows (tuples, or an int64 or object array) at
-        once; norms sum in int64 only if max|entry| * n < _FAST_ABS_LIMIT."""
-        if (isinstance(rows, np.ndarray) and rows.dtype != object
-                and int(np.abs(rows).max(initial=0)) * self.n < _FAST_ABS_LIMIT):
-            mat = rows.astype(self.arr.dtype, copy=False)
-            norms = np.abs(rows).sum(axis=1).astype(self.norm.dtype, copy=False)
-        else:
-            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-            norms = [sum(map(abs, v)) for v in rows]
-            if max(norms) >= _FAST_ABS_LIMIT and self.arr.dtype != object:
-                self.arr = self.arr.astype(object)
-                self.norm = self.norm.astype(object)
-            mat = np.array(rows, dtype=self.arr.dtype)
-            norms = np.array(norms, dtype=self.norm.dtype)
+    def add_block(self, rows: np.ndarray) -> None:
+        """Append canonical nonzero rows, an int64 or object array, at once."""
+        rabs = np.abs(rows)
+        norms = rabs.astype(int_dtype(int(rabs.max(initial=0)) * self.n), copy=False).sum(axis=1)
+        if int_dtype(int(norms.max(initial=0))) is object:
+            self.arr, self.norm = self.arr.astype(object), self.norm.astype(object)
+        mat = rows.astype(self.arr.dtype, copy=False)
         self.arr = np.concatenate([self.arr, mat])
-        self.norm = np.concatenate([self.norm, norms])
+        self.norm = np.concatenate([self.norm, norms.astype(self.norm.dtype, copy=False)])
         self.mask = np.concatenate([self.mask, _pack_signs(mat, self.words)])
         self.order = np.argsort(self.norm, kind="stable")
 
@@ -234,26 +254,24 @@ def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
     return red, sign, met
 
 
-def _batch_normal_form(state: _Completion, cand: np.ndarray) -> list[Vec]:
-    """Reduce candidate rows by maximal multiples until irreducible.
-
-    Rows reaching zero drop out; the rest return as tuples, irreducible
-    against the set as of entry.
-    """
-    out: list[Vec] = []
-    work = cand
+def _batch_normal_form(state: _Completion, cand: np.ndarray) -> np.ndarray:
+    """Reduce candidate rows, in the set's dtype, by maximal multiples
+    until irreducible against the set as of entry.  Rows reaching zero
+    drop out; the rest return in the order they became irreducible."""
+    work = cand.astype(state.arr.dtype, copy=False)
+    out = [work[:0]]
     while len(work):
         red, sign, _ = _find_below(state, work, _pack_signs(work, state.words),
                                    strict=False)
         done = red < 0
-        out.extend(tuple(r) for r in work[done].tolist())
+        out.append(work[done])
         live = ~done
         if not live.any():
             break
         w = _subtract_max_multiple(work[live], np.abs(work[live]), state.arr[red[live]],
                                    sign[live])
         work = w[(w != 0).any(axis=1)]
-    return out
+    return np.concatenate(out)
 
 
 def _pop_candidates(state: _Completion, lo: int, hi: int,
@@ -275,10 +293,10 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
     return np.vstack([arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]])
 
 
-def _complete(seeds: list[Vec], n: int,
-              fixed: int) -> tuple[list[Vec], tuple[int, int]]:
-    """Complete the seeds (distinct up to sign, nonzero) and keep the
-    conformally minimal members.
+def _complete(seeds: np.ndarray, n: int,
+              fixed: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Complete the seed rows (distinct up to sign, nonzero) and keep
+    the conformally minimal members.
 
     Two members u, v give the candidates u + v and u - v only where the
     summands are sign-compatible on the first fixed columns and opposed
@@ -306,13 +324,13 @@ def _complete(seeds: list[Vec], n: int,
     1-norms strictly drop along a chain of distinct forms, so each
     re-reduction subtracts at least once and the loop ends.
 
-    Returns the minimal members and (candidates formed, rounds).
+    Returns the minimal members' rows and (candidates formed, rounds).
     """
     state = _Completion(n)
-    if seeds:
-        state.add_block([canonical_rep(v) for v in seeds])
+    state.add_block(_canonical(seeds))
     # columns [0, fixed), either sign, as a packed mask
-    old = np.bitwise_or.reduce(_pack_signs(np.outer((1, -1), np.arange(n) < fixed), state.words))
+    old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0]
+    old |= _flip(old)
     done = candidates = rounds = 0
     while done < len(state):
         end = done + 1
@@ -323,22 +341,11 @@ def _complete(seeds: list[Vec], n: int,
         candidates += len(work)
         rounds += 1
         while len(work):
-            forms = _batch_normal_form(state, work)
-            forms = list(dict.fromkeys(map(canonical_rep, forms)))
-            if not forms:
-                break
-            keep = conformally_minimal(forms, n)
-            state.add_block(keep)
-            kept = set(keep)
-            # the block may have turned the set's arrays to object
-            work = np.array([v for v in forms if v not in kept], dtype=state.arr.dtype)
-    return list(map(tuple, _minimal_filter(state)[0].tolist())), (candidates, rounds)
-
-
-def _minimal_filter(state: _Completion) -> tuple[np.ndarray, int]:
-    """Rows of the members no other lies conformally below; the scan's pair count."""
-    red, _, met = _find_below(state, state.arr, state.mask, strict=True)
-    return state.arr[red < 0], met
+            forms = _canonical(_batch_normal_form(state, work))
+            keep, _ = conformally_minimal(forms)
+            state.add_block(forms[keep])
+            work = forms[~keep]
+    return state.arr[conformally_minimal(state.arr)[0]], (candidates, rounds)
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -351,12 +358,15 @@ def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]
     on the chosen columns is the product of the pivots and is +/-1
     whenever the sweeps find unit pivots throughout.
 
-    Returns the chosen columns, ascending, and the transformed basis,
-    which spans the same lattice.
+    Returns the columns in the order chosen and the transformed basis
+    (same lattice), row k pivoting the k-th column.  There it is upper
+    triangular: a pivot row was zeroed at each column chosen before it,
+    and later row operations only combine such rows.
     """
     rows = [list(v) for v in seeds]
     free = list(range(len(rows)))
     chosen: list[int] = []
+    pivots: list[int] = []
     for unit_only in (True, False):
         for j in range(n):
             if not free:
@@ -373,8 +383,9 @@ def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]
                 live = [i for i in live if rows[i][j]]
             if live and (not unit_only or abs(rows[live[0]][j]) == 1):
                 chosen.append(j)
+                pivots.append(live[0])
                 free.remove(live[0])
-    return sorted(chosen), rows
+    return chosen, [rows[i] for i in pivots]
 
 
 def _lift_map(basis: list[list[int]], sigma: list[int],
@@ -383,42 +394,22 @@ def _lift_map(basis: list[list[int]], sigma: list[int],
 
     A lattice vector with sigma part y is x . basis for the unique x
     with x . B = y, so it equals y . adj(B) . basis / det B exactly.
-    The columns of the returned map follow order.
+    B is upper triangular (_start_columns), so forward substitution in
+    u . B = det B . e_k gives row k of the integral adj(B), every
+    division exact.  The columns of the returned map follow order.
     """
     r = len(sigma)
-    work = [[Fraction(row[j]) for j in sigma] + [Fraction(int(i == k)) for k in range(r)]
-            for i, row in enumerate(basis)]
-    det = Fraction(1)
-    for c in range(r):
-        p = next(i for i in range(c, r) if work[i][c])
-        if p != c:
-            work[c], work[p] = work[p], work[c]
-            det = -det
-        piv = work[c][c]
-        det *= piv
-        work[c] = [x / piv for x in work[c]]
-        for i in range(r):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    adj = [[int(det * x) for x in row[r:]] for row in work]
+    det = prod(row[j] for row, j in zip(basis, sigma))
+    adj = []
+    for k in range(r):
+        u = [0] * r
+        for c, j in enumerate(sigma[k:], k):
+            rest = (det if c == k else 0) - sum(u[i] * basis[i][j] for i in range(k, c))
+            u[c] = rest // basis[c][j]
+        adj.append(u)
     cols = [[row[j] for row in basis] for j in order]
-    return int(det), [[sum(a * b for a, b in zip(arow, col)) for col in cols]
-                      for arow in adj]
-
-
-def _lift_column(vectors: list[Vec], col: list[int], det: int) -> list[Vec]:
-    """Append to each vector its entry y . col / det, where y is its
-    leading len(col) part; int64 while the products fit, Python ints
-    past that."""
-    r = len(col)
-    if not vectors:
-        return []
-    ys = [v[:r] for v in vectors]
-    reach = max(abs(x) for y in ys for x in y) * sum(map(abs, col))
-    dtype = np.int64 if reach <= np.iinfo(np.int64).max else object
-    vals = (np.array(ys, dtype=dtype) @ np.array(col, dtype=dtype)) // det
-    return [v + (x,) for v, x in zip(vectors, vals.tolist())]
+    return det, [[sum(x * y for x, y in zip(arow, col)) for col in cols]
+                 for arow in adj]
 
 
 def compute_graver(a: IntMatrix) -> GraverBasis:
@@ -457,26 +448,21 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
     order = sigma + [j for j in range(n) if j not in sigma]
     det, lift = _lift_map(basis, sigma, order)
     if abs(det) == 1:
-        current = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+        current = np.eye(r, dtype=np.int64)
         candidates = rounds = 0
     else:
-        current, (candidates, rounds) = _complete(
-            [tuple(row[j] for j in sigma) for row in basis], r, 0)
+        start = np.array([[row[j] for j in sigma] for row in basis], dtype=object)
+        current, (candidates, rounds) = _complete(start, r, 0)
     logger.debug("start: columns %s, |det| %d, %d candidates, %d rounds, %d elements",
                  sigma, abs(det), candidates, rounds, len(current))
     for d in range(r + 1, n + 1):
-        lifted = _lift_column(current, [row[d - 1] for row in lift], det)
+        lifted = append_products(current, [[row[d - 1]] for row in lift], det)
         current, (candidates, rounds) = _complete(lifted, d, d - 1)
         logger.debug("lift step %d: column %d, %d elements in, %d candidates, "
                      "%d rounds, %d elements out", d - r, order[d - 1], len(lifted),
                      candidates, rounds, len(current))
-    out = set()
-    for v in current:
-        full = [0] * n
-        for j, x in zip(order, v):
-            full[j] = x
-        out.add(canonical_rep(full))
-    return GraverBasis(n, frozenset(out))
+    full = _canonical(current[:, np.argsort(order)])
+    return GraverBasis(n, frozenset(map(tuple, full.tolist())))
 
 
 class _OverLimit(Exception):
@@ -555,17 +541,15 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
     return found
 
 
-def conformally_minimal(vectors, n: int) -> list[Vec]:
-    """Members of a set of distinct canonical vectors with no other
-    member conformally below them (up to sign).
-
-    Runs the completion's strict scan (_find_below) over the given set;
-    it meets about len(vectors) * (kept + one row block) pairs.
-    """
-    state = _Completion(n)
-    if vectors:
-        state.add_block(list(vectors))
-    return list(map(tuple, _minimal_filter(state)[0].tolist()))
+def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """A mask of the distinct canonical nonzero rows (int64 or object)
+    with no other row conformally below them, up to sign, and the pairs
+    the sign prefilter met: the completion's strict scan (_find_below),
+    about len(rows) * (kept + one row block) pairs."""
+    state = _Completion(rows.shape[1])
+    state.add_block(rows)
+    red, _, met = _find_below(state, state.arr, state.mask, strict=True)
+    return red < 0, met
 
 
 def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:

@@ -84,9 +84,8 @@ class PiecewiseTable(DiscreteConvexFn):
 
     increments maps j to g(j) - g(j-1).  Queries outside the window
     raise unless extend=True, which continues with the boundary
-    increment (a convexity-preserving growth rule).  Tables are not
-    validated here; the objective parser rejects any table that
-    check_convex_window refuses over its whole window.
+    increment (a convexity-preserving growth rule).  A table that
+    check_convex_window refuses over its whole window is a ValueError.
     """
 
     increments: tuple[tuple[int, Fraction], ...]
@@ -106,6 +105,9 @@ class PiecewiseTable(DiscreteConvexFn):
             raise ValueError("PiecewiseTable: window must be contiguous")
         object.__setattr__(self, "increments", norm)
         object.__setattr__(self, "_table", dict(norm))
+        if not check_convex_window(self, keys[0] - 1, keys[-1]):
+            raise ValueError("increments must not decrease, and must be <= 0 "
+                             "up to 0 and >= 0 from 1")
 
     def increment(self, j: int) -> Fraction:
         table = self._table
@@ -238,12 +240,7 @@ def _parse_fn(text: str) -> DiscreteConvexFn:
             for cell in args:
                 j, _, v = cell.partition(":")
                 cells.append((int(j), Fraction(v)))
-            table = PiecewiseTable(tuple(cells), extend=extend)
-            lo, hi = table.increments[0][0], table.increments[-1][0]
-            if not check_convex_window(table, lo - 1, hi):
-                raise ValueError("increments must not decrease, and must be <= 0 "
-                                 "up to 0 and >= 0 from 1")
-            return table
+            return PiecewiseTable(tuple(cells), extend=extend)
     except (IndexError, ValueError, ZeroDivisionError) as e:
         raise ParseError("objective term %r: %s" % (text, e)) from None
     raise ParseError("objective term: unknown kind %r" % kind)

@@ -149,19 +149,22 @@ def gershgorin_shift(q: RatMatrix) -> Fraction:
 
 
 def choose_lambda_bar(q: RatMatrix) -> Fraction:
-    """Smallest shift from {0, g, 2g, 4g, ...} making Q + shift*I
-    positive definite, g being the Gershgorin deficit (or 1)."""
+    """Smallest shift from {0, g, 2g} making Q + shift*I positive
+    definite, g > 0 being the Gershgorin deficit (or 1).
+
+    Each row of Q + g*I has a diagonal entry at least the sum of its
+    off-diagonal magnitudes, so with 2g every row is strictly
+    diagonally dominant with a positive diagonal, and a symmetric such
+    matrix is positive definite (Gershgorin).  Only 0 and g need a test.
+    """
     n = _require_symmetric(q)
     g = gershgorin_shift(q)
     if g <= 0:
         g = Fraction(1)
-    cand = Fraction(0)
-    while True:
-        shifted = tuple(tuple(q[i][j] + (cand if i == j else 0) for j in range(n))
-                        for i in range(n))
-        if is_positive_definite(shifted):
+    for cand in (Fraction(0), g):
+        if is_positive_definite(_diag_absorbed(q, [cand] * n)):
             return cand
-        cand = g if cand == 0 else 2 * cand
+    return 2 * g
 
 
 def _diag_absorbed(q: RatMatrix, delta: Sequence[Fraction]) -> RatMatrix:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (IntMatrix, ParseError, Vec, canonical_rep, hstack,
                    parse_int_matrix, vstack)
-from .graver import (_Completion, _minimal_filter, box_kernel_vectors, compute_graver,
-                     project_first_n)
+from .graver import (append_products, box_kernel_vectors, compute_graver,
+                     conformally_minimal, int_dtype, project_first_n)
 
 logger = logging.getLogger(__name__)
 
@@ -116,18 +116,13 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
         logger.info("test set: completion (box search over its %d-candidate budget), "
                     "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
     else:
-        # |(Cz)_i| and every partial sum of it are at most sum_j |c_ij| u_j
-        reach = max([sum(abs(x) * u for x, u in zip(row, upper)) for row in c.entries]
-                    + list(upper), default=0)
-        dtype = np.int64 if reach <= np.iinfo(np.int64).max else object
-        z = np.array(cands, dtype=dtype).reshape(len(cands), a.cols)
-        cm = np.array(c.entries, dtype=dtype).reshape(c.rows, c.cols)
-        state = _Completion(a.cols + c.rows)
-        state.add_block(np.hstack([z, -(z @ cm.T)]))
-        kept, met = _minimal_filter(state)
-        dirs = frozenset(map(tuple, kept[:, :a.cols].tolist()))
+        z = np.array(cands, dtype=int_dtype(max(upper, default=0))).reshape(len(cands), a.cols)
+        # each z lifts to (z, -Cz): z times -C^T appended
+        keep, met = conformally_minimal(
+            append_products(z, [[-x for x in c.column(j)] for j in range(a.cols)]))
+        dirs = frozenset(map(tuple, z[keep].tolist()))
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
-                     len(cands), len(kept), met)
+                     len(cands), len(dirs), met)
         logger.info("test set: box, %d candidates, %d directions", len(cands), len(dirs))
     return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c), box=tuple(upper))
 

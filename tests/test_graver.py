@@ -4,10 +4,11 @@ import signal
 import tracemalloc
 from contextlib import contextmanager
 from itertools import permutations, product
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graveropt import graver
@@ -34,6 +35,12 @@ class TestComputeGraver:
 
     def test_one_two_matrix(self):
         assert compute_graver(IntMatrix.from_rows([[1, 2]])).elements == {(2, -1)}
+
+    def test_entry_between_2_63_and_2_64(self):
+        # NumPy infers uint64 or float64 for such ints; one that reached
+        # the completion as float64 would lose (2^63 + 1, -2, 0)
+        got = compute_graver(IntMatrix.from_rows([[2, 2**63 + 1, 0]])).elements
+        assert got == {(0, 0, 1), (2**63 + 1, -2, 0)}
 
     def test_trivial_kernel(self):
         assert compute_graver(IntMatrix.from_rows([[1]])).elements == frozenset()
@@ -203,10 +210,11 @@ class TestMaximalMultiple:
         # a fill for the zero entry below 2^200 would cap the multiple
         monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 1)
         state = graver._Completion(2)
-        state.add_block([(1, 0)])
+        state.add_block(np.array([[1, 0]], dtype=np.int64))
+        assert state.arr.dtype == object
         with time_bound(5):
             got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object))
-        assert got == [(0, 1)]
+        assert got.tolist() == [[0, 1]]
 
 
 def naive_minimal(vectors):
@@ -260,10 +268,12 @@ class TestConformallyMinimal:
             # the default temporaries, then blocks of a row or two and
             # many magnitude-check slices; int64 arrays, then object
             # arrays from the first member of 1-norm 4 on
+            rows = np.array(vectors, dtype=np.int64)
             for cap, limit in product(caps, limits):
                 monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
                 monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", limit)
-                got = conformally_minimal(vectors, n)
+                keep, _ = conformally_minimal(rows)
+                got = [v for v, k in zip(vectors, keep) if k]
                 assert len(got) == len(set(got)) and set(got) == want, \
                     (n, size, cap, limit)
 
@@ -278,11 +288,11 @@ class TestConformallyMinimal:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            kept = conformally_minimal(lifted, 6)
+            keep, _ = conformally_minimal(np.array(lifted, dtype=np.int64))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert kept and peak < 4_000_000
+        assert keep.any() and peak < 4_000_000
 
 
 small_matrices = st.integers(0, 2).flatmap(lambda rows: st.integers(1, 4).flatmap(
@@ -316,10 +326,10 @@ class TestAgainstOracle:
         sizes = []
         minimal = graver.conformally_minimal
 
-        def spy(vectors, n):
-            kept = minimal(vectors, n)
-            sizes.append((len(vectors), len(kept)))
-            return kept
+        def spy(rows):
+            keep, met = minimal(rows)
+            sizes.append((len(rows), int(keep.sum())))
+            return keep, met
 
         monkeypatch.setattr(graver, "conformally_minimal", spy)
         basis = compute_graver(a)
@@ -492,15 +502,62 @@ class TestProjectAndLift:
             sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), n)
             det, lift = graver._lift_map(basis, sigma, list(range(n)))
             for v in compute_graver(a).elements:
-                head = tuple(v[j] for j in sigma)
-                got = tuple(graver._lift_column([head], [row[j] for row in lift], det)[0][-1]
-                            for j in range(n))
+                head = np.array([[v[j] for j in sigma]], dtype=np.int64)
+                got = tuple(graver.append_products(head, [[row[j]] for row in lift],
+                                                   det)[0, -1] for j in range(n))
                 assert got == v, (rows, v)
+
+    # |det| > 1 with a negative pivot, a unit start with negative pivots,
+    # |det| 3 with positive pivots, and two rows with pivots 1 and -2
+    PIVOT_CASES = [([[3, 2, 4]], True, True), ([[1, 1, 1]], False, True),
+                   ([[0, 2, 3]], True, False),
+                   ([[-2, -2, 0, -1], [3, 0, 0, -1]], True, True)]
+
+    @pytest.mark.parametrize("rows, big_det, negative", PIVOT_CASES)
+    def test_pivot_cases_are_what_they_claim(self, rows, big_det, negative):
+        a = IntMatrix.from_rows(rows)
+        sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), a.cols)
+        pivots = [row[j] for row, j in zip(basis, sigma)]
+        assert (abs(prod(pivots)) > 1, min(pivots) < 0) == (big_det, negative)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 2).flatmap(lambda m: st.integers(3, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                           min_size=m, max_size=m))))
+    @example([[3, 2, 4]])
+    @example([[1, 1, 1]])
+    @example([[0, 2, 3]])
+    @example([[-2, -2, 0, -1], [3, 0, 0, -1]])
+    def test_start_block_triangular_and_lift_map_integral(self, rows):
+        a = IntMatrix.from_rows(rows)
+        n = a.cols
+        seeds = graver.kernel_lattice_basis(a)
+        r = len(seeds)
+        sigma, basis = graver._start_columns(seeds, n)
+        assert len(set(sigma)) == len(sigma) == r
+        block = [[row[j] for j in sigma] for row in basis]
+        # upper triangular with a nonzero diagonal, in choice order
+        for k in range(r):
+            assert block[k][k] and not any(block[k][:k]), (rows, block)
+        order = sigma + [j for j in range(n) if j not in sigma]
+        det, lift = graver._lift_map(basis, sigma, order)
+        assert det == prod(block[k][k] for k in range(r))
+        # adj(B) . B = det I on the start columns
+        assert [row[:r] for row in lift] == [[det * (i == k) for k in range(r)]
+                                             for i in range(r)]
+        # every Graver element from its start part, in exact integers
+        for v in compute_graver(a).elements:
+            head = [v[j] for j in sigma]
+            scaled = [sum(y * row[c] for y, row in zip(head, lift)) for c in range(n)]
+            assert all(x % det == 0 for x in scaled), (rows, v)
+            assert [x // det for x in scaled] == [v[j] for j in order], (rows, v)
 
     def test_lift_column_past_int64(self):
         big = 1 << 62
-        got = graver._lift_column([(big, 3), (-1, 2)], [4, 2], 2)
-        assert got == [(big, 3, 2 * big + 3), (-1, 2, 0)]
+        rows = np.array([[big, 3], [-1, 2]], dtype=np.int64)
+        got = graver.append_products(rows, [[4], [2]], 2)
+        assert got.dtype == object
+        assert got.tolist() == [[big, 3, 2 * big + 3], [-1, 2, 0]]
 
     def test_one_log_line_per_lift_step(self, caplog):
         # a unit start, then a start of |det| 5 that needs a completion

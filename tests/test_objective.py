@@ -5,6 +5,7 @@ import pytest
 
 from graveropt.core import ParseError
 from graveropt.objective import (
+    DiscreteConvexFn,
     GeometricAbs,
     PiecewiseTable,
     ScaledAbs,
@@ -144,6 +145,14 @@ class TestPiecewiseTable:
             with pytest.raises(ValueError, match="increment %d outside" % first):
                 within_seconds(2.0, bare.value, arg)
 
+    def test_non_convex_table_rejected(self):
+        # built in Python, this table once let solve on A = [[1, 1]],
+        # b = (4,) stop at (1, 3) with value -1; the minimum is -16 at (4, 0)
+        with pytest.raises(ValueError, match="must not decrease"):
+            PiecewiseTable({1: -1, 2: 5, 3: -10, 4: -10})
+        with pytest.raises(ValueError, match="must not decrease"):
+            PiecewiseTable({1: -1, 2: 5, 3: -10, 4: -10}, extend=True)
+
     def test_window_must_be_contiguous(self):
         with pytest.raises(ValueError):
             PiecewiseTable({0: Fraction(0), 2: Fraction(1)})
@@ -151,20 +160,37 @@ class TestPiecewiseTable:
             PiecewiseTable({})
 
 
+class Increments(DiscreteConvexFn):
+    """A piece given by a dict of increments, checked by nothing."""
+
+    def __init__(self, incs):
+        self.incs = incs
+
+    def increment(self, j):
+        return Fraction(self.incs[j])
+
+
 class TestConvexWindow:
     def test_even_power_convex(self):
         assert check_convex_window(ScaledEvenPower(1, 2), -5, 5)
 
     def test_decreasing_increments_rejected(self):
-        g = PiecewiseTable({-1: Fraction(-2), 0: Fraction(1), 1: Fraction(0)})
-        assert not check_convex_window(g, -2, 1)
+        with pytest.raises(ValueError, match="must not decrease"):
+            PiecewiseTable({-1: Fraction(-2), 0: Fraction(1), 1: Fraction(0)})
+        # decreasing on either side of the origin, signs all right
+        assert not check_convex_window(Increments({-1: -1, 0: -2}), -2, 0)
+        assert not check_convex_window(Increments({1: 2, 2: 1}), 0, 2)
+        assert check_convex_window(Increments({-1: -2, 0: -1, 1: 0, 2: 3}), -2, 2)
 
     def test_scaled_abs_convex(self):
         assert check_convex_window(ScaledAbs(2), -10, 10)
 
     def test_positive_increment_left_of_origin_rejected(self):
-        g = PiecewiseTable({0: Fraction(1), 1: Fraction(1)})
-        assert not check_convex_window(g, -1, 1)
+        with pytest.raises(ValueError, match="must not decrease"):
+            PiecewiseTable({0: Fraction(1), 1: Fraction(1)})
+        assert not check_convex_window(Increments({0: 1, 1: 1}), -1, 1)
+        # and a negative one right of it, with nondecreasing increments
+        assert not check_convex_window(Increments({0: -2, 1: -1}), -1, 1)
 
     def test_window_shape_checked(self):
         with pytest.raises(ValueError):

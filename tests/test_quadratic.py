@@ -10,6 +10,7 @@ import pytest
 from graveropt.core import ParseError
 from graveropt.quadratic import (binary_identity_holds, binary_rephrase,
                                  choose_lambda_bar, congruence_diagonalize,
+                                 gershgorin_shift,
                                  is_positive_definite, is_psd, parse_rat_matrix,
                                  parse_rat_vector, rat_matrix, reconstruct,
                                  to_separable)
@@ -176,6 +177,28 @@ class TestChooseLambdaBar:
             shifted = rat_matrix([[q[i][j] + (lam if i == j else 0)
                                    for j in range(n)] for i in range(n)])
             assert is_positive_definite(shifted)
+
+    def test_shift_is_zero_g_or_2g(self):
+        # the smallest of 0, g, 2g (g the Gershgorin deficit, or 1) that
+        # makes Q + shift*I positive definite; 2g always does
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            vals = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            q = rat_matrix([[vals[min(i, j)][max(i, j)] for j in range(n)]
+                            for i in range(n)])
+            g = gershgorin_shift(q) or Fraction(1)
+            lam = choose_lambda_bar(q)
+            shifts = [Fraction(0), g, 2 * g]
+            assert lam in shifts
+            seen.add(shifts.index(lam))
+            for cand in shifts:
+                shifted = rat_matrix([[q[i][j] + (cand if i == j else 0)
+                                       for j in range(n)] for i in range(n)])
+                assert is_positive_definite(shifted) == (cand >= lam), (q, cand)
+        assert seen == {0, 1, 2}
 
 
 class TestBinaryRephrase:

@@ -143,6 +143,9 @@ class TestBoxTestSet:
         boxed = {d for d in compute_test_set(ZERO3, c).directions
                  if all(abs(x) <= u for x, u in zip(d, (2, 1, 2)))}
         assert candidates == 37 and got.directions == boxed
+        # no box candidate at all: the lift still takes C past int64
+        got, candidates = counted_box_set(caplog, IntMatrix.identity(3), c, (2, 1, 2))
+        assert candidates == 0 and got.directions == frozenset()
 
     def test_norms_exact_past_int64(self, caplog):
         # every lifted entry fits in int64 and every lifted 1-norm
