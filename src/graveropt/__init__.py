@@ -3,7 +3,7 @@ integer programs, with quadratic and assignment front ends."""
 
 from .augment import CipInstance, SolveReport, SolveStatus, solve
 from .core import IntMatrix, canonical_rep, conformal_leq, kernel_lattice_basis
-from .graver import GraverBasis, compute_graver, graver_oracle
+from .graver import compute_graver, graver_oracle
 from .objective import (DiscreteConvexFn, GeometricAbs, PiecewiseTable,
                         ScaledAbs, ScaledEvenPower, SeparableObjective, Term,
                         Zero, linear_objective)
@@ -14,7 +14,7 @@ from .testset import TestSet, compute_test_set
 __all__ = [
     "CipInstance", "SolveReport", "SolveStatus", "solve",
     "IntMatrix", "canonical_rep", "conformal_leq", "kernel_lattice_basis",
-    "GraverBasis", "compute_graver", "graver_oracle",
+    "compute_graver", "graver_oracle",
     "DiscreteConvexFn", "GeometricAbs", "PiecewiseTable", "ScaledAbs",
     "ScaledEvenPower", "SeparableObjective", "Term", "Zero", "linear_objective",
     "QapInstance", "koopmans_beckmann", "permutation_oracle", "solve_qap",

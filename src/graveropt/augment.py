@@ -101,18 +101,18 @@ def line_search(inst: CipInstance, z: Vec, t: Vec, value: Fraction,
     lam >= 1 minimizing f(z - lam*t) over the feasible ray (discrete
     convexity makes the first non-improving increment final), or None
     when the unit step is infeasible or not an improvement.  A ray that
-    is still descending after ``cap`` steps raises RuntimeError as a
-    suspected unbounded instance.
+    still descends at step cap + 1 raises RuntimeError as a suspected
+    unbounded instance; a minimizer at exactly cap is returned.
     """
     limit = max_feasible_step(inst, z, t)
     f = inst.objective.value
     lam, cur = 0, value
     while limit is None or lam < limit:
-        if lam and lam >= cap:
-            raise RuntimeError("line_search: still descending after %d steps" % cap)
         nxt = f(tuple(a - (lam + 1) * b for a, b in zip(z, t)))
         if nxt >= cur:
             break
+        if lam == cap:
+            raise RuntimeError("line_search: still descending after %d steps" % cap)
         lam, cur = lam + 1, nxt
     return (lam, cur) if lam else None
 
@@ -121,21 +121,20 @@ def find_improving(inst: CipInstance, t_set: TestSet, z: Vec, value: Fraction,
                    best: bool = False, cap: int = 10 ** 6):
     """An improving (direction, step length, value after), or None at optima.
 
-    value is f(z).  Default scan: canonical directions in sorted order,
-    + before -, first improvement wins.  With best=True every signed
-    direction is line-searched and the deepest landing value wins (ties
-    keep scan order).
+    value is f(z).  Default scan: t_set.scan, canonical directions in
+    sorted order, + before -, first improvement wins.  With best=True
+    every signed direction is line-searched and the deepest landing
+    value wins (ties keep scan order).
     """
     if not inst.feasible(z):
         raise InfeasibleStartError("find_improving: start point infeasible")
     champion = None
-    for d in t_set.sorted_directions():
-        for t in (d, tuple(-x for x in d)):
-            found = line_search(inst, z, t, value, cap=cap)
-            if found is not None and (champion is None or found[1] < champion[2]):
-                champion = (t,) + found
-                if not best:
-                    return champion
+    for t in t_set.scan:
+        found = line_search(inst, z, t, value, cap=cap)
+        if found is not None and (champion is None or found[1] < champion[2]):
+            champion = (t,) + found
+            if not best:
+                return champion
     return champion
 
 
@@ -165,9 +164,9 @@ def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
     if a != inst.a:
         raise ValueError("test set was computed for a different constraint matrix")
     rows = set(c.entries)
-    for term in inst.objective.terms:
-        if any(term.coeffs) and term.coeffs not in rows:
-            raise ValueError("test set does not cover objective row %r" % (term.coeffs,))
+    for row in composition_matrix(inst).entries:
+        if row not in rows:
+            raise ValueError("test set does not cover objective row %r" % (row,))
 
 
 def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
@@ -175,7 +174,9 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
     """Monotone augmentation from z0 until no direction improves.
 
     cap bounds both the number of steps and each step's length; it has
-    to be at least 1.
+    to be at least 1.  The walk is optimal once a scan finds nothing
+    improving, the scan after the cap-th step included; past cap it is
+    unbounded-suspected.
     """
     if cap < 1:
         raise ValueError("solve: step cap must be at least 1, got %d" % cap)
@@ -185,13 +186,15 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
     z = tuple(z0)
     value = inst.objective.value(z)
     steps: list[Step] = []
-    for _ in range(cap):
+    while True:  # at most cap + 1 scans: each one ends the walk or adds a step
         try:
             found = find_improving(inst, t_set, z, value, best=best, cap=cap)
         except RuntimeError:
-            return SolveReport(SolveStatus.UNBOUNDED_SUSPECTED, z, value, tuple(steps))
+            break
         if found is None:
             return SolveReport(SolveStatus.OPTIMAL, z, value, tuple(steps))
+        if len(steps) == cap:
+            break
         t, lam, new_value = found
         z = tuple(a - lam * b for a, b in zip(z, t))
         assert new_value < value

@@ -90,7 +90,7 @@ def cmd_graver(args) -> int:
     basis = compute_graver(a)
     if args.verify and not verify_against_oracle(a, basis):
         raise VerificationError("graver: enumeration disagrees with completion")
-    rows = basis.sorted_elements()
+    rows = sorted(basis.directions)
     m = IntMatrix(len(rows), a.cols, tuple(rows))
     _emit(format_int_matrix(m), args.out)
     return 0
@@ -102,8 +102,7 @@ def cmd_testset(args) -> int:
     c = parse_int_matrix(_read(args.compositions))
     t = compute_test_set(a, c)
     if args.verify:
-        g = compute_graver(a)
-        if not g.elements <= t.directions:
+        if not compute_graver(a).directions <= t.directions:
             raise VerificationError("testset: Graver basis not contained in result")
     _emit(format_test_set(t), args.out)
     return 0
@@ -228,7 +227,7 @@ def _selftest_lawrence(rng) -> bool:
         a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]
                                  for _ in range(d)], cols=n)
         t = compute_test_set(a, IntMatrix.identity(n))
-        if t.directions != compute_graver(a).elements:
+        if t.directions != compute_graver(a).directions:
             return False
     return True
 
@@ -325,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the walk in the slack coordinates (z, u - z) of "
                         "z + s = u; a 2n-column --testset holds rows (t, -t)")
     p.add_argument("--best-improving", action="store_true")
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=10 ** 6,
+                   help="bound on the walk's steps and on each step's length; past "
+                        "it the walk ends unbounded-suspected (default 10^6)")
     p.add_argument("--verify", action="store_true",
                    help="compare against exhaustive minimum")
     p.add_argument("--box", type=int, nargs="+",

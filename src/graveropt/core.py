@@ -100,19 +100,6 @@ class IntMatrix:
         return tuple(dot(r, v) for r in self.entries)
 
 
-def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError("hstack: row counts differ")
-    return IntMatrix(a.rows, a.cols + b.cols,
-                     tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
-
-
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError("vstack: column counts differ")
-    return IntMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
 def kernel_lattice_basis(a: IntMatrix) -> list[Vec]:
     """Basis of the saturated lattice {v in Z^n : Av = 0}.
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
-from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_basis
+from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_basis, negate
 
 # Magnitude at which arrays leave int64 for Python ints (int_dtype); below
 # it every member 1-norm and pair sum of a completion fits in int64.
@@ -48,26 +49,32 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class GraverBasis:
-    """Conformally minimal nonzero kernel vectors, one per +/- pair.
+class TestSet:
+    """Directions for the family (A, C), one canonical representative
+    (first nonzero entry positive) per +/- pair; ``v in t`` raises TypeError.
 
-    elements holds canonical representatives (first nonzero entry
-    positive); membership treats v and -v alike.
+    compute_graver gives the Graver basis of A, the test set of the
+    family with no composition rows.  provenance keeps (A, C), so a
+    solver can refuse an unrelated instance; hand-assembled and parsed
+    sets leave it None.  box is the bound vector u of a set cut down to
+    |t_j| <= u_j (box_test_set), None for a full set; such a set only
+    serves instances whose box lies inside u.
     """
 
-    dimension: int
-    elements: frozenset[Vec]
+    __test__ = False  # not a pytest class, despite the name
 
-    def __contains__(self, v: Vec) -> bool:
-        if len(v) != self.dimension or not any(v):
-            return False
-        return canonical_rep(v) in self.elements
+    dimension: int
+    directions: frozenset[Vec]
+    provenance: tuple[IntMatrix, IntMatrix] | None = None
+    box: Vec | None = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.directions)
 
-    def sorted_elements(self) -> list[Vec]:
-        return sorted(self.elements)
+    @cached_property
+    def scan(self) -> tuple[Vec, ...]:  # not a field: == and hash ignore it
+        """The signed directions in walk order: each sorted d, then -d."""
+        return tuple(t for d in sorted(self.directions) for t in (d, negate(d)))
 
 
 def int_dtype(reach: int) -> type:
@@ -290,7 +297,7 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
     pi, ti = np.nonzero(before & ~(opp & old).any(axis=2) & (opp & ~old).any(axis=2))
     di, tj = np.nonzero(before & ~(same & old).any(axis=2) & (same & ~old).any(axis=2))
     arr = state.arr
-    return np.vstack([arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]])
+    return np.concatenate((arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]))
 
 
 def _complete(seeds: np.ndarray, n: int,
@@ -412,8 +419,9 @@ def _lift_map(basis: list[list[int]], sigma: list[int],
                  for arow in adj]
 
 
-def compute_graver(a: IntMatrix) -> GraverBasis:
-    """Graver basis of {v : Av = 0}, canonical representatives only.
+def compute_graver(a: IntMatrix) -> TestSet:
+    """Graver basis of {v : Av = 0}, canonical representatives only, as
+    the test set of the family (A, C) with C the 0 x n matrix.
 
     Project-and-lift (Hemmecke, Math. Program. 96 (2003)).  Take r
     columns sigma on which the rank-r kernel lattice L projects
@@ -442,8 +450,9 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
     """
     seeds = kernel_lattice_basis(a)
     n, r = a.cols, len(seeds)
+    provenance = (a, IntMatrix.zero(0, n))
     if r == 0:
-        return GraverBasis(n, frozenset())
+        return TestSet(n, frozenset(), provenance)
     sigma, basis = _start_columns(seeds, n)
     order = sigma + [j for j in range(n) if j not in sigma]
     det, lift = _lift_map(basis, sigma, order)
@@ -462,7 +471,7 @@ def compute_graver(a: IntMatrix) -> GraverBasis:
                      "%d rounds, %d elements out", d - r, order[d - 1], len(lifted),
                      candidates, rounds, len(current))
     full = _canonical(current[:, np.argsort(order)])
-    return GraverBasis(n, frozenset(map(tuple, full.tolist())))
+    return TestSet(n, frozenset(map(tuple, full.tolist())), provenance)
 
 
 class _OverLimit(Exception):
@@ -564,22 +573,22 @@ def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:
     reps = sorted(box_kernel_vectors(a, (bound,) * a.cols))
     minimal = []
     for v in reps:
-        neg = tuple(-x for x in v)
+        neg = negate(v)
         if not any(g != v and (conformal_leq(g, v) or conformal_leq(g, neg))
                    for g in reps):
             minimal.append(v)
     return frozenset(minimal)
 
 
-def verify_against_oracle(a: IntMatrix, basis: GraverBasis) -> bool:
+def verify_against_oracle(a: IntMatrix, basis: TestSet) -> bool:
     """Re-derive the basis by enumeration inside a box covering it.
 
     The box bound is twice the largest max-norm in the computed basis
     (2 for an empty basis), so any spurious or missing element up to
     that size is caught.
     """
-    peak = max((abs(x) for v in basis.elements for x in v), default=1)
-    return graver_oracle(a, 2 * peak) == basis.elements
+    peak = max((abs(x) for v in basis.directions for x in v), default=1)
+    return graver_oracle(a, 2 * peak) == basis.directions
 
 
 def project_first_n(vectors, n: int) -> frozenset[Vec]:

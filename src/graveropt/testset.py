@@ -10,14 +10,11 @@ the Graver basis of A and is in general strictly larger.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import (IntMatrix, ParseError, Vec, canonical_rep, hstack,
-                   parse_int_matrix, vstack)
-from .graver import (append_products, box_kernel_vectors, compute_graver,
+from .core import IntMatrix, ParseError, Vec, canonical_rep, parse_int_matrix
+from .graver import (TestSet, append_products, box_kernel_vectors, compute_graver,
                      conformally_minimal, int_dtype, project_first_n)
 
 logger = logging.getLogger(__name__)
@@ -34,53 +31,22 @@ logger = logging.getLogger(__name__)
 BOX_CANDIDATE_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class TestSet:
-    """Improving-direction candidates for one (A, C) family.
-
-    provenance keeps the pair the set was computed from, so a solver
-    can refuse to apply it to an unrelated instance.  Hand-assembled
-    sets may leave it None.  box is the upper bound vector u of a set
-    cut down to |t_j| <= u_j (box_test_set), None for a full set; such
-    a set only serves instances whose box lies inside u.
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    dimension: int
-    directions: frozenset[Vec]
-    lift_rows: int = 0
-    provenance: tuple[IntMatrix, IntMatrix] | None = None
-    box: Vec | None = None
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-    def sorted_directions(self) -> list[Vec]:
-        return list(self._sorted)
-
-    @cached_property
-    def _sorted(self) -> tuple[Vec, ...]:  # not a field: == and hash ignore it
-        return tuple(sorted(self.directions))
-
-
 def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
     """[[A, 0], [C, I]]: one fresh tracking column per row of C."""
     if a.cols != c.cols:
         raise ValueError("build_lifted_matrix: A and C must have equal column counts")
     s = c.rows
-    if s == 0:
-        return a
-    top = hstack(a, IntMatrix.zero(a.rows, s))
-    bottom = hstack(c, IntMatrix.identity(s))
-    return vstack(top, bottom)
+    rows = [row + (0,) * s for row in a.entries]
+    rows += [row + tuple(int(k == i) for k in range(s)) for i, row in enumerate(c.entries)]
+    return IntMatrix(a.rows + s, a.cols + s, tuple(rows))
 
 
 def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
-    """Project the lifted Graver basis onto the first n coordinates."""
+    """Project the lifted Graver basis onto the first n coordinates;
+    compute_graver(a), provenance included, when C has no rows."""
     lifted = build_lifted_matrix(a, c)
-    dirs = project_first_n(compute_graver(lifted).elements, a.cols)
-    return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c))
+    dirs = project_first_n(compute_graver(lifted).directions, a.cols)
+    return TestSet(a.cols, dirs, provenance=(a, c))
 
 
 def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
@@ -124,7 +90,7 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
                      len(cands), len(dirs), met)
         logger.info("test set: box, %d candidates, %d directions", len(cands), len(dirs))
-    return TestSet(a.cols, dirs, lift_rows=c.rows, provenance=(a, c), box=tuple(upper))
+    return TestSet(a.cols, dirs, provenance=(a, c), box=tuple(upper))
 
 
 def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:
@@ -156,8 +122,10 @@ def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:
 # file format: standard integer matrix prefixed by a header comment
 
 def format_test_set(t: TestSet) -> str:
-    rows = t.sorted_directions()
-    lines = ["# hcip n=%d s=%d" % (t.dimension, t.lift_rows)]
+    """The header "# hcip n=<dimension> s=<rows of C>" (s=0 for a set
+    without provenance), then the directions as a matrix in sorted order."""
+    rows = sorted(t.directions)
+    lines = ["# hcip n=%d s=%d" % (t.dimension, t.provenance[1].rows if t.provenance else 0)]
     lines.append("%d %d" % (len(rows), t.dimension))
     lines.extend(" ".join(str(x) for x in r) for r in rows)
     return "\n".join(lines) + "\n"

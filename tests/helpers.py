@@ -7,7 +7,7 @@ from itertools import product
 
 from graveropt.augment import CipInstance, brute_force_optimum
 from graveropt.core import IntMatrix, Vec, canonical_rep
-from graveropt.graver import GraverBasis
+from graveropt.graver import TestSet
 from graveropt.objective import DiscreteConvexFn, SeparableObjective, format_objective
 from graveropt.qap import QapInstance
 from graveropt.quadratic import RatMatrix
@@ -109,7 +109,7 @@ def binary_split_minimum(g: DiscreteConvexFn, p: int, k: int) -> Fraction:
     return best
 
 
-def _expand_last_column(g: GraverBasis, s: int) -> GraverBasis:
+def _expand_last_column(g: TestSet, s: int) -> TestSet:
     """From the basis of (A|a), the basis of (A|a|s*a), s = -1 or 1.
 
     Each element (u, p) splits its last entry p into every pair
@@ -121,20 +121,20 @@ def _expand_last_column(g: GraverBasis, s: int) -> GraverBasis:
     """
     n = g.dimension - 1
     out: set[Vec] = set()
-    for rep in g.elements:
+    for rep in g.directions:
         for v in (rep, tuple(-x for x in rep)):
             u, p = v[:n], v[n]
             for x in range(min(p, 0), max(p, 0) + 1):
                 out.add(canonical_rep(u + (x, s * (p - x))))
     out.add((0,) * n + (1, -s))
-    return GraverBasis(g.dimension + 1, frozenset(out))
+    return TestSet(g.dimension + 1, frozenset(out))
 
 
-def expand_negated_column(g: GraverBasis) -> GraverBasis:
+def expand_negated_column(g: TestSet) -> TestSet:
     """From the basis of (A|a), the basis of (A|a|-a)."""
     return _expand_last_column(g, -1)
 
 
-def expand_duplicated_column(g: GraverBasis) -> GraverBasis:
+def expand_duplicated_column(g: TestSet) -> TestSet:
     """From the basis of (A|a), the basis of (A|a|a)."""
     return _expand_last_column(g, 1)

@@ -112,7 +112,7 @@ def random_matrix(rng, rows, cols, lo=-2, hi=2):
 
 def test_criterion_01_free_two_variable_basis(capsys):
     with gate(capsys, 1, "basis of the free two-variable lattice", 1.0):
-        assert compute_graver(ZERO2).elements == {(0, 1), (1, 0)}
+        assert compute_graver(ZERO2).directions == {(0, 1), (1, 0)}
 
 
 def test_criterion_02_binary_quadratic_rewrites(capsys):
@@ -167,7 +167,7 @@ def test_criterion_05_identity_compositions_match_basis(capsys):
             rows, cols = rng.randint(1, 2), rng.randint(2, 4)
             a = random_matrix(rng, rows, cols)
             assert (compute_test_set(a, IntMatrix.identity(cols)).directions
-                    == compute_graver(a).elements)
+                    == compute_graver(a).directions)
 
 
 def test_criterion_06_column_splits_and_lift_projection(capsys):
@@ -184,8 +184,8 @@ def test_criterion_06_column_splits_and_lift_projection(capsys):
                 [r + (-r[-1],) for r in w.entries], cols=cols + 1)
             doubled = IntMatrix.from_rows(
                 [r + (r[-1],) for r in w.entries], cols=cols + 1)
-            assert expand_negated_column(g).elements == compute_graver(negated).elements
-            assert expand_duplicated_column(g).elements == compute_graver(doubled).elements
+            assert expand_negated_column(g).directions == compute_graver(negated).directions
+            assert expand_duplicated_column(g).directions == compute_graver(doubled).directions
         note("split draws keep the final column nonzero; splitting a "
                      "zero column is outside the construction's hypothesis")
 
@@ -196,7 +196,7 @@ def test_criterion_06_column_splits_and_lift_projection(capsys):
             expected = compute_test_set(a, c).directions
             for k in (1, 2):
                 widened = build_split_matrix(a, c, k)
-                got = project_first_n(compute_graver(widened).elements, cols)
+                got = project_first_n(compute_graver(widened).directions, cols)
                 assert got == expected, (a, c, k)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graveropt.core import IntMatrix
-from graveropt.graver import box_kernel_vectors
+from graveropt.graver import box_kernel_vectors, compute_graver
 from graveropt.objective import (
     GeometricAbs,
     PiecewiseTable,
@@ -85,6 +85,15 @@ class TestLineSearch:
         inst = CipInstance(FREE2, (), None, linear_objective([1, 1]))
         with pytest.raises(RuntimeError):
             line_search(inst, (10 ** 7, 0), (1, 0), 10 ** 7, cap=1000)
+
+    def test_minimizer_exactly_at_cap(self):
+        # (x - 3)^2 from x = 0 along +1: step 4 no longer improves, so
+        # cap 3 is enough and cap 2 is not
+        inst = CipInstance(IntMatrix.zero(0, 1), (), None, SeparableObjective(
+            1, (Term(ScaledEvenPower(1, 2), (1,), -3),), (Fraction(0),)))
+        assert line_search(inst, (0,), (-1,), 9, cap=3) == (3, 0)
+        with pytest.raises(RuntimeError):
+            line_search(inst, (0,), (-1,), 9, cap=2)
 
 
 class TestFindImproving:
@@ -181,6 +190,28 @@ class TestSolve:
     def test_infeasible_start(self, square_pair):
         with pytest.raises(InfeasibleStartError):
             solve(square_pair, pair_test_set(), (0, 5, 5))
+
+    def test_graver_basis_serves_linear_objectives(self):
+        # the Graver basis of A is the test set of the family with no
+        # composition rows: the same walk as instance_test_set, and
+        # refused once a term composes a row
+        rng = random.Random(59)
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            a = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                                     for _ in range(rng.randint(1, 2))], cols=n)
+            z0 = tuple(rng.randint(0, 3) for _ in range(n))
+            obj = linear_objective([rng.randint(0, 3) for _ in range(n)])
+            inst = CipInstance(a, a.mat_vec(z0), None, obj)
+            basis, family = compute_graver(a), instance_test_set(inst)
+            assert basis == family
+            for best in (False, True):
+                assert solve(inst, basis, z0, best=best) == solve(inst, family, z0, best=best)
+            row = tuple(rng.randint(1, 2) for _ in range(n))
+            squared = CipInstance(a, inst.b, None, SeparableObjective(
+                n, (Term(ScaledEvenPower(1, 2), row, 0),), obj.linear))
+            with pytest.raises(ValueError, match="does not cover objective row"):
+                solve(squared, basis, z0)
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_non_positive_cap_rejected(self, square_pair, cap):
@@ -412,8 +443,8 @@ def boxed_completion(inst):
     full = compute_test_set(inst.a, composition_matrix(inst))
     kept = frozenset(d for d in full.directions
                      if all(abs(x) <= u for x, u in zip(d, inst.upper)))
-    return full, TestSet(full.dimension, kept, lift_rows=full.lift_rows,
-                         provenance=full.provenance, box=tuple(inst.upper))
+    return full, TestSet(full.dimension, kept, provenance=full.provenance,
+                         box=tuple(inst.upper))
 
 
 @st.composite

@@ -209,6 +209,20 @@ class TestSolveCommand:
             captured = capsys.readouterr()
             assert "step cap" in captured.err and captured.out == ""
 
+    def test_walk_of_exactly_cap_steps_is_optimal(self, capsys):
+        # the golden walk takes 6 steps to 1 0 4 1; the scan after the
+        # 6th step finds nothing improving, so cap 6 is enough, and
+        # cap 5 stops one step short
+        inst, start = str(GOLDEN / "bounded.cip"), str(GOLDEN / "start.vec")
+        assert main(["solve", inst, start, "--cap", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == ["optimum: 1 0 4 1", "value: 17/6", "status: optimal"]
+        assert sum(ln.startswith("step ") for ln in lines) == 6
+        assert main(["solve", inst, start, "--cap", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "status: unbounded-suspected"
+        assert sum(ln.startswith("step ") for ln in lines) == 5
+
     def test_json_report(self, tmp_path, capsys):
         inst = self.instance_file(tmp_path)
         start = put(tmp_path, "z0.vec", "2 0\n")

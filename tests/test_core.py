@@ -11,12 +11,10 @@ from graveropt.core import (
     conformal_leq,
     dot,
     format_int_matrix,
-    hstack,
     kernel_lattice_basis,
     negate,
     parse_int_matrix,
     parse_int_vector,
-    vstack,
 )
 from tests.conftest import random_int_matrix
 from tests.helpers import exact_rank
@@ -112,16 +110,6 @@ class TestIntMatrix:
         assert e.row(1) == (0, 1, 0)
         assert e.column(2) == (0, 0, 1)
         assert e.mat_vec((4, 5, 6)) == (4, 5, 6)
-
-    def test_stacking(self):
-        a = IntMatrix.from_rows([[1, 2]])
-        b = IntMatrix.from_rows([[3, 4]])
-        assert hstack(a, b).row(0) == (1, 2, 3, 4)
-        assert vstack(a, b).entries == ((1, 2), (3, 4))
-        with pytest.raises(ValueError):
-            hstack(a, IntMatrix.zero(2, 2))
-        with pytest.raises(ValueError):
-            vstack(a, IntMatrix.zero(1, 3))
 
 
 def lattice_coords(basis, v):

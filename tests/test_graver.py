@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from graveropt import graver
 from graveropt.core import IntMatrix, canonical_rep, conformal_leq, negate
 from graveropt.graver import (
-    GraverBasis,
+    TestSet,
     box_kernel_vectors,
     compute_graver,
     conformally_minimal,
@@ -28,37 +28,37 @@ from tests.helpers import expand_duplicated_column, expand_negated_column
 
 class TestComputeGraver:
     def test_free_two_dims(self):
-        assert compute_graver(IntMatrix.zero(0, 2)).elements == {(1, 0), (0, 1)}
+        assert compute_graver(IntMatrix.zero(0, 2)).directions == {(1, 0), (0, 1)}
 
     def test_difference_matrix(self):
-        assert compute_graver(IntMatrix.from_rows([[1, -1]])).elements == {(1, 1)}
+        assert compute_graver(IntMatrix.from_rows([[1, -1]])).directions == {(1, 1)}
 
     def test_one_two_matrix(self):
-        assert compute_graver(IntMatrix.from_rows([[1, 2]])).elements == {(2, -1)}
+        assert compute_graver(IntMatrix.from_rows([[1, 2]])).directions == {(2, -1)}
 
     def test_entry_between_2_63_and_2_64(self):
         # NumPy infers uint64 or float64 for such ints; one that reached
         # the completion as float64 would lose (2^63 + 1, -2, 0)
-        got = compute_graver(IntMatrix.from_rows([[2, 2**63 + 1, 0]])).elements
+        got = compute_graver(IntMatrix.from_rows([[2, 2**63 + 1, 0]])).directions
         assert got == {(0, 0, 1), (2**63 + 1, -2, 0)}
 
     def test_trivial_kernel(self):
-        assert compute_graver(IntMatrix.from_rows([[1]])).elements == frozenset()
+        assert compute_graver(IntMatrix.from_rows([[1]])).directions == frozenset()
 
     def test_sum_of_three(self):
-        got = compute_graver(IntMatrix.from_rows([[1, 1, 1]])).elements
+        got = compute_graver(IntMatrix.from_rows([[1, 1, 1]])).directions
         assert got == {(1, -1, 0), (1, 0, -1), (0, 1, -1)}
 
     def test_deterministic_across_runs(self):
         a = IntMatrix.from_rows([[2, -3, 1], [0, 1, -2]])
-        assert compute_graver(a).elements == compute_graver(a).elements
+        assert compute_graver(a).directions == compute_graver(a).directions
 
     def test_basis_invariants_hold(self):
         rng = random.Random(17)
         for _ in range(6):
             a = random_int_matrix(rng, rng.randint(1, 2), rng.randint(2, 4))
             basis = compute_graver(a)
-            elems = basis.sorted_elements()
+            elems = sorted(basis.directions)
             for v in elems:
                 assert any(v)
                 assert not any(a.mat_vec(v))
@@ -70,13 +70,14 @@ class TestComputeGraver:
 
 
 class TestMembership:
-    def test_negation_blind(self):
+    def test_in_is_refused(self):
+        # v and -v stand for one direction, so a plain `in` would be
+        # negation-blind or sign-sensitive by accident; it fails loudly
         basis = compute_graver(IntMatrix.from_rows([[1, 2]]))
-        assert (2, -1) in basis
-        assert (-2, 1) in basis
-        assert (1, 0) not in basis
-        assert (0, 0) not in basis
-        assert (2, -1, 0) not in basis
+        for v in ((2, -1), (-2, 1), (1, 0), (0, 0), (2, -1, 0)):
+            with pytest.raises(TypeError):
+                v in basis
+        assert basis.directions == {(2, -1)}
         assert len(basis) == 1
 
 
@@ -169,7 +170,7 @@ class TestInt64BoundCrossing:
         seeds = graver.kernel_lattice_basis(a)
         assert max(map(norm1, seeds)) < self.LIMIT
         with time_bound(15):
-            got = compute_graver(a).elements
+            got = compute_graver(a).directions
         assert max(map(norm1, got)) >= self.LIMIT
         assert max(abs(x) for v in got for x in v) == bound
         assert got == graver_oracle(a, 2 * bound)
@@ -189,7 +190,7 @@ class TestInt64BoundCrossing:
 
         monkeypatch.setattr(graver, "_complete", spy)
         with time_bound(15):
-            got = compute_graver(a).elements
+            got = compute_graver(a).directions
         assert steps[-1] == (3, 5, 11)
         assert got == graver_oracle(a, 12)
 
@@ -200,7 +201,7 @@ class TestInt64BoundCrossing:
         rows = [[int(j == i) - int(j == i + 1) for j in range(6)] for i in range(4)]
         rows.append([0, 0, 0, 0, 1, -k])
         with time_bound(15):
-            got = compute_graver(IntMatrix.from_rows(rows)).elements
+            got = compute_graver(IntMatrix.from_rows(rows)).directions
         assert got == {(k, k, k, k, k, 1)}
 
 
@@ -359,8 +360,8 @@ class TestAgainstOracle:
     def test_oracle_at_exact_max_norm(self):
         a = IntMatrix.from_rows([[2, -3, 1]])
         basis = compute_graver(a)
-        bound = max(max(abs(x) for x in v) for v in basis.elements)
-        assert graver_oracle(a, bound) == basis.elements
+        bound = max(max(abs(x) for x in v) for v in basis.directions)
+        assert graver_oracle(a, bound) == basis.directions
 
     def test_positive_sum_property(self):
         # every boxed kernel vector is conformally above some basis element
@@ -368,7 +369,7 @@ class TestAgainstOracle:
         for _ in range(5):
             a = random_int_matrix(rng, rng.randint(1, 2), rng.randint(2, 3))
             basis = compute_graver(a)
-            signed = {v for g in basis.elements for v in (g, negate(g))}
+            signed = {v for g in basis.directions for v in (g, negate(g))}
             for v in product(range(-3, 4), repeat=a.cols):
                 if not any(v) or any(a.mat_vec(v)):
                     continue
@@ -407,26 +408,26 @@ class TestTwoWayTables:
         rows += [[int(j % c == i) for j in range(r * c)] for i in range(c)]
         want = table_cycles(r, c)
         assert len(want) == size
-        assert compute_graver(IntMatrix.from_rows(rows)).elements == want
+        assert compute_graver(IntMatrix.from_rows(rows)).directions == want
 
 
 class TestColumnExpansion:
     def test_negated_from_trivial_basis(self):
         base = compute_graver(IntMatrix.from_rows([[1]]))
         widened = expand_negated_column(base)
-        assert widened.elements == {(1, 1)}
-        assert widened.elements == compute_graver(IntMatrix.from_rows([[1, -1]])).elements
+        assert widened.directions == {(1, 1)}
+        assert widened.directions == compute_graver(IntMatrix.from_rows([[1, -1]])).directions
 
     def test_swap_vector_always_present(self):
         base = compute_graver(IntMatrix.from_rows([[1, 2]]))
-        assert (0, 1, 1) in expand_negated_column(base)
-        assert (0, 1, -1) in expand_duplicated_column(base)
+        assert (0, 1, 1) in expand_negated_column(base).directions
+        assert (0, 1, -1) in expand_duplicated_column(base).directions
 
     def test_duplicated_is_column_symmetric(self):
         base = compute_graver(IntMatrix.from_rows([[2, -3]]))
         dup = expand_duplicated_column(base)
-        for v in dup.sorted_elements():
-            assert v[:-2] + (v[-1], v[-2]) in dup
+        for v in sorted(dup.directions):
+            assert canonical_rep(v[:-2] + (v[-1], v[-2])) in dup.directions
 
     def test_matches_direct_computation(self):
         rng = random.Random(31)
@@ -442,8 +443,8 @@ class TestColumnExpansion:
                 IntMatrix.from_rows([list(r) + [-r[-1]] for r in rows], cols=width + 1))
             dup_direct = compute_graver(
                 IntMatrix.from_rows([list(r) + [r[-1]] for r in rows], cols=width + 1))
-            assert expand_negated_column(base).elements == neg_direct.elements
-            assert expand_duplicated_column(base).elements == dup_direct.elements
+            assert expand_negated_column(base).directions == neg_direct.directions
+            assert expand_duplicated_column(base).directions == dup_direct.directions
 
     def test_iterated_expansion_projects_back(self):
         # widening by repeated +/- copies of the last column leaves the
@@ -455,8 +456,8 @@ class TestColumnExpansion:
             chained = expand_negated_column(chained)
             chained = expand_duplicated_column(chained)
             n = a.cols - 1
-            assert (project_first_n(chained.elements, n)
-                    == project_first_n(base.elements, n))
+            assert (project_first_n(chained.directions, n)
+                    == project_first_n(base.directions, n))
 
 
 class TestProjection:
@@ -473,16 +474,18 @@ class TestProjection:
         a = IntMatrix.from_rows([[1, 2]])
         lifted = IntMatrix.from_rows([[1, 2, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
         basis = compute_graver(lifted)
-        assert basis.elements == {(2, -1, -2, 1)}
-        assert project_first_n(basis.elements, 2) == compute_graver(a).elements
+        assert basis.directions == {(2, -1, -2, 1)}
+        assert project_first_n(basis.directions, 2) == compute_graver(a).directions
 
 
-class TestGraverBasisType:
-    def test_frozen_and_hashable(self):
-        b = GraverBasis(2, frozenset({(1, 0)}))
+class TestBasisType:
+    def test_graver_basis_is_a_frozen_test_set(self):
+        a = IntMatrix.zero(0, 2)
+        b = compute_graver(a)
+        assert b == TestSet(2, frozenset({(1, 0), (0, 1)}), (a, IntMatrix.zero(0, 2)))
         with pytest.raises(AttributeError):
             b.dimension = 3
-        assert hash(b) == hash(GraverBasis(2, frozenset({(1, 0)})))
+        assert hash(b) == hash(TestSet(2, frozenset({(1, 0), (0, 1)}), b.provenance))
 
 
 class TestProjectAndLift:
@@ -501,7 +504,7 @@ class TestProjectAndLift:
             n = a.cols
             sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), n)
             det, lift = graver._lift_map(basis, sigma, list(range(n)))
-            for v in compute_graver(a).elements:
+            for v in compute_graver(a).directions:
                 head = np.array([[v[j] for j in sigma]], dtype=np.int64)
                 got = tuple(graver.append_products(head, [[row[j]] for row in lift],
                                                    det)[0, -1] for j in range(n))
@@ -546,7 +549,7 @@ class TestProjectAndLift:
         assert [row[:r] for row in lift] == [[det * (i == k) for k in range(r)]
                                              for i in range(r)]
         # every Graver element from its start part, in exact integers
-        for v in compute_graver(a).elements:
+        for v in compute_graver(a).directions:
             head = [v[j] for j in sigma]
             scaled = [sum(y * row[c] for y, row in zip(head, lift)) for c in range(n)]
             assert all(x % det == 0 for x in scaled), (rows, v)

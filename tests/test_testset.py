@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt import graver
 from graveropt.core import IntMatrix, ParseError, conformal_leq
@@ -87,9 +89,9 @@ class TestComputeTestSet:
     def test_wide_triple_against_enumeration(self):
         lifted = build_lifted_matrix(ZERO3, WIDE_TRIPLE)
         basis = compute_graver(lifted)
-        bound = max(max(abs(x) for x in v) for v in basis.elements)
-        assert graver_oracle(lifted, bound) == basis.elements
-        assert project_first_n(basis.elements, 3) == \
+        bound = max(max(abs(x) for x in v) for v in basis.directions)
+        assert graver_oracle(lifted, bound) == basis.directions
+        assert project_first_n(basis.directions, 3) == \
             compute_test_set(ZERO3, WIDE_TRIPLE).directions
 
     def test_strict_inclusion_between_rewrites(self):
@@ -100,7 +102,7 @@ class TestComputeTestSet:
     def test_provenance_recorded(self):
         got = compute_test_set(ZERO3, SUM_PAIR)
         assert got.provenance == (ZERO3, SUM_PAIR)
-        assert got.lift_rows == 2
+        assert got.provenance[1].rows == 2
         assert got.dimension == 3
 
 
@@ -131,7 +133,7 @@ class TestBoxTestSet:
             boxed = {d for d in compute_test_set(a, c).directions
                      if all(abs(x) <= u for x, u in zip(d, upper))}
             assert got.directions == boxed, (a.entries, c.entries, upper)
-            assert got.provenance == (a, c) and got.lift_rows == c.rows
+            assert got.provenance == (a, c) and got.box == upper
             pruned += candidates - len(got)
         # the minimality filter must have had something to drop
         assert pruned > 0
@@ -236,24 +238,34 @@ class TestSetInvariants:
         for _ in range(6):
             a = random_int_matrix(rng, rng.randint(0, 3), rng.randint(2, 4))
             got = compute_test_set(a, IntMatrix.identity(a.cols))
-            assert got.directions == compute_graver(a).elements, a.entries
+            assert got.directions == compute_graver(a).directions, a.entries
 
     def test_graver_contained(self):
         rng = random.Random(43)
         for _ in range(5):
             a = random_int_matrix(rng, rng.randint(0, 2), rng.randint(2, 3))
             c = random_int_matrix(rng, rng.randint(1, 2), a.cols)
-            assert compute_graver(a).elements <= compute_test_set(a, c).directions
+            assert compute_graver(a).directions <= compute_test_set(a, c).directions
 
     def test_sorted_once_keeps_equality_and_hash(self):
         t = compute_test_set(ZERO3, SUM_PAIR)
-        twin = TestSet(t.dimension, t.directions, t.lift_rows, t.provenance)
-        first = t.sorted_directions()
-        first.append((9, 9, 9))
-        assert t.sorted_directions() == sorted(SUM_PAIR_SET)
+        twin = TestSet(t.dimension, t.directions, t.provenance)
+        # the walk's scan order: canonical directions sorted, + before -
+        assert t.scan == tuple(v for d in sorted(SUM_PAIR_SET)
+                               for v in (d, tuple(-x for x in d)))
+        assert t.scan is t.scan and "scan" not in repr(t)
         assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
         with pytest.raises(AttributeError):
             t.directions = frozenset()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 2).flatmap(lambda d: st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=d, max_size=d))))
+    def test_no_composition_rows_is_the_graver_basis(self, rows):
+        # whole TestSets compared: directions, provenance, box
+        a = IntMatrix.from_rows(rows)
+        assert compute_test_set(a, IntMatrix.zero(0, a.cols)) == compute_graver(a)
 
 
 class TestBuildSplitMatrix:
@@ -277,7 +289,7 @@ class TestBuildSplitMatrix:
             want = compute_test_set(a, c).directions
             for k in (1, 2):
                 split = build_split_matrix(a, c, k)
-                got = project_first_n(compute_graver(split).elements, n)
+                got = project_first_n(compute_graver(split).directions, n)
                 assert got == want, (a.entries, c.entries, k)
 
     def test_bad_inputs(self):
@@ -298,6 +310,17 @@ class TestSerialization:
         text = format_test_set(compute_test_set(ZERO3, SUM_PAIR))
         first = text.splitlines()[0]
         assert first == "# hcip n=3 s=2"
+
+    def test_header_counts_rows_of_c(self):
+        # s= is the row count of the provenance's C: computed and box
+        # sets carry one, a parsed set none
+        a = IntMatrix.from_rows([[1, 1, 1]])
+        for c in (SUM_PAIR, WIDE_TRIPLE, IntMatrix.zero(0, 3)):
+            for t in (compute_test_set(a, c), box_test_set(a, c, (2, 2, 2))):
+                header = format_test_set(t).splitlines()[0]
+                assert header == "# hcip n=3 s=%d" % c.rows
+                parsed = parse_test_set(format_test_set(t))
+                assert format_test_set(parsed).splitlines()[0] == "# hcip n=3 s=0"
 
     def test_rows_sorted(self):
         text = format_test_set(compute_test_set(ZERO3, SUM_PAIR))
