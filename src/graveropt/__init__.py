@@ -9,7 +9,7 @@ from .objective import (DiscreteConvexFn, GeometricAbs, PiecewiseTable,
                         Zero, linear_objective)
 from .qap import QapInstance, koopmans_beckmann, permutation_oracle, solve_qap
 from .quadratic import binary_rephrase, congruence_diagonalize, is_psd, to_separable
-from .testset import TestSet, compute_test_set
+from .testset import TestSet, box_test_set, compute_test_set
 
 __all__ = [
     "CipInstance", "SolveReport", "SolveStatus", "solve",
@@ -19,7 +19,7 @@ __all__ = [
     "ScaledEvenPower", "SeparableObjective", "Term", "Zero", "linear_objective",
     "QapInstance", "koopmans_beckmann", "permutation_oracle", "solve_qap",
     "binary_rephrase", "congruence_diagonalize", "is_psd", "to_separable",
-    "TestSet", "compute_test_set",
+    "TestSet", "box_test_set", "compute_test_set",
 ]
 
 __version__ = "0.1.0"

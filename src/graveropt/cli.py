@@ -147,7 +147,9 @@ def cmd_solve(args) -> int:
                 if d[n:] != negate(d[:n]):
                     raise ValueError("test set direction %s is not in the kernel of "
                                      "the slack-lifted constraint matrix" % (d,))
-            t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions))
+            # slack j moves by -t_j, so its bound holds t_j as well
+            box = t_set.box and tuple(map(min, t_set.box[:n], t_set.box[n:]))
+            t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions), box=box)
     report = solve(inst, t_set, z0, best=args.best_improving, cap=args.cap)
     shown = _slack_view(report, inst.upper) if args.slack_bounds else report
     _emit(_report_text(shown, args.json), args.out)

@@ -13,7 +13,8 @@ import logging
 
 import numpy as np
 
-from .core import IntMatrix, ParseError, Vec, canonical_rep, parse_int_matrix
+from .core import (IntMatrix, ParseError, Vec, canonical_rep, parse_int_matrix,
+                   parse_int_vector)
 from .graver import (TestSet, append_products, box_kernel_vectors, compute_graver,
                      conformally_minimal, int_dtype, project_first_n)
 
@@ -71,6 +72,15 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     instead.  One INFO line names the branch taken.  The returned set
     records upper as its box.
     """
+    t_set, line = box_test_set_and_line(a, c, upper)
+    logger.info(*line)
+    return t_set
+
+
+def box_test_set_and_line(a: IntMatrix, c: IntMatrix,
+                          upper: Vec) -> tuple[TestSet, tuple]:
+    """box_test_set(a, c, upper) without its INFO line, which it returns
+    as the logging arguments (format, values...) for the caller to emit."""
     if a.cols != c.cols:
         raise ValueError("box_test_set: A and C must have equal column counts")
     if len(upper) != a.cols:
@@ -79,8 +89,8 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     if cands is None:
         dirs = frozenset(d for d in compute_test_set(a, c).directions
                          if all(abs(x) <= u for x, u in zip(d, upper)))
-        logger.info("test set: completion (box search over its %d-candidate budget), "
-                    "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
+        line = ("test set: completion (box search over its %d-candidate budget), "
+                "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
     else:
         z = np.array(cands, dtype=int_dtype(max(upper, default=0))).reshape(len(cands), a.cols)
         # each z lifts to (z, -Cz): z times -C^T appended
@@ -89,8 +99,8 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
         dirs = frozenset(map(tuple, z[keep].tolist()))
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
                      len(cands), len(dirs), met)
-        logger.info("test set: box, %d candidates, %d directions", len(cands), len(dirs))
-    return TestSet(a.cols, dirs, provenance=(a, c), box=tuple(upper))
+        line = ("test set: box, %d candidates, %d directions", len(cands), len(dirs))
+    return TestSet(a.cols, dirs, provenance=(a, c), box=tuple(upper)), line
 
 
 def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:
@@ -123,21 +133,37 @@ def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:
 
 def format_test_set(t: TestSet) -> str:
     """The header "# hcip n=<dimension> s=<rows of C>" (s=0 for a set
-    without provenance), then the directions as a matrix in sorted order."""
+    without provenance), for a set cut down to a box a second header
+    line "# hcip box=<u_1>,...,<u_n>", then the directions as a matrix
+    in sorted order."""
     rows = sorted(t.directions)
     lines = ["# hcip n=%d s=%d" % (t.dimension, t.provenance[1].rows if t.provenance else 0)]
+    if t.box is not None:
+        lines.append("# hcip box=%s" % ",".join(map(str, t.box)))
     lines.append("%d %d" % (len(rows), t.dimension))
     lines.extend(" ".join(str(x) for x in r) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def parse_test_set(text: str) -> TestSet:
-    # comment lines (the writer's header included) carry no data
-    body = [ln for ln in text.splitlines() if not ln.strip().startswith("#")]
+    """A set written by format_test_set, its box included; comment lines
+    other than the "# hcip" header carry no data."""
+    body, box = [], None
+    for ln in text.splitlines():
+        if not ln.strip().startswith("#"):
+            body.append(ln)
+        elif (words := ln.split())[:2] == ["#", "hcip"]:
+            for w in words[2:]:
+                if w.startswith("box="):
+                    if box is not None:
+                        raise ParseError("test set: box given twice")
+                    box = parse_int_vector(w[4:].replace(",", " "))
     m = parse_int_matrix("\n".join(body))
+    if box is not None and (len(box) != m.cols or min(box) < 0):
+        raise ParseError("test set: bad box %s for %d columns" % (box, m.cols))
     dirs = set()
     for row in m.entries:
         if not any(row):
             raise ParseError("test set: zero direction")
         dirs.add(canonical_rep(row))
-    return TestSet(m.cols, frozenset(dirs))
+    return TestSet(m.cols, frozenset(dirs), box=box)

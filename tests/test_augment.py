@@ -19,6 +19,7 @@ from graveropt.objective import (
     linear_objective,
 )
 from graveropt.augment import (
+    FAMILY_CACHE_SIZE,
     CipInstance,
     InfeasibleStartError,
     SolveStatus,
@@ -33,7 +34,13 @@ from graveropt.augment import (
     solve,
 )
 from graveropt.cli import _slack_view
-from graveropt.testset import BOX_CANDIDATE_LIMIT, TestSet, compute_test_set
+from graveropt.testset import (
+    BOX_CANDIDATE_LIMIT,
+    TestSet,
+    compute_test_set,
+    format_test_set,
+    parse_test_set,
+)
 from tests.helpers import binary_split_minimum, find_feasible_point, format_instance
 
 
@@ -259,6 +266,22 @@ class TestCompatibility:
         wide = CipInstance(a, (0,), (4, 4, 4), obj)
         report = solve(wide, instance_test_set(wide), (0, 0, 0))
         assert report.optimum == (2, 0, 1) and report.value == 0
+
+    def test_box_set_refused_past_its_box_after_round_trip(self):
+        # the unit-box set of the test above, written out and read back,
+        # still refuses the (4, 4, 4) instance it would walk to (0, 0, 0)
+        a = IntMatrix.from_rows([[1, 1, -2]])
+        sq = ScaledEvenPower(1, 2)
+        obj = SeparableObjective(3, (Term(sq, (1, 0, 0), -2),
+                                     Term(ScaledEvenPower(10, 2), (0, 1, 0), 0),
+                                     Term(sq, (0, 0, 1), -1)), (Fraction(0),) * 3)
+        t = instance_test_set(CipInstance(a, (0,), (1, 1, 1), obj))
+        back = parse_test_set(format_test_set(t))
+        assert (back.directions, back.box) == (t.directions, (1, 1, 1))
+        with pytest.raises(ValueError, match="box"):
+            solve(CipInstance(a, (0,), (4, 4, 4), obj), back, (0, 0, 0))
+        report = solve(CipInstance(a, (0,), (1, 0, 1), obj), back, (0, 0, 0))
+        assert report == solve(CipInstance(a, (0,), (1, 0, 1), obj), t, (0, 0, 0))
 
     def test_anonymous_sets_trusted(self, square_pair):
         check_compatible(square_pair, axis_only())
@@ -532,6 +555,96 @@ class TestBoundedDirectionSet:
         with caplog.at_level(logging.INFO, logger="graveropt.augment"):
             got = instance_test_set(square_pair)
         assert caplog.messages == ["test set: completion, %d directions" % len(got)]
+
+
+def info_lines(caplog, call):
+    """call() and the (logger, level, message) of each record it logs
+    at INFO or above on graveropt."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="graveropt"):
+        got = call()
+    return got, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+@st.composite
+def small_families(draw):
+    """Several instances of one family (A, C, u): their own right-hand
+    sides, starts, term weights and offsets, and linear parts when
+    bounded.  Unbounded families have no linear part, so each objective
+    is bounded below."""
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+    a = IntMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=1)), cols=n)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=2, unique_by=tuple))
+    upper = draw(st.none() | st.tuples(*[st.integers(1, 3)] * n))
+    members = []
+    for _ in range(draw(st.integers(2, 3))):
+        terms = tuple(Term(ScaledEvenPower(draw(st.integers(1, 3)), 2), tuple(row),
+                           draw(st.integers(-3, 3))) for row in rows)
+        if upper is None:
+            linear = (Fraction(0),) * n
+            z0 = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        else:
+            linear = tuple(map(Fraction, draw(st.lists(entry, min_size=n, max_size=n))))
+            z0 = tuple(draw(st.integers(0, u)) for u in upper)
+        members.append((CipInstance(a, a.mat_vec(z0), upper,
+                                    SeparableObjective(n, terms, linear)), z0))
+    return members
+
+
+def unit_box_instance(k):
+    """A one-variable family of its own for each box (k,)."""
+    return CipInstance(IntMatrix.zero(0, 1), (), (k,), linear_objective([1]))
+
+
+class TestFamilyCache:
+    def test_hit_returns_the_same_set_and_logs_the_same_line(self, square_pair, caplog):
+        bounded = TestBoundedDirectionSet.walk_family((2,) * 5)
+        for inst, logger in ((bounded, "graveropt.testset"), (square_pair, "graveropt.augment")):
+            instance_test_set.cache_clear()
+            miss, miss_lines = info_lines(caplog, lambda: instance_test_set(inst))
+            hit, hit_lines = info_lines(caplog, lambda: instance_test_set(inst))
+            assert instance_test_set.cache_info()[:2] == (1, 1)
+            assert hit is miss
+            assert hit_lines == miss_lines
+            assert len(miss_lines) == 1 and miss_lines[0][:2] == (logger, logging.INFO)
+            assert miss_lines[0][2].startswith("test set: ")
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(small_families())
+    def test_warm_cache_solves_as_a_cold_one(self, members):
+        cold = []
+        for inst, z0 in members:
+            instance_test_set.cache_clear()
+            cold.append(repr(solve(inst, instance_test_set(inst), z0)))
+        instance_test_set.cache_clear()
+        warm = [repr(solve(inst, instance_test_set(inst), z0)) for inst, z0 in members]
+        assert warm == cold
+        assert instance_test_set.cache_info()[:2] == (len(members) - 1, 1)
+
+    def test_least_recently_used_family_evicted(self):
+        instance_test_set.cache_clear()
+        sets = {k: instance_test_set(unit_box_instance(k))
+                for k in range(1, FAMILY_CACHE_SIZE + 1)}
+        assert instance_test_set(unit_box_instance(1)) is sets[1]
+        instance_test_set(unit_box_instance(FAMILY_CACHE_SIZE + 1))
+        info = instance_test_set.cache_info()
+        assert (info.currsize, info.maxsize) == (FAMILY_CACHE_SIZE, FAMILY_CACHE_SIZE)
+        assert instance_test_set(unit_box_instance(1)) is sets[1]
+        assert instance_test_set.cache_info().hits == info.hits + 1
+        assert instance_test_set(unit_box_instance(2)) is not sets[2]
+        assert instance_test_set.cache_info().misses == info.misses + 1
+
+    def test_upper_as_a_list(self):
+        inst = TestBoundedDirectionSet.walk_family((2,) * 5)
+        listed = CipInstance(inst.a, inst.b, list(inst.upper), inst.objective)
+        got = instance_test_set(listed)
+        assert got is instance_test_set(inst)
+        assert got.box == (2,) * 5
+        z0 = (2, 2, 1, 0, 0)
+        assert solve(listed, got, z0) == solve(inst, got, z0)
 
 
 def objective_at(obj, z):

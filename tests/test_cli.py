@@ -8,7 +8,7 @@ from graveropt.augment import CipInstance
 from graveropt.cli import main
 from graveropt.core import IntMatrix, parse_int_matrix
 from graveropt.objective import linear_objective, parse_objective
-from graveropt.testset import TestSet, compute_test_set, format_test_set
+from graveropt.testset import TestSet, box_test_set, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
 from tests.helpers import format_instance
 
@@ -283,6 +283,20 @@ class TestSolveCommand:
             ts = put(tmp_path, "bad.ts", rows)
             assert main(["solve", inst, start, "--testset", ts, "--slack-bounds"]) == 2
             assert err in capsys.readouterr().err
+
+    def test_box_test_set_file_refused_past_its_box(self, tmp_path, capsys):
+        # cut down to the unit box, a set read back from its file keeps
+        # that box and refuses the [0, 2]^2 instance, in slack
+        # coordinates too
+        inst, start = self.slack_instance_files(tmp_path)
+        unit = box_test_set(IntMatrix.zero(0, 2), IntMatrix.from_rows([[1, -1]]), (1, 1))
+        mirrored = TestSet(4, frozenset(t + tuple(-x for x in t) for t in unit.directions),
+                           box=(1, 1, 2, 2))
+        for ts, extra in ((unit, []), (mirrored, ["--slack-bounds"])):
+            path = put(tmp_path, "unit.ts", format_test_set(ts))
+            assert main(["solve", inst, start, "--testset", path] + extra) == 2
+            captured = capsys.readouterr()
+            assert "box" in captured.err and captured.out == ""
 
     def row_sum_files(self, tmp_path):
         # A = [[1, 1]], b = 2, upper (2, 2), from the corner (2, 0)

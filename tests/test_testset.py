@@ -322,6 +322,22 @@ class TestSerialization:
                 parsed = parse_test_set(format_test_set(t))
                 assert format_test_set(parsed).splitlines()[0] == "# hcip n=3 s=0"
 
+    def test_box_round_trip(self):
+        t = box_test_set(ZERO3, SUM_PAIR, (2, 1, 2))
+        text = format_test_set(t)
+        assert text.splitlines()[1] == "# hcip box=2,1,2"
+        back = parse_test_set(text)
+        assert (back.dimension, back.directions, back.box) == (3, t.directions, (2, 1, 2))
+        assert format_test_set(back) == format_test_set(
+            TestSet(3, t.directions, box=(2, 1, 2)))
+
+    @pytest.mark.parametrize("line", ["# hcip box=1,1", "# hcip box=1,-1,1",
+                                      "# hcip box=1,x,1", "# hcip box=",
+                                      "# hcip box=1,1,1 box=1,1,1"])
+    def test_malformed_box_rejected(self, line):
+        with pytest.raises(ParseError):
+            parse_test_set(line + "\n1 3\n1 -1 0\n")
+
     def test_rows_sorted(self):
         text = format_test_set(compute_test_set(ZERO3, SUM_PAIR))
         rows = text.splitlines()[2:]
