@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 input error, 3 infeasible start,
-4 verification failure.  File outputs are written atomically.
+Exit codes: 0 success, 2 input error or a completion over its budget
+(graver.COMPLETION_BUDGET), 3 infeasible start, 4 verification
+failure.  File outputs are written atomically.
 """
 
 from __future__ import annotations

@@ -42,6 +42,18 @@ from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_b
 # it every member 1-norm and pair sum of a completion fits in int64.
 _FAST_ABS_LIMIT = 1 << 61
 
+# Work one compute_graver call may do before it raises
+# CompletionBudgetError, counted in pairs: the (pivot, member) pairs
+# _pop_candidates tests and the (row, member) pairs _find_below meets,
+# plus _SCAN_PAIRS per call of either.  On a 2-core host int64 scans
+# meet about 50M pairs a second, and a call costs about as much NumPy
+# overhead as 20,000 of them (0.4 ms a call on [1 1 10^30-1], whose
+# calls meet few pairs).  The largest legitimate count on record is
+# 115.2M, the 865-element basis of [2 3 5 7 11 13 17]; bases of about
+# 10^30 elements stop after 2 to 6 s.
+COMPLETION_BUDGET = 3 * 10 ** 8
+_SCAN_PAIRS = 2 * 10 ** 4
+
 _FILTER_ELEMS = 1 << 17  # cap on the elements of one scan temporary
 _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
 
@@ -75,6 +87,14 @@ class TestSet:
     def scan(self) -> tuple[Vec, ...]:  # not a field: == and hash ignore it
         """The signed directions in walk order: each sorted d, then -d."""
         return tuple(t for d in sorted(self.directions) for t in (d, negate(d)))
+
+    @cached_property
+    def scan_array(self) -> np.ndarray:  # not a field either
+        """S, the rows of scan as one len(scan) x dimension array: int64,
+        or object (Python ints) past the int64 range (int_dtype)."""
+        reach = max((abs(x) for d in self.directions for x in d), default=0)
+        return np.array(self.scan, dtype=int_dtype(reach)).reshape(len(self.scan),
+                                                                   self.dimension)
 
 
 def int_dtype(reach: int) -> type:
@@ -139,6 +159,27 @@ def _subtract_max_multiple(w: np.ndarray, wabs: np.ndarray, g: np.ndarray,
     fill = wabs.max(axis=1, keepdims=True) + 1
     k = np.where(gabs > 0, wabs // np.maximum(gabs, 1), fill).min(axis=1)
     return w - (k * sign)[:, None] * g
+
+
+class CompletionBudgetError(ValueError):
+    """compute_graver ran past COMPLETION_BUDGET."""
+
+
+class _Budget:
+    """The work one compute_graver call has done, in pairs, against
+    COMPLETION_BUDGET: each scan charges the pairs it meets or tests
+    plus _SCAN_PAIRS."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def spend(self, pairs: int) -> None:
+        self.spent += pairs + _SCAN_PAIRS
+        if self.spent > self.limit:
+            raise CompletionBudgetError(
+                "compute_graver: over its budget of %d pairs (COMPLETION_BUDGET)"
+                % self.limit)
 
 
 class _Completion:
@@ -261,15 +302,18 @@ def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
     return red, sign, met
 
 
-def _batch_normal_form(state: _Completion, cand: np.ndarray) -> np.ndarray:
+def _batch_normal_form(state: _Completion, cand: np.ndarray,
+                       budget: _Budget) -> np.ndarray:
     """Reduce candidate rows, in the set's dtype, by maximal multiples
     until irreducible against the set as of entry.  Rows reaching zero
-    drop out; the rest return in the order they became irreducible."""
+    drop out; the rest return in the order they became irreducible.
+    Each scan's pairs are charged to budget."""
     work = cand.astype(state.arr.dtype, copy=False)
     out = [work[:0]]
     while len(work):
-        red, sign, _ = _find_below(state, work, _pack_signs(work, state.words),
-                                   strict=False)
+        red, sign, met = _find_below(state, work, _pack_signs(work, state.words),
+                                     strict=False)
+        budget.spend(met)
         done = red < 0
         out.append(work[done])
         live = ~done
@@ -300,8 +344,8 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
     return np.concatenate((arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]))
 
 
-def _complete(seeds: np.ndarray, n: int,
-              fixed: int) -> tuple[np.ndarray, tuple[int, int]]:
+def _complete(seeds: np.ndarray, n: int, fixed: int,
+              budget: _Budget) -> tuple[np.ndarray, tuple[int, int]]:
     """Complete the seed rows (distinct up to sign, nonzero) and keep
     the conformally minimal members.
 
@@ -331,6 +375,8 @@ def _complete(seeds: np.ndarray, n: int,
     1-norms strictly drop along a chain of distinct forms, so each
     re-reduction subtracts at least once and the loop ends.
 
+    Each scan charges budget for the pairs it tests or meets.
+
     Returns the minimal members' rows and (candidates formed, rounds).
     """
     state = _Completion(n)
@@ -344,15 +390,19 @@ def _complete(seeds: np.ndarray, n: int,
         while end < len(state) and (end - done + 1) * end <= _PAIR_BATCH:
             end += 1
         work = _pop_candidates(state, done, end, old)
+        budget.spend((end - done) * (end - 1))
         done = end
         candidates += len(work)
         rounds += 1
         while len(work):
-            forms = _canonical(_batch_normal_form(state, work))
-            keep, _ = conformally_minimal(forms)
+            forms = _canonical(_batch_normal_form(state, work, budget))
+            keep, met = conformally_minimal(forms)
+            budget.spend(met)
             state.add_block(forms[keep])
             work = forms[~keep]
-    return state.arr[conformally_minimal(state.arr)[0]], (candidates, rounds)
+    keep, met = conformally_minimal(state.arr)
+    budget.spend(met)
+    return state.arr[keep], (candidates, rounds)
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -447,6 +497,10 @@ def compute_graver(a: IntMatrix) -> TestSet:
     replacements the representation is conformal everywhere, so each
     Graver element of the larger projection is in the completed set,
     and the minimality filter keeps exactly those.
+
+    A basis can have far more elements than its matrix suggests (that
+    of [1, 1, H] has H + 2), so the whole call may do at most
+    COMPLETION_BUDGET pairs of work; past it, CompletionBudgetError.
     """
     seeds = kernel_lattice_basis(a)
     n, r = a.cols, len(seeds)
@@ -456,17 +510,18 @@ def compute_graver(a: IntMatrix) -> TestSet:
     sigma, basis = _start_columns(seeds, n)
     order = sigma + [j for j in range(n) if j not in sigma]
     det, lift = _lift_map(basis, sigma, order)
+    budget = _Budget(COMPLETION_BUDGET)
     if abs(det) == 1:
         current = np.eye(r, dtype=np.int64)
         candidates = rounds = 0
     else:
         start = np.array([[row[j] for j in sigma] for row in basis], dtype=object)
-        current, (candidates, rounds) = _complete(start, r, 0)
+        current, (candidates, rounds) = _complete(start, r, 0, budget)
     logger.debug("start: columns %s, |det| %d, %d candidates, %d rounds, %d elements",
                  sigma, abs(det), candidates, rounds, len(current))
     for d in range(r + 1, n + 1):
         lifted = append_products(current, [[row[d - 1]] for row in lift], det)
-        current, (candidates, rounds) = _complete(lifted, d, d - 1)
+        current, (candidates, rounds) = _complete(lifted, d, d - 1, budget)
         logger.debug("lift step %d: column %d, %d elements in, %d candidates, "
                      "%d rounds, %d elements out", d - r, order[d - 1], len(lifted),
                      candidates, rounds, len(current))

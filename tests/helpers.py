@@ -1,11 +1,13 @@
 """Helpers that only the tests call: instance and assignment writers,
-exact rational products and rank, and the exhaustive or constructive
-oracles for the paper's column splits and 0/1 split minima."""
+exact rational products and rank, the exhaustive or constructive
+oracles for the paper's column splits and 0/1 split minima, and a
+reference walk."""
 
 from fractions import Fraction
 from itertools import product
 
-from graveropt.augment import CipInstance, brute_force_optimum
+from graveropt.augment import (CipInstance, SolveReport, SolveStatus, Step,
+                               brute_force_optimum)
 from graveropt.core import IntMatrix, Vec, canonical_rep
 from graveropt.graver import TestSet
 from graveropt.objective import DiscreteConvexFn, SeparableObjective, format_objective
@@ -138,3 +140,52 @@ def expand_negated_column(g: TestSet) -> TestSet:
 def expand_duplicated_column(g: TestSet) -> TestSet:
     """From the basis of (A|a), the basis of (A|a|a)."""
     return _expand_last_column(g, 1)
+
+
+def reference_walk(inst: CipInstance, t_set: TestSet, z0: Vec, best: bool = False,
+                   cap: int = 10 ** 6) -> SolveReport:
+    """The report augment.solve should give, by the plainest walk.
+
+    Every scan tries every signed direction (each sorted direction d,
+    then -d) by unit steps from the current point: a step is taken
+    while the next point lies in the bounds and lowers f, and every
+    point tried is evaluated afresh, without a mask or a memo.  The
+    first improving direction wins, or with best the lowest landing
+    value (ties keep scan order).  A ray still descending after cap
+    steps, or a walk with an improving scan after cap steps, ends
+    unbounded-suspected.
+    """
+    upper = inst.upper
+    f = inst.objective.value
+
+    def inside(p):
+        return all(x >= 0 for x in p) and (
+            upper is None or all(x <= u for x, u in zip(p, upper)))
+
+    signed = [t for d in sorted(t_set.directions) for t in (d, tuple(-x for x in d))]
+    z, value, steps = tuple(z0), f(tuple(z0)), []
+    while True:
+        champion = None
+        for t in signed:
+            lam, cur = 0, value
+            while True:
+                p = tuple(a - (lam + 1) * b for a, b in zip(z, t))
+                if not inside(p):
+                    break
+                v = f(p)
+                if v >= cur:
+                    break
+                if lam == cap:
+                    return SolveReport(SolveStatus.UNBOUNDED_SUSPECTED, z, value, tuple(steps))
+                lam, cur = lam + 1, v
+            if lam and (champion is None or cur < champion[2]):
+                champion = (t, lam, cur)
+                if not best:
+                    break
+        if champion is None:
+            return SolveReport(SolveStatus.OPTIMAL, z, value, tuple(steps))
+        if len(steps) == cap:
+            return SolveReport(SolveStatus.UNBOUNDED_SUSPECTED, z, value, tuple(steps))
+        t, lam, value = champion
+        z = tuple(a - lam * b for a, b in zip(z, t))
+        steps.append(Step(t, lam, value))

@@ -18,8 +18,10 @@ from graveropt.objective import (
     Zero,
     linear_objective,
 )
+from graveropt import augment
 from graveropt.augment import (
     FAMILY_CACHE_SIZE,
+    WALK_MEMO_SIZE,
     CipInstance,
     InfeasibleStartError,
     SolveStatus,
@@ -41,7 +43,9 @@ from graveropt.testset import (
     format_test_set,
     parse_test_set,
 )
-from tests.helpers import binary_split_minimum, find_feasible_point, format_instance
+from tests.conftest import two_square_instance
+from tests.helpers import (binary_split_minimum, find_feasible_point, format_instance,
+                           reference_walk)
 
 
 def pair_test_set():
@@ -673,6 +677,148 @@ class TestWalkValues:
                     assert step.value_after == objective_at(obj, z)
                 assert report.optimum == z
                 assert report.value == objective_at(obj, z)
+
+
+@st.composite
+def convex_pieces(draw):
+    """One piece of each kind the objective module has, with rational
+    weights: an even power, an absolute value, a geometric growth or an
+    extended table of increments."""
+    weight = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+    kind = draw(st.sampled_from(["evenpower", "abs", "geomabs", "table"]))
+    if kind == "evenpower":
+        return ScaledEvenPower(draw(weight), draw(st.sampled_from([2, 4])))
+    if kind == "abs":
+        return ScaledAbs(draw(weight))
+    if kind == "geomabs":
+        return GeometricAbs(1 + draw(weight))
+    k = draw(st.integers(1, 3))
+    down = sorted(-draw(weight) for _ in range(k))
+    up = sorted(draw(weight) for _ in range(k))
+    return PiecewiseTable(tuple(zip(range(-k + 1, k + 1), down + up)), extend=True)
+
+
+@st.composite
+def walk_instances(draw):
+    """Instances of every piece kind, with rational linear parts,
+    bounded or not, and a feasible start.  An unbounded instance may
+    descend forever; the walks then run into their cap."""
+    n = draw(st.integers(2, 3))
+    entry = st.integers(-2, 2)
+    a = IntMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=1)), cols=n)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n).filter(any),
+                         min_size=1, max_size=2))
+    terms = tuple(Term(draw(convex_pieces()), tuple(row), draw(st.integers(-3, 3)))
+                  for row in rows)
+    linear = tuple(draw(st.lists(st.builds(Fraction, entry, st.integers(1, 3)),
+                                 min_size=n, max_size=n)))
+    upper = draw(st.none() | st.tuples(*[st.integers(1, 3)] * n))
+    z0 = tuple(draw(st.integers(0, 4 if upper is None else u))
+               for u in (upper or (None,) * n))
+    inst = CipInstance(a, a.mat_vec(z0), upper, SeparableObjective(n, terms, linear))
+    return inst, z0
+
+
+def counted_points(monkeypatch):
+    """The points SeparableObjective.value is asked for from now on."""
+    calls = []
+    value = SeparableObjective.value
+    monkeypatch.setattr(SeparableObjective, "value",
+                        lambda self, p: calls.append(tuple(p)) or value(self, p))
+    return calls
+
+
+class TestAgainstReferenceWalk:
+    """solve, with its feasibility mask and value memo, against
+    reference_walk, which has neither."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(walk_instances())
+    def test_same_report_as_the_reference(self, drawn):
+        inst, z0 = drawn
+        t_set = instance_test_set(inst)
+        for best in (False, True):
+            want = reference_walk(inst, t_set, z0, best=best, cap=12)
+            assert repr(solve(inst, t_set, z0, best=best, cap=12)) == repr(want)
+
+    # past 2^63: the start (so b), the bounds, or both
+    BIG = 1 << 64
+
+    @pytest.mark.parametrize("start, upper", [
+        ((BIG + 3, BIG - 1, BIG - 2), None),
+        ((5, 0, 1), (BIG, BIG, BIG)),
+        ((BIG + 3, BIG - 1, BIG - 2), (2 * BIG, 2 * BIG, 2 * BIG)),
+    ])
+    def test_big_integer_walk_takes_the_object_mask(self, monkeypatch, start, upper):
+        a = IntMatrix.from_rows([[1, 1, 1]])
+        obj = SeparableObjective(3, (
+            Term(ScaledEvenPower(1, 2), (1, -1, 0), 1),
+            Term(ScaledAbs(Fraction(3, 2)), (0, 1, -1), 0),
+        ), (Fraction(0), Fraction(1, 2), Fraction(0)))
+        inst = CipInstance(a, a.mat_vec(start), upper, obj)
+        t_set = instance_test_set(inst)
+        dtypes = []
+        int_dtype = augment.int_dtype
+        monkeypatch.setattr(augment, "int_dtype",
+                            lambda reach: dtypes.append(int_dtype(reach)) or dtypes[-1])
+        for best in (False, True):
+            dtypes.clear()
+            report = solve(inst, t_set, start, best=best)
+            assert object in dtypes
+            assert report.status is SolveStatus.OPTIMAL and report.steps
+            assert repr(report) == repr(reference_walk(inst, t_set, start, best=best))
+
+    @pytest.mark.parametrize("best", [False, True])
+    @pytest.mark.parametrize("start", [(7, 2), (9, 4), (12, 3)])
+    def test_walk_evaluates_each_point_once(self, monkeypatch, best, start):
+        # the reference walk asks for some points again (a step back
+        # along the direction just taken, at the least); solve, whose
+        # walks here meet far fewer than WALK_MEMO_SIZE points, evaluates
+        # each once
+        inst, t_set = two_square_instance(), pair_test_set()
+        calls = counted_points(monkeypatch)
+        want = reference_walk(inst, t_set, start, best=best)
+        assert len(set(calls)) < len(calls)
+        calls.clear()
+        assert repr(solve(inst, t_set, start, best=best)) == repr(want)
+        assert len(set(calls)) == len(calls) < WALK_MEMO_SIZE
+
+    def test_small_memo_evicts_and_still_walks_alike(self, monkeypatch):
+        inst, t_set = two_square_instance(), pair_test_set()
+        want = reference_walk(inst, t_set, (12, 3))
+        calls = counted_points(monkeypatch)
+        solve(inst, t_set, (12, 3))
+        once = len(calls)
+        calls.clear()
+        monkeypatch.setattr(augment, "WALK_MEMO_SIZE", 2)
+        assert repr(solve(inst, t_set, (12, 3))) == repr(want)
+        assert len(calls) > once
+
+    def test_long_walk_keeps_the_memo_within_its_bound(self, monkeypatch):
+        # (x - y)^2 - 3/2 (x + y) on the axis directions: a staircase of
+        # steps of length 1 or 2 from (0, 0) to (n, n), far more points
+        # than the memo holds
+        n = 2 * WALK_MEMO_SIZE
+        obj = SeparableObjective(2, (Term(ScaledEvenPower(1, 2), (1, -1), 0),),
+                                 (Fraction(-3, 2), Fraction(-3, 2)))
+        inst = CipInstance(FREE2, (), (n, n), obj)
+        memos = []
+        search = augment.line_search
+
+        def spy(*args, **kwargs):
+            f = kwargs["f"]
+            assert f.cache_info().currsize <= WALK_MEMO_SIZE
+            memos.append(f)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(augment, "line_search", spy)
+        report = solve(inst, axis_only(), (0, 0))
+        assert report.optimum == (n, n) and len(report.steps) >= n
+        assert len({id(f) for f in memos}) == 1
+        info = memos[0].cache_info()
+        assert info.maxsize == info.currsize == WALK_MEMO_SIZE
+        assert info.misses > 2 * WALK_MEMO_SIZE and info.hits > 0
 
 
 class TestInstanceSerialization:

@@ -393,6 +393,26 @@ def within_seconds(seconds, fn, *args):
         signal.signal(signal.SIGALRM, previous)
 
 
+class TestCompletionBudget:
+    H = 10 ** 30 - 1
+
+    @pytest.mark.parametrize("row", [(1, 1, H), (H, 1, -2)])
+    def test_hopeless_basis_exits_2(self, tmp_path, capsys, row):
+        # Graver bases of about H elements: the completion stops at its budget
+        matrix = put(tmp_path, "a.mat", "1 3\n%d %d %d\n" % row)
+        assert within_seconds(60, main, ["graver", matrix]) == 2
+        assert "COMPLETION_BUDGET" in capsys.readouterr().err
+
+    def test_bounded_instance_past_the_box_budget_exits_2(self, tmp_path, capsys):
+        # the box search gives up on bounds this wide and falls back to
+        # the completion of [[1, 1, H], [1, 0, 0]], which stops at its budget
+        text = ("A\n1 3\n1 1 %d\nb\n%d\nupper\n%d %d 1\nobjective\n"
+                "abs 1 | 1 0 0 | 0\nlinear | 0 0 0\n" % ((self.H,) * 4))
+        argv = ["solve", put(tmp_path, "i.txt", text), put(tmp_path, "z.txt", "0 0 1\n")]
+        assert within_seconds(60, main, argv) == 2
+        assert "COMPLETION_BUDGET" in capsys.readouterr().err
+
+
 class TestMatrixHeaders:
     def test_negative_shape_exits_2(self, tmp_path, capsys):
         q = put(tmp_path, "q.mat", "-1 -1\n5\n")

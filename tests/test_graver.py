@@ -183,8 +183,8 @@ class TestInt64BoundCrossing:
         steps = []
         complete = graver._complete
 
-        def spy(seeds, n, fixed):
-            minimal, candidates = complete(seeds, n, fixed)
+        def spy(seeds, n, fixed, budget):
+            minimal, candidates = complete(seeds, n, fixed, budget)
             steps.append((fixed, max(map(norm1, seeds)), max(map(norm1, minimal))))
             return minimal, candidates
 
@@ -205,6 +205,41 @@ class TestInt64BoundCrossing:
         assert got == {(k, k, k, k, k, 1)}
 
 
+class TestCompletionBudget:
+    def spent(self, monkeypatch, a):
+        """The work compute_graver(a) charges to its budget."""
+        budgets = []
+        budget = graver._Budget
+
+        def spy(limit):
+            budgets.append(budget(limit))
+            return budgets[-1]
+
+        monkeypatch.setattr(graver, "_Budget", spy)
+        compute_graver(a)
+        monkeypatch.setattr(graver, "_Budget", budget)
+        return budgets[0].spent
+
+    @pytest.mark.parametrize("rows", [[[2, 3, 5]], [[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]]])
+    def test_budget_bounds_the_work(self, monkeypatch, rows):
+        # a start completion, or unit start and lift steps only
+        a = IntMatrix.from_rows(rows)
+        want = compute_graver(a)
+        spent = self.spent(monkeypatch, a)
+        assert spent >= graver._SCAN_PAIRS
+        monkeypatch.setattr(graver, "COMPLETION_BUDGET", spent)
+        assert compute_graver(a) == want
+        monkeypatch.setattr(graver, "COMPLETION_BUDGET", spent - 1)
+        with pytest.raises(graver.CompletionBudgetError,
+                           match="budget of %d pairs .COMPLETION_BUDGET." % (spent - 1)):
+            compute_graver(a)
+
+    def test_tiny_budget_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(graver, "COMPLETION_BUDGET", 10)
+        with pytest.raises(ValueError, match="COMPLETION_BUDGET"):
+            compute_graver(IntMatrix.from_rows([[2, 3, 5]]))
+
+
 class TestMaximalMultiple:
     def test_multiple_past_int64_in_one_step(self, monkeypatch):
         # (2^200, 1) drops to (0, 1) by one subtraction of 2^200 (1, 0);
@@ -214,7 +249,8 @@ class TestMaximalMultiple:
         state.add_block(np.array([[1, 0]], dtype=np.int64))
         assert state.arr.dtype == object
         with time_bound(5):
-            got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object))
+            got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object),
+                                            graver._Budget(graver.COMPLETION_BUDGET))
         assert got.tolist() == [[0, 1]]
 
 
