@@ -10,7 +10,10 @@ directions whose unit step leaves the bounds; those are never
 line-searched.  The walk carries f(z), the line search hands back the
 value where it lands, and the walk remembers the values of the last
 WALK_MEMO_SIZE points it asked for, so a point that a later scan meets
-again is looked up, not evaluated again.
+again is looked up, not evaluated again.  An evaluation itself reads
+only the supports (objective.SeparableObjective.value): a term whose
+argument is 0 and a zero coordinate cost nothing, which on sparse 0/1
+encodings such as the assignment problem's is most of them.
 """
 
 from __future__ import annotations

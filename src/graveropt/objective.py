@@ -4,15 +4,22 @@ Every piece g maps Z to Q with g(0) = 0, has nondecreasing increments
 g(j) - g(j-1), and attains its minimum at 0 (increments are <= 0 left
 of the origin, >= 0 right of it).  An objective is a sum of pieces
 composed with integer linear forms, plus a rational linear part.
+
+g(0) = 0 is what lets SeparableObjective.value work over supports: a
+term whose argument is 0 adds nothing and is not evaluated, and only
+the nonzero coefficients of a term's row and the nonzero coordinates
+of the point enter its sums.  The result is the same exact Fraction
+as the dense sum over every term and coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .core import ParseError, Vec, dot
+from .core import ParseError, Vec
 
 
 class DiscreteConvexFn:
@@ -168,9 +175,6 @@ class Term:
     coeffs: Vec
     offset: int = 0
 
-    def argument(self, z: Sequence[int]) -> int:
-        return dot(self.coeffs, z) + self.offset
-
 
 @dataclass(frozen=True)
 class SeparableObjective:
@@ -186,11 +190,32 @@ class SeparableObjective:
             if len(t.coeffs) != self.n:
                 raise ValueError("SeparableObjective: term coefficients have wrong length")
 
+    @cached_property
+    def _supports(self) -> tuple[tuple, tuple]:  # not a field: ==, hash, repr ignore it
+        """Each term as (fn, offset, its (j, c_j) with c_j != 0), and the
+        linear part's (j, l_j) with l_j != 0."""
+        terms = tuple((t.fn, t.offset, tuple((j, c) for j, c in enumerate(t.coeffs) if c))
+                      for t in self.terms)
+        return terms, tuple((j, c) for j, c in enumerate(self.linear) if c)
+
     def value(self, z: Sequence[int]) -> Fraction:
+        """f(z), exactly, over the supports only: a term whose argument
+        is 0 adds g(0) = 0 and a coordinate z_j = 0 adds nothing, so
+        neither is evaluated."""
         if len(z) != self.n:
             raise ValueError("objective value: point has wrong dimension")
-        total = sum((t.fn.value(t.argument(z)) for t in self.terms), Fraction(0))
-        return total + sum((c * x for c, x in zip(self.linear, z)), Fraction(0))
+        terms, linear = self._supports
+        total = Fraction(0)
+        for fn, x, support in terms:
+            for j, c in support:
+                x += c * z[j]
+            if x:
+                total += fn.value(x)
+        for j, c in linear:
+            x = z[j]
+            if x:
+                total += c * x
+        return total
 
 
 def linear_objective(c: Sequence) -> SeparableObjective:

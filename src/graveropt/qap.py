@@ -106,22 +106,32 @@ def permutation_oracle(q: QapInstance) -> tuple[tuple[int, ...], Fraction]:
 
 
 def _exact(x) -> int | Fraction:
-    f = Fraction(x)
+    """x as an int if it is integral, else as a Fraction (not a copy)."""
+    if isinstance(x, int):
+        return x
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 
-def _pairwise(w: list[list], c: Sequence[Fraction]) -> tuple[list, tuple]:
+def _pairwise(w: list[list], c: Sequence) -> tuple[list, tuple]:
     """z^T (W/2) z + c^T z on 0/1 points for a symmetric W with a
     nonnegative off-diagonal: each positive W[v][u] (v < u) gives the
-    term W[v][u]/2 (z_v + z_u)^2, whose square parts join the diagonal
-    in the linear part.  Composition rows stay 0/1, keeping test sets small."""
+    term W[v][u]/2 (z_v + z_u)^2, returned as (W[v][u], its row), whose
+    square parts join the diagonal in the linear part.  Composition rows
+    stay 0/1, keeping test sets small."""
     nn = len(w)
-    terms = [(Fraction(w[v][u], 2),
-              (0,) * v + (1,) + (0,) * (u - v - 1) + (1,) + (0,) * (nn - u - 1))
+    terms = [(w[v][u], (0,) * v + (1,) + (0,) * (u - v - 1) + (1,) + (0,) * (nn - u - 1))
              for v in range(nn) for u in range(v + 1, nn) if w[v][u] > 0]
-    cbar = tuple(cv + Fraction(2 * row[v] - sum(row), 2)
+    cbar = tuple(Fraction(2 * cv + 2 * row[v] - sum(row), 2)
                  for v, (cv, row) in enumerate(zip(c, w)))
     return terms, cbar
+
+
+def _squares(terms: Sequence[tuple], scale) -> tuple[Term, ...]:
+    """The term (scale*k) (row . z)^2 for each (k, row), with one piece
+    per distinct k, shared by its terms (pieces are frozen)."""
+    pieces = {k: ScaledEvenPower(scale * k, 2) for k in {k for k, _ in terms}}
+    return tuple(Term(pieces[k], row, 0) for k, row in terms)
 
 
 def to_cip(q: QapInstance) -> CipInstance:
@@ -145,14 +155,15 @@ def to_cip(q: QapInstance) -> CipInstance:
         d = [[_exact(x) for x in r] for r in q.distance]
         w = [[f[i][k] * d[j][l] + f[k][i] * d[l][j] for k in range(n) for l in range(n)]
              for i in range(n) for j in range(n)]
-    cvec = tuple(q.fixed_cost(i, j) for i in range(n) for j in range(n))
+    cvec = ((0,) * nn if q.fixed is None else
+            tuple(_exact(x) for row in q.fixed for x in row))
     if all(x >= 0 for v, row in enumerate(w) for u, x in enumerate(row) if u != v):
         terms, cbar = _pairwise(w, cvec)
+        obj_terms = _squares(terms, Fraction(1, 2))
     else:
         terms, cbar = binary_rephrase(
             tuple(tuple(Fraction(x, 2) for x in row) for row in w), cvec)
-    obj_terms = tuple(Term(ScaledEvenPower(alpha, 2), coeffs, 0)
-                      for alpha, coeffs in terms)
+        obj_terms = _squares(terms, 1)
     a, b = assignment_matrix(n)
     return CipInstance(a, b, (1,) * nn, SeparableObjective(nn, obj_terms, cbar))
 

@@ -1,7 +1,7 @@
 """Helpers that only the tests call: instance and assignment writers,
 exact rational products and rank, the exhaustive or constructive
-oracles for the paper's column splits and 0/1 split minima, and a
-reference walk."""
+oracles for the paper's column splits and 0/1 split minima, a dense
+objective evaluation and a reference walk."""
 
 from fractions import Fraction
 from itertools import product
@@ -142,6 +142,19 @@ def expand_duplicated_column(g: TestSet) -> TestSet:
     return _expand_last_column(g, 1)
 
 
+def dense_value(f: SeparableObjective, z: Vec) -> Fraction:
+    """f(z) by the plainest sum: every term's piece at its whole
+    argument sum_j c_j z_j + offset, zero or not, plus l_j z_j for every
+    coordinate; it shares nothing with SeparableObjective.value but the
+    pieces."""
+    total = Fraction(0)
+    for t in f.terms:
+        total += t.fn.value(sum(c * x for c, x in zip(t.coeffs, z)) + t.offset)
+    for c, x in zip(f.linear, z):
+        total += c * x
+    return total
+
+
 def reference_walk(inst: CipInstance, t_set: TestSet, z0: Vec, best: bool = False,
                    cap: int = 10 ** 6) -> SolveReport:
     """The report augment.solve should give, by the plainest walk.
@@ -153,10 +166,13 @@ def reference_walk(inst: CipInstance, t_set: TestSet, z0: Vec, best: bool = Fals
     first improving direction wins, or with best the lowest landing
     value (ties keep scan order).  A ray still descending after cap
     steps, or a walk with an improving scan after cap steps, ends
-    unbounded-suspected.
+    unbounded-suspected.  Points are evaluated by dense_value, not by
+    the objective's own value.
     """
     upper = inst.upper
-    f = inst.objective.value
+
+    def f(p):
+        return dense_value(inst.objective, p)
 
     def inside(p):
         return all(x >= 0 for x in p) and (

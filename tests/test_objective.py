@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graveropt.core import ParseError
 from graveropt.objective import (
@@ -19,6 +21,7 @@ from graveropt.objective import (
     parse_objective,
 )
 from tests.conftest import two_square_instance
+from tests.helpers import dense_value
 from tests.test_cli import within_seconds
 
 
@@ -245,6 +248,89 @@ class TestSeparableObjective:
                     for lam in range(-3, 4)]
             incs = [b - a for a, b in zip(vals, vals[1:])]
             assert incs == sorted(incs)
+
+
+BIG = 2 ** 64
+# entries of rows and points: zero often, small, or past 2^64 either way
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(BIG, BIG + 9),
+                    st.integers(-BIG - 9, -BIG))
+POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+NONNEGATIVE = st.fractions(min_value=0, max_value=5, max_denominator=7)
+
+
+@st.composite
+def tables(draw, extend):
+    """A convex PiecewiseTable on a window [lo, hi] around the origin."""
+    lo = draw(st.integers(-3, 1))
+    hi = draw(st.integers(max(lo, 0), 3))
+    left = sorted(-draw(NONNEGATIVE) for _ in range(lo, min(hi, 0) + 1))
+    right = sorted(draw(NONNEGATIVE) for _ in range(max(lo, 1), hi + 1))
+    return PiecewiseTable(tuple(zip(range(lo, hi + 1), left + right)), extend=extend)
+
+
+# each piece kind with the arguments it is evaluated at: a geometric
+# piece stays near the origin, a window table also steps past its window
+PIECES = st.one_of(
+    st.tuples(st.just(Zero()), ENTRIES),
+    st.tuples(st.builds(ScaledEvenPower, POSITIVE, st.sampled_from((2, 4))), ENTRIES),
+    st.tuples(st.builds(ScaledAbs, POSITIVE), ENTRIES),
+    st.tuples(st.builds(GeometricAbs, POSITIVE.map(lambda a: 1 + a)), st.integers(-6, 6)),
+    st.tuples(tables(extend=True), ENTRIES),
+    st.tuples(tables(extend=False), st.integers(-5, 5)),
+)
+
+
+def outcome(evaluate, z):
+    """The value with its type, or the ValueError's message."""
+    try:
+        v = evaluate(z)
+    except ValueError as e:
+        return "ValueError: %s" % e
+    return type(v), v
+
+
+class TestSupportEvaluation:
+    """value works over the supports only; dense_value evaluates every
+    term and coordinate."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_dense_evaluation(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        z = tuple(data.draw(st.lists(ENTRIES, min_size=n, max_size=n), label="z"))
+        terms = []
+        for fn, argument in data.draw(st.lists(PIECES, max_size=4), label="pieces"):
+            coeffs = tuple(data.draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+            # the offset that puts the argument at z where it was drawn
+            offset = argument - sum(c * x for c, x in zip(coeffs, z))
+            terms.append(Term(fn, coeffs, offset))
+        linear = tuple(data.draw(st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=9)),
+            min_size=n, max_size=n), label="linear"))
+        f = SeparableObjective(n, tuple(terms), linear)
+        want = outcome(lambda p: dense_value(f, p), z)
+        assert want[0] is Fraction or want.startswith("ValueError")
+        assert outcome(f.value, z) == want
+        for bad in (z + (0,), z[1:]):
+            with pytest.raises(ValueError, match="^objective value: point has wrong dimension$"):
+                f.value(bad)
+
+    def test_out_of_window_table_raises_as_dense(self):
+        g = PiecewiseTable({0: Fraction(-1), 1: Fraction(1), 2: Fraction(3)})
+        f = SeparableObjective(2, (Term(g, (1, 0), 0), Term(g, (0, 1), -BIG)),
+                               (Fraction(1), Fraction(0)))
+        for z in ((3, BIG), (0, BIG + 4)):
+            assert outcome(f.value, z) == outcome(lambda p: dense_value(f, p), z)
+            assert outcome(f.value, z).startswith("ValueError: PiecewiseTable")
+        assert f.value((0, BIG - 1)) == dense_value(f, (0, BIG - 1)) == 1
+
+    def test_supports_are_not_fields(self):
+        f = SeparableObjective(2, (Term(ScaledAbs(1), (0, 3), 0),), (Fraction(0), Fraction(2)))
+        g = SeparableObjective(2, (Term(ScaledAbs(1), (0, 3), 0),), (Fraction(0), Fraction(2)))
+        text, h, r = format_objective(f), hash(f), repr(f)
+        assert f.value((1, 1)) == 5
+        assert f == g and hash(g) == h and repr(f) == r == repr(g)
+        assert format_objective(f) == text
 
 
 class TestSerialization:
