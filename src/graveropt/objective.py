@@ -22,6 +22,11 @@ from typing import Sequence
 from .core import ParseError, Vec
 
 
+def _as_fraction(x) -> Fraction:
+    """x itself if it is a Fraction (they are immutable), else Fraction(x)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class DiscreteConvexFn:
     """One-dimensional piece; subclasses define value(x)."""
 
@@ -47,7 +52,7 @@ class ScaledEvenPower(DiscreteConvexFn):
     exponent: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("ScaledEvenPower: alpha must be positive")
         if self.exponent < 2 or self.exponent % 2:
@@ -62,7 +67,7 @@ class ScaledAbs(DiscreteConvexFn):
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("ScaledAbs: alpha must be positive")
 
@@ -77,7 +82,7 @@ class GeometricAbs(DiscreteConvexFn):
     base: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", Fraction(self.base))
+        object.__setattr__(self, "base", _as_fraction(self.base))
         if self.base <= 1:
             raise ValueError("GeometricAbs: base must exceed 1")
 
@@ -104,7 +109,7 @@ class PiecewiseTable(DiscreteConvexFn):
             items = self.increments.items()
         else:
             items = self.increments
-        norm = tuple(sorted((int(j), Fraction(v)) for j, v in items))
+        norm = tuple(sorted((int(j), _as_fraction(v)) for j, v in items))
         if not norm:
             raise ValueError("PiecewiseTable: empty increment table")
         keys = [j for j, _ in norm]
@@ -183,7 +188,7 @@ class SeparableObjective:
     linear: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "linear", tuple(Fraction(x) for x in self.linear))
+        object.__setattr__(self, "linear", tuple(map(_as_fraction, self.linear)))
         if len(self.linear) != self.n:
             raise ValueError("SeparableObjective: linear part has wrong length")
         for t in self.terms:
@@ -197,6 +202,12 @@ class SeparableObjective:
         terms = tuple((t.fn, t.offset, tuple((j, c) for j, c in enumerate(t.coeffs) if c))
                       for t in self.terms)
         return terms, tuple((j, c) for j, c in enumerate(self.linear) if c)
+
+    @cached_property
+    def composition_rows(self) -> tuple[Vec, ...]:  # not a field either
+        """The terms' coefficient rows in term order, each distinct
+        nonzero row once: the rows of the family's matrix C."""
+        return tuple(dict.fromkeys(t.coeffs for t in self.terms if any(t.coeffs)))
 
     def value(self, z: Sequence[int]) -> Fraction:
         """f(z), exactly, over the supports only: a term whose argument

@@ -9,12 +9,13 @@ as a separable sum of squares on 0/1 points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .augment import CipInstance, SolveReport, instance_test_set, solve
+from .augment import FAMILY_CACHE_SIZE, CipInstance, SolveReport, instance_test_set, solve
 from .core import IntMatrix, ParseError, Vec
 from .objective import ScaledEvenPower, SeparableObjective, Term
 from .quadratic import RatMatrix, binary_rephrase, rat_matrix
@@ -60,8 +61,12 @@ def koopmans_beckmann(flow: Sequence[Sequence], distance: Sequence[Sequence],
                        fixed=rat_matrix(fixed) if fixed is not None else None)
 
 
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
 def assignment_matrix(n: int) -> tuple[IntMatrix, Vec]:
-    """Row-sum and column-sum constraints over the flattened x_ij grid."""
+    """Row-sum and column-sum constraints over the flattened x_ij grid.
+
+    Built once per n (both parts are immutable), so the instances of
+    one size share the very same matrix."""
     if n < 1:
         raise ValueError("assignment_matrix: need n >= 1")
     rows = []
@@ -127,10 +132,10 @@ def _pairwise(w: list[list], c: Sequence) -> tuple[list, tuple]:
     return terms, cbar
 
 
-def _squares(terms: Sequence[tuple], scale) -> tuple[Term, ...]:
-    """The term (scale*k) (row . z)^2 for each (k, row), with one piece
-    per distinct k, shared by its terms (pieces are frozen)."""
-    pieces = {k: ScaledEvenPower(scale * k, 2) for k in {k for k, _ in terms}}
+def _squares(terms: Sequence[tuple], denominator: int) -> tuple[Term, ...]:
+    """The term (k/denominator) (row . z)^2 for each (k, row), with one
+    piece per distinct k, shared by its terms (pieces are frozen)."""
+    pieces = {k: ScaledEvenPower(Fraction(k, denominator), 2) for k in {k for k, _ in terms}}
     return tuple(Term(pieces[k], row, 0) for k, row in terms)
 
 
@@ -159,7 +164,7 @@ def to_cip(q: QapInstance) -> CipInstance:
             tuple(_exact(x) for row in q.fixed for x in row))
     if all(x >= 0 for v, row in enumerate(w) for u, x in enumerate(row) if u != v):
         terms, cbar = _pairwise(w, cvec)
-        obj_terms = _squares(terms, Fraction(1, 2))
+        obj_terms = _squares(terms, 2)
     else:
         terms, cbar = binary_rephrase(
             tuple(tuple(Fraction(x, 2) for x in row) for row in w), cvec)

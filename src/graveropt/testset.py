@@ -72,34 +72,46 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     instead.  One INFO line names the branch taken.  The returned set
     records upper as its box.
     """
-    t_set, line = box_test_set_and_line(a, c, upper)
+    t_set, line = box_test_set_and_line(a, c, upper, box_candidates(a, upper))
     logger.info(*line)
     return t_set
 
 
-def box_test_set_and_line(a: IntMatrix, c: IntMatrix,
-                          upper: Vec) -> tuple[TestSet, tuple]:
-    """box_test_set(a, c, upper) without its INFO line, which it returns
-    as the logging arguments (format, values...) for the caller to emit."""
-    if a.cols != c.cols:
-        raise ValueError("box_test_set: A and C must have equal column counts")
+def box_candidates(a: IntMatrix, upper: Vec) -> np.ndarray | None:
+    """The canonical z in ker(A) with |z_j| <= u_j, box_test_set's
+    candidates, as one read-only array (int_dtype of max u), or None
+    when the search runs over its budget.  Neither C nor b enters, so
+    every family sharing (A, u) shares them."""
     if len(upper) != a.cols:
         raise ValueError("box_test_set: bound vector has wrong length")
     cands = box_kernel_vectors(a, tuple(upper), limit=BOX_CANDIDATE_LIMIT)
     if cands is None:
+        return None
+    z = np.array(cands, dtype=int_dtype(max(upper, default=0))).reshape(len(cands), a.cols)
+    z.flags.writeable = False
+    return z
+
+
+def box_test_set_and_line(a: IntMatrix, c: IntMatrix, upper: Vec,
+                          z: np.ndarray | None) -> tuple[TestSet, tuple]:
+    """box_test_set(a, c, upper) from its candidates z = box_candidates(a,
+    upper), without its INFO line, which it returns as the logging
+    arguments (format, values...) for the caller to emit."""
+    if a.cols != c.cols:
+        raise ValueError("box_test_set: A and C must have equal column counts")
+    if z is None:
         dirs = frozenset(d for d in compute_test_set(a, c).directions
                          if all(abs(x) <= u for x, u in zip(d, upper)))
         line = ("test set: completion (box search over its %d-candidate budget), "
                 "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
     else:
-        z = np.array(cands, dtype=int_dtype(max(upper, default=0))).reshape(len(cands), a.cols)
         # each z lifts to (z, -Cz): z times -C^T appended
         keep, met = conformally_minimal(
             append_products(z, [[-x for x in c.column(j)] for j in range(a.cols)]))
         dirs = frozenset(map(tuple, z[keep].tolist()))
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
-                     len(cands), len(dirs), met)
-        line = ("test set: box, %d candidates, %d directions", len(cands), len(dirs))
+                     len(z), len(dirs), met)
+        line = ("test set: box, %d candidates, %d directions", len(z), len(dirs))
     return TestSet(a.cols, dirs, provenance=(a, c), box=tuple(upper)), line
 
 

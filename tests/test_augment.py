@@ -236,7 +236,62 @@ class TestSolve:
             solve(bounded, instance_test_set(bounded), (1, 1), cap=cap)
 
 
+def plain_feasible(inst, z):
+    """Whether z is feasible for inst, from a dot product of its own."""
+    return (len(z) == inst.n and all(x >= 0 for x in z)
+            and (inst.upper is None or all(x <= u for x, u in zip(z, inst.upper)))
+            and all(sum(c * x for c, x in zip(row, z)) == bi
+                    for row, bi in zip(inst.a.entries, inst.b)))
+
+
+class TestFeasible:
+    BIG = 1 << 64
+
+    def test_big_integers_agree_with_a_plain_dot_product(self):
+        big = self.BIG
+        a = IntMatrix.from_rows([[big + 1, -3, 1], [1, big, -(big + 5)]])
+        z = (big + 7, 2 * big + 1, big - 1)
+        b = tuple(sum(c * x for c, x in zip(row, z)) for row in a.entries)
+        upper = (2 * big, 3 * big, big)
+        obj = linear_objective([0, 0, 0])
+        inst = CipInstance(a, b, upper, obj)
+        assert inst.feasible(z) and plain_feasible(inst, z)
+        for i in range(2):
+            off = CipInstance(a, b[:i] + (b[i] + 1,) + b[i + 1:], upper, obj)
+            assert not off.feasible(z) and not plain_feasible(off, z)
+        points = [z, (big + 8, 2 * big + 1, big - 1), (big + 7, 2 * big + 1, big),
+                  (-1, 0, 0), z[:2], z + (0,)]
+        for inst in (inst, CipInstance(a, b, None, obj)):
+            for point in points:
+                assert inst.feasible(point) == plain_feasible(inst, point)
+
+    @pytest.mark.parametrize("best", [False, True])
+    def test_direction_off_the_kernel_despite_provenance_raises(self, best):
+        # the set claims to be the one of (A, C) but holds (1, 0), which
+        # leaves Az = b; the walk takes it, and the next scan's
+        # feasibility check stops the walk before it returns that point
+        a = IntMatrix.from_rows([[1, 1]])
+        obj = SeparableObjective(2, (Term(ScaledEvenPower(1, 2), (1, 0), 0),
+                                     Term(ScaledEvenPower(10, 2), (0, 1), 0)),
+                                 (Fraction(0),) * 2)
+        inst = CipInstance(a, (2,), None, obj)
+        lying = TestSet(2, frozenset({(1, -1), (1, 0)}),
+                        provenance=(a, composition_matrix(inst)))
+        check_compatible(inst, lying)
+        with pytest.raises(InfeasibleStartError):
+            solve(inst, lying, (2, 0), best=best)
+
+
 class TestCompatibility:
+    def test_first_missing_row_named(self):
+        inst = CipInstance(FREE2, (), None, SeparableObjective(2, (
+            Term(ScaledEvenPower(1, 2), (1, 1), 0),
+            Term(ScaledEvenPower(1, 2), (2, 1), 0),
+            Term(ScaledEvenPower(1, 2), (1, 2), 0)), (Fraction(0),) * 2))
+        t = compute_test_set(FREE2, IntMatrix.from_rows([[1, 1]]))
+        with pytest.raises(ValueError, match=r"^test set does not cover objective row \(2, 1\)$"):
+            check_compatible(inst, t)
+
     def test_wrong_dimension_rejected(self, square_pair):
         with pytest.raises(ValueError):
             check_compatible(square_pair, TestSet(3, frozenset({(1, 0, 0)})))
@@ -650,6 +705,58 @@ class TestFamilyCache:
         assert got.box == (2,) * 5
         z0 = (2, 2, 1, 0, 0)
         assert solve(listed, got, z0) == solve(inst, got, z0)
+
+
+@st.composite
+def shared_box_families(draw):
+    """Two or three bounded families with one (A, u) and their own C."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    a = IntMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=1)), cols=n)
+    upper = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    members = []
+    for _ in range(draw(st.integers(2, 3))):
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n).filter(any),
+                             min_size=1, max_size=2))
+        terms = tuple(Term(ScaledEvenPower(1, 2), tuple(row), 0) for row in rows)
+        members.append(CipInstance(a, (0,) * a.rows, upper,
+                                   SeparableObjective(n, terms, (Fraction(0),) * n)))
+    return members
+
+
+class TestSharedBoxCandidates:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(shared_box_families())
+    def test_warm_candidates_give_the_cold_sets(self, members):
+        instance_test_set.cache_clear()
+        warm = [instance_test_set(inst) for inst in members]
+        # one search for the (A, u) all the families share
+        assert augment._box_candidates.cache_info().misses == 1
+        z = augment._box_candidates(members[0].a, members[0].upper)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[...] = 0
+        for inst, got in zip(members, warm):
+            instance_test_set.cache_clear()
+            assert instance_test_set(inst) == got
+            assert got == boxed_completion(inst)[1]
+
+    def test_over_budget_candidates_fall_back_on_every_c(self, caplog):
+        # (A, u) of the walk family at bounds 10, past the box budget,
+        # with three composition matrices of its rows
+        family = TestBoundedDirectionSet.walk_family((10,) * 5)
+        rows = [t.coeffs for t in family.objective.terms]
+        instance_test_set.cache_clear()
+        for chosen in (rows[:1], rows[1:3], rows[3:]):
+            obj = SeparableObjective(5, tuple(Term(ScaledEvenPower(1, 2), r, 0)
+                                              for r in chosen), (Fraction(0),) * 5)
+            inst = CipInstance(family.a, family.b, family.upper, obj)
+            got, lines = info_lines(caplog, lambda: instance_test_set(inst))
+            assert got == boxed_completion(inst)[1]
+            assert "completion (box search over" in lines[0][2]
+        assert augment._box_candidates(family.a, family.upper) is None
+        assert augment._box_candidates.cache_info()[:2] == (3, 1)
 
 
 def objective_at(obj, z):

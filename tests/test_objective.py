@@ -250,6 +250,47 @@ class TestSeparableObjective:
             assert incs == sorted(incs)
 
 
+def as_objective(x):
+    """x itself if it is an objective, else one term of the piece x."""
+    if isinstance(x, SeparableObjective):
+        return x
+    return SeparableObjective(1, (Term(x, (1,), 0),), (Fraction(0),))
+
+
+# (build from a value v, the stored copy of v): each constructor that
+# takes a rational, with v > 1 so every piece accepts it
+FRACTION_ARGUMENTS = [
+    pytest.param(lambda v: ScaledEvenPower(v, 2), lambda g: g.alpha, id="evenpower"),
+    pytest.param(ScaledAbs, lambda g: g.alpha, id="abs"),
+    pytest.param(GeometricAbs, lambda g: g.base, id="geomabs"),
+    pytest.param(lambda v: PiecewiseTable(((0, Fraction(0)), (1, v))),
+                 lambda g: g.increments[1][1], id="table"),
+    pytest.param(lambda v: SeparableObjective(2, (), (Fraction(0), v)),
+                 lambda f: f.linear[1], id="linear"),
+]
+
+
+class TestFractionArguments:
+    @pytest.mark.parametrize("build, stored", FRACTION_ARGUMENTS)
+    def test_fraction_kept(self, build, stored):
+        v = Fraction(7, 3)
+        assert stored(build(v)) is v
+
+    @pytest.mark.parametrize("build, stored", FRACTION_ARGUMENTS)
+    def test_int_converted(self, build, stored):
+        got = stored(build(3))
+        assert type(got) is Fraction and got == 3
+
+    @pytest.mark.parametrize("build, stored", FRACTION_ARGUMENTS)
+    def test_equal_from_either(self, build, stored):
+        from_fraction, from_int = build(Fraction(3)), build(3)
+        assert from_fraction == from_int
+        assert hash(from_fraction) == hash(from_int)
+        assert repr(from_fraction) == repr(from_int)
+        assert (format_objective(as_objective(from_fraction))
+                == format_objective(as_objective(from_int)))
+
+
 BIG = 2 ** 64
 # entries of rows and points: zero often, small, or past 2^64 either way
 ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(BIG, BIG + 9),
@@ -329,6 +370,7 @@ class TestSupportEvaluation:
         g = SeparableObjective(2, (Term(ScaledAbs(1), (0, 3), 0),), (Fraction(0), Fraction(2)))
         text, h, r = format_objective(f), hash(f), repr(f)
         assert f.value((1, 1)) == 5
+        assert f.composition_rows == ((0, 3),)
         assert f == g and hash(g) == h and repr(f) == r == repr(g)
         assert format_objective(f) == text
 
