@@ -5,9 +5,12 @@ with f separable discrete-convex.  The solver walks from a feasible
 point: scan the direction set for an improving signed step, slide as
 far as the one-dimensional restriction keeps decreasing, repeat.  With
 a sufficient direction set the walk can only stop at a global optimum.
-Each scan first masks out, with one array comparison, the signed
-directions whose unit step leaves the bounds; those are never
-line-searched.  The walk carries f(z), the line search hands back the
+Each scan first works out, in one array pass, every signed direction's
+feasible step limit, the largest lam <= cap + 1 keeping
+0 <= z - lam*t <= u (step_limits); a direction with limit 0 is never
+line-searched, and the others are searched up to their limit, so a
+ray still descending at cap + 1 is a returned step length, not an
+exception.  The walk carries f(z), the line search hands back the
 value where it lands, and the walk remembers the values of the last
 WALK_MEMO_SIZE points it asked for, so a point that a later scan meets
 again is looked up, not evaluated again.  An evaluation itself reads
@@ -113,43 +116,42 @@ class SolveReport:
     steps: tuple[Step, ...] = field(default_factory=tuple)
 
 
-def max_feasible_step(inst: CipInstance, z: Vec, t: Vec) -> int | None:
-    """Largest lam >= 0 keeping z - lam*t within bounds; None if unbounded."""
-    lam: int | None = None
-    for j, tj in enumerate(t):
-        if tj > 0:
-            m = z[j] // tj
-        elif tj < 0 and inst.upper is not None:
-            m = (inst.upper[j] - z[j]) // (-tj)
-        else:
-            continue
-        lam = m if lam is None else min(lam, m)
-    return lam
+def step_limits(inst: CipInstance, t_set: TestSet, z: Vec, cap: int) -> np.ndarray:
+    """For each row t of S (t_set.scan_array), the largest lam <= cap + 1
+    with 0 <= z - lam*t <= u: the least of z_j // t_j over t_j > 0 and
+    (u_j - z_j) // (-t_j), that is (z_j - u_j) // t_j, over t_j < 0.
 
-
-def line_search(inst: CipInstance, z: Vec, t: Vec, value: Fraction, cap: int = 10 ** 6,
-                f: Callable[[Vec], Fraction] | None = None) -> tuple[int, Fraction] | None:
-    """Largest improving step count along -t from z, and where it lands.
-
-    value is f(z).  Returns (lam, f(z - lam*t)) for the smallest
-    lam >= 1 minimizing f(z - lam*t) over the feasible ray (discrete
-    convexity makes the first non-improving increment final), or None
-    when the unit step is infeasible or not an improvement.  A ray that
-    still descends at step cap + 1 raises RuntimeError as a suspected
-    unbounded instance; a minimizer at exactly cap is returned.  f
-    evaluates the objective at a point: inst.objective.value unless
-    given, and solve gives its walk's memo.
+    The array takes int_dtype of the largest of z, u, cap + 1 and the
+    set's reach, so an int64 z - u or quotient cannot overflow; past the
+    int64 range it holds Python ints.
     """
-    limit = max_feasible_step(inst, z, t)
-    if f is None:
-        f = inst.objective.value
+    s, top = t_set.scan_array, cap + 1
+    dtype = int_dtype(max(t_set.reach, top, *z, *(inst.upper or ())))
+    zs = np.array(z, dtype=dtype)
+    lim = np.full(s.shape, top, dtype=dtype)
+    np.floor_divide(zs, s, out=lim, where=s > 0)
+    if inst.upper is not None:
+        np.floor_divide(zs - np.array(inst.upper, dtype=dtype), s, out=lim, where=s < 0)
+    return lim.min(axis=1, initial=top)
+
+
+def line_search(z: Vec, t: Vec, value: Fraction, limit: int,
+                f: Callable[[Vec], Fraction]) -> tuple[int, Fraction] | None:
+    """Largest improving step count along -t from z, up to limit, and
+    where it lands.
+
+    value is f(z) and limit a feasible step count (step_limits).
+    Returns (lam, f(z - lam*t)) for the smallest lam in 1..limit
+    minimizing f(z - lam*t) (discrete convexity makes the first
+    non-improving increment final), or None when the unit step is not an
+    improvement.  With limit = cap + 1 from step_limits, lam = cap + 1
+    means the ray still descends there.
+    """
     lam, cur = 0, value
-    while limit is None or lam < limit:
+    while lam < limit:
         nxt = f(tuple(a - (lam + 1) * b for a, b in zip(z, t)))
         if nxt >= cur:
             break
-        if lam == cap:
-            raise RuntimeError("line_search: still descending after %d steps" % cap)
         lam, cur = lam + 1, nxt
     return (lam, cur) if lam else None
 
@@ -162,38 +164,30 @@ def find_improving(inst: CipInstance, t_set: TestSet, z: Vec, value: Fraction,
     value is f(z).  Default scan: t_set.scan, canonical directions in
     sorted order, + before -, first improvement wins.  With best=True
     every signed direction is line-searched and the deepest landing
-    value wins (ties keep scan order).  Only the signed directions t
-    with a feasible unit step, 0 <= z - t <= u, are line-searched: one
-    comparison of z - S (t_set.scan_array) picks them, in scan order.
-    The others could not move, so the result is that of line-searching
-    every direction.  f goes to line_search.
+    value wins (ties keep scan order).  One array pass (step_limits)
+    gives each signed direction its feasible step limit, at most
+    cap + 1; only those with a limit of at least 1 are line-searched, in
+    scan order, each up to its limit.  The others could not move, so the
+    result is that of line-searching every direction.  A step length of
+    cap + 1, a ray still descending there, is returned at once, with
+    best=True too.  f evaluates the objective at a point:
+    inst.objective.value unless given, and solve gives its walk's memo.
     """
     if not inst.feasible(z):
         raise InfeasibleStartError("find_improving: start point infeasible")
+    if f is None:
+        f = inst.objective.value
+    limits = step_limits(inst, t_set, z, cap).tolist()
     champion = None
-    moves = _unit_step_feasible(inst, t_set.scan_array, z).tolist()
-    for t in compress(t_set.scan, moves):
-        found = line_search(inst, z, t, value, cap=cap, f=f)
-        if found is not None and (champion is None or found[1] < champion[2]):
+    for t, limit in compress(zip(t_set.scan, limits), limits):
+        found = line_search(z, t, value, limit, f)
+        if found is None:
+            continue
+        if not best or found[0] > cap:
+            return (t,) + found
+        if champion is None or found[1] < champion[2]:
             champion = (t,) + found
-            if not best:
-                return champion
     return champion
-
-
-def _unit_step_feasible(inst: CipInstance, s: np.ndarray, z: Vec) -> np.ndarray:
-    """Mask over the rows t of s: whether 0 <= z - t <= u.
-
-    z and u, nonnegative here, take int_dtype of their largest entry,
-    like s, so an int64 z - s cannot overflow; past the int64 range the
-    comparison runs on Python ints.
-    """
-    step = np.array(z, dtype=int_dtype(max(z, default=0))) - s
-    ok = (step >= 0).all(axis=1)
-    if inst.upper is not None:
-        upper = np.array(inst.upper, dtype=int_dtype(max(inst.upper, default=0)))
-        ok &= (step <= upper).all(axis=1)
-    return ok
 
 
 def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
@@ -249,15 +243,12 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
     value = f(z)
     steps: list[Step] = []
     while True:  # at most cap + 1 scans: each one ends the walk or adds a step
-        try:
-            found = find_improving(inst, t_set, z, value, best=best, cap=cap, f=f)
-        except RuntimeError:
-            break
+        found = find_improving(inst, t_set, z, value, best=best, cap=cap, f=f)
         if found is None:
             return SolveReport(SolveStatus.OPTIMAL, z, value, tuple(steps))
-        if len(steps) == cap:
-            break
         t, lam, new_value = found
+        if lam > cap or len(steps) == cap:
+            break
         z = tuple(a - lam * b for a, b in zip(z, t))
         assert new_value < value
         value = new_value

@@ -120,9 +120,11 @@ def cmd_ak(args) -> int:
 
 def _slack_view(report: SolveReport, upper: Vec) -> SolveReport:
     """The walk in the coordinates (z, u - z) of the slack lift z + s = u:
-    the walk the lift would take on the mirrored set, since its bound
-    rule on slack j is (u_j - z_j) // (-t_j), the plain instance's,
-    (t, -t) sorts and canonicalises as t does, and f ignores s."""
+    the walk the lift would take on the mirrored set, since the step
+    limit (augment.step_limits) that slack j puts on (t, -t) for t_j < 0,
+    s_j // (-t_j) = (u_j - z_j) // (-t_j), is the one u_j puts on t in
+    the plain instance, (t, -t) sorts and canonicalises as t does, and f
+    ignores s."""
     z = report.optimum
     steps = tuple(Step(s.direction + negate(s.direction), s.length, s.value_after)
                   for s in report.steps)

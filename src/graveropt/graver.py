@@ -91,10 +91,14 @@ class TestSet:
     @cached_property
     def scan_array(self) -> np.ndarray:  # not a field either
         """S, the rows of scan as one len(scan) x dimension array: int64,
-        or object (Python ints) past the int64 range (int_dtype)."""
-        reach = max((abs(x) for d in self.directions for x in d), default=0)
-        return np.array(self.scan, dtype=int_dtype(reach)).reshape(len(self.scan),
-                                                                   self.dimension)
+        or object (Python ints) past the int64 range (int_dtype of reach)."""
+        return np.array(self.scan, dtype=int_dtype(self.reach)).reshape(len(self.scan),
+                                                                        self.dimension)
+
+    @cached_property
+    def reach(self) -> int:  # nor is this
+        """The largest magnitude of a direction entry, 0 for no directions."""
+        return max((abs(x) for d in self.directions for x in d), default=0)
 
 
 def int_dtype(reach: int) -> type:

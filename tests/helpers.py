@@ -162,7 +162,7 @@ def reference_walk(inst: CipInstance, t_set: TestSet, z0: Vec, best: bool = Fals
     Every scan tries every signed direction (each sorted direction d,
     then -d) by unit steps from the current point: a step is taken
     while the next point lies in the bounds and lowers f, and every
-    point tried is evaluated afresh, without a mask or a memo.  The
+    point tried is evaluated afresh, without step limits or a memo.  The
     first improving direction wins, or with best the lowest landing
     value (ties keep scan order).  A ray still descending after cap
     steps, or a walk with an improving scan after cap steps, ends

@@ -1,14 +1,16 @@
 import logging
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graveropt.core import IntMatrix
+from graveropt.core import IntMatrix, canonical_rep
 from graveropt.graver import box_kernel_vectors, compute_graver
 from graveropt.objective import (
+    DiscreteConvexFn,
     GeometricAbs,
     PiecewiseTable,
     ScaledAbs,
@@ -31,9 +33,9 @@ from graveropt.augment import (
     find_improving,
     instance_test_set,
     line_search,
-    max_feasible_step,
     parse_instance,
     solve,
+    step_limits,
 )
 from graveropt.cli import _slack_view
 from graveropt.testset import (
@@ -65,47 +67,76 @@ def linear_instance():
     return CipInstance(FREE2, (), None, linear_objective([1, 1]))
 
 
-class TestMaxFeasibleStep:
+def limits(inst, directions, z, cap=10):
+    """step_limits over the scan of a set of the given directions, either
+    sign, as a dict from signed direction to limit."""
+    t_set = TestSet(inst.n, frozenset(map(canonical_rep, directions)))
+    return dict(zip(t_set.scan, step_limits(inst, t_set, z, cap).tolist()))
+
+
+class TestStepLimits:
     def test_lower_bound_limits(self):
-        inst = linear_instance()
-        assert max_feasible_step(inst, (3, 2), (1, 0)) == 3
-        assert max_feasible_step(inst, (3, 2), (1, 1)) == 2
+        got = limits(linear_instance(), {(1, 0), (1, 1)}, (3, 2))
+        assert got[(1, 0)] == 3
+        assert got[(1, 1)] == 2
 
     def test_unbounded_direction(self):
-        inst = linear_instance()
-        assert max_feasible_step(inst, (3, 2), (-1, 0)) is None
+        # no bound limits the ray: cap + 1
+        assert limits(linear_instance(), {(1, 0)}, (3, 2))[(-1, 0)] == 11
 
     def test_upper_bound_limits(self):
         inst = CipInstance(FREE2, (), (5, 5), linear_objective([1, 1]))
-        assert max_feasible_step(inst, (3, 2), (-1, 0)) == 2
+        assert limits(inst, {(1, 0)}, (3, 2))[(-1, 0)] == 2
+
+    def test_rows_in_scan_order(self):
+        inst = CipInstance(FREE2, (), (5, 5), linear_objective([1, 1]))
+        t_set = TestSet(2, frozenset({(1, 0), (1, -2)}))
+        # sorted (1,-2) before (1,0), each followed by its negative:
+        # min(3 // 1, (2 - 5) // -2), min((3 - 5) // -1, 2 // 2), 3 // 1,
+        # (3 - 5) // -1
+        assert step_limits(inst, t_set, (3, 2), 10).tolist() == [1, 1, 3, 2]
+
+    def test_cap_bounds_every_limit(self):
+        assert limits(linear_instance(), {(1, 0)}, (30, 2), cap=4) == {(1, 0): 5,
+                                                                        (-1, 0): 5}
+
+
+def search(inst, z, t, value, cap=10):
+    """line_search from z along -t up to its step limit."""
+    return line_search(z, t, value, limits(inst, {t}, z, cap)[t], inst.objective.value)
 
 
 class TestLineSearch:
     def test_linear_slides_to_bound(self):
-        assert line_search(linear_instance(), (3, 2), (1, 0), 5) == (3, 2)
+        assert search(linear_instance(), (3, 2), (1, 0), 5) == (3, 2)
 
     def test_quadratic_stops_at_minimum(self, square_pair):
-        assert line_search(square_pair, (2, 2), (1, 1), 16) == (2, 0)
+        assert search(square_pair, (2, 2), (1, 1), 16) == (2, 0)
 
     def test_infeasible_unit_step(self):
-        assert line_search(linear_instance(), (0, 0), (1, 0), 0) is None
+        assert limits(linear_instance(), {(1, 0)}, (0, 0))[(1, 0)] == 0
+        assert search(linear_instance(), (0, 0), (1, 0), 0) is None
 
     def test_non_improving_step(self, square_pair):
-        assert line_search(square_pair, (1, 1), (-1, -1), 4) is None
+        assert search(square_pair, (1, 1), (-1, -1), 4) is None
 
     def test_descending_ray_hits_cap(self):
+        # the ray descends to the bound at 10^7; a limit of cap + 1 = 1001
+        # returns that step count, the mark of a ray still descending
         inst = CipInstance(FREE2, (), None, linear_objective([1, 1]))
-        with pytest.raises(RuntimeError):
-            line_search(inst, (10 ** 7, 0), (1, 0), 10 ** 7, cap=1000)
+        z, t = (10 ** 7, 0), (1, 0)
+        assert limits(inst, {t}, z, cap=1000)[t] == 1001
+        assert search(inst, z, t, 10 ** 7, cap=1000) == (1001, 10 ** 7 - 1001)
 
     def test_minimizer_exactly_at_cap(self):
         # (x - 3)^2 from x = 0 along +1: step 4 no longer improves, so
-        # cap 3 is enough and cap 2 is not
+        # cap 3 is enough; at cap 2 the search returns 3 = cap + 1, the
+        # mark of a ray still descending
         inst = CipInstance(IntMatrix.zero(0, 1), (), None, SeparableObjective(
             1, (Term(ScaledEvenPower(1, 2), (1,), -3),), (Fraction(0),)))
-        assert line_search(inst, (0,), (-1,), 9, cap=3) == (3, 0)
-        with pytest.raises(RuntimeError):
-            line_search(inst, (0,), (-1,), 9, cap=2)
+        for cap in (3, 2):
+            assert limits(inst, {(1,)}, (0,), cap=cap)[(-1,)] == cap + 1
+            assert search(inst, (0,), (-1,), 9, cap=cap) == (3, 0)
 
 
 class TestFindImproving:
@@ -202,6 +233,22 @@ class TestSolve:
     def test_infeasible_start(self, square_pair):
         with pytest.raises(InfeasibleStartError):
             solve(square_pair, pair_test_set(), (0, 5, 5))
+
+    def test_error_in_an_evaluation_propagates(self):
+        # NotImplementedError is a RuntimeError; it is the piece's fault,
+        # not a sign of an unbounded walk, and must leave solve as raised
+        @dataclass(frozen=True)
+        class ZeroOnly(DiscreteConvexFn):
+            def value(self, x):
+                if x:
+                    raise NotImplementedError("ZeroOnly: only 0")
+                return Fraction(0)
+
+        a = IntMatrix.from_rows([[1, 1]])
+        inst = CipInstance(a, (4,), None, SeparableObjective(
+            2, (Term(ZeroOnly(), (1, -1), 0),), (Fraction(1), Fraction(0))))
+        with pytest.raises(NotImplementedError, match="only 0"):
+            solve(inst, instance_test_set(inst), (2, 2))
 
     def test_graver_basis_serves_linear_objectives(self):
         # the Graver basis of A is the test set of the family with no
@@ -839,18 +886,30 @@ def counted_points(monkeypatch, owner=SeparableObjective, name="value"):
     return calls
 
 
+def chosen_dtypes(monkeypatch):
+    """The dtypes augment.int_dtype picks from now on."""
+    dtypes = []
+    int_dtype = augment.int_dtype
+    monkeypatch.setattr(augment, "int_dtype",
+                        lambda reach: dtypes.append(int_dtype(reach)) or dtypes[-1])
+    return dtypes
+
+
 class TestAgainstReferenceWalk:
-    """solve, with its feasibility mask and value memo, against
+    """solve, with its step limits and value memo, against
     reference_walk, which has neither."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(walk_instances())
     def test_same_report_as_the_reference(self, drawn):
+        # caps 1 and 2 make rays reach cap + 1 and walks stop at their
+        # step count, a best-improving scan included
         inst, z0 = drawn
         t_set = instance_test_set(inst)
-        for best in (False, True):
-            want = reference_walk(inst, t_set, z0, best=best, cap=12)
-            assert repr(solve(inst, t_set, z0, best=best, cap=12)) == repr(want)
+        for cap in (1, 2, 12):
+            for best in (False, True):
+                want = reference_walk(inst, t_set, z0, best=best, cap=cap)
+                assert repr(solve(inst, t_set, z0, best=best, cap=cap)) == repr(want)
 
     # past 2^63: the start (so b), the bounds, or both
     BIG = 1 << 64
@@ -868,16 +927,38 @@ class TestAgainstReferenceWalk:
         ), (Fraction(0), Fraction(1, 2), Fraction(0)))
         inst = CipInstance(a, a.mat_vec(start), upper, obj)
         t_set = instance_test_set(inst)
-        dtypes = []
-        int_dtype = augment.int_dtype
-        monkeypatch.setattr(augment, "int_dtype",
-                            lambda reach: dtypes.append(int_dtype(reach)) or dtypes[-1])
+        dtypes = chosen_dtypes(monkeypatch)
         for best in (False, True):
             dtypes.clear()
             report = solve(inst, t_set, start, best=best)
             assert object in dtypes
             assert report.status is SolveStatus.OPTIMAL and report.steps
             assert repr(report) == repr(reference_walk(inst, t_set, start, best=best))
+
+    @pytest.mark.parametrize("best", [False, True])
+    def test_cap_past_int64_takes_object_limits(self, monkeypatch, best):
+        # small z, but cap + 1 = 2^64 + 1 is among the step limits
+        inst, t_set = two_square_instance(), pair_test_set()
+        dtypes = chosen_dtypes(monkeypatch)
+        report = solve(inst, t_set, (12, 3), best=best, cap=self.BIG)
+        assert object in dtypes
+        assert report.status is SolveStatus.OPTIMAL and report.steps
+        assert repr(report) == repr(reference_walk(inst, t_set, (12, 3), best=best,
+                                                   cap=self.BIG))
+
+    @pytest.mark.parametrize("best", [False, True])
+    @pytest.mark.parametrize("upper", [None, (9, 9)])
+    def test_direction_past_int64_takes_object_limits(self, monkeypatch, best, upper):
+        # a hand-built set with an entry past 2^63 next to the axis
+        # directions: its unit step leaves the bounds at once either way
+        inst = CipInstance(FREE2, (), upper, two_square_instance().objective)
+        t_set = TestSet(2, frozenset({(1, 0), (0, 1), (self.BIG, 1)}))
+        assert t_set.scan_array.dtype == object
+        dtypes = chosen_dtypes(monkeypatch)
+        report = solve(inst, t_set, (5, 3), best=best)
+        assert object in dtypes
+        assert report.status is SolveStatus.OPTIMAL and report.steps
+        assert repr(report) == repr(reference_walk(inst, t_set, (5, 3), best=best))
 
     @pytest.mark.parametrize("best", [False, True])
     @pytest.mark.parametrize("start", [(7, 2), (9, 4), (12, 3)])
@@ -917,11 +998,10 @@ class TestAgainstReferenceWalk:
         memos = []
         search = augment.line_search
 
-        def spy(*args, **kwargs):
-            f = kwargs["f"]
+        def spy(z, t, value, limit, f):
             assert f.cache_info().currsize <= WALK_MEMO_SIZE
             memos.append(f)
-            return search(*args, **kwargs)
+            return search(z, t, value, limit, f)
 
         monkeypatch.setattr(augment, "line_search", spy)
         report = solve(inst, axis_only(), (0, 0))
