@@ -20,8 +20,10 @@ encodings such as the assignment problem's is most of them.
 
 What depends only on the objective's structure or on (A, u) is computed
 once, not per solve: the composition rows are a cached property of the
-objective (SeparableObjective.composition_rows), and the box candidates
-of an (A, u) pair serve every family sharing it.  Feasibility is still
+objective (SeparableObjective.composition_rows), and testset.box_test_set,
+to which instance_test_set hands every bounded instance, keeps the sets
+of recent families (A, C, u) and the box candidates of recent pairs
+(A, u).  Feasibility is still
 checked at the start and on every scan (CipInstance.feasible), in one
 pass over exact ints: a set whose provenance is wrong cannot walk the
 solver off Az = b unnoticed.
@@ -42,16 +44,10 @@ import numpy as np
 
 from .core import IntMatrix, ParseError, Vec, parse_int_matrix, parse_int_vector
 from .objective import SeparableObjective, parse_objective
-from . import testset
 from .graver import int_dtype
-from .testset import TestSet, box_test_set_and_line, compute_test_set
+from .testset import TestSet, box_test_set, compute_test_set
 
 logger = logging.getLogger(__name__)
-
-# Families whose direction sets instance_test_set keeps, least recently
-# used out first.  The qap-n3 benchmark stream hits on 81% of its calls
-# at 128 (69% at 32).
-FAMILY_CACHE_SIZE = 128
 
 # Points whose objective values one walk keeps, least recently used out
 # first.  Of the evaluations an unbounded memo saves on the first four
@@ -86,6 +82,9 @@ class CipInstance:
             raise ValueError("CipInstance: objective dimension != column count")
         if self.upper is not None and len(self.upper) != self.a.cols:
             raise ValueError("CipInstance: bound vector has wrong length")
+        if self.upper is not None and min(self.upper) < 0:
+            raise ValueError("CipInstance: upper bounds %s include a negative entry"
+                             % (tuple(self.upper),))
 
     @property
     def n(self) -> int:
@@ -111,8 +110,8 @@ class Step:
 @dataclass(frozen=True, slots=True)
 class SolveReport:
     status: SolveStatus
-    optimum: Vec | None
-    value: Fraction | None
+    optimum: Vec
+    value: Fraction
     steps: tuple[Step, ...] = field(default_factory=tuple)
 
 
@@ -322,60 +321,25 @@ def composition_matrix(inst: CipInstance) -> IntMatrix:
     return IntMatrix(len(rows), inst.n, rows)
 
 
-# The box candidates of the last FAMILY_CACHE_SIZE pairs (A, u): they
-# read neither C nor b, and 149 of the 150 box-set builds of a qap-n3
-# benchmark run share theirs (896 of 2,752 on bounded-qp).
-_box_candidates = functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)(testset.box_candidates)
-
-
-@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _family_test_set(a: IntMatrix, c: IntMatrix, upper: Vec | None):
-    """instance_test_set's set for the family (A, C, u), with the logger
-    and the INFO line (format, values...) that name the branch taken."""
-    if upper is not None:
-        t_set, line = box_test_set_and_line(a, c, upper, _box_candidates(a, upper))
-        return t_set, testset.logger, line
-    t_set = compute_test_set(a, c)
-    return t_set, logger, ("test set: completion, %d directions", len(t_set))
-
-
 def instance_test_set(inst: CipInstance) -> TestSet:
     """Sufficient direction set for the instance's objective family.
 
-    Composition rows come from composition_matrix.  On an unbounded
-    instance this is the projected lifted basis, compute_test_set.  On
-    a bounded one it is only the part that fits in the box |t_j| <= u_j,
-    testset.box_test_set: a direction outside it moves some coordinate
-    out of [0, u_j] in one unit step, so the walk never takes it and
-    its steps and endpoint are those of the full set.  The branch taken
-    is logged at INFO, on graveropt.testset for a bounded instance.
-
-    The sets of the last FAMILY_CACHE_SIZE families (A, C, u) are kept
-    and handed out again, the very same TestSet, its scan included;
-    instance_test_set.cache_info() reaches that cache.  This is sound
-    because box_test_set and compute_test_set read nothing but
-    (A, C, u): the right-hand side, the start, the functions f_i, their
-    offsets and the linear part never enter, so a hit returns exactly
-    what a miss would build.  A hit logs the miss's INFO line again, so
-    the log does not depend on call history.  The box candidates
-    (testset.box_candidates) of the last FAMILY_CACHE_SIZE pairs (A, u)
-    are kept too, so a missed family that shares them runs only the
-    lift and the minimality filter.  instance_test_set.cache_clear()
-    empties both caches.
+    Composition rows come from composition_matrix.  On a bounded
+    instance this is the part of the projected lifted basis that fits in
+    the box |t_j| <= u_j, testset.box_test_set: a direction outside it
+    moves some coordinate out of [0, u_j] in one unit step, so the walk
+    never takes it and its steps and endpoint are those of the full set.
+    box_test_set keeps the sets of recent families (A, C, u) and logs
+    its branch at INFO on graveropt.testset.  On an unbounded instance
+    it is compute_test_set, built afresh on every call, with one INFO
+    line on graveropt.augment.
     """
-    upper = None if inst.upper is None else tuple(inst.upper)
-    t_set, log, line = _family_test_set(inst.a, composition_matrix(inst), upper)
-    log.info(*line)
+    c = composition_matrix(inst)
+    if inst.upper is not None:
+        return box_test_set(inst.a, c, inst.upper)
+    t_set = compute_test_set(inst.a, c)
+    logger.info("test set: completion, %d directions", len(t_set))
     return t_set
-
-
-def _cache_clear() -> None:
-    _family_test_set.cache_clear()
-    _box_candidates.cache_clear()
-
-
-instance_test_set.cache_info = _family_test_set.cache_info
-instance_test_set.cache_clear = _cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .augment import FAMILY_CACHE_SIZE, CipInstance, SolveReport, instance_test_set, solve
+from .augment import CipInstance, SolveReport, instance_test_set, solve
 from .core import IntMatrix, ParseError, Vec
 from .objective import ScaledEvenPower, SeparableObjective, Term
 from .quadratic import RatMatrix, binary_rephrase, rat_matrix
+from .testset import FAMILY_CACHE_SIZE
 
 _ORACLE_LIMIT = 8  # 8! permutations is the most the oracle will enumerate
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from graveropt import testset
 from graveropt.augment import CipInstance
 from graveropt.core import IntMatrix
 from graveropt.objective import ScaledEvenPower, SeparableObjective, Term
@@ -16,6 +17,19 @@ def two_square_instance() -> CipInstance:
         Term(ScaledEvenPower(4, 2), (1, -1), 0),
     ), (Fraction(0), Fraction(0)))
     return CipInstance(IntMatrix.zero(0, 2), (), None, obj)
+
+
+def clear_box_caches() -> None:
+    """Empty box_test_set's caches of family sets and of candidates."""
+    testset._box_family.cache_clear()
+    testset._box_candidates.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_box_caches():
+    """Every test starts with box_test_set's caches empty, so no test
+    sees a set another one built, nor misses a build it means to run."""
+    clear_box_caches()
 
 
 @pytest.fixture

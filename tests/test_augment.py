@@ -20,9 +20,8 @@ from graveropt.objective import (
     Zero,
     linear_objective,
 )
-from graveropt import augment
+from graveropt import augment, testset
 from graveropt.augment import (
-    FAMILY_CACHE_SIZE,
     WALK_MEMO_SIZE,
     CipInstance,
     InfeasibleStartError,
@@ -40,13 +39,15 @@ from graveropt.augment import (
 from graveropt.cli import _slack_view
 from graveropt.testset import (
     BOX_CANDIDATE_LIMIT,
+    FAMILY_CACHE_SIZE,
     TestSet,
+    box_test_set,
     compute_test_set,
     format_test_set,
     parse_test_set,
 )
 from tests import helpers
-from tests.conftest import two_square_instance
+from tests.conftest import clear_box_caches, two_square_instance
 from tests.helpers import (binary_split_minimum, find_feasible_point, format_instance,
                            reference_walk)
 
@@ -701,54 +702,70 @@ def small_families(draw):
     return members
 
 
-def unit_box_instance(k):
-    """A one-variable family of its own for each box (k,)."""
-    return CipInstance(IntMatrix.zero(0, 1), (), (k,), linear_objective([1]))
+def unit_box_set(k):
+    """box_test_set of a one-variable family of its own for each box (k,)."""
+    return box_test_set(IntMatrix.zero(0, 1), IntMatrix.zero(0, 1), (k,))
 
 
 class TestFamilyCache:
-    def test_hit_returns_the_same_set_and_logs_the_same_line(self, square_pair, caplog):
-        bounded = TestBoundedDirectionSet.walk_family((2,) * 5)
-        for inst, logger in ((bounded, "graveropt.testset"), (square_pair, "graveropt.augment")):
-            instance_test_set.cache_clear()
-            miss, miss_lines = info_lines(caplog, lambda: instance_test_set(inst))
-            hit, hit_lines = info_lines(caplog, lambda: instance_test_set(inst))
-            assert instance_test_set.cache_info()[:2] == (1, 1)
-            assert hit is miss
-            assert hit_lines == miss_lines
-            assert len(miss_lines) == 1 and miss_lines[0][:2] == (logger, logging.INFO)
-            assert miss_lines[0][2].startswith("test set: ")
+    def test_hit_returns_the_same_set_and_logs_the_same_line(self, caplog):
+        inst = TestBoundedDirectionSet.walk_family((2,) * 5)
+        miss, miss_lines = info_lines(caplog, lambda: instance_test_set(inst))
+        hit, hit_lines = info_lines(caplog, lambda: instance_test_set(inst))
+        assert testset._box_family.cache_info()[:2] == (1, 1)
+        assert hit is miss
+        assert hit_lines == miss_lines
+        assert len(miss_lines) == 1
+        assert miss_lines[0][:2] == ("graveropt.testset", logging.INFO)
+        assert miss_lines[0][2].startswith("test set: box, ")
+
+    def test_unbounded_family_is_built_on_every_call(self, square_pair, caplog):
+        first, first_lines = info_lines(caplog, lambda: instance_test_set(square_pair))
+        again, again_lines = info_lines(caplog, lambda: instance_test_set(square_pair))
+        assert again == first
+        line = ("graveropt.augment", logging.INFO,
+                "test set: completion, %d directions" % len(first))
+        assert first_lines == again_lines == [line]
+        assert testset._box_family.cache_info()[:2] == (0, 0)
+
+    def test_direct_call_returns_the_set_instance_test_set_kept(self):
+        inst = TestBoundedDirectionSet.walk_family((2,) * 5)
+        got = instance_test_set(inst)
+        assert box_test_set(inst.a, composition_matrix(inst), inst.upper) is got
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(small_families())
     def test_warm_cache_solves_as_a_cold_one(self, members):
         cold = []
         for inst, z0 in members:
-            instance_test_set.cache_clear()
+            clear_box_caches()
             cold.append(repr(solve(inst, instance_test_set(inst), z0)))
-        instance_test_set.cache_clear()
+        clear_box_caches()
         warm = [repr(solve(inst, instance_test_set(inst), z0)) for inst, z0 in members]
         assert warm == cold
-        assert instance_test_set.cache_info()[:2] == (len(members) - 1, 1)
+        bounded = members[0][0].upper is not None
+        assert testset._box_family.cache_info()[:2] == (
+            (len(members) - 1, 1) if bounded else (0, 0))
 
     def test_least_recently_used_family_evicted(self):
-        instance_test_set.cache_clear()
-        sets = {k: instance_test_set(unit_box_instance(k))
-                for k in range(1, FAMILY_CACHE_SIZE + 1)}
-        assert instance_test_set(unit_box_instance(1)) is sets[1]
-        instance_test_set(unit_box_instance(FAMILY_CACHE_SIZE + 1))
-        info = instance_test_set.cache_info()
+        sets = {k: unit_box_set(k) for k in range(1, FAMILY_CACHE_SIZE + 1)}
+        assert unit_box_set(1) is sets[1]
+        unit_box_set(FAMILY_CACHE_SIZE + 1)
+        info = testset._box_family.cache_info()
         assert (info.currsize, info.maxsize) == (FAMILY_CACHE_SIZE, FAMILY_CACHE_SIZE)
-        assert instance_test_set(unit_box_instance(1)) is sets[1]
-        assert instance_test_set.cache_info().hits == info.hits + 1
-        assert instance_test_set(unit_box_instance(2)) is not sets[2]
-        assert instance_test_set.cache_info().misses == info.misses + 1
+        assert unit_box_set(1) is sets[1]
+        assert testset._box_family.cache_info().hits == info.hits + 1
+        assert unit_box_set(2) is not sets[2]
+        assert testset._box_family.cache_info().misses == info.misses + 1
 
     def test_upper_as_a_list(self):
         inst = TestBoundedDirectionSet.walk_family((2,) * 5)
         listed = CipInstance(inst.a, inst.b, list(inst.upper), inst.objective)
         got = instance_test_set(listed)
         assert got is instance_test_set(inst)
+        c = composition_matrix(inst)
+        assert box_test_set(inst.a, c, list(inst.upper)) is got
+        assert testset._box_family.cache_info()[:2] == (2, 1)
         assert got.box == (2,) * 5
         z0 = (2, 2, 1, 0, 0)
         assert solve(listed, got, z0) == solve(inst, got, z0)
@@ -776,16 +793,16 @@ class TestSharedBoxCandidates:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(shared_box_families())
     def test_warm_candidates_give_the_cold_sets(self, members):
-        instance_test_set.cache_clear()
+        clear_box_caches()
         warm = [instance_test_set(inst) for inst in members]
         # one search for the (A, u) all the families share
-        assert augment._box_candidates.cache_info().misses == 1
-        z = augment._box_candidates(members[0].a, members[0].upper)
+        assert testset._box_candidates.cache_info().misses == 1
+        z = testset._box_candidates(members[0].a, members[0].upper)
         assert not z.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             z[...] = 0
         for inst, got in zip(members, warm):
-            instance_test_set.cache_clear()
+            clear_box_caches()
             assert instance_test_set(inst) == got
             assert got == boxed_completion(inst)[1]
 
@@ -794,7 +811,6 @@ class TestSharedBoxCandidates:
         # with three composition matrices of its rows
         family = TestBoundedDirectionSet.walk_family((10,) * 5)
         rows = [t.coeffs for t in family.objective.terms]
-        instance_test_set.cache_clear()
         for chosen in (rows[:1], rows[1:3], rows[3:]):
             obj = SeparableObjective(5, tuple(Term(ScaledEvenPower(1, 2), r, 0)
                                               for r in chosen), (Fraction(0),) * 5)
@@ -802,8 +818,8 @@ class TestSharedBoxCandidates:
             got, lines = info_lines(caplog, lambda: instance_test_set(inst))
             assert got == boxed_completion(inst)[1]
             assert "completion (box search over" in lines[0][2]
-        assert augment._box_candidates(family.a, family.upper) is None
-        assert augment._box_candidates.cache_info()[:2] == (3, 1)
+        assert testset._box_candidates(family.a, family.upper) is None
+        assert testset._box_candidates.cache_info()[:2] == (3, 1)
 
 
 def objective_at(obj, z):
@@ -1026,3 +1042,13 @@ class TestInstanceSerialization:
         from graveropt.core import ParseError
         with pytest.raises(ParseError):
             parse_instance("A\n1 2\n1 1\nobjective\nlinear | 0 0\n")
+
+    def test_negative_upper_bound_rejected(self):
+        # an empty box: the message names the bounds, not a helper that
+        # would meet them later
+        a = IntMatrix.from_rows([[1, 1]])
+        with pytest.raises(ValueError, match=r"upper bounds \(-1, 3\) include a negative"):
+            CipInstance(a, (2,), [-1, 3], linear_objective([1, 1]))
+        with pytest.raises(ValueError, match=r"upper bounds \(-1, 3\)"):
+            parse_instance("A\n1 2\n1 1\nb\n2\nupper\n-1 3\nobjective\nlinear | 1 1\n")
+        assert CipInstance(a, (0,), (0, 0), linear_objective([1, 1])).upper == (0, 0)

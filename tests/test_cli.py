@@ -200,6 +200,21 @@ class TestSolveCommand:
         assert main(["solve", inst, start, "--testset", ts]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_negative_upper_bound_exits_2(self, tmp_path, capsys):
+        # with or without a test set of its own, the empty box is an
+        # input error that names the bounds; a given set used to reach
+        # the start check (exit 3), a built one a search helper
+        inst = put(tmp_path, "neg.cip", "A\n1 2\n1 1\nb\n2\nupper\n-1 3\n"
+                   "objective\nlinear | 1 1\n")
+        start = put(tmp_path, "z0.vec", "0 2\n")
+        ts = put(tmp_path, "pair.ts", "1 2\n1 -1\n")
+        for extra in ([], ["--testset", ts]):
+            assert main(["solve", inst, start] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: CipInstance: upper bounds (-1, 3) "
+                                    "include a negative entry\n")
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_cap_exits_2(self, cap, capsys):
         # the instance is bounded, optimal at 1 0 4 1 with the default cap

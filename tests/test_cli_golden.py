@@ -30,6 +30,35 @@ CASES = {
     "quad_binary_shift": ["quad", "q_mixed.mat", "--c", "c.vec", "--binary"],
     "qap_json": ["qap", "toy.dat", "--json"],
     "selftest": ["selftest", "--seed", "0"],
+    # the largest member set any check builds: 865 basis elements, past
+    # every benchmark workload's completion (at most 618 members)
+    "graver_primes": ["graver", "primes.mat"],
+    # a whole direction set, not only a basis: the 243 directions of the
+    # walk-dense family (A, C), header "# hcip n=5 s=4"
+    "testset_walk_dense": ["testset", "wd_a.mat", "wd_c.mat"],
+    # a start and right-hand side past 2^64, so every scan's step limits
+    # are Python ints; recorded with the walk that line-searched every
+    # direction and evaluated every point afresh
+    "solve_big_integer": ["solve", "big.inst", "big.start"],
+    # term rows with zero columns, entries past 2^64, and an optimum
+    # (2^64+1, 2^64+1, 2^65+7) where both term arguments are 0, so
+    # evaluation over the supports skips them; recorded with the dense
+    # evaluation
+    "solve_zero_argument": ["solve", "zero.inst", "zero.start"],
+    # cap 3, first and best improving: a ray along (1,1) still descending
+    # at step 4, and a staircase on the axis directions stopped after
+    # three steps; recorded when the cap was an exception
+    "solve_cap_ray": ["solve", "--cap", "3", "ray.inst", "origin.start"],
+    "solve_cap_ray_best": ["solve", "--cap", "3", "--best-improving",
+                           "ray.inst", "origin.start"],
+    "solve_cap_stair": ["solve", "--cap", "3", "--testset", "axis.ts",
+                        "stair.inst", "origin.start"],
+    "solve_cap_stair_best": ["solve", "--cap", "3", "--best-improving",
+                             "--testset", "axis.ts", "stair.inst", "origin.start"],
+    # the 16-variable encoding takes the box path with 1185 candidates;
+    # --verify checks the walk's value against permutation enumeration
+    "qap4_verify": ["qap", "--verify", "qap4.dat"],
+    "qap4_json": ["qap", "--json", "qap4.dat"],
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graveropt import graver
+from graveropt import graver, testset
 from graveropt.core import IntMatrix, ParseError, conformal_leq
 from graveropt.graver import compute_graver, graver_oracle, project_first_n
 from graveropt.testset import (
@@ -18,7 +18,7 @@ from graveropt.testset import (
     format_test_set,
     parse_test_set,
 )
-from tests.conftest import random_int_matrix
+from tests.conftest import clear_box_caches, random_int_matrix
 
 ZERO3 = IntMatrix.zero(0, 3)
 
@@ -178,10 +178,13 @@ class TestBoxTestSet:
             shapes.append((a, c, boxed))
         for cap in (graver._FILTER_ELEMS, 1 << 10):
             monkeypatch.setattr(graver, "_FILTER_ELEMS", cap)
+            # a kept set would hand back the first scan's result
+            clear_box_caches()
             for a, c, boxed in shapes:
                 got, candidates = counted_box_set(caplog, a, c, (3,) * a.cols)
                 assert candidates >= 300 and len(got) < candidates, (a.entries, c.entries)
                 assert got.directions == boxed, (a.entries, c.entries, cap)
+            assert testset._box_family.cache_info()[:2] == (0, len(shapes))
 
     def test_debug_line_counts_prefilter_pairs(self, caplog, monkeypatch):
         # the 3280 canonical vectors of the box |z_j| <= 4 in Z^4, lifted
@@ -203,6 +206,7 @@ class TestBoxTestSet:
             "box: 3280 candidates, 48 kept, 185933 sign-prefilter pairs",
             "test set: box, 3280 candidates, 48 directions"]
         assert len(got) == 48 and sum(met) == 185933
+        assert testset._box_family.cache_info()[:2] == (0, 1)
         # the scan without dropping: one-member-word blocks of 2^17 //
         # 3280 rows in ascending 1-norm, each meeting every member up to
         # the largest norm of its rows less one
