@@ -19,11 +19,11 @@ argument is 0 and a zero coordinate cost nothing, which on sparse 0/1
 encodings such as the assignment problem's is most of them.
 
 What depends only on the objective's structure or on (A, u) is computed
-once, not per solve: the composition rows are a cached property of the
-objective (SeparableObjective.composition_rows), and testset.box_test_set,
-to which instance_test_set hands every bounded instance, keeps the sets
-of recent families (A, C, u) and the box candidates of recent pairs
-(A, u).  Feasibility is still
+once, not per solve: the composition matrix C is a cached property of
+the objective (SeparableObjective.composition_matrix), and
+testset.box_test_set, to which instance_test_set hands every bounded
+instance, keeps the sets of recent families (A, C, u) and the box
+candidates of recent pairs (A, u).  Feasibility is still
 checked at the start and on every scan (CipInstance.feasible), in one
 pass over exact ints: a set whose provenance is wrong cannot walk the
 solver off Az = b unnoticed.
@@ -214,11 +214,10 @@ def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
     a, c = t_set.provenance
     if a != inst.a:
         raise ValueError("test set was computed for a different constraint matrix")
-    rows = inst.objective.composition_rows
     covered = set(c.entries)
-    if not covered.issuperset(rows):
-        missing = next(row for row in rows if row not in covered)
-        raise ValueError("test set does not cover objective row %r" % (missing,))
+    missing = [row for row in inst.objective.composition_matrix.entries if row not in covered]
+    if missing:
+        raise ValueError("test set does not cover objective row %r" % (missing[0],))
 
 
 def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
@@ -314,17 +313,10 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
     return best
 
 
-def composition_matrix(inst: CipInstance) -> IntMatrix:
-    """The objective's composition rows, deduplicated, zero rows dropped
-    (SeparableObjective.composition_rows, computed once per objective)."""
-    rows = inst.objective.composition_rows
-    return IntMatrix(len(rows), inst.n, rows)
-
-
 def instance_test_set(inst: CipInstance) -> TestSet:
     """Sufficient direction set for the instance's objective family.
 
-    Composition rows come from composition_matrix.  On a bounded
+    C is the objective's composition_matrix.  On a bounded
     instance this is the part of the projected lifted basis that fits in
     the box |t_j| <= u_j, testset.box_test_set: a direction outside it
     moves some coordinate out of [0, u_j] in one unit step, so the walk
@@ -334,7 +326,7 @@ def instance_test_set(inst: CipInstance) -> TestSet:
     it is compute_test_set, built afresh on every call, with one INFO
     line on graveropt.augment.
     """
-    c = composition_matrix(inst)
+    c = inst.objective.composition_matrix
     if inst.upper is not None:
         return box_test_set(inst.a, c, inst.upper)
     t_set = compute_test_set(inst.a, c)

@@ -17,14 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import index
 from typing import Sequence
 
-from .core import ParseError, Vec
+from .core import IntMatrix, ParseError, Vec
 
 
 def _as_fraction(x) -> Fraction:
     """x itself if it is a Fraction (they are immutable), else Fraction(x)."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _as_int(x) -> int:
+    """operator.index(x), a ValueError for a float or other non-integer."""
+    try:
+        return index(x)
+    except TypeError as e:
+        raise ValueError(str(e)) from None
 
 
 class DiscreteConvexFn:
@@ -55,7 +65,7 @@ class ScaledEvenPower(DiscreteConvexFn):
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("ScaledEvenPower: alpha must be positive")
-        if self.exponent < 2 or self.exponent % 2:
+        if _as_int(self.exponent) < 2 or self.exponent % 2:
             raise ValueError("ScaledEvenPower: exponent must be even and >= 2")
 
     def value(self, x: int) -> Fraction:
@@ -92,63 +102,59 @@ class GeometricAbs(DiscreteConvexFn):
 
 @dataclass(frozen=True)
 class PiecewiseTable(DiscreteConvexFn):
-    """Increments tabulated on a finite window of integers.
+    """Increments tabulated on a finite window [lo, hi] of integers.
 
     increments maps j to g(j) - g(j-1).  Queries outside the window
     raise unless extend=True, which continues with the boundary
     increment (a convexity-preserving growth rule).  A table that
     check_convex_window refuses over its whole window is a ValueError.
+    It keeps the running sums S of its increments over [lo - 1, hi].
     """
 
     increments: tuple[tuple[int, Fraction], ...]
     extend: bool = False
-    _table: dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    _sums: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.increments, dict):
-            items = self.increments.items()
-        else:
-            items = self.increments
-        norm = tuple(sorted((int(j), _as_fraction(v)) for j, v in items))
+        items = self.increments
+        if isinstance(items, dict):
+            items = items.items()
+        norm = tuple(sorted((_as_int(j), _as_fraction(v)) for j, v in items))
         if not norm:
             raise ValueError("PiecewiseTable: empty increment table")
         keys = [j for j, _ in norm]
         if keys != list(range(keys[0], keys[-1] + 1)):
             raise ValueError("PiecewiseTable: window must be contiguous")
         object.__setattr__(self, "increments", norm)
-        object.__setattr__(self, "_table", dict(norm))
+        object.__setattr__(self, "_sums",
+                           tuple(accumulate((v for _, v in norm), initial=Fraction(0))))
         if not check_convex_window(self, keys[0] - 1, keys[-1]):
             raise ValueError("increments must not decrease, and must be <= 0 "
                              "up to 0 and >= 0 from 1")
 
     def increment(self, j: int) -> Fraction:
-        table = self._table
-        if j in table:
-            return table[j]
-        lo = self.increments[0][0]
-        hi = self.increments[-1][0]
+        (lo, first), (hi, last) = self.increments[0], self.increments[-1]
+        if lo <= j <= hi:
+            return self.increments[j - lo][1]
         if not self.extend:
             raise ValueError("PiecewiseTable: increment %d outside window [%d, %d]"
                              % (j, lo, hi))
-        return table[lo if j < lo else hi]
+        return first if j < lo else last
+
+    def _sum(self, t: int) -> Fraction:
+        """S(t), S(lo - 1) = 0, continued past the window by its boundary increments."""
+        (lo, first), (hi, last) = self.increments[0], self.increments[-1]
+        return (self._sums[min(max(t, lo - 1), hi) - lo + 1]
+                + min(t - lo + 1, 0) * first + max(t - hi, 0) * last)
 
     def value(self, x: int) -> Fraction:
-        """Sum of the increments of [1, x], or minus those of [x+1, 0].
-
-        The increments inside the window are added one by one and each
-        boundary increment once, times its overshoot, so the cost is
-        O(min(|x|, window)).
-        """
+        """Sum of the increments of [1, x], or minus those of [x+1, 0]:
+        S(x) - S(0), at O(1) cost whatever x and the window."""
         a, b = (1, x) if x >= 0 else (x + 1, 0)
-        lo = self.increments[0][0]
-        hi = self.increments[-1][0]
+        lo, hi = self.increments[0][0], self.increments[-1][0]
         if a <= b and not self.extend and (a < lo or b > hi):
             self.increment(a if a < lo else max(a, hi + 1))  # raises
-        table = self._table
-        total = sum((table[j] for j in range(max(a, lo), min(b, hi) + 1)), Fraction(0))
-        total += table[lo] * max(0, min(b, lo - 1) - a + 1)
-        total += table[hi] * max(0, b - max(a, hi + 1) + 1)
-        return total if x >= 0 else -total
+        return self._sum(x) - self._sum(0)
 
 
 def check_convex_window(g: DiscreteConvexFn, lo: int, hi: int) -> bool:
@@ -191,23 +197,29 @@ class SeparableObjective:
         object.__setattr__(self, "linear", tuple(map(_as_fraction, self.linear)))
         if len(self.linear) != self.n:
             raise ValueError("SeparableObjective: linear part has wrong length")
-        for t in self.terms:
-            if len(t.coeffs) != self.n:
-                raise ValueError("SeparableObjective: term coefficients have wrong length")
+        if any(len(t.coeffs) != self.n for t in self.terms):
+            raise ValueError("SeparableObjective: term coefficients have wrong length")
+        self._supports  # checks the coefficients and offsets once, when built
 
     @cached_property
     def _supports(self) -> tuple[tuple, tuple]:  # not a field: ==, hash, repr ignore it
         """Each term as (fn, offset, its (j, c_j) with c_j != 0), and the
-        linear part's (j, l_j) with l_j != 0."""
-        terms = tuple((t.fn, t.offset, tuple((j, c) for j, c in enumerate(t.coeffs) if c))
-                      for t in self.terms)
+        linear part's (j, l_j) with l_j != 0; checks c and offset are ints."""
+        try:
+            terms = tuple((t.fn, index(t.offset),
+                           tuple((j, c) for j, c in enumerate(map(index, t.coeffs)) if c))
+                          for t in self.terms)
+        except TypeError as e:
+            raise ValueError("SeparableObjective: term coefficients and offsets "
+                             "must be integers: %s" % e) from None
         return terms, tuple((j, c) for j, c in enumerate(self.linear) if c)
 
     @cached_property
-    def composition_rows(self) -> tuple[Vec, ...]:  # not a field either
-        """The terms' coefficient rows in term order, each distinct
-        nonzero row once: the rows of the family's matrix C."""
-        return tuple(dict.fromkeys(t.coeffs for t in self.terms if any(t.coeffs)))
+    def composition_matrix(self) -> IntMatrix:  # not a field either
+        """C, the family's composition matrix: the terms' coefficient rows
+        in term order, each distinct nonzero row once."""
+        rows = tuple(dict.fromkeys(t.coeffs for t in self.terms if any(t.coeffs)))
+        return IntMatrix(len(rows), self.n, rows)
 
     def value(self, z: Sequence[int]) -> Fraction:
         """f(z), exactly, over the supports only: a term whose argument
@@ -237,57 +249,51 @@ def linear_objective(c: Sequence) -> SeparableObjective:
 # ---------------------------------------------------------------------------
 # text format: one line per term "<kind> <params> | coeffs | offset",
 # one final line "linear | coeffs"; rational entries allowed as p/q.
+# Each kind: keyword -> (class, its parameters as (attribute, parser of
+# its token)), or None for a table: "extend" if it extends, then cells j:v.
+_KINDS = {
+    "zero": (Zero, ()),
+    "evenpower": (ScaledEvenPower, (("alpha", Fraction), ("exponent", int))),
+    "abs": (ScaledAbs, (("alpha", Fraction),)),
+    "geomabs": (GeometricAbs, (("base", Fraction),)),
+    "table": (PiecewiseTable, None),
+}
+_KEYWORDS = {cls: (kind, params) for kind, (cls, params) in _KINDS.items()}
+
 
 def _format_fn(fn: DiscreteConvexFn) -> str:
-    if isinstance(fn, Zero):
-        return "zero"
-    if isinstance(fn, ScaledEvenPower):
-        return "evenpower %s %d" % (fn.alpha, fn.exponent)
-    if isinstance(fn, ScaledAbs):
-        return "abs %s" % fn.alpha
-    if isinstance(fn, GeometricAbs):
-        return "geomabs %s" % fn.base
-    if isinstance(fn, PiecewiseTable):
-        cells = " ".join("%d:%s" % (j, v) for j, v in fn.increments)
-        return "table %s%s" % ("extend " if fn.extend else "", cells)
-    raise ValueError("unknown function kind: %r" % (fn,))
+    if type(fn) not in _KEYWORDS:
+        raise ValueError("unknown function kind: %r" % (fn,))
+    kind, params = _KEYWORDS[type(fn)]
+    if params is None:
+        words = ["extend"] * bool(fn.extend) + ["%d:%s" % cell for cell in fn.increments]
+    else:
+        words = [str(getattr(fn, name)) for name, _ in params]
+    return " ".join([kind] + words)
 
 
 def _parse_fn(text: str) -> DiscreteConvexFn:
-    parts = text.split()
-    if not parts:
-        raise ParseError("objective term: missing function kind")
-    kind, args = parts[0], parts[1:]
+    kind, *words = text.split() or [None]
+    if kind not in _KINDS:
+        raise ParseError("objective term: unknown kind %r" % kind if kind
+                         else "objective term: missing function kind")
+    cls, params = _KINDS[kind]
     try:
-        if kind == "zero":
-            return Zero()
-        if kind == "evenpower":
-            return ScaledEvenPower(Fraction(args[0]), int(args[1]))
-        if kind == "abs":
-            return ScaledAbs(Fraction(args[0]))
-        if kind == "geomabs":
-            return GeometricAbs(Fraction(args[0]))
-        if kind == "table":
-            extend = False
-            if args and args[0] == "extend":
-                extend = True
-                args = args[1:]
-            cells = []
-            for cell in args:
-                j, _, v = cell.partition(":")
-                cells.append((int(j), Fraction(v)))
-            return PiecewiseTable(tuple(cells), extend=extend)
-    except (IndexError, ValueError, ZeroDivisionError) as e:
+        if params is None:
+            extend = words[:1] == ["extend"]
+            cells = (cell.partition(":") for cell in words[extend:])
+            return cls(tuple((int(j), Fraction(v)) for j, _, v in cells), extend=extend)
+        if len(words) != len(params):
+            raise ValueError("%s takes %d parameters, got %d"
+                             % (kind, len(params), len(words)))
+        return cls(*(parse(word) for (_, parse), word in zip(params, words)))
+    except (ValueError, ZeroDivisionError) as e:
         raise ParseError("objective term %r: %s" % (text, e)) from None
-    raise ParseError("objective term: unknown kind %r" % kind)
 
 
 def format_objective(obj: SeparableObjective) -> str:
-    lines = []
-    for t in obj.terms:
-        lines.append("%s | %s | %d" % (_format_fn(t.fn),
-                                       " ".join(str(x) for x in t.coeffs),
-                                       t.offset))
+    lines = ["%s | %s | %d" % (_format_fn(t.fn), " ".join(map(str, t.coeffs)), t.offset)
+             for t in obj.terms]
     lines.append("linear | %s" % " ".join(str(x) for x in obj.linear))
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,10 @@
 """Helpers that only the tests call: instance and assignment writers,
 exact rational products and rank, the exhaustive or constructive
 oracles for the paper's column splits and 0/1 split minima, a dense
-objective evaluation and a reference walk."""
+objective evaluation, a reference walk and a time bound."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +15,25 @@ from graveropt.graver import TestSet
 from graveropt.objective import DiscreteConvexFn, SeparableObjective, format_objective
 from graveropt.qap import QapInstance
 from graveropt.quadratic import RatMatrix
+
+
+class Overran(Exception):
+    """Raised by time_bound's alarm; neither the library nor the CLI's
+    main() catches it, so a test that overruns fails as such."""
+
+
+@contextmanager
+def time_bound(seconds: float):
+    """Fail the enclosed block instead of letting it run past seconds."""
+    def expire(signum, frame):
+        raise Overran("still running after %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def exact_rank(a: IntMatrix) -> int:

@@ -28,7 +28,6 @@ from graveropt.augment import (
     SolveStatus,
     brute_force_optimum,
     check_compatible,
-    composition_matrix,
     find_improving,
     instance_test_set,
     line_search,
@@ -324,7 +323,7 @@ class TestFeasible:
                                  (Fraction(0),) * 2)
         inst = CipInstance(a, (2,), None, obj)
         lying = TestSet(2, frozenset({(1, -1), (1, 0)}),
-                        provenance=(a, composition_matrix(inst)))
+                        provenance=(a, inst.objective.composition_matrix))
         check_compatible(inst, lying)
         with pytest.raises(InfeasibleStartError):
             solve(inst, lying, (2, 0), best=best)
@@ -561,7 +560,7 @@ def lifted_walk(inst, z0, best):
     """The walk on the slack lift itself, over the lifted system's own
     projected basis: the composition rows padded with n zero columns."""
     lifted = slack_lift(inst)
-    c = composition_matrix(inst)
+    c = inst.objective.composition_matrix
     pad = IntMatrix(c.rows, lifted.n, tuple(r + (0,) * inst.n for r in c.entries))
     return solve(lifted, compute_test_set(lifted.a, pad), embed_slack(inst, z0),
                  best=best)
@@ -571,7 +570,7 @@ def boxed_completion(inst):
     """The members of the full projected lifted basis that fit in the
     instance's box, recording that box: the set the bounded direction
     set must equal."""
-    full = compute_test_set(inst.a, composition_matrix(inst))
+    full = compute_test_set(inst.a, inst.objective.composition_matrix)
     kept = frozenset(d for d in full.directions
                      if all(abs(x) <= u for x, u in zip(d, inst.upper)))
     return full, TestSet(full.dimension, kept, provenance=full.provenance,
@@ -731,7 +730,7 @@ class TestFamilyCache:
     def test_direct_call_returns_the_set_instance_test_set_kept(self):
         inst = TestBoundedDirectionSet.walk_family((2,) * 5)
         got = instance_test_set(inst)
-        assert box_test_set(inst.a, composition_matrix(inst), inst.upper) is got
+        assert box_test_set(inst.a, inst.objective.composition_matrix, inst.upper) is got
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(small_families())
@@ -763,7 +762,7 @@ class TestFamilyCache:
         listed = CipInstance(inst.a, inst.b, list(inst.upper), inst.objective)
         got = instance_test_set(listed)
         assert got is instance_test_set(inst)
-        c = composition_matrix(inst)
+        c = inst.objective.composition_matrix
         assert box_test_set(inst.a, c, list(inst.upper)) is got
         assert testset._box_family.cache_info()[:2] == (2, 1)
         assert got.box == (2,) * 5

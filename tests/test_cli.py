@@ -1,5 +1,4 @@
 import json
-import signal
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ from graveropt.core import IntMatrix, parse_int_matrix
 from graveropt.objective import linear_objective, parse_objective
 from graveropt.testset import TestSet, box_test_set, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
-from tests.helpers import format_instance
+from tests.helpers import format_instance, time_bound
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -150,7 +149,8 @@ class TestSolveCommand:
         inst = put(tmp_path, "big.cip", "A\n1 2\n1 1\nb\n2\nobjective\n"
                    "table extend 0:-1 1:1 | 1 0 | 100000000000\nlinear | 0 0\n")
         start = put(tmp_path, "z0.vec", "1 1\n")
-        assert within_seconds(5.0, main, ["solve", inst, start]) == 0
+        with time_bound(5.0):
+            assert main(["solve", inst, start]) == 0
         out = capsys.readouterr().out
         assert "optimum: 0 2" in out
         assert "value: 100000000000" in out
@@ -392,22 +392,6 @@ class TestQuadCommand:
         assert "must be square" in capsys.readouterr().err
 
 
-class _Overran(Exception):
-    """Raised by the alarm; main() does not catch it."""
-
-
-def within_seconds(seconds, fn, *args):
-    def stop(signum, frame):
-        raise _Overran("still running after %s s" % seconds)
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestCompletionBudget:
     H = 10 ** 30 - 1
 
@@ -415,7 +399,8 @@ class TestCompletionBudget:
     def test_hopeless_basis_exits_2(self, tmp_path, capsys, row):
         # Graver bases of about H elements: the completion stops at its budget
         matrix = put(tmp_path, "a.mat", "1 3\n%d %d %d\n" % row)
-        assert within_seconds(60, main, ["graver", matrix]) == 2
+        with time_bound(60):
+            assert main(["graver", matrix]) == 2
         assert "COMPLETION_BUDGET" in capsys.readouterr().err
 
     def test_bounded_instance_past_the_box_budget_exits_2(self, tmp_path, capsys):
@@ -424,7 +409,8 @@ class TestCompletionBudget:
         text = ("A\n1 3\n1 1 %d\nb\n%d\nupper\n%d %d 1\nobjective\n"
                 "abs 1 | 1 0 0 | 0\nlinear | 0 0 0\n" % ((self.H,) * 4))
         argv = ["solve", put(tmp_path, "i.txt", text), put(tmp_path, "z.txt", "0 0 1\n")]
-        assert within_seconds(60, main, argv) == 2
+        with time_bound(60):
+            assert main(argv) == 2
         assert "COMPLETION_BUDGET" in capsys.readouterr().err
 
 
@@ -436,7 +422,8 @@ class TestMatrixHeaders:
 
     def test_huge_empty_header_exits_2_promptly(self, tmp_path, capsys):
         q = put(tmp_path, "q.mat", "9999999999999999999999 0\n")
-        assert within_seconds(2.0, main, ["quad", q]) == 2
+        with time_bound(2.0):
+            assert main(["quad", q]) == 2
         assert "invalid shape" in capsys.readouterr().err
 
 

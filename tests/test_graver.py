@@ -1,8 +1,6 @@
 import logging
 import random
-import signal
 import tracemalloc
-from contextlib import contextmanager
 from itertools import permutations, product
 from math import prod
 
@@ -23,7 +21,7 @@ from graveropt.graver import (
     verify_against_oracle,
 )
 from tests.conftest import random_int_matrix
-from tests.helpers import expand_duplicated_column, expand_negated_column
+from tests.helpers import expand_duplicated_column, expand_negated_column, time_bound
 
 
 class TestComputeGraver:
@@ -95,20 +93,6 @@ class TestOracle:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             graver_oracle(IntMatrix.zero(0, 2), -1)
-
-
-@contextmanager
-def time_bound(seconds):
-    """Fail the enclosed block instead of letting it run past seconds."""
-    def expire(signum, frame):
-        raise TimeoutError("still running after %d s" % seconds)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBoxKernelVectors:

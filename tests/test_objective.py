@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graveropt.core import ParseError
+from graveropt.cli import main
+from graveropt.core import IntMatrix, ParseError
 from graveropt.objective import (
     DiscreteConvexFn,
     GeometricAbs,
@@ -21,8 +22,7 @@ from graveropt.objective import (
     parse_objective,
 )
 from tests.conftest import two_square_instance
-from tests.helpers import dense_value
-from tests.test_cli import within_seconds
+from tests.helpers import dense_value, time_bound
 
 
 class TestCatalogValues:
@@ -91,6 +91,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeometricAbs(1)
 
+    def test_float_exponent_rejected(self):
+        # once accepted: value((3,)) returned the float 9.0
+        with pytest.raises(ValueError):
+            SeparableObjective(1, (Term(ScaledEvenPower(1, 2.0), (1,), 0),),
+                               (0,)).value((3,))
+
+    @pytest.mark.parametrize("coeffs, offset", [((0.5,), 0), ((1,), 0.5)])
+    def test_float_coefficient_or_offset_rejected(self, coeffs, offset):
+        # once accepted: value((3,)) returned 1.0 and 6.25
+        with pytest.raises(ValueError, match="must be integers"):
+            SeparableObjective(1, (Term(ScaledEvenPower(1, 2), coeffs, offset),),
+                               (0,)).value((3,))
+
+    def test_float_table_keys_rejected(self):
+        # once truncated to the keys 0 and 1
+        with pytest.raises(ValueError):
+            PiecewiseTable({0.5: 0, 1.9: 1})
+        with pytest.raises(ValueError):
+            PiecewiseTable(((0, 0), (1.0, 1)))
+
 
 class TestPiecewiseTable:
     def test_values_accumulate_increments(self):
@@ -141,12 +161,34 @@ class TestPiecewiseTable:
         g = PiecewiseTable(incs, extend=True)
         x = 10 ** 12
         # past the window every step adds the boundary increment again
-        assert within_seconds(2.0, g.value, x) == 1 + Fraction(5, 2) * (x - 1)
-        assert within_seconds(2.0, g.value, -x) == Fraction(7, 2) + 3 * (x - 2)
+        with time_bound(2.0):
+            assert g.value(x) == 1 + Fraction(5, 2) * (x - 1)
+            assert g.value(-x) == Fraction(7, 2) + 3 * (x - 2)
         bare = PiecewiseTable(incs)
         for arg, first in ((x, 3), (-x, 1 - x)):
-            with pytest.raises(ValueError, match="increment %d outside" % first):
-                within_seconds(2.0, bare.value, arg)
+            with pytest.raises(ValueError, match="increment %d outside" % first), \
+                    time_bound(2.0):
+                bare.value(arg)
+
+    def test_wide_window_evaluates_in_constant_time(self):
+        # increments 2j - 1 on [-H + 1, H]: g(x) = x^2 inside the window,
+        # and past it each step adds the boundary increment again
+        h = 5 * 10 ** 4
+        g = PiecewiseTable({j: 2 * j - 1 for j in range(-h + 1, h + 1)}, extend=True)
+
+        def closed_form(x):
+            if x > h:
+                return h * h + (2 * h - 1) * (x - h)
+            if x < -h:
+                return h * h + (2 * h - 1) * (-h - x)
+            return x * x
+
+        rng = random.Random(26)
+        points = [rng.randint(-h - 10, h + 10) for _ in range(500)]
+        points += [rng.choice((-1, 1)) * rng.randint(h - 5, 3 * h) for _ in range(500)]
+        with time_bound(2.0):
+            got = [g.value(x) for x in points]
+        assert got == [closed_form(x) for x in points]
 
     def test_non_convex_table_rejected(self):
         # built in Python, this table once let solve on A = [[1, 1]],
@@ -365,12 +407,21 @@ class TestSupportEvaluation:
             assert outcome(f.value, z).startswith("ValueError: PiecewiseTable")
         assert f.value((0, BIG - 1)) == dense_value(f, (0, BIG - 1)) == 1
 
+    def test_composition_matrix_has_each_nonzero_row_once_in_term_order(self):
+        f = SeparableObjective(3, (
+            Term(ScaledAbs(1), (0, 1, 1), 0), Term(Zero(), (0, 0, 0), 4),
+            Term(ScaledEvenPower(2, 2), (1, 0, -1), 1), Term(ScaledAbs(3), (0, 1, 1), -2),
+        ), (Fraction(0),) * 3)
+        assert f.composition_matrix == IntMatrix(2, 3, ((0, 1, 1), (1, 0, -1)))
+        assert f.composition_matrix is f.composition_matrix
+        assert linear_objective([1, 2]).composition_matrix == IntMatrix.zero(0, 2)
+
     def test_supports_are_not_fields(self):
         f = SeparableObjective(2, (Term(ScaledAbs(1), (0, 3), 0),), (Fraction(0), Fraction(2)))
         g = SeparableObjective(2, (Term(ScaledAbs(1), (0, 3), 0),), (Fraction(0), Fraction(2)))
         text, h, r = format_objective(f), hash(f), repr(f)
         assert f.value((1, 1)) == 5
-        assert f.composition_rows == ((0, 3),)
+        assert f.composition_matrix == IntMatrix(1, 2, ((0, 3),))
         assert f == g and hash(g) == h and repr(f) == r == repr(g)
         assert format_objective(f) == text
 
@@ -413,3 +464,34 @@ class TestSerialization:
     def test_malformed_rejected(self, bad):
         with pytest.raises(ParseError):
             parse_objective(bad)
+
+    ALL_KINDS = ("zero | 1 0 | 0\n"
+                 "evenpower 1/2 4 | 1 1 | -1\n"
+                 "abs 2 | 0 1 | 3\n"
+                 "geomabs 3/2 | 1 -1 | 0\n"
+                 "table -1:-1 0:0 1:1/3 | 1 1 | 0\n"
+                 "table extend 0:0 1:2 | 0 1 | 2\n"
+                 "linear | 1/2 -2\n")
+
+    def test_text_round_trip_over_every_kind(self):
+        assert format_objective(parse_objective(self.ALL_KINDS)) == self.ALL_KINDS
+
+    # each kind with one parameter token too many
+    EXTRA_PARAMETER = ["zero 5", "evenpower 1 2 999", "abs 1 2", "geomabs 2 3",
+                       "table extend 0:0 1:1 2"]
+
+    @pytest.mark.parametrize("term", EXTRA_PARAMETER)
+    def test_extra_parameter_is_a_parse_error_naming_the_term(self, term):
+        with pytest.raises(ParseError, match="objective term '%s'" % term):
+            parse_objective("%s | 1 | 0\nlinear | 0\n" % term)
+
+    @pytest.mark.parametrize("term", EXTRA_PARAMETER)
+    def test_extra_parameter_exits_2(self, tmp_path, capsys, term):
+        inst = tmp_path / "i.txt"
+        inst.write_text("A\n1 1\n1\nb\n1\nobjective\n%s | 1 | 0\nlinear | 0\n" % term)
+        start = tmp_path / "z.txt"
+        start.write_text("1\n")
+        assert main(["solve", str(inst), str(start)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert term in err

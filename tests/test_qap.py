@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graveropt.augment import CipInstance, SolveStatus, composition_matrix
+from graveropt.augment import CipInstance, SolveStatus
 from graveropt.core import ParseError
 from graveropt.objective import ScaledEvenPower, SeparableObjective, Term
 from graveropt.qap import (
@@ -355,8 +355,8 @@ class TestBoxTestSet:
     @staticmethod
     def both(q):
         inst = to_cip(q)
-        box = box_test_set(inst.a, composition_matrix(inst), inst.upper)
-        full = compute_test_set(inst.a, composition_matrix(inst))
+        box = box_test_set(inst.a, inst.objective.composition_matrix, inst.upper)
+        full = compute_test_set(inst.a, inst.objective.composition_matrix)
         return box.directions, frozenset(
             d for d in full.directions
             if all(abs(x) <= u for x, u in zip(d, inst.upper)))

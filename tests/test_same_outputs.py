@@ -1,0 +1,50 @@
+"""tools/same_outputs.py on the first benchmark pass of each workload at
+seed 7, and its comparison.  The full check (8 passes, seeds 7-9) is the
+tool itself, a step of CI.  Loading the tool puts perfbench/ on sys.path,
+as the tool does when run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+NOTHING = "e3b0c44298fc1c14"  # the digest of no results: sha256 of b""
+
+# (results, instance_test_set results) of the first pass at seed 7
+FIRST_PASS = {
+    "graver-lift": ("21367365a5be71ee", NOTHING),
+    "bounded-qp": ("08ee99f09e3b1e5b", "1cc17e86e1c60e20"),
+    "qap-n3": ("833cf6215fd277b6", "8906d95405d0b58a"),
+    "walk-dense": ("b16a8d5c486808b7", NOTHING),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_PASS))
+def test_first_pass_digests(name):
+    assert same_outputs.run(name, 7, 1) == FIRST_PASS[name]
+
+
+def test_every_difference_is_reported():
+    want = {"results": {"w 7": "a", "w 8": "b"}, "instance_test_set": {"w 7": "c"}}
+    assert same_outputs.mismatches(want, want) == []
+    got = {"results": {"w 7": "a", "w 9": "d"}, "instance_test_set": {"w 7": "x"}}
+    assert same_outputs.mismatches(got, want) == [
+        "instance_test_set w 7: x, recorded c",
+        "results w 8: None, recorded b",
+        "results w 9: d, recorded None",
+    ]
+
+
+def test_recorded_digests_cover_every_workload_and_seed():
+    recorded = json.loads(same_outputs.DIGESTS.read_text())
+    seeds = same_outputs.SEEDS
+    assert sorted(recorded["results"]) == sorted(
+        "%s %d" % (w, s) for w in same_outputs.WORKLOADS for s in seeds)
+    assert sorted(recorded["instance_test_set"]) == sorted(
+        "%s %d" % (w, s) for w in same_outputs.TEST_SET_WORKLOADS for s in seeds)

@@ -1,0 +1,109 @@
+"""Same outputs: digests of the benchmark workloads' results.
+
+    python3 tools/same_outputs.py
+
+Run from anywhere; the tool imports graveropt from the checkout's src
+and the workloads from perfbench/, which it only reads.  For each
+workload and seed in SEEDS it draws the first PASSES passes as the
+bench does (rng = random.Random("<workload>:<seed>"), state =
+setup(None)), runs every instance untimed, and hashes the repr of each
+result in order: sha256, first 16 hex digits.  For bounded-qp and
+qap-n3 it also hashes every instance_test_set result of those passes
+as (dimension, sorted directions, provenance, box).
+
+It prints the digests as JSON and compares them with DIGESTS, the file
+next to this one; any difference is listed on standard error and the
+exit code is 1.  A change that alters outputs on purpose records the
+new digests by writing the printed JSON over that file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().with_name("same_outputs.json")
+sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
+
+from graveropt import augment, qap  # noqa: E402
+from workload import WORKLOADS  # noqa: E402
+
+SEEDS = (7, 8, 9)
+PASSES = 8
+# the workloads whose runs call instance_test_set
+TEST_SET_WORKLOADS = ("bounded-qp", "qap-n3")
+
+
+def digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()[:16]
+
+
+@contextmanager
+def recorded_test_sets():
+    """A list that collects every instance_test_set result while open."""
+    original = augment.instance_test_set
+    seen = []
+
+    def record(inst):
+        t_set = original(inst)
+        seen.append((t_set.dimension, sorted(t_set.directions), t_set.provenance,
+                     t_set.box))
+        return t_set
+
+    augment.instance_test_set = qap.instance_test_set = record
+    try:
+        yield seen
+    finally:
+        augment.instance_test_set = qap.instance_test_set = original
+
+
+def run(name: str, seed: int, passes: int) -> tuple[str, str]:
+    """(results digest, instance_test_set digest) of the first passes."""
+    workload = WORKLOADS[name]()
+    rng = random.Random("%s:%d" % (name, seed))
+    state = workload.setup(None)
+    with recorded_test_sets() as test_sets:
+        results = [workload.run(state, spec, args)
+                   for _ in range(passes) for spec, args in workload.draw(state, rng)]
+    return digest(results), digest(test_sets)
+
+
+def digests() -> dict:
+    out = {"results": {}, "instance_test_set": {}}
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            key = "%s %d" % (name, seed)
+            out["results"][key], sets = run(name, seed, PASSES)
+            if name in TEST_SET_WORKLOADS:
+                out["instance_test_set"][key] = sets
+    return out
+
+
+def mismatches(got: dict, want: dict) -> list[str]:
+    """One line per digest that differs from, or is missing in, either."""
+    return ["%s %s: %s, recorded %s" % (kind, key, ours.get(key), theirs.get(key))
+            for kind in sorted(set(got) | set(want))
+            for ours, theirs in [(got.get(kind, {}), want.get(kind, {}))]
+            for key in sorted(set(ours) | set(theirs))
+            if ours.get(key) != theirs.get(key)]
+
+
+def main() -> int:
+    got = digests()
+    print(json.dumps(got, indent=1, sort_keys=True))
+    bad = mismatches(got, json.loads(DIGESTS.read_text()))
+    for line in bad:
+        print("same_outputs: %s" % line, file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
