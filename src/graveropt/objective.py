@@ -327,9 +327,7 @@ def parse_objective(text: str) -> SeparableObjective:
         terms.append(Term(fn, coeffs, offset))
     if linear is None:
         raise ParseError("objective: missing linear line")
-    n = len(linear)
-    for t in terms:
-        if len(t.coeffs) != n:
-            raise ParseError("objective: term width %d != linear width %d"
-                             % (len(t.coeffs), n))
-    return SeparableObjective(n, tuple(terms), linear)
+    try:
+        return SeparableObjective(len(linear), tuple(terms), linear)
+    except ValueError as e:
+        raise ParseError("objective: %s" % e) from None

@@ -2,9 +2,10 @@
 
 An n-facility instance assigns cost d[i][j][k][l] to locating i at j
 and k at l (Koopmans-Beckmann data F, D gives d = F_ik * D_jl), plus
-per-placement fixed costs.  Encoding: n^2 binary variables x_ij, row
-and column sum constraints, and the quadratic cost rewritten exactly
-as a separable sum of squares on 0/1 points.
+per-placement fixed costs, held as nested tuples of ints where integral
+and Fractions otherwise, checked for shape once.  Encoding: n^2 binary
+variables x_ij, row and column sum constraints, and the quadratic cost
+rewritten exactly on 0/1 points as one square per nonzero pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 from .augment import CipInstance, SolveReport, instance_test_set, solve
 from .core import IntMatrix, ParseError, Vec
 from .objective import ScaledEvenPower, SeparableObjective, Term
-from .quadratic import RatMatrix, binary_rephrase, rat_matrix
 from .testset import FAMILY_CACHE_SIZE
 
 _ORACLE_LIMIT = 8  # 8! permutations is the most the oracle will enumerate
@@ -27,10 +27,10 @@ _ORACLE_LIMIT = 8  # 8! permutations is the most the oracle will enumerate
 @dataclass(frozen=True)
 class QapInstance:
     n: int
-    flow: RatMatrix | None = None
-    distance: RatMatrix | None = None
+    flow: tuple | None = None
+    distance: tuple | None = None
     tensor: tuple | None = None
-    fixed: RatMatrix | None = None
+    fixed: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -38,28 +38,46 @@ class QapInstance:
         kb = self.flow is not None and self.distance is not None
         if kb == (self.tensor is not None):
             raise ValueError("QapInstance: give either flow+distance or a tensor")
-        for name, m in (("flow", self.flow), ("distance", self.distance),
-                        ("fixed", self.fixed)):
-            if m is not None and (len(m) != self.n or
-                                  any(len(r) != self.n for r in m)):
-                raise ValueError("QapInstance: %s matrix must be %d x %d"
-                                 % (name, self.n, self.n))
+        for name, axes in (("flow", 2), ("distance", 2), ("tensor", 4), ("fixed", 2)):
+            data = getattr(self, name)
+            if data is not None:
+                exact = _exact_array(data, self.n, axes)
+                if exact is None:
+                    raise ValueError("QapInstance: %s must be %s"
+                                     % (name, " x ".join([str(self.n)] * axes)))
+                object.__setattr__(self, name, exact)
 
     def cost(self, i: int, j: int, k: int, l: int) -> Fraction:
         """Cost of locating facility i at j while facility k sits at l."""
         if self.tensor is not None:
             return Fraction(self.tensor[i][j][k][l])
-        return Fraction(self.flow[i][k]) * Fraction(self.distance[j][l])
+        return Fraction(self.flow[i][k] * self.distance[j][l])
 
     def fixed_cost(self, i: int, j: int) -> Fraction:
         return Fraction(self.fixed[i][j]) if self.fixed is not None else Fraction(0)
 
 
+def _exact(x) -> int | Fraction:
+    """x as an int if it is integral, else as a Fraction (not a copy)."""
+    if isinstance(x, int):
+        return x
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _exact_array(data, n: int, axes: int) -> tuple | None:
+    """data as nested tuples of _exact entries, or None unless it is
+    n x ... x n over the given number of axes."""
+    if not hasattr(data, "__len__") or len(data) != n:
+        return None
+    rows = tuple(map(_exact, data) if axes == 1 else
+                 (_exact_array(x, n, axes - 1) for x in data))
+    return None if None in rows else rows
+
+
 def koopmans_beckmann(flow: Sequence[Sequence], distance: Sequence[Sequence],
                       fixed: Sequence[Sequence] | None = None) -> QapInstance:
-    return QapInstance(len(flow), flow=rat_matrix(flow),
-                       distance=rat_matrix(distance),
-                       fixed=rat_matrix(fixed) if fixed is not None else None)
+    return QapInstance(len(flow), flow=flow, distance=distance, fixed=fixed)
 
 
 @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
@@ -111,33 +129,21 @@ def permutation_oracle(q: QapInstance) -> tuple[tuple[int, ...], Fraction]:
     return best
 
 
-def _exact(x) -> int | Fraction:
-    """x as an int if it is integral, else as a Fraction (not a copy)."""
-    if isinstance(x, int):
-        return x
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _pairwise(w: list[list], c: Sequence) -> tuple[list, tuple]:
-    """z^T (W/2) z + c^T z on 0/1 points for a symmetric W with a
-    nonnegative off-diagonal: each positive W[v][u] (v < u) gives the
-    term W[v][u]/2 (z_v + z_u)^2, returned as (W[v][u], its row), whose
-    square parts join the diagonal in the linear part.  Composition rows
-    stay 0/1, keeping test sets small."""
+def _pairwise(w: list[list], c: Sequence) -> SeparableObjective:
+    """z^T (W/2) z + c^T z on 0/1 points, W symmetric: each nonzero
+    W[v][u] (v < u), of sign s, gives the term |W[v][u]|/2 (z_v + s z_u)^2.
+    Its square parts are linear on 0/1 points (z^2 = z), so the linear
+    part is c_v + W[v][v]/2 - sum over u != v of |W[v][u]|/2.  One piece
+    per distinct |W[v][u]|, shared by its terms (pieces are frozen);
+    rows stay in {0, 1, -1}, keeping test sets small."""
     nn = len(w)
-    terms = [(w[v][u], (0,) * v + (1,) + (0,) * (u - v - 1) + (1,) + (0,) * (nn - u - 1))
-             for v in range(nn) for u in range(v + 1, nn) if w[v][u] > 0]
-    cbar = tuple(Fraction(2 * cv + 2 * row[v] - sum(row), 2)
+    pairs = [(abs(x), (0,) * v + (1,) + (0,) * (u - v - 1) + (1 if x > 0 else -1,)
+              + (0,) * (nn - u - 1))
+             for v, row in enumerate(w) for u, x in enumerate(row[v + 1:], v + 1) if x]
+    pieces = {k: ScaledEvenPower(Fraction(k, 2), 2) for k in {k for k, _ in pairs}}
+    cbar = tuple(Fraction(2 * cv + row[v] + abs(row[v]) - sum(map(abs, row)), 2)
                  for v, (cv, row) in enumerate(zip(c, w)))
-    return terms, cbar
-
-
-def _squares(terms: Sequence[tuple], denominator: int) -> tuple[Term, ...]:
-    """The term (k/denominator) (row . z)^2 for each (k, row), with one
-    piece per distinct k, shared by its terms (pieces are frozen)."""
-    pieces = {k: ScaledEvenPower(Fraction(k, denominator), 2) for k in {k for k, _ in terms}}
-    return tuple(Term(pieces[k], row, 0) for k, row in terms)
+    return SeparableObjective(nn, tuple(Term(pieces[k], r, 0) for k, r in pairs), cbar)
 
 
 def to_cip(q: QapInstance) -> CipInstance:
@@ -145,33 +151,25 @@ def to_cip(q: QapInstance) -> CipInstance:
 
     The cost is z^T Q z + fixed^T z, Q the symmetrized cost matrix.
     W = 2Q, W[i*n+j][k*n+l] = cost(i, j, k, l) + cost(k, l, i, j), is
-    built in Python ints (Fractions only for rational data) and halved
-    once, where a term weight or linear entry is formed; each equals
-    its value from Q in Fractions, so the instance is the one Q gives.
-    Nonnegative data rephrase pairwise; otherwise binary_rephrase.
+    built from the instance's exact entries (Python ints, Fractions only
+    for rational data) and halved once, where a term weight or linear
+    entry is formed; each equals its value from Q in Fractions, so the
+    instance is the one Q gives.  _pairwise rephrases it, for data of
+    either sign.
     """
     n = q.n
     nn = n * n
     if q.tensor is not None:
-        t = [[[[_exact(x) for x in r] for r in b] for b in a] for a in q.tensor]
+        t = q.tensor
         w = [[t[i][j][k][l] + t[k][l][i][j] for k in range(n) for l in range(n)]
              for i in range(n) for j in range(n)]
     else:
-        f = [[_exact(x) for x in r] for r in q.flow]
-        d = [[_exact(x) for x in r] for r in q.distance]
+        f, d = q.flow, q.distance
         w = [[f[i][k] * d[j][l] + f[k][i] * d[l][j] for k in range(n) for l in range(n)]
              for i in range(n) for j in range(n)]
-    cvec = ((0,) * nn if q.fixed is None else
-            tuple(_exact(x) for row in q.fixed for x in row))
-    if all(x >= 0 for v, row in enumerate(w) for u, x in enumerate(row) if u != v):
-        terms, cbar = _pairwise(w, cvec)
-        obj_terms = _squares(terms, 2)
-    else:
-        terms, cbar = binary_rephrase(
-            tuple(tuple(Fraction(x, 2) for x in row) for row in w), cvec)
-        obj_terms = _squares(terms, 1)
+    cvec = (0,) * nn if q.fixed is None else tuple(x for row in q.fixed for x in row)
     a, b = assignment_matrix(n)
-    return CipInstance(a, b, (1,) * nn, SeparableObjective(nn, obj_terms, cbar))
+    return CipInstance(a, b, (1,) * nn, _pairwise(w, cvec))
 
 
 def permutation_point(perm: Sequence[int]) -> Vec:

@@ -59,6 +59,10 @@ CASES = {
     # --verify checks the walk's value against permutation enumeration
     "qap4_verify": ["qap", "--verify", "qap4.dat"],
     "qap4_json": ["qap", "--json", "qap4.dat"],
+    # flow and distance of mixed sign, so W = 2Q has negative pairs too;
+    # the walk takes three steps to the optimum -4 at (2, 3, 1)
+    "qap_signed_verify": ["qap", "--verify", "qap_signed.dat"],
+    "qap_signed_json": ["qap", "--json", "qap_signed.dat"],
 }
 
 

@@ -465,6 +465,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_objective(bad)
 
+    def test_width_clash_has_one_message_on_both_paths(self):
+        with pytest.raises(ValueError) as built:
+            SeparableObjective(1, (Term(Zero(), (1, 1), 0),), (Fraction(1),))
+        with pytest.raises(ParseError) as parsed:
+            parse_objective("zero | 1 1 | 0\nlinear | 1\n")
+        assert str(parsed.value) == "objective: %s" % built.value
+
+    def test_width_clash_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "i.txt"
+        inst.write_text("A\n1 1\n1\nb\n1\nobjective\nzero | 1 1 | 0\nlinear | 0\n")
+        start = tmp_path / "z.txt"
+        start.write_text("1\n")
+        assert main(["solve", str(inst), str(start)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "term coefficients have wrong length" in err
+
     ALL_KINDS = ("zero | 1 0 | 0\n"
                  "evenpower 1/2 4 | 1 1 | -1\n"
                  "abs 2 | 0 1 | 3\n"

@@ -23,7 +23,7 @@ from graveropt.qap import (
 )
 from graveropt.quadratic import binary_identity_holds
 from graveropt.testset import box_test_set, compute_test_set
-from tests.helpers import write_qaplib
+from tests.helpers import time_bound, write_qaplib
 
 # Hand-checked assignment values for two facilities:
 #   flow [[0,1],[2,0]], distance [[0,3],[5,0]]
@@ -84,19 +84,35 @@ def symmetrized_cost(q):
                  for i in range(n) for j in range(n))
 
 
+def mixed_sign_draws():
+    """Seeded flow/distance draws for 3 and 4 facilities with entries
+    -3..5, without and with fixed costs, integral and over 1..3."""
+    rng = random.Random(27)
+    draws = []
+    for n in (3, 4):
+        for with_fixed in (False, True):
+            for den in (1, 3):
+                def mat():
+                    return [[Fraction(rng.randint(-3, 5), rng.randint(1, den))
+                             for _ in range(n)] for _ in range(n)]
+                draws.append(koopmans_beckmann(mat(), mat(), mat() if with_fixed else None))
+    return draws
+
+
 def reference_to_cip(q):
     """The n^4 Fraction construction of the pairwise encoding: each
-    positive off-diagonal Q[v][u] (v < u) gives Q[v][u] (z_v + z_u)^2,
-    and the linear part is fixed + diagonal - off-diagonal row mass."""
+    nonzero off-diagonal Q[v][u] (v < u), of sign s, gives
+    |Q[v][u]| (z_v + s z_u)^2, and the linear part is fixed + diagonal
+    - off-diagonal row mass in absolute value."""
     nn = q.n * q.n
     sym = symmetrized_cost(q)
-    assert all(sym[v][u] >= 0 for v in range(nn) for u in range(nn) if u != v)
-    terms = tuple(Term(ScaledEvenPower(sym[v][u], 2),
-                       tuple(1 if t in (v, u) else 0 for t in range(nn)), 0)
-                  for v in range(nn) for u in range(v + 1, nn) if sym[v][u] > 0)
+    terms = tuple(Term(ScaledEvenPower(abs(sym[v][u]), 2),
+                       tuple(1 if t == v else (1 if sym[v][u] > 0 else -1) if t == u
+                             else 0 for t in range(nn)), 0)
+                  for v in range(nn) for u in range(v + 1, nn) if sym[v][u])
     fixed = [q.fixed_cost(i, j) for i in range(q.n) for j in range(q.n)]
     cbar = tuple(fixed[v] + sym[v][v]
-                 - sum((sym[v][u] for u in range(nn) if u != v), Fraction(0))
+                 - sum((abs(sym[v][u]) for u in range(nn) if u != v), Fraction(0))
                  for v in range(nn))
     a, b = assignment_matrix(q.n)
     return CipInstance(a, b, (1,) * nn, SeparableObjective(nn, terms, cbar))
@@ -143,6 +159,26 @@ class TestInstance:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             koopmans_beckmann([[0, 1]], [[0, 1], [1, 0]])
+
+    def test_tensor_of_a_smaller_size_rejected(self):
+        with pytest.raises(ValueError, match="tensor must be 2 x 2 x 2 x 2"):
+            QapInstance(2, tensor=((((1,),),),))
+
+    def test_tensor_with_three_axes_rejected(self):
+        three = tuple(tuple(tuple(i + j + k for k in range(2)) for j in range(2))
+                      for i in range(2))
+        with pytest.raises(ValueError, match="tensor must be 2 x 2 x 2 x 2"):
+            QapInstance(2, tensor=three)
+
+    def test_entries_held_exactly(self):
+        q = koopmans_beckmann([[0, Fraction(4, 2)], [Fraction(1, 3), 0]],
+                              [[0, "3"], [1, 0]], fixed=[[1, 2], [3, 4]])
+        assert q.flow == ((0, 2), (Fraction(1, 3), 0))
+        assert type(q.flow[0][1]) is int and type(q.distance[0][1]) is int
+        assert isinstance(q.fixed, tuple) and isinstance(q.fixed[0], tuple)
+        assert q.cost(1, 0, 0, 1) == Fraction(1, 3) * 3
+        assert type(q.cost(0, 0, 1, 1)) is Fraction
+        assert type(q.fixed_cost(0, 0)) is Fraction
 
     def test_product_cost(self):
         q = koopmans_beckmann(FLOW_A, DIST_A)
@@ -321,7 +357,10 @@ class TestToCip:
                                      inst.objective.linear)
 
     def test_equals_the_fraction_construction(self):
-        for q in criterion_10_draws():
+        mixed = mixed_sign_draws()
+        assert all(any(-1 in t.coeffs for t in to_cip(q).objective.terms)
+                   for q in mixed)
+        for q in criterion_10_draws() + mixed:
             got, want = to_cip(q), reference_to_cip(q)
             assert got == want
             assert repr(got) == repr(want)
@@ -412,6 +451,14 @@ class TestSolveQap:
             perm, value, _ = solve_qap(q, start=tuple(start))
             assert value == permutation_oracle(q)[1]
             assert permutation_value(q, perm) == value
+
+    def test_mixed_sign_draws_reach_the_oracle_value(self):
+        with time_bound(60):
+            for q in mixed_sign_draws():
+                perm, value, report = solve_qap(q)
+                assert report.status is SolveStatus.OPTIMAL
+                assert value == permutation_oracle(q)[1]
+                assert permutation_value(q, perm) == value
 
     def test_best_improving_matches(self):
         q = koopmans_beckmann(FLOW_A, DIST_A)

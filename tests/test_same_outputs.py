@@ -45,6 +45,18 @@ def test_recorded_digests_cover_every_workload_and_seed():
     recorded = json.loads(same_outputs.DIGESTS.read_text())
     seeds = same_outputs.SEEDS
     assert sorted(recorded["results"]) == sorted(
-        "%s %d" % (w, s) for w in same_outputs.WORKLOADS for s in seeds)
+        "%s %d" % (w, s) for w in (*same_outputs.WORKLOADS, same_outputs.SIGNED)
+        for s in seeds)
     assert sorted(recorded["instance_test_set"]) == sorted(
         "%s %d" % (w, s) for w in same_outputs.TEST_SET_WORKLOADS for s in seeds)
+
+
+def test_signed_draws_match_their_recording():
+    """Every draw of seed 7 has a negative pair in W = 2Q (a term row
+    with a -1), and the draws' solve_qap results hash to the digest
+    recorded before to_cip rephrased such data pairwise."""
+    draws = same_outputs.signed_draws(7)
+    assert all(any(-1 in t.coeffs for t in same_outputs.qap.to_cip(q).objective.terms)
+               for q in draws)
+    recorded = json.loads(same_outputs.DIGESTS.read_text())
+    assert same_outputs.signed(7) == recorded["results"]["qap-signed 7"]

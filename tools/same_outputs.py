@@ -9,7 +9,11 @@ bench does (rng = random.Random("<workload>:<seed>"), state =
 setup(None)), runs every instance untimed, and hashes the repr of each
 result in order: sha256, first 16 hex digits.  For bounded-qp and
 qap-n3 it also hashes every instance_test_set result of those passes
-as (dimension, sorted directions, provenance, box).
+as (dimension, sorted directions, provenance, box).  The entry
+qap-signed at each seed is no bench workload: it hashes the solve_qap
+results on mixed-sign assignment draws the tool makes itself (3 and 4
+facilities, rng = random.Random("qap-signed:<seed>")), the data on
+which no workload runs to_cip.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
@@ -37,6 +41,8 @@ SEEDS = (7, 8, 9)
 PASSES = 8
 # the workloads whose runs call instance_test_set
 TEST_SET_WORKLOADS = ("bounded-qp", "qap-n3")
+SIGNED = "qap-signed"
+SIGNED_SIZES = (3,) * 8 + (4,) * 4  # facilities of each mixed-sign draw
 
 
 def digest(items) -> str:
@@ -76,6 +82,26 @@ def run(name: str, seed: int, passes: int) -> tuple[str, str]:
     return digest(results), digest(test_sets)
 
 
+def signed_draws(seed: int) -> list:
+    """Hollow flow and distance with entries -3..5, and fixed costs in
+    -3..5 on every other draw."""
+    rng = random.Random("%s:%d" % (SIGNED, seed))
+    draws = []
+    for k, n in enumerate(SIGNED_SIZES):
+        def square():
+            return [[rng.randint(-3, 5) for _ in range(n)] for _ in range(n)]
+        flow, distance = square(), square()
+        for i in range(n):
+            flow[i][i] = distance[i][i] = 0
+        draws.append(qap.koopmans_beckmann(flow, distance, square() if k % 2 else None))
+    return draws
+
+
+def signed(seed: int) -> str:
+    """Digest of the solve_qap results on the mixed-sign draws of seed."""
+    return digest(qap.solve_qap(q) for q in signed_draws(seed))
+
+
 def digests() -> dict:
     out = {"results": {}, "instance_test_set": {}}
     for name in WORKLOADS:
@@ -84,6 +110,8 @@ def digests() -> dict:
             out["results"][key], sets = run(name, seed, PASSES)
             if name in TEST_SET_WORKLOADS:
                 out["instance_test_set"][key] = sets
+    for seed in SEEDS:
+        out["results"]["%s %d" % (SIGNED, seed)] = signed(seed)
     return out
 
 
