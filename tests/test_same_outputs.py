@@ -16,12 +16,13 @@ _spec.loader.exec_module(same_outputs)
 
 NOTHING = "e3b0c44298fc1c14"  # the digest of no results: sha256 of b""
 
-# (results, instance_test_set results) of the first pass at seed 7
+# (results, instance_test_set results, completion trace) of the first
+# pass at seed 7
 FIRST_PASS = {
-    "graver-lift": ("21367365a5be71ee", NOTHING),
-    "bounded-qp": ("08ee99f09e3b1e5b", "1cc17e86e1c60e20"),
-    "qap-n3": ("833cf6215fd277b6", "8906d95405d0b58a"),
-    "walk-dense": ("b16a8d5c486808b7", NOTHING),
+    "graver-lift": ("21367365a5be71ee", NOTHING, "7148c2889b35a8ee"),
+    "bounded-qp": ("08ee99f09e3b1e5b", "1cc17e86e1c60e20", "b5bd5a7715e145fb"),
+    "qap-n3": ("833cf6215fd277b6", "8906d95405d0b58a", "7d88567d5c0cb507"),
+    "walk-dense": ("b16a8d5c486808b7", NOTHING, "bb488e678ddfb074"),
 }
 
 
@@ -49,6 +50,23 @@ def test_recorded_digests_cover_every_workload_and_seed():
         for s in seeds)
     assert sorted(recorded["instance_test_set"]) == sorted(
         "%s %d" % (w, s) for w in same_outputs.TEST_SET_WORKLOADS for s in seeds)
+    assert sorted(recorded["completion"]) == sorted(
+        "%s %d" % (w, s) for w in same_outputs.WORKLOADS for s in seeds)
+
+
+def test_completion_trace_is_the_debug_records():
+    """The completion digest reads the DEBUG records of the graver and
+    testset loggers and nothing above DEBUG, and leaves their levels as
+    it found them."""
+    graver = same_outputs.logging.getLogger("graveropt.graver")
+    level = graver.level
+    with same_outputs.recorded_completion() as trace:
+        graver.debug("lift step %d", 1)
+        graver.info("not a completion record")
+        same_outputs.logging.getLogger("graveropt.testset").debug("box: %d", 2)
+    graver.debug("after")
+    assert trace == ["lift step 1", "box: 2"]
+    assert graver.level == level
 
 
 def test_signed_draws_match_their_recording():

@@ -9,8 +9,14 @@ bench does (rng = random.Random("<workload>:<seed>"), state =
 setup(None)), runs every instance untimed, and hashes the repr of each
 result in order: sha256, first 16 hex digits.  For bounded-qp and
 qap-n3 it also hashes every instance_test_set result of those passes
-as (dimension, sorted directions, provenance, box).  The entry
-qap-signed at each seed is no bench workload: it hashes the solve_qap
+as (dimension, sorted directions, provenance, box).  For every
+workload and seed it hashes, as the completion digest, the messages of
+the DEBUG records that graveropt.graver and graveropt.testset emit over
+set-up and those passes: start columns, |det|, candidates, rounds and
+elements of each lift step, and each box search's candidates, kept
+directions and sign-prefilter pairs.  Each workload and seed starts
+with box_test_set's caches empty, so that digest does not depend on
+which runs came before.  The entry qap-signed at each seed is no bench workload: it hashes the solve_qap
 results on mixed-sign assignment draws the tool makes itself (3 and 4
 facilities, rng = random.Random("qap-signed:<seed>")), the data on
 which no workload runs to_cip.
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import random
 import sys
 from contextlib import contextmanager
@@ -34,7 +41,7 @@ CHECKOUT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().with_name("same_outputs.json")
 sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
-from graveropt import augment, qap  # noqa: E402
+from graveropt import augment, qap, testset  # noqa: E402
 from workload import WORKLOADS  # noqa: E402
 
 SEEDS = (7, 8, 9)
@@ -43,6 +50,8 @@ PASSES = 8
 TEST_SET_WORKLOADS = ("bounded-qp", "qap-n3")
 SIGNED = "qap-signed"
 SIGNED_SIZES = (3,) * 8 + (4,) * 4  # facilities of each mixed-sign draw
+# the loggers whose DEBUG records trace the completion and the box search
+COMPLETION_LOGGERS = ("graveropt.graver", "graveropt.testset")
 
 
 def digest(items) -> str:
@@ -71,15 +80,43 @@ def recorded_test_sets():
         augment.instance_test_set = qap.instance_test_set = original
 
 
-def run(name: str, seed: int, passes: int) -> tuple[str, str]:
-    """(results digest, instance_test_set digest) of the first passes."""
+@contextmanager
+def recorded_completion():
+    """A list that collects the messages of every DEBUG record of
+    COMPLETION_LOGGERS while open."""
+    seen = []
+
+    class Record(logging.Handler):
+        def emit(self, record):
+            if record.levelno == logging.DEBUG:
+                seen.append(record.getMessage())
+
+    handler = Record(logging.DEBUG)
+    loggers = [logging.getLogger(name) for name in COMPLETION_LOGGERS]
+    levels = [log.level for log in loggers]
+    for log in loggers:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+    try:
+        yield seen
+    finally:
+        for log, level in zip(loggers, levels):
+            log.removeHandler(handler)
+            log.setLevel(level)
+
+
+def run(name: str, seed: int, passes: int) -> tuple[str, str, str]:
+    """(results, instance_test_set, completion) digests of the first passes."""
+    testset._box_family.cache_clear()
+    testset._box_candidates.cache_clear()
     workload = WORKLOADS[name]()
     rng = random.Random("%s:%d" % (name, seed))
-    state = workload.setup(None)
-    with recorded_test_sets() as test_sets:
-        results = [workload.run(state, spec, args)
-                   for _ in range(passes) for spec, args in workload.draw(state, rng)]
-    return digest(results), digest(test_sets)
+    with recorded_completion() as trace:
+        state = workload.setup(None)
+        with recorded_test_sets() as test_sets:
+            results = [workload.run(state, spec, args)
+                       for _ in range(passes) for spec, args in workload.draw(state, rng)]
+    return digest(results), digest(test_sets), digest(trace)
 
 
 def signed_draws(seed: int) -> list:
@@ -103,11 +140,11 @@ def signed(seed: int) -> str:
 
 
 def digests() -> dict:
-    out = {"results": {}, "instance_test_set": {}}
+    out = {"results": {}, "instance_test_set": {}, "completion": {}}
     for name in WORKLOADS:
         for seed in SEEDS:
             key = "%s %d" % (name, seed)
-            out["results"][key], sets = run(name, seed, PASSES)
+            out["results"][key], sets, out["completion"][key] = run(name, seed, PASSES)
             if name in TEST_SET_WORKLOADS:
                 out["instance_test_set"][key] = sets
     for seed in SEEDS:
