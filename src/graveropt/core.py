@@ -100,39 +100,42 @@ class IntMatrix:
         return tuple(dot(r, v) for r in self.entries)
 
 
+def euclid_reduce(rows: list[list[int]], live: Iterable[int], k: int) -> int | None:
+    """Reduce entry k over the rows indexed by live, in place, until at
+    most one of them is nonzero there; that row's index, or None.
+
+    Each pass subtracts floor-quotient multiples of the live row with
+    the least nonzero |entry k| (the first in live order) from the
+    others: unimodular row operations only."""
+    live = [i for i in live if rows[i][k]]
+    while len(live) > 1:
+        p = min(live, key=lambda i: abs(rows[i][k]))
+        for i in live:
+            q = rows[i][k] // rows[p][k]
+            if i != p and q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[p])]
+        live = [i for i in live if rows[i][k]]
+    return live[0] if live else None
+
+
 def kernel_lattice_basis(a: IntMatrix) -> list[Vec]:
     """Basis of the saturated lattice {v in Z^n : Av = 0}.
 
-    Integer column reduction: gcd steps bring A to column echelon form
-    while the same unimodular operations accumulate in a square matrix
-    U; the U-columns below the zero columns of the echelon form are the
-    kernel basis.  Exact throughout.
+    Integer column reduction: each column j of A is kept as one row
+    [A column j | U column j] with U = I at the start, and euclid_reduce
+    brings A to column echelon form, one row of A after another, while
+    the same unimodular operations accumulate in U.  The U parts of the
+    columns left zero in A are the kernel basis.  Exact throughout.
     """
-    n = a.cols
-    # column-major working copies
-    m = [list(a.column(j)) for j in range(n)]
-    u = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    d, n = a.rows, a.cols
+    cols = [list(a.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
     r = 0
-    for i in range(a.rows):
-        while True:
-            live = [j for j in range(r, n) if m[j][i] != 0]
-            if len(live) <= 1:
-                break
-            j1 = min(live, key=lambda j: abs(m[j][i]))
-            for j2 in live:
-                if j2 == j1:
-                    continue
-                q = m[j2][i] // m[j1][i]
-                if q:
-                    m[j2] = [x - q * y for x, y in zip(m[j2], m[j1])]
-                    u[j2] = [x - q * y for x, y in zip(u[j2], u[j1])]
-        live = [j for j in range(r, n) if m[j][i] != 0]
-        if live:
-            j = live[0]
-            m[r], m[j] = m[j], m[r]
-            u[r], u[j] = u[j], u[r]
+    for i in range(d):
+        j = euclid_reduce(cols, range(r, n), i)
+        if j is not None:
+            cols[r], cols[j] = cols[j], cols[r]
             r += 1
-    return [tuple(u[j]) for j in range(r, n)]
+    return [tuple(col[d:]) for col in cols[r:]]
 
 
 # ---------------------------------------------------------------------------

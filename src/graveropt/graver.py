@@ -36,7 +36,8 @@ from math import prod
 
 import numpy as np
 
-from .core import IntMatrix, Vec, canonical_rep, conformal_leq, kernel_lattice_basis, negate
+from .core import (IntMatrix, Vec, canonical_rep, conformal_leq, euclid_reduce,
+                   kernel_lattice_basis, negate)
 
 # Magnitude at which arrays leave int64 for Python ints (int_dtype); below
 # it every member 1-norm and pair sum of a completion fits in int64.
@@ -381,7 +382,8 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
 
     Each scan charges budget for the pairs it tests or meets.
 
-    Returns the minimal members' rows and (candidates formed, rounds).
+    Returns the minimal members' rows, by a strict _find_below of the
+    members against themselves, and (candidates formed, rounds).
     """
     state = _Completion(n)
     state.add_block(_canonical(seeds))
@@ -404,9 +406,9 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
             budget.spend(met)
             state.add_block(forms[keep])
             work = forms[~keep]
-    keep, met = conformally_minimal(state.arr)
+    red, _, met = _find_below(state, state.arr, state.mask, strict=True)
     budget.spend(met)
-    return state.arr[keep], (candidates, rounds)
+    return state.arr[red < 0], (candidates, rounds)
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -434,18 +436,11 @@ def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]
                 break
             if j in chosen:
                 continue
-            live = [i for i in free if rows[i][j]]
-            while len(live) > 1:
-                p = min(live, key=lambda i: abs(rows[i][j]))
-                for i in live:
-                    q = rows[i][j] // rows[p][j]
-                    if i != p and q:
-                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[p])]
-                live = [i for i in live if rows[i][j]]
-            if live and (not unit_only or abs(rows[live[0]][j]) == 1):
+            p = euclid_reduce(rows, free, j)
+            if p is not None and (not unit_only or abs(rows[p][j]) == 1):
                 chosen.append(j)
-                pivots.append(live[0])
-                free.remove(live[0])
+                pivots.append(p)
+                free.remove(p)
     return chosen, [rows[i] for i in pivots]
 
 
