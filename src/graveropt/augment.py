@@ -257,9 +257,10 @@ def solve(inst: CipInstance, t_set: TestSet, z0: Vec,
 def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
     """Exhaustive minimum over 0 <= z <= min(box, upper), Az = b.
 
-    Depth-first with per-row residual pruning; ties resolve to the
-    lexicographically first minimizer.  Raises when nothing in the box
-    is feasible.
+    Depth-first with per-row residual pruning, as a loop rather than a
+    recursion, so the dimension is not bounded by Python's recursion
+    limit; ties resolve to the lexicographically first minimizer.
+    Raises when nothing in the box is feasible.
     """
     n = inst.n
     if len(box) != n:
@@ -282,32 +283,32 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
     best: tuple[Vec, Fraction] | None = None
     point = [0] * n
     partial = [0] * d
-
-    def descend(j: int) -> None:
-        nonlocal best
+    j, x = 0, 0  # try x at coordinate j next; j == n is a full point
+    while j >= 0:
         if j == n:
             val = inst.objective.value(point)
             if best is None or val < best[1]:
                 best = (tuple(point), val)
-            return
-        for x in range(lim[j] + 1):
-            ok = True
+        elif x <= lim[j]:
             for i in range(d):
                 c = partial[i] + rows[i][j] * x
                 need = inst.b[i]
                 if c + lo[i][j + 1] > need or c + hi[i][j + 1] < need:
-                    ok = False
+                    x += 1
                     break
-            if ok:
+            else:
                 point[j] = x
                 for i in range(d):
                     partial[i] += rows[i][j] * x
-                descend(j + 1)
-                for i in range(d):
-                    partial[i] -= rows[i][j] * x
-        point[j] = 0
-
-    descend(0)
+                j, x = j + 1, 0
+            continue
+        # back up to the last coordinate set and try its next value
+        j -= 1
+        if j >= 0:
+            x = point[j]
+            for i in range(d):
+                partial[i] -= rows[i][j] * x
+            x += 1
     if best is None:
         raise ValueError("brute_force_optimum: no feasible point in box")
     return best

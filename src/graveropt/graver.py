@@ -528,10 +528,6 @@ def compute_graver(a: IntMatrix) -> TestSet:
     return TestSet(n, frozenset(map(tuple, full.tolist())), provenance)
 
 
-class _OverLimit(Exception):
-    """Unwinds the box search once it runs over its budget."""
-
-
 def box_kernel_vectors(a: IntMatrix, bounds: Vec,
                        limit: int | None = None) -> list[Vec] | None:
     """Canonical nonzero kernel vectors v with |v_j| <= bounds[j].
@@ -540,7 +536,9 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
     partial assignment survives only while every row's partial sum can
     still be cancelled by the coordinates left.  Coordinates before the
     first nonzero entry stay nonnegative, so each +/- pair is visited
-    once, through its canonical representative.
+    once, through its canonical representative.  The search is a loop
+    that steps the deepest coordinate through its interval, so the
+    dimension is not bounded by Python's recursion limit.
 
     With a limit, the search stops and returns None as soon as it has
     found more than limit vectors or reached more than n * limit
@@ -565,43 +563,52 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
     found: list[Vec] = []
     partial = [0] * a.rows
     point = [0] * n
+    top = [0] * n  # top[j]: the largest value of coordinate j on this path
+    lead = [True] * (n + 1)  # lead[j]: point[:j] is all zero
     budget = None if limit is None else n * limit
-
-    def descend(j: int, lead: bool) -> None:
-        nonlocal budget
-        if j == n:
-            if not lead:
-                found.append(tuple(point))
-                if limit is not None and len(found) > limit:
-                    raise _OverLimit
-            return
-        # the x keeping every row's partial sum within reach of the
-        # coordinates left, |p + c*x| <= rest, form one interval
-        lo, hi = (0 if lead else -bounds[j]), bounds[j]
-        for i, c, rest in touching[j]:
-            p = partial[i]
-            if c > 0:
-                lo, hi = max(lo, -((rest + p) // c)), min(hi, (rest - p) // c)
-            else:
-                lo, hi = max(lo, -((rest - p) // -c)), min(hi, (rest + p) // -c)
-        if budget is not None and hi >= lo:
-            budget -= hi - lo + 1
-            if budget < 0:
-                raise _OverLimit
-        for x in range(lo, hi + 1):
-            point[j] = x
-            for i, c, _ in touching[j]:
-                partial[i] += c * x
-            descend(j + 1, lead and x == 0)
+    j = 0  # coordinates [0, j) are set
+    while True:
+        if j < n:
+            # the x keeping every row's partial sum within reach of the
+            # coordinates left, |p + c*x| <= rest, form one interval
+            lo, hi = (0 if lead[j] else -bounds[j]), bounds[j]
+            for i, c, rest in touching[j]:
+                p = partial[i]
+                if c > 0:
+                    lo, hi = max(lo, -((rest + p) // c)), min(hi, (rest - p) // c)
+                else:
+                    lo, hi = max(lo, -((rest - p) // -c)), min(hi, (rest + p) // -c)
+            if hi >= lo:
+                if budget is not None:
+                    budget -= hi - lo + 1
+                    if budget < 0:
+                        return None
+                point[j], top[j] = lo, hi
+                for i, c, _ in touching[j]:
+                    partial[i] += c * lo
+                lead[j + 1] = lead[j] and lo == 0
+                j += 1
+                continue
+        elif not lead[n]:
+            found.append(tuple(point))
+            if limit is not None and len(found) > limit:
+                return None
+        # step the deepest coordinate below its top up by one; a lead
+        # coordinate starts at 0, so the new point leaves the lead
+        while j:
+            j -= 1
+            x = point[j]
+            if x < top[j]:
+                point[j] = x + 1
+                for i, c, _ in touching[j]:
+                    partial[i] += c
+                lead[j + 1] = False
+                j += 1
+                break
             for i, c, _ in touching[j]:
                 partial[i] -= c * x
-        point[j] = 0
-
-    try:
-        descend(0, True)
-    except _OverLimit:
-        return None
-    return found
+        else:
+            return found
 
 
 def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:

@@ -1,9 +1,11 @@
 """Helpers that only the tests call: instance and assignment writers,
 exact rational products and rank, the exhaustive or constructive
 oracles for the paper's column splits and 0/1 split minima, a dense
-objective evaluation, a reference walk and a time bound."""
+objective evaluation, a reference walk, a time bound and an instance
+deeper than the recursion limit."""
 
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -12,7 +14,8 @@ from graveropt.augment import (CipInstance, SolveReport, SolveStatus, Step,
                                brute_force_optimum)
 from graveropt.core import IntMatrix, Vec, canonical_rep
 from graveropt.graver import TestSet
-from graveropt.objective import DiscreteConvexFn, SeparableObjective, format_objective
+from graveropt.objective import (DiscreteConvexFn, SeparableObjective, format_objective,
+                                 linear_objective)
 from graveropt.qap import QapInstance
 from graveropt.quadratic import RatMatrix
 
@@ -34,6 +37,17 @@ def time_bound(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def path_difference_instance() -> CipInstance:
+    """min sum z over rows e_i - e_{i+1} (so every z_i is equal), b = 0,
+    u = 1, in n = sys.getrecursionlimit() + 100 variables: a search
+    that recursed once per coordinate would fail on it.  Its box kernel
+    vectors are (1,)*n alone, and its optimum is 0 at the origin."""
+    n = sys.getrecursionlimit() + 100
+    a = IntMatrix(n - 1, n, tuple(tuple(int(j == i) - int(j == i + 1) for j in range(n))
+                                  for i in range(n - 1)))
+    return CipInstance(a, (0,) * (n - 1), (1,) * n, linear_objective((1,) * n))
 
 
 def exact_rank(a: IntMatrix) -> int:

@@ -48,7 +48,7 @@ from graveropt.testset import (
 from tests import helpers
 from tests.conftest import clear_box_caches, two_square_instance
 from tests.helpers import (binary_split_minimum, find_feasible_point, format_instance,
-                           reference_walk)
+                           path_difference_instance, reference_walk, time_bound)
 
 
 def pair_test_set():
@@ -430,6 +430,11 @@ class TestBruteForce:
         bad = CipInstance(a, (-2,), None, linear_objective([0, 0]))
         assert find_feasible_point(bad, (5, 5)) is None
 
+    def test_deeper_than_the_recursion_limit(self):
+        inst = path_difference_instance()
+        with time_bound(20):
+            assert brute_force_optimum(inst, inst.upper) == ((0,) * inst.n, 0)
+
 
 class TestBinarySplitMinimum:
     def test_square_displacement_two(self):
@@ -657,6 +662,15 @@ class TestBoundedDirectionSet:
         count = len(box_kernel_vectors(inst.a, inst.upper))
         assert caplog.messages == [
             "test set: box, %d candidates, %d directions" % (count, len(got))]
+
+    def test_deeper_than_the_recursion_limit(self):
+        inst = path_difference_instance()
+        with time_bound(20):
+            got = instance_test_set(inst)
+            report = solve(inst, got, inst.upper)
+        assert got.directions == {(1,) * inst.n}
+        assert report.status is SolveStatus.OPTIMAL
+        assert (report.optimum, report.value) == ((0,) * inst.n, 0)
 
     def test_unbounded_branch_logged(self, square_pair, caplog):
         with caplog.at_level(logging.INFO, logger="graveropt.augment"):

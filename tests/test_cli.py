@@ -9,7 +9,7 @@ from graveropt.core import IntMatrix, parse_int_matrix
 from graveropt.objective import linear_objective, parse_objective
 from graveropt.testset import TestSet, box_test_set, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
-from tests.helpers import format_instance, time_bound
+from tests.helpers import format_instance, path_difference_instance, time_bound
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -192,6 +192,18 @@ class TestSolveCommand:
         assert main(["solve", inst, start, "--testset", ts, "--verify",
                      "--box", "3", "3"]) == 0
         capsys.readouterr()
+
+    def test_verify_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # the box test set and the exhaustive check both search one
+        # coordinate per level, past the depth a recursion could reach
+        case = path_difference_instance()
+        inst = put(tmp_path, "path.cip", format_instance(case))
+        start = put(tmp_path, "z0.vec", " ".join(map(str, case.upper)) + "\n")
+        with time_bound(30):
+            assert main(["solve", inst, start, "--verify"]) == 0
+        captured = capsys.readouterr()
+        assert "value: 0" in captured.out and "status: optimal" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_infeasible_start(self, tmp_path, capsys):
         inst = self.instance_file(tmp_path)

@@ -10,6 +10,7 @@ from graveropt.core import (
     canonical_rep,
     conformal_leq,
     dot,
+    euclid_reduce,
     format_int_matrix,
     kernel_lattice_basis,
     negate,
@@ -172,6 +173,47 @@ class TestKernelLatticeBasis:
                 coords = lattice_coords(basis, v)
                 assert coords is not None, (a.entries, v)
                 assert all(c.denominator == 1 for c in coords), (a.entries, v)
+
+
+def fraction_det(m):
+    """Determinant of a square matrix by Gaussian elimination over Fraction."""
+    work = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for j in range(len(work)):
+        piv = next((i for i in range(j, len(work)) if work[i][j]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            work[j], work[piv] = work[piv], work[j]
+            det = -det
+        det *= work[j][j]
+        for i in range(j + 1, len(work)):
+            f = work[i][j] / work[j][j]
+            work[i] = [x - f * y for x, y in zip(work[i], work[j])]
+    return det
+
+
+class TestEuclidReduce:
+    def test_one_live_row_left_by_a_unimodular_transform(self):
+        # rows [old row i | e_i]: the identity block becomes the transform
+        # T, and new rows = T * old rows
+        rng = random.Random(17)
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            old = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            rows = [r + [int(i == j) for j in range(m)] for i, r in enumerate(old)]
+            live = sorted(rng.sample(range(m), rng.randint(0, m)))
+            k = rng.randrange(n)
+            got = euclid_reduce(rows, live, k)
+            assert [i for i in live if rows[i][k]] == ([] if got is None else [got])
+            t = [r[n:] for r in rows]
+            assert abs(fraction_det(t)) == 1
+            assert [[Fraction(x) for x in r[:n]] for r in rows] == [
+                [sum((Fraction(c) * old[l][j] for l, c in enumerate(tr)), Fraction(0))
+                 for j in range(n)] for tr in t]
+            # rows outside live are left alone
+            for i in set(range(m)) - set(live):
+                assert rows[i] == old[i] + [int(i == j) for j in range(m)]
 
 
 class TestExactRank:

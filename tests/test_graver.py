@@ -21,7 +21,8 @@ from graveropt.graver import (
     verify_against_oracle,
 )
 from tests.conftest import random_int_matrix
-from tests.helpers import expand_duplicated_column, expand_negated_column, time_bound
+from tests.helpers import (expand_duplicated_column, expand_negated_column,
+                           path_difference_instance, time_bound)
 
 
 class TestComputeGraver:
@@ -125,6 +126,12 @@ class TestBoxKernelVectors:
             assert box_kernel_vectors(a, (10 ** 6, 10 ** 6), limit=4096) is None
             got = box_kernel_vectors(a, (10 ** 4, 10 ** 4))
         assert got == [(1000 * k, -k) for k in range(1, 11)]
+
+    def test_deeper_than_the_recursion_limit(self):
+        inst = path_difference_instance()
+        with time_bound(20):
+            got = box_kernel_vectors(inst.a, inst.upper, limit=4096)
+        assert got == [(1,) * inst.n]
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
