@@ -16,10 +16,11 @@ set-up and those passes: start columns, |det|, candidates, rounds and
 elements of each lift step, and each box search's candidates, kept
 directions and sign-prefilter pairs.  Each workload and seed starts
 with box_test_set's caches empty, so that digest does not depend on
-which runs came before.  The entry qap-signed at each seed is no bench workload: it hashes the solve_qap
-results on mixed-sign assignment draws the tool makes itself (3 and 4
-facilities, rng = random.Random("qap-signed:<seed>")), the data on
-which no workload runs to_cip.
+which runs came before.  The entry qap-signed at each seed is no
+bench workload: it hashes the solve_qap results on mixed-sign
+assignment draws the tool makes itself (3 and 4 facilities, rng =
+random.Random("qap-signed:<seed>")), the data on which no workload
+runs to_cip.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
