@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import index
 from typing import Sequence
 
 from .core import IntMatrix, ParseError, Vec
+from .testset import FAMILY_CACHE_SIZE
 
 
 def _as_fraction(x) -> Fraction:
@@ -178,6 +179,19 @@ def check_convex_window(g: DiscreteConvexFn, lo: int, hi: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _row_support(key: tuple[int, Vec]) -> tuple:
+    """The (j, c_j) with c_j != 0 of the row key[1], whose id is key[0];
+    a TypeError unless its entries are integers.
+
+    Kept for the last FAMILY_CACHE_SIZE rows, so the terms of encodings
+    that share their row tuples (qap.to_cip) share their supports.  The
+    id is in the key because (1.0,) == (1,) with equal hashes: a cached
+    key holds its row alive, so no other object has its id, and a row
+    equal to a cached one but another object is checked afresh."""
+    return tuple((j, c) for j, c in enumerate(map(index, key[1])) if c)
+
+
 @dataclass(frozen=True)
 class Term:
     """One composed piece: fn(coeffs . z + offset)."""
@@ -206,8 +220,7 @@ class SeparableObjective:
         """Each term as (fn, offset, its (j, c_j) with c_j != 0), and the
         linear part's (j, l_j) with l_j != 0; checks c and offset are ints."""
         try:
-            terms = tuple((t.fn, index(t.offset),
-                           tuple((j, c) for j, c in enumerate(map(index, t.coeffs)) if c))
+            terms = tuple((t.fn, index(t.offset), _row_support((id(t.coeffs), t.coeffs)))
                           for t in self.terms)
         except TypeError as e:
             raise ValueError("SeparableObjective: term coefficients and offsets "

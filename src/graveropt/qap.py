@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import index
 from typing import Sequence
 
 from .augment import CipInstance, SolveReport, instance_test_set, solve
@@ -102,11 +103,22 @@ def assignment_matrix(n: int) -> tuple[IntMatrix, Vec]:
     return IntMatrix(2 * n, n * n, tuple(rows)), (1,) * (2 * n)
 
 
+def _permutation(perm: Sequence[int], n: int, caller: str) -> tuple[int, ...]:
+    """perm as a tuple of ints; a ValueError, naming caller, unless it is
+    a permutation of 0..n-1."""
+    try:
+        ints = tuple(map(index, perm))
+        if sorted(ints) == list(range(n)):
+            return ints
+    except TypeError:
+        pass
+    raise ValueError("%s: not a permutation of 0..n-1" % caller)
+
+
 def permutation_value(q: QapInstance, perm: Sequence[int]) -> Fraction:
     """Objective at the assignment j = perm[i] (0-based images)."""
     n = q.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError("permutation_value: not a permutation of 0..n-1")
+    perm = _permutation(perm, n, "permutation_value")
     total = Fraction(0)
     for i in range(n):
         total += q.fixed_cost(i, perm[i])
@@ -129,21 +141,50 @@ def permutation_oracle(q: QapInstance) -> tuple[tuple[int, ...], Fraction]:
     return best
 
 
-def _pairwise(w: list[list], c: Sequence) -> SeparableObjective:
-    """z^T (W/2) z + c^T z on 0/1 points, W symmetric: each nonzero
-    W[v][u] (v < u), of sign s, gives the term |W[v][u]|/2 (z_v + s z_u)^2.
-    Its square parts are linear on 0/1 points (z^2 = z), so the linear
-    part is c_v + W[v][v]/2 - sum over u != v of |W[v][u]|/2.  One piece
-    per distinct |W[v][u]|, shared by its terms (pieces are frozen);
-    rows stay in {0, 1, -1}, keeping test sets small."""
-    nn = len(w)
-    pairs = [(abs(x), (0,) * v + (1,) + (0,) * (u - v - 1) + (1 if x > 0 else -1,)
-              + (0,) * (nn - u - 1))
-             for v, row in enumerate(w) for u, x in enumerate(row[v + 1:], v + 1) if x]
-    pieces = {k: ScaledEvenPower(Fraction(k, 2), 2) for k in {k for k, _ in pairs}}
-    cbar = tuple(Fraction(2 * cv + row[v] + abs(row[v]) - sum(map(abs, row)), 2)
-                 for v, (cv, row) in enumerate(zip(c, w)))
-    return SeparableObjective(nn, tuple(Term(pieces[k], r, 0) for k, r in pairs), cbar)
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _unit_pairs(n: int) -> tuple[tuple[int, int, int, int, int, int, Vec, Vec], ...]:
+    """Each pair v = i*n+j < u = k*n+l of the flattened grid as
+    (v, u, i, j, k, l, e_v + e_u, e_v - e_u), v then u ascending.
+
+    Built once per n, so the terms of every instance of that size share
+    the very same rows, and with them their supports."""
+    nn = n * n
+
+    def row(v: int, u: int, s: int) -> Vec:
+        return (0,) * v + (1,) + (0,) * (u - v - 1) + (s,) + (0,) * (nn - u - 1)
+    return tuple((v, u, *divmod(v, n), *divmod(u, n), row(v, u, 1), row(v, u, -1))
+                 for v in range(nn) for u in range(v + 1, nn))
+
+
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def _piece(k: int | Fraction) -> ScaledEvenPower:
+    """The frozen piece (k/2) x^2, one per distinct weight k; k comes as
+    _exact gives it, since the cache keys an int apart from the equal
+    Fraction."""
+    return ScaledEvenPower(Fraction(k, 2), 2)
+
+
+def _pairwise(n: int, w, diagonal: list, c: Sequence) -> SeparableObjective:
+    """z^T (W/2) z + c^T z on 0/1 points, W = 2Q symmetric, in one pass
+    over W's upper triangle: w(i, j, k, l) is W[i*n+j][k*n+l] and
+    diagonal[v] is W[v][v].  Each nonzero W[v][u] (v < u), of sign s,
+    gives the term |W[v][u]|/2 (z_v + s z_u)^2.  Its square parts are
+    linear on 0/1 points (z^2 = z), so the linear part is
+    c_v + W[v][v]/2 - sum over u != v of |W[v][u]|/2.  The rows
+    (_unit_pairs) and the piece of each weight (_piece) are shared
+    across instances, as they are frozen; rows stay in {0, 1, -1},
+    keeping test sets small."""
+    mass = [2 * cv + x for cv, x in zip(c, diagonal)]
+    terms = []
+    for v, u, i, j, k, l, plus, minus in _unit_pairs(n):
+        x = w(i, j, k, l)
+        if x:
+            if x < 0:
+                x, plus = -x, minus
+            mass[v] -= x
+            mass[u] -= x
+            terms.append(Term(_piece(_exact(x)), plus, 0))
+    return SeparableObjective(n * n, tuple(terms), tuple(Fraction(m, 2) for m in mass))
 
 
 def to_cip(q: QapInstance) -> CipInstance:
@@ -151,25 +192,30 @@ def to_cip(q: QapInstance) -> CipInstance:
 
     The cost is z^T Q z + fixed^T z, Q the symmetrized cost matrix.
     W = 2Q, W[i*n+j][k*n+l] = cost(i, j, k, l) + cost(k, l, i, j), is
-    built from the instance's exact entries (Python ints, Fractions only
-    for rational data) and halved once, where a term weight or linear
-    entry is formed; each equals its value from Q in Fractions, so the
-    instance is the one Q gives.  _pairwise rephrases it, for data of
-    either sign.
+    read from the instance's exact entries (Python ints, Fractions only
+    for rational data), its diagonal and upper triangle only, and halved
+    once, where a term weight or linear entry is formed; each equals its
+    value from Q in Fractions, so the instance is the one Q gives.
+    _pairwise rephrases it, for data of either sign.  Per instance only
+    W's entries are read and the terms and linear part built: the
+    constraints, the rows and the pieces are shared by every instance
+    of one size.
     """
     n = q.n
-    nn = n * n
     if q.tensor is not None:
         t = q.tensor
-        w = [[t[i][j][k][l] + t[k][l][i][j] for k in range(n) for l in range(n)]
-             for i in range(n) for j in range(n)]
+
+        def w(i, j, k, l):
+            return t[i][j][k][l] + t[k][l][i][j]
     else:
         f, d = q.flow, q.distance
-        w = [[f[i][k] * d[j][l] + f[k][i] * d[l][j] for k in range(n) for l in range(n)]
-             for i in range(n) for j in range(n)]
-    cvec = (0,) * nn if q.fixed is None else tuple(x for row in q.fixed for x in row)
+
+        def w(i, j, k, l):
+            return f[i][k] * d[j][l] + f[k][i] * d[l][j]
+    diagonal = [w(i, j, i, j) for i in range(n) for j in range(n)]
+    cvec = (0,) * (n * n) if q.fixed is None else [x for row in q.fixed for x in row]
     a, b = assignment_matrix(n)
-    return CipInstance(a, b, (1,) * nn, _pairwise(w, cvec))
+    return CipInstance(a, b, (1,) * (n * n), _pairwise(n, w, diagonal, cvec))
 
 
 def permutation_point(perm: Sequence[int]) -> Vec:
@@ -201,10 +247,11 @@ def solve_qap(q: QapInstance, start: Sequence[int] | None = None,
     builds without the full lifted basis.  That set is exact for the
     bounded walk, so it certifies optimality at the walk's endpoint.
     Returns the permutation, its value and the walk's report, in the
-    n^2 coordinates x_ij of to_cip.
+    n^2 coordinates x_ij of to_cip.  A start that is not a permutation
+    of 0..n-1 is a ValueError.
     """
+    perm0 = _permutation(start, q.n, "solve_qap") if start is not None else tuple(range(q.n))
     inst = to_cip(q)
-    perm0 = tuple(start) if start is not None else tuple(range(q.n))
     report = solve(inst, instance_test_set(inst), permutation_point(perm0), best=best)
     return point_permutation(report.optimum, q.n), report.value, report
 

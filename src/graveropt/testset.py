@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +77,16 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     whole lifted kernel.  The result therefore equals the box members
     of compute_test_set(a, c).
 
+    By the same argument a lift lies below another only if its z part
+    does, so where no two candidates of (A, u) compare, up to sign,
+    every lift is minimal whatever C is.  That is checked only on
+    evidence, and only when it can pay: after some family's filter has
+    kept every candidate, the next family of that (A, u) runs
+    conformally_minimal on the candidates themselves, once, and the
+    verdict is kept with them.  If no two compare, that family and every
+    later one of that (A, u) take every candidate without the lift and
+    the filter, so the check costs no more than the filter it replaces.
+
     When the box search runs over its budget (more than
     BOX_CANDIDATE_LIMIT candidates, or n times as many partial
     assignments), the same set is taken from compute_test_set(a, c)
@@ -85,8 +96,8 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     The sets of the last FAMILY_CACHE_SIZE families (A, C, tuple(u)) are
     kept and handed out again, the very same TestSet; every call, hit or
     miss, logs the INFO line, so the log does not depend on call history.
-    The candidates read neither C nor b and are kept, read-only, for the
-    last FAMILY_CACHE_SIZE pairs (A, u).
+    The candidates read neither C nor b and are kept, read-only, with
+    their verdict, for the last FAMILY_CACHE_SIZE pairs (A, u).
     """
     t_set, line = _box_family(a, c, tuple(upper))
     logger.info(*line)
@@ -101,12 +112,19 @@ def _box_family(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, tuple]
         raise ValueError("box_test_set: bound vector has wrong length")
     if a.cols != c.cols:
         raise ValueError("box_test_set: A and C must have equal column counts")
-    z = _box_candidates(a, upper)
-    if z is None:
+    cands = _box_candidates(a, upper)
+    if cands is None:
         dirs = frozenset(d for d in compute_test_set(a, c).directions
                          if all(abs(x) <= u for x, u in zip(d, upper)))
         line = ("test set: completion (box search over its %d-candidate budget), "
                 "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
+        return TestSet(a.cols, dirs, provenance=(a, c), box=upper), line
+    z = cands.z
+    if cands.kept_all and cands.incomparable is None:
+        cands.incomparable = bool(conformally_minimal(z)[0].all())
+    if cands.incomparable:
+        dirs = frozenset(map(tuple, z.tolist()))
+        logger.debug("box: %d candidates, all kept, no two compare", len(z))
     else:
         # each z lifts to (z, -Cz): z times -C^T appended
         keep, met = conformally_minimal(
@@ -114,23 +132,35 @@ def _box_family(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, tuple]
         dirs = frozenset(map(tuple, z[keep].tolist()))
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
                      len(z), len(dirs), met)
-        line = ("test set: box, %d candidates, %d directions", len(z), len(dirs))
+        cands.kept_all |= len(dirs) == len(z)
+    line = ("test set: box, %d candidates, %d directions", len(z), len(dirs))
     return TestSet(a.cols, dirs, provenance=(a, c), box=upper), line
+
+
+@dataclass(eq=False)
+class _BoxCandidates:
+    """The canonical z in ker(A) with |z_j| <= u_j as one read-only array
+    (int_dtype of max u); whether some family's filter has kept them
+    all; and whether no two of them compare up to sign, None until the
+    next family after such a filter runs conformally_minimal on z."""
+
+    z: np.ndarray
+    kept_all: bool = False
+    incomparable: bool | None = None
 
 
 # The candidates of the last FAMILY_CACHE_SIZE pairs (A, u): they read
 # neither C nor b, and 149 of the 150 box-set builds of a qap-n3
 # benchmark run share theirs (896 of 2,752 on bounded-qp).
 @functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
-def _box_candidates(a: IntMatrix, upper: Vec) -> np.ndarray | None:
-    """The canonical z in ker(A) with |z_j| <= u_j as one read-only array
-    (int_dtype of max u), or None when the search runs over its budget."""
+def _box_candidates(a: IntMatrix, upper: Vec) -> _BoxCandidates | None:
+    """The candidates of (A, u), or None when the search runs over its budget."""
     cands = box_kernel_vectors(a, upper, limit=BOX_CANDIDATE_LIMIT)
     if cands is None:
         return None
     z = np.array(cands, dtype=int_dtype(max(upper, default=0))).reshape(len(cands), a.cols)
     z.flags.writeable = False
-    return z
+    return _BoxCandidates(z)
 
 
 def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:

@@ -810,7 +810,7 @@ class TestSharedBoxCandidates:
         warm = [instance_test_set(inst) for inst in members]
         # one search for the (A, u) all the families share
         assert testset._box_candidates.cache_info().misses == 1
-        z = testset._box_candidates(members[0].a, members[0].upper)
+        z = testset._box_candidates(members[0].a, members[0].upper).z
         assert not z.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             z[...] = 0

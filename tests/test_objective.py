@@ -97,9 +97,11 @@ class TestValidation:
             SeparableObjective(1, (Term(ScaledEvenPower(1, 2.0), (1,), 0),),
                                (0,)).value((3,))
 
-    @pytest.mark.parametrize("coeffs, offset", [((0.5,), 0), ((1,), 0.5)])
+    @pytest.mark.parametrize("coeffs, offset", [((0.5,), 0), ((1,), 0.5), ((1.0,), 0)])
     def test_float_coefficient_or_offset_rejected(self, coeffs, offset):
-        # once accepted: value((3,)) returned 1.0 and 6.25
+        # once accepted: value((3,)) returned 1.0 and 6.25; (1.0,), equal
+        # to (1,) with the same hash, also after (1,) has been built
+        SeparableObjective(1, (Term(ScaledEvenPower(1, 2), (1,), 0),), (0,))
         with pytest.raises(ValueError, match="must be integers"):
             SeparableObjective(1, (Term(ScaledEvenPower(1, 2), coeffs, offset),),
                                (0,)).value((3,))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graveropt import objective, qap
 from graveropt.augment import CipInstance, SolveStatus
 from graveropt.core import ParseError
 from graveropt.objective import ScaledEvenPower, SeparableObjective, Term
@@ -253,6 +254,8 @@ class TestPermutationValue:
             permutation_value(q, (0, 0))
         with pytest.raises(ValueError):
             permutation_value(q, (0,))
+        with pytest.raises(ValueError, match="not a permutation of 0..n-1"):
+            permutation_value(q, (1.0, 0))
 
 
 class TestPermutationOracle:
@@ -366,6 +369,46 @@ class TestToCip:
             assert repr(got) == repr(want)
 
 
+    def test_shared_parts_in_either_order_of_sizes(self):
+        # signed Fraction flow/distance data, tensors and fixed costs
+        # for 1 to 4 facilities, built small to large and large to
+        # small, each order from empty caches of rows, pieces and supports
+        rng = random.Random(29)
+
+        def entries(count):
+            return [Fraction(rng.randint(-3, 5), rng.randint(1, 3)) for _ in range(count)]
+
+        def square(n):
+            vals = entries(n * n)
+            return [vals[i * n:(i + 1) * n] for i in range(n)]
+
+        draws = {}
+        for n in (1, 2, 3, 4):
+            r, t = range(n), entries(n ** 4)
+            tensor = [[[[t[((i * n + j) * n + k) * n + l] for l in r] for k in r]
+                       for j in r] for i in r]
+            draws[n] = [koopmans_beckmann(square(n), square(n)),
+                        koopmans_beckmann(square(n), square(n), square(n)),
+                        QapInstance(n, tensor=tensor, fixed=square(n))]
+        for sizes in ((1, 2, 3, 4), (4, 3, 2, 1)):
+            qap._unit_pairs.cache_clear()
+            qap._piece.cache_clear()
+            objective._row_support.cache_clear()
+            for _ in range(2):
+                for n in sizes:
+                    for q in draws[n]:
+                        got, want = to_cip(q), reference_to_cip(q)
+                        assert got == want
+                        assert repr(got) == repr(want)
+        # instances of one size share each row and the piece of each weight
+        first, second = (to_cip(q).objective.terms for q in draws[3][:2])
+        rows = {t.coeffs: t.coeffs for t in first}
+        pieces = {t.fn: t.fn for t in first}
+        shared = [t for t in second if t.coeffs in rows]
+        assert shared and all(rows[t.coeffs] is t.coeffs for t in shared)
+        assert all(pieces[t.fn] is t.fn for t in second if t.fn in pieces)
+
+
 class TestPoints:
     def test_round_trip(self):
         for p in permutations(range(3)):
@@ -427,6 +470,14 @@ class TestSolveQap:
         assert perm == (1, 0)
         assert value == 11
         assert report.status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("start", [(0, 1, 5), (0, 1, -1), (0, 1, 1), (0, 1),
+                                       (2, 0, 1, 3), (0.0, 1, 2)])
+    def test_start_must_be_a_permutation(self, start):
+        # once: an IndexError for (0, 1, 5), -1 indexed the point from
+        # its end, and 0.0 gave a TypeError
+        with pytest.raises(ValueError, match="not a permutation of 0..n-1"):
+            solve_qap(koopmans_beckmann(FLOW_3, DIST_3), start=start)
 
     def test_fixed_costs_steer_the_walk(self):
         q = koopmans_beckmann(((0, 1), (1, 0)), ((0, 1), (1, 0)),

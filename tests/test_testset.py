@@ -1,13 +1,14 @@
 import logging
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graveropt import graver, testset
-from graveropt.core import IntMatrix, ParseError, conformal_leq
+from graveropt.core import IntMatrix, ParseError, canonical_rep, conformal_leq, negate
 from graveropt.graver import compute_graver, graver_oracle, project_first_n
 from graveropt.testset import (
     TestSet,
@@ -228,6 +229,114 @@ class TestBoxTestSet:
             box_test_set(ZERO3, IntMatrix.zero(0, 2), (1, 1, 1))
         with pytest.raises(ValueError):
             box_test_set(ZERO3, SUM_PAIR, (1, 1))
+
+
+SKIP_LINE = re.compile(r"box: (\d+) candidates, all kept, no two compare")
+
+
+def box_debug(caplog, a, c, upper):
+    """box_test_set(a, c, upper) and the messages of the DEBUG records
+    it logs on graveropt.testset."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graveropt.testset"):
+        got = box_test_set(a, c, upper)
+    return got, [r.getMessage() for r in caplog.records
+                 if r.name == "graveropt.testset" and r.levelno == logging.DEBUG]
+
+
+def boxed(a, c, upper):
+    """The box members of compute_test_set(a, c)."""
+    return {d for d in compute_test_set(a, c).directions
+            if all(abs(x) <= u for x, u in zip(d, upper))}
+
+
+def enumerated_box_kernel(a, upper):
+    """The canonical z != 0 with Az = 0 and |z_j| <= u_j, by going over
+    the whole box."""
+    return {canonical_rep(z) for z in product(*(range(-u, u + 1) for u in upper))
+            if any(z) and all(sum(x * y for x, y in zip(row, z)) == 0 for row in a.entries)}
+
+
+def pairwise_incomparable(vectors):
+    return not any(g != v and (conformal_leq(g, v) or conformal_leq(g, negate(v)))
+                   for g in vectors for v in vectors)
+
+
+class TestIncomparableCandidates:
+    """Where no two box candidates of (A, u) compare, families after the
+    first filter that kept them all take every candidate unfiltered; the
+    sets must still be the box members of the full completion."""
+
+    def test_random_incomparable_boxes_skip_the_filter(self, caplog):
+        rng = random.Random(29)
+        draws = []
+        for _ in range(2000):
+            cols = rng.randint(3, 5)
+            a = random_int_matrix(rng, rng.randint(1, 2), cols)
+            upper = tuple(rng.randint(1, 2) for _ in range(cols))
+            cands = enumerated_box_kernel(a, upper)
+            if len(cands) >= 2 and pairwise_incomparable(cands):
+                draws.append((a, upper, len(cands)))
+                if len(draws) == 8:
+                    break
+        assert len(draws) == 8
+        skipped = 0
+        for a, upper, count in draws:
+            for k in range(3):
+                c = random_int_matrix(rng, rng.randint(1, 2), a.cols)
+                got, lines = box_debug(caplog, a, c, upper)
+                assert got.directions == boxed(a, c, upper), (a.entries, c.entries, upper)
+                assert len(got) == count
+                if k:
+                    assert [int(SKIP_LINE.fullmatch(m).group(1)) for m in lines] == [count]
+                    skipped += 1
+                else:
+                    assert lines == ["box: %d candidates, %d kept, %s sign-prefilter pairs"
+                                     % (count, count, lines[0].split()[-3])]
+            assert testset._box_candidates(a, upper).incomparable is True
+        assert skipped == 16
+
+    def test_comparable_candidates_are_filtered_after_a_keep_all(self, caplog, monkeypatch):
+        # (1, 0) lies below (1, 1) in the box |z| <= 1 of Z^2, yet under
+        # the first C every lift is minimal, so the check runs, finds
+        # them comparable, and every later family is filtered
+        zero, upper = IntMatrix.zero(0, 2), (1, 1)
+        calls = []
+        minimal = testset.conformally_minimal
+
+        def spy(rows):
+            calls.append(rows.shape)
+            return minimal(rows)
+
+        monkeypatch.setattr(testset, "conformally_minimal", spy)
+        for rows, kept in (([[1, -1], [1, 1]], 4), ([[1, 1]], 3), ([[1, -1], [1, 2]], 4)):
+            c = IntMatrix.from_rows(rows)
+            got, lines = box_debug(caplog, zero, c, upper)
+            assert got.directions == boxed(zero, c, upper) and len(got) == kept
+            assert len(lines) == 1 and not SKIP_LINE.fullmatch(lines[0])
+        # one check, on the unlifted candidates, before the second
+        # family's filter; the third family keeps them all again without
+        # a second check
+        assert calls == [(4, 4), (4, 2), (4, 3), (4, 4)]
+        assert testset._box_candidates(zero, upper).incomparable is False
+
+    def test_cleared_caches_forget_the_verdict(self, caplog):
+        # (1,-1,0), (1,0,-1), (0,1,-1): no two compare
+        a, upper = IntMatrix.from_rows([[1, 1, 1]]), (1, 1, 1)
+        box_debug(caplog, a, IntMatrix.from_rows([[1, 2, 0]]), upper)
+        # a family that keeps them all is evidence, not yet a check
+        cands = testset._box_candidates(a, upper)
+        assert (cands.kept_all, cands.incomparable) == (True, None)
+        _, lines = box_debug(caplog, a, IntMatrix.from_rows([[0, 1, 3]]), upper)
+        assert lines == ["box: 3 candidates, all kept, no two compare"]
+        assert cands.incomparable is True
+        clear_box_caches()
+        cands = testset._box_candidates(a, upper)
+        assert (cands.kept_all, cands.incomparable) == (False, None)
+        c = IntMatrix.from_rows([[2, 0, 1]])
+        got, lines = box_debug(caplog, a, c, upper)
+        assert got.directions == boxed(a, c, upper) and len(got) == 3
+        assert len(lines) == 1 and lines[0].startswith("box: 3 candidates, 3 kept, ")
 
 
 class TestSetInvariants:

@@ -14,7 +14,8 @@ workload and seed it hashes, as the completion digest, the messages of
 the DEBUG records that graveropt.graver and graveropt.testset emit over
 set-up and those passes: start columns, |det|, candidates, rounds and
 elements of each lift step, and each box search's candidates, kept
-directions and sign-prefilter pairs.  Each workload and seed starts
+directions and sign-prefilter pairs, or the candidates of a family
+that takes them all unfiltered.  Each workload and seed starts
 with box_test_set's caches empty, so that digest does not depend on
 which runs came before.  The entry qap-signed at each seed is no
 bench workload: it hashes the solve_qap results on mixed-sign
