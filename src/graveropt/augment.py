@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import IntMatrix, ParseError, Vec, parse_int_matrix, parse_int_vector
 from .objective import SeparableObjective, parse_objective
-from .graver import int_dtype
+from .graver import OracleBudgetError, int_dtype
 from .testset import TestSet, box_test_set, compute_test_set
 
 logger = logging.getLogger(__name__)
@@ -55,6 +55,12 @@ logger = logging.getLogger(__name__)
 # qap-n3 31.5%, bounded-qp 33.6% of them), 512 keeps all; 128 keeps
 # walk-dense at 24.3% and graver-lift at 28.7%.
 WALK_MEMO_SIZE = 512
+
+# Partial assignments one brute_force_optimum call may visit before it
+# raises graver.OracleBudgetError: about a second on a 2-core host for
+# six variables under one equation.  The largest call of the test suite
+# visits 4,398.
+BRUTE_FORCE_BUDGET = 2 * 10 ** 6
 
 
 class InfeasibleStartError(ValueError):
@@ -260,7 +266,9 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
     Depth-first with per-row residual pruning, as a loop rather than a
     recursion, so the dimension is not bounded by Python's recursion
     limit; ties resolve to the lexicographically first minimizer.
-    Raises when nothing in the box is feasible.
+    Raises ValueError when nothing in the box is feasible, and
+    graver.OracleBudgetError past BRUTE_FORCE_BUDGET partial
+    assignments visited, each value tried at a coordinate counting one.
     """
     n = inst.n
     if len(box) != n:
@@ -283,6 +291,7 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
     best: tuple[Vec, Fraction] | None = None
     point = [0] * n
     partial = [0] * d
+    budget, visited = BRUTE_FORCE_BUDGET, 0
     j, x = 0, 0  # try x at coordinate j next; j == n is a full point
     while j >= 0:
         if j == n:
@@ -290,6 +299,11 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
             if best is None or val < best[1]:
                 best = (tuple(point), val)
         elif x <= lim[j]:
+            visited += 1
+            if visited > budget:
+                raise OracleBudgetError(
+                    "brute_force_optimum: over its budget of %d partial assignments "
+                    "(BRUTE_FORCE_BUDGET)" % budget)
             for i in range(d):
                 c = partial[i] + rows[i][j] * x
                 need = inst.b[i]
@@ -309,6 +323,7 @@ def brute_force_optimum(inst: CipInstance, box: Vec) -> tuple[Vec, Fraction]:
             for i in range(d):
                 partial[i] -= rows[i][j] * x
             x += 1
+    logger.debug("brute force: %d partial assignments", visited)
     if best is None:
         raise ValueError("brute_force_optimum: no feasible point in box")
     return best

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 input error or a completion over its budget
-(graver.COMPLETION_BUDGET), 3 infeasible start, 4 verification
-failure.  File outputs are written atomically.
+Exit codes: 0 success, 2 input error, a completion over its budget
+(graver.COMPLETION_BUDGET) or a --verify oracle over its budget
+(graver.ORACLE_BUDGET, augment.BRUTE_FORCE_BUDGET: could not verify
+within the budget), 3 infeasible start, 4 verification failure (an
+oracle that disagrees).  File outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .augment import (CipInstance, InfeasibleStartError, SolveReport,
                       parse_instance, solve)
 from .core import (IntMatrix, ParseError, Vec, format_int_matrix, negate,
                    parse_int_matrix, parse_int_vector, split_matrix_text)
-from .graver import compute_graver, verify_against_oracle
+from .graver import OracleBudgetError, compute_graver, verify_against_oracle
 from .objective import ScaledEvenPower, SeparableObjective, Term, format_objective
 from .qap import permutation_oracle, read_qaplib, solve_qap
 from .quadratic import (binary_identity_holds, binary_rephrase, is_psd,
@@ -374,6 +376,9 @@ def main(argv=None) -> int:
     except VerificationError as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return 4
+    except OracleBudgetError as e:
+        print("error: could not verify within the budget: %s" % e, file=sys.stderr)
+        return 2
     except (ParseError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -16,15 +16,17 @@ basis.
 The completion runs in rounds (_complete): a round's candidates reduce
 in one batch, and their normal forms that no other form of the batch
 lies below join the set as one block.  One scan over the members in
-ascending 1-norm, _find_below, serves both the reduction and the final
-minimality filter: packed sign bitmasks prefilter (row, member) pairs
+ascending 1-norm, _find_below, serves both the reduction and the
+minimality filters: packed sign bitmasks prefilter (row, member) pairs
 so the magnitude comparison only runs on the few sign-compatible ones.
-A reduction stops at the lightest member below its row; the filter
-stops meeting the members it has found non-minimal.
+Every scan meets the members in growing chunks, and a row stops at the
+first chunk holding a member below it; the filter also stops meeting
+the members it has found non-minimal.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
-conformal_leq, which the completion does not use.
+conformal_leq, which the completion does not use.  Its work is bounded
+(ORACLE_BUDGET), as is that of the completion (COMPLETION_BUDGET).
 """
 
 from __future__ import annotations
@@ -50,10 +52,18 @@ _FAST_ABS_LIMIT = 1 << 61
 # meet about 50M pairs a second, and a call costs about as much NumPy
 # overhead as 20,000 of them (0.4 ms a call on [1 1 10^30-1], whose
 # calls meet few pairs).  The largest legitimate count on record is
-# 115.2M, the 865-element basis of [2 3 5 7 11 13 17]; bases of about
-# 10^30 elements stop after 2 to 6 s.
+# 115.1M (115,094,990), the 865-element basis of [2 3 5 7 11 13 17];
+# bases of about 10^30 elements stop after 2 to 6 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
 _SCAN_PAIRS = 2 * 10 ** 4
+
+# Work one graver_oracle call may do before it raises OracleBudgetError:
+# the kernel vectors its box search finds plus the (g, v) pairs its
+# filter tests, which a 2-core host tests at about 700,000 a second.
+# The box search takes it as its limit, so it also stops past cols
+# times as many partial assignments (box_kernel_vectors): about 1 s at
+# three columns.  The largest call of the test suite does 90,689.
+ORACLE_BUDGET = 5 * 10 ** 5
 
 _FILTER_ELEMS = 1 << 17  # cap on the elements of one scan temporary
 _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
@@ -170,6 +180,11 @@ class CompletionBudgetError(ValueError):
     """compute_graver ran past COMPLETION_BUDGET."""
 
 
+class OracleBudgetError(ValueError):
+    """An independent oracle, graver_oracle or
+    augment.brute_force_optimum, ran past its work budget."""
+
+
 class _Budget:
     """The work one compute_graver call has done, in pairs, against
     COMPLETION_BUDGET: each scan charges the pairs it meets or tests
@@ -246,9 +261,12 @@ def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
     (a block holds at least one row, and that row meets the whole
     sorted prefix).
 
-    A reduction scan meets that prefix in chunks of 64, 64, 128, ...
-    members; a row leaves after the first chunk holding a member below
-    it, so it still gets the first in norm order.
+    Every scan meets that prefix in chunks of 64, 64, 128, ... members;
+    a row leaves after the first chunk holding a member below it, so it
+    still gets the first in norm order, and only the rows left unmatched
+    meet the next chunk.  Nearly every row of a filter that keeps few
+    of its rows thus stops in the first chunk, while a row that is
+    minimal meets the whole prefix, as in one pass.
 
     A strict scan's rows must be the members, in member order.  After
     each row block, the members that block found a member below leave
@@ -280,7 +298,7 @@ def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
             idx, inorm, gm = idx[live], inorm[live], gm[live]
         blk = pending[start:start + step]
         k = int(np.searchsorted(inorm, reach[blk[-1]], side="right"))
-        lo, hi = 0, k if strict else min(k, 64)
+        lo, hi = 0, min(k, 64)
         while blk.size:
             met += blk.size * (hi - lo)
             cut = idx[lo:hi]
@@ -614,8 +632,10 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
 def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """A mask of the distinct canonical nonzero rows (int64 or object)
     with no other row conformally below them, up to sign, and the pairs
-    the sign prefilter met: the completion's strict scan (_find_below),
-    about len(rows) * (kept + one row block) pairs."""
+    the sign prefilter met: the completion's strict scan (_find_below).
+    A kept row meets about every kept row lighter than it, and a dropped
+    one the chunks up to the first holding a row below it, often the
+    first 64, so about len(rows) * 64 + kept^2 / 2 pairs."""
     state = _Completion(rows.shape[1])
     state.add_block(rows)
     red, _, met = _find_below(state, state.arr, state.mask, strict=True)
@@ -627,17 +647,35 @@ def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:
     max-norm at most ``bound``.
 
     Enumeration by box_kernel_vectors, then a naive quadratic
-    minimality filter.  Meant for small verification runs.
+    minimality filter.  Meant for small verification runs: the box
+    search takes ORACLE_BUDGET as its limit, and the kernel vectors it
+    finds plus the (g, v) pairs the filter tests count against it.
+    Past either, OracleBudgetError; below both, the budget changes
+    nothing.
     """
     if bound < 0:
         raise ValueError("graver_oracle: bound must be nonnegative")
-    reps = sorted(box_kernel_vectors(a, (bound,) * a.cols))
+    budget = ORACLE_BUDGET
+    over = OracleBudgetError("graver_oracle: over its budget of %d vectors and pairs "
+                             "(ORACLE_BUDGET)" % budget)
+    reps = box_kernel_vectors(a, (bound,) * a.cols, limit=budget)
+    if reps is None:
+        raise over
+    reps.sort()
+    work = len(reps)
     minimal = []
     for v in reps:
         neg = negate(v)
-        if not any(g != v and (conformal_leq(g, v) or conformal_leq(g, neg))
-                   for g in reps):
+        for g in reps:
+            work += 1
+            if work > budget:
+                raise over
+            if g != v and (conformal_leq(g, v) or conformal_leq(g, neg)):
+                break
+        else:
             minimal.append(v)
+    logger.debug("oracle: %d kernel vectors, %d minimal, work %d", len(reps),
+                 len(minimal), work)
     return frozenset(minimal)
 
 
@@ -646,7 +684,8 @@ def verify_against_oracle(a: IntMatrix, basis: TestSet) -> bool:
 
     The box bound is twice the largest max-norm in the computed basis
     (2 for an empty basis), so any spurious or missing element up to
-    that size is caught.
+    that size is caught.  graver_oracle raises OracleBudgetError where
+    that box is too large to check.
     """
     peak = max((abs(x) for v in basis.directions for x in v), default=1)
     return graver_oracle(a, 2 * peak) == basis.directions

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graveropt.core import IntMatrix, canonical_rep
-from graveropt.graver import box_kernel_vectors, compute_graver
+from graveropt.graver import OracleBudgetError, box_kernel_vectors, compute_graver
 from graveropt.objective import (
     DiscreteConvexFn,
     GeometricAbs,
@@ -434,6 +435,35 @@ class TestBruteForce:
         inst = path_difference_instance()
         with time_bound(20):
             assert brute_force_optimum(inst, inst.upper) == ((0,) * inst.n, 0)
+
+    @staticmethod
+    def visited(caplog, inst, box):
+        """brute_force_optimum's result and the partial assignments its
+        DEBUG line counts."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="graveropt.augment"):
+            got = brute_force_optimum(inst, box)
+        [line] = caplog.messages
+        return got, int(re.fullmatch(r"brute force: (\d+) partial assignments", line)[1])
+
+    def test_counts_every_value_tried(self, caplog):
+        # with no constraint rows every partial assignment is feasible:
+        # 3 values of z_0, then 4 of z_1 under each
+        inst = CipInstance(IntMatrix.zero(0, 2), (), None, linear_objective([1, -1]))
+        assert self.visited(caplog, inst, (2, 3)) == (((0, 3), -3), 3 + 3 * 4)
+
+    @pytest.mark.parametrize("box", [(3, 3), (2, 5, 1)])
+    def test_budget_bounds_the_work(self, monkeypatch, caplog, box):
+        n = len(box)
+        inst = CipInstance(IntMatrix.from_rows([[1, -1] + [2] * (n - 2)]), (1,), None,
+                           linear_objective(range(n)))
+        want, visited = self.visited(caplog, inst, box)
+        monkeypatch.setattr(augment, "BRUTE_FORCE_BUDGET", visited)
+        assert brute_force_optimum(inst, box) == want
+        monkeypatch.setattr(augment, "BRUTE_FORCE_BUDGET", visited - 1)
+        with pytest.raises(OracleBudgetError, match="budget of %d partial assignments "
+                           ".BRUTE_FORCE_BUDGET." % (visited - 1)):
+            brute_force_optimum(inst, box)
 
 
 class TestBinarySplitMinimum:

@@ -426,6 +426,34 @@ class TestCompletionBudget:
         assert "COMPLETION_BUDGET" in capsys.readouterr().err
 
 
+class TestVerifyBudget:
+    """A --verify oracle past its work budget exits 2, saying so; exit 4
+    stays for an oracle that disagrees.  Unbounded, both checks below
+    ran for more than 15 s."""
+
+    def test_solve_verify_past_the_budget_exits_2(self, tmp_path, capsys):
+        # the check box is 105^6 points under one equation
+        text = ("A\n1 6\n1 1 1 -1 -1 -1\nb\n0\nobjective\n"
+                "evenpower 1 2 | 1 -1 0 0 0 0 | 0\nlinear | 0 0 0 0 0 0\n")
+        argv = ["solve", put(tmp_path, "i.txt", text), put(tmp_path, "z.txt", "100 " * 6)]
+        with time_bound(10):
+            assert main(argv + ["--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "status: optimal" in captured.out
+        assert "could not verify within the budget" in captured.err
+        assert "BRUTE_FORCE_BUDGET" in captured.err
+
+    def test_graver_verify_past_the_budget_exits_2(self, tmp_path, capsys):
+        # the check box |v_j| <= 2000 holds 8004 kernel vectors
+        matrix = put(tmp_path, "a.mat", "1 3\n1 1 1000\n")
+        with time_bound(10):
+            assert main(["graver", matrix, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "could not verify within the budget" in captured.err
+        assert "ORACLE_BUDGET" in captured.err
+
+
 class TestMatrixHeaders:
     def test_negative_shape_exits_2(self, tmp_path, capsys):
         q = put(tmp_path, "q.mat", "-1 -1\n5\n")

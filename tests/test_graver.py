@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import tracemalloc
 from itertools import permutations, product
 from math import prod
@@ -94,6 +95,52 @@ class TestOracle:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             graver_oracle(IntMatrix.zero(0, 2), -1)
+
+    @staticmethod
+    def work(caplog, a, bound):
+        """graver_oracle's result and the work its DEBUG line counts."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="graveropt.graver"):
+            got = graver_oracle(a, bound)
+        [line] = caplog.messages
+        found, kept, work = map(int, re.fullmatch(
+            r"oracle: (\d+) kernel vectors, (\d+) minimal, work (\d+)", line).groups())
+        assert kept == len(got)
+        return got, found, work
+
+    def test_work_is_vectors_and_pairs(self, caplog):
+        # (0, 1), (1, -1), (1, 0), (1, 1): (0, 1) and (1, 0) test all
+        # four, (1, -1) and (1, 1) stop at (0, 1), below them up to sign
+        assert self.work(caplog, IntMatrix.zero(0, 2), 1) == ({(0, 1), (1, 0)}, 4, 4 + 10)
+
+    @pytest.mark.parametrize("rows, bound", [([[1, 1, 1]], 2), ([[1, -2, 3]], 4),
+                                             ([[1, 1, -1, -1]], 2)])
+    def test_budget_bounds_the_work(self, monkeypatch, caplog, rows, bound):
+        # box searches of at most cols * work partial assignments
+        a = IntMatrix.from_rows(rows)
+        want, found, work = self.work(caplog, a, bound)
+        monkeypatch.setattr(graver, "ORACLE_BUDGET", work)
+        assert graver_oracle(a, bound) == want
+        monkeypatch.setattr(graver, "ORACLE_BUDGET", work - 1)
+        with pytest.raises(graver.OracleBudgetError,
+                           match="budget of %d vectors and pairs .ORACLE_BUDGET." % (work - 1)):
+            graver_oracle(a, bound)
+        # a budget below the vectors stops the box search itself
+        monkeypatch.setattr(graver, "ORACLE_BUDGET", found - 1)
+        with pytest.raises(graver.OracleBudgetError, match="ORACLE_BUDGET"):
+            graver_oracle(a, bound)
+
+    def test_box_search_stops_at_cols_times_the_budget(self, monkeypatch, caplog):
+        # one kernel vector and one pair, but the search tries the 6
+        # values 0..5 of v_0 and then v_1 = 2 v_0 / 3 under 0 and 3: 8
+        # partial assignments, more than 2 * 3
+        a = IntMatrix.from_rows([[2, -3]])
+        assert self.work(caplog, a, 5) == ({(3, 2)}, 1, 2)
+        monkeypatch.setattr(graver, "ORACLE_BUDGET", 3)
+        with pytest.raises(graver.OracleBudgetError, match="budget of 3 vectors"):
+            graver_oracle(a, 5)
+        monkeypatch.setattr(graver, "ORACLE_BUDGET", 4)
+        assert graver_oracle(a, 5) == {(3, 2)}
 
 
 class TestBoxKernelVectors:
@@ -279,6 +326,30 @@ def random_canonical_set(rng, size, n, weight):
     return sorted(out)
 
 
+def random_dominated_set(rng, size, n, mags):
+    """Distinct canonical vectors of three or four nonzero entries of
+    magnitudes in mags; about half of them lie conformally above an
+    earlier one: they add entries of its signs on its support or
+    beyond it."""
+    out: list[tuple[int, ...]] = []
+    seen = set()
+    while len(out) < size:
+        if out and rng.random() < 0.5:
+            v = list(rng.choice(out))
+            for j in rng.sample(range(n), rng.randint(1, 2)):
+                sign = (v[j] > 0) - (v[j] < 0) or rng.choice((-1, 1))
+                v[j] += sign * rng.choice(mags)
+        else:
+            v = [0] * n
+            for j in rng.sample(range(n), rng.randint(3, 4)):
+                v[j] = rng.choice((-1, 1)) * rng.choice(mags)
+        v = canonical_rep(tuple(v))
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
 class TestConformallyMinimal:
     @pytest.mark.parametrize("n, weight, sizes", [
         (6, 4, (1, 2, 40, 700, 1500)),     # one sign-mask word
@@ -304,6 +375,39 @@ class TestConformallyMinimal:
                 got = [v for v, k in zip(vectors, keep) if k]
                 assert len(got) == len(set(got)) and set(got) == want, \
                     (n, size, cap, limit)
+
+    @pytest.mark.parametrize("mags", [(1, 2, 3, 5), (1, 2, (1 << 61) + 1, (1 << 62) + 3)])
+    def test_chunked_scan_matches_pairwise_filter(self, monkeypatch, mags):
+        # int64 rows, then object rows with entries past 2^61, against
+        # the pairwise filter on conformal_leq
+        rng = random.Random(max(mags))
+        vectors = random_dominated_set(rng, 400, 6, mags)
+        want = [not any(g != v and (conformal_leq(g, v) or conformal_leq(g, negate(v)))
+                        for g in vectors) for v in vectors]
+        assert 100 < sum(want) < 300
+        rows = np.array(vectors, dtype=graver.int_dtype(max(mags)))
+        shapes = []
+        fits = graver._sign_fits
+
+        def spy(*masks):
+            plus, minus = fits(*masks)
+            shapes.append(plus.shape)
+            return plus, minus
+
+        monkeypatch.setattr(graver, "_sign_fits", spy)
+        keep, met = conformally_minimal(rows)
+        assert keep.tolist() == want
+        assert met == sum(r * m for r, m in shapes)
+        # one row block: chunks of members [0, 64), [64, 128) and from
+        # 128 on a wider one, so the prefix passes 192 members
+        assert shapes[0][1] == 64 and len(shapes) >= 3 and max(m for _, m in shapes) > 64
+        # blocks of one row each, at most 400: some meet a second chunk
+        monkeypatch.setattr(graver, "_FILTER_ELEMS", 1 << 8)
+        shapes.clear()
+        keep, met = conformally_minimal(rows)
+        assert keep.tolist() == want
+        assert met == sum(r * m for r, m in shapes)
+        assert {r for r, _ in shapes} == {1} and len(shapes) > 400
 
     def test_filter_transient_stays_small(self):
         # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted

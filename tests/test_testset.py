@@ -204,9 +204,9 @@ class TestBoxTestSet:
             got = box_test_set(IntMatrix.zero(0, 4), IntMatrix.from_rows(c), (4, 4, 4, 4))
         records = [r for r in caplog.records if r.name == "graveropt.testset"]
         assert [r.getMessage() for r in records] == [
-            "box: 3280 candidates, 48 kept, 185933 sign-prefilter pairs",
+            "box: 3280 candidates, 48 kept, 173921 sign-prefilter pairs",
             "test set: box, 3280 candidates, 48 directions"]
-        assert len(got) == 48 and sum(met) == 185933
+        assert len(got) == 48 and sum(met) == 173921
         assert testset._box_family.cache_info()[:2] == (0, 1)
         # the scan without dropping: one-member-word blocks of 2^17 //
         # 3280 rows in ascending 1-norm, each meeting every member up to
@@ -218,7 +218,32 @@ class TestBoxTestSet:
         step = (1 << 17) // len(norms)
         unpruned = sum(len(reach[s:s + step]) * sum(x <= reach[s:s + step][-1] for x in norms)
                        for s in range(0, len(reach), step))
-        assert unpruned == 5261145 > 185933
+        assert unpruned == 5261145 > 173921
+
+    def test_filter_meets_the_members_in_chunks(self, caplog, monkeypatch):
+        # the 171 canonical vectors of the box |z_j| <= 3 in Z^3, lifted
+        # by three composition rows, fill one row block; a row leaves at
+        # the first chunk of 64 members holding one below it, and the
+        # rows that reach past it meet the next chunk
+        shapes = []
+        fits = graver._sign_fits
+
+        def spy(*masks):
+            plus, minus = fits(*masks)
+            shapes.append(plus.shape)
+            return plus, minus
+
+        monkeypatch.setattr(graver, "_sign_fits", spy)
+        with caplog.at_level(logging.DEBUG, logger="graveropt.testset"):
+            c = IntMatrix.from_rows([(2, -1, 1), (1, 1, -2), (1, 0, 3)])
+            box_test_set(ZERO3, c, (3, 3, 3))
+        [line] = [m for m in caplog.messages if m.startswith("box:")]
+        candidates, kept, pairs = map(int, re.findall(r"\d+", line))
+        assert candidates == 171 and graver._FILTER_ELEMS // candidates >= candidates
+        # the lightest row meets no member: the others are all heavier
+        assert len(shapes) >= 2 and shapes[0] == (170, 64)
+        assert all(rows < 170 for rows, _ in shapes[1:])
+        assert sum(rows * members for rows, members in shapes) == pairs
 
     def test_wide_triple_unit_box(self):
         got = box_test_set(ZERO3, WIDE_TRIPLE, (1, 1, 1))
