@@ -15,13 +15,14 @@ basis.
 
 The completion runs in rounds (_complete): a round's candidates reduce
 in one batch, and their normal forms that no other form of the batch
-lies below join the set as one block.  One scan over the members in
-ascending 1-norm, _find_below, serves both the reduction and the
-minimality filters: packed sign bitmasks prefilter (row, member) pairs
-so the magnitude comparison only runs on the few sign-compatible ones.
-Every scan meets the members in growing chunks, and a row stops at the
-first chunk holding a member below it; the filter also stops meeting
-the members it has found non-minimal.
+lies below join the set as one block.  The scans meet the members in
+ascending 1-norm, in growing chunks, and packed sign bitmasks prefilter
+(row, member) pairs so the magnitude comparison only runs on the few
+sign-compatible ones.  _batch_normal_form reduces in one pass: each row
+meets each chunk once and is reduced there by every member below it,
+in norm order.  _find_below serves the minimality filters: a row stops
+at the first chunk holding a member below it, and the filter also stops
+meeting the members it has found non-minimal.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -47,13 +48,13 @@ _FAST_ABS_LIMIT = 1 << 61
 
 # Work one compute_graver call may do before it raises
 # CompletionBudgetError, counted in pairs: the (pivot, member) pairs
-# _pop_candidates tests and the (row, member) pairs _find_below meets,
-# plus _SCAN_PAIRS per call of either.  On a 2-core host int64 scans
-# meet about 50M pairs a second, and a call costs about as much NumPy
-# overhead as 20,000 of them (0.4 ms a call on [1 1 10^30-1], whose
-# calls meet few pairs).  The largest legitimate count on record is
-# 115.1M (115,094,990), the 865-element basis of [2 3 5 7 11 13 17];
-# bases of about 10^30 elements stop after 2 to 6 s.
+# _pop_candidates tests and the (row, member) pairs _batch_normal_form
+# and _find_below meet, plus _SCAN_PAIRS per call of any.  On a 2-core
+# host int64 scans meet about 50M pairs a second, and a call costs about
+# as much NumPy overhead as 20,000 of them (0.4 ms a call on
+# [1 1 10^30-1], whose calls meet few pairs).  The largest legitimate
+# count on record is 83.8M (83,825,823), the 865-element basis of
+# [2 3 5 7 11 13 17]; bases of about 10^30 elements stop after 2 to 6 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
 _SCAN_PAIRS = 2 * 10 ** 4
 
@@ -241,59 +242,65 @@ class _Completion:
         self.order = np.argsort(self.norm, kind="stable")
 
 
-def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
-                strict: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per row: the index of a member conformally below the row (sign
-    +1) or below its negation (sign -1), and that sign; index -1 where
-    no member is.  Also the (row, member) pairs the sign prefilter met.
+def _sign_pairs(gmask: np.ndarray, gnorm: np.ndarray, rmask: np.ndarray,
+                reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, member) pairs, row by row, whose member has its support
+    inside the row's with the row's signs or their negation, and a
+    1-norm within the row's reach; and plus, whether each member fits
+    the row's own signs."""
+    plus, minus = _sign_fits(gmask[None], rmask[:, None])
+    ci, gi = np.nonzero(plus | minus)
+    light = gnorm[gi] <= reach[ci]
+    return ci[light], gi[light], plus
 
-    With strict, only members of smaller 1-norm count.  A member
-    conformally below a vector of equal 1-norm equals it up to sign, so
-    this keeps a member's own row out when the rows are the members.
 
-    The rows' packed sign masks rmask (_pack_signs) prefilter the
-    pairs (support containment with agreeing signs), and entrywise
-    magnitudes confirm the survivors.  Rows go in ascending 1-norm, so
-    a block of them only meets the prefix of the norm-sorted members up
-    to the block's largest norm.  Blocks and magnitude checks are sized
-    so that no temporary over pairs holds more than _FILTER_ELEMS
-    elements while the set has at most _FILTER_ELEMS / words members
-    (a block holds at least one row, and that row meets the whole
-    sorted prefix).
+def _magnitudes_fit(state: _Completion, g: np.ndarray, rabs: np.ndarray,
+                    r: np.ndarray) -> np.ndarray:
+    """Per pair: whether |member g| <= rabs[r] entrywise, checked in
+    slices of at most _FILTER_ELEMS elements."""
+    step = max(1, _FILTER_ELEMS // state.n)
+    return np.concatenate([np.zeros(0, dtype=bool)] + [
+        (np.abs(state.arr[g[s:s + step]]) <= rabs[r[s:s + step]]).all(axis=1)
+        for s in range(0, g.size, step)])
 
-    Every scan meets that prefix in chunks of 64, 64, 128, ... members;
-    a row leaves after the first chunk holding a member below it, so it
-    still gets the first in norm order, and only the rows left unmatched
-    meet the next chunk.  Nearly every row of a filter that keeps few
-    of its rows thus stops in the first chunk, while a row that is
-    minimal meets the whole prefix, as in one pass.
 
-    A strict scan's rows must be the members, in member order.  After
-    each row block, the members that block found a member below leave
-    the prefix that later blocks meet.  The verdicts stay exact: if a
-    dropped w lies below v up to sign, some minimal w' lies below w,
-    so below v, and w' has a smaller 1-norm than w and is never
-    dropped.  Only the reducer index can change, and strict callers
-    read the verdict alone.
+def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
+    """Per member: the index of a member of smaller 1-norm conformally
+    below it or below its negation, -1 where none is, and the pairs the
+    sign prefilter met.  Smaller, since a member below a vector of equal
+    1-norm equals it up to sign.  The minimality filters run this scan.
+
+    Rows go in ascending 1-norm, so a block of them only meets the
+    prefix of the norm-sorted members lighter than its heaviest row, in
+    chunks of 64, 64, 128, ... members; a row leaves after the first
+    chunk holding a member below it.  So nearly every row of a filter
+    that keeps few rows stops in the first chunk, and a minimal row
+    meets the whole prefix.  Blocks are sized so that no temporary over
+    pairs holds more than _FILTER_ELEMS elements while the set has at
+    most _FILTER_ELEMS / words members (a block holds at least one row,
+    and that row meets the whole sorted prefix).
+
+    After each row block, the members that block found a member below
+    leave the prefix that later blocks meet.  The verdicts stay exact:
+    if a dropped w lies below v up to sign, some minimal w' lies below
+    w, so below v, and w' has a smaller 1-norm than w and is never
+    dropped.  Only the reducer index can change, and callers read the
+    verdict alone.
     """
-    red = np.full(len(rows), -1, dtype=np.intp)
-    sign = np.zeros(len(rows), dtype=np.int64)
-    if not len(rows):
-        return red, sign, 0
-    rabs = np.abs(rows)
-    # the largest member 1-norm each row may meet
-    reach = rabs.sum(axis=1) - int(strict)
-    by_reach = np.argsort(reach, kind="stable")
+    red = np.full(len(state), -1, dtype=np.intp)
+    if not len(state):
+        return red, 0
+    rabs = np.abs(state.arr)
+    reach = state.norm - 1  # the largest member 1-norm each row may meet
     idx = state.order
     inorm = state.norm[idx]
-    # rows lighter than every member meet none of them
-    pending = by_reach[np.searchsorted(reach[by_reach], inorm[0]):]
+    # rows as light as every member meet none of them
+    pending = idx[np.searchsorted(inorm, inorm[0], side="right"):]
     gm = state.mask[idx]
     step = max(1, _FILTER_ELEMS // (idx.size * state.words))
-    pair_step = max(1, _FILTER_ELEMS // state.n)
     met = 0
     for start in range(0, pending.size, step):
-        if strict and start:
+        if start:
             live = red[idx] < 0
             idx, inorm, gm = idx[live], inorm[live], gm[live]
         blk = pending[start:start + step]
@@ -301,51 +308,82 @@ def _find_below(state: _Completion, rows: np.ndarray, rmask: np.ndarray,
         lo, hi = 0, min(k, 64)
         while blk.size:
             met += blk.size * (hi - lo)
-            cut = idx[lo:hi]
-            plus, minus = _sign_fits(gm[None, lo:hi], rmask[blk][:, None])
-            ci, gi = np.nonzero(plus | minus)
-            light = inorm[lo + gi] <= reach[blk[ci]]
-            ci, gi = ci[light], gi[light]
-            for s in range(0, ci.size, pair_step):
-                c, g = ci[s:s + pair_step], gi[s:s + pair_step]
-                ok = (np.abs(state.arr[cut[g]]) <= rabs[blk[c]]).all(axis=1)
-                c, g = c[ok], g[ok]
-                # pairs come row by row: take each unmatched row's first
-                first = np.ones(c.size, dtype=bool)
-                first[1:] = c[1:] != c[:-1]
-                first &= red[blk[c]] < 0
-                c, g = c[first], g[first]
-                red[blk[c]] = cut[g]
-                sign[blk[c]] = np.where(plus[c, g], 1, -1)
+            ci, gi, _ = _sign_pairs(gm[lo:hi], inorm[lo:hi], state.mask[blk], reach[blk])
+            ok = _magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])
+            ci, gi = ci[ok], gi[ok]
+            first = np.ones(ci.size, dtype=bool)  # each row's first pair
+            first[1:] = ci[1:] != ci[:-1]
+            red[blk[ci[first]]] = idx[lo + gi[first]]
             if hi == k:
                 break
             # the unmatched rows that reach the next member go on
             blk = blk[(red[blk] < 0) & (reach[blk] >= inorm[hi])]
             lo, hi = hi, min(k, 2 * hi)
-    return red, sign, met
+    return red, met
 
 
 def _batch_normal_form(state: _Completion, cand: np.ndarray,
                        budget: _Budget) -> np.ndarray:
     """Reduce candidate rows, in the set's dtype, by maximal multiples
-    until irreducible against the set as of entry.  Rows reaching zero
-    drop out; the rest return in the order they became irreducible.
-    Each scan's pairs are charged to budget."""
-    work = cand.astype(state.arr.dtype, copy=False)
-    out = [work[:0]]
-    while len(work):
-        red, sign, met = _find_below(state, work, _pack_signs(work, state.words),
-                                     strict=False)
-        budget.spend(met)
-        done = red < 0
-        out.append(work[done])
-        live = ~done
-        if not live.any():
-            break
-        w = _subtract_max_multiple(work[live], np.abs(work[live]), state.arr[red[live]],
-                                   sign[live])
-        work = w[(w != 0).any(axis=1)]
-    return np.concatenate(out)
+    until irreducible against the set as of entry, each time by the
+    first member in norm order below the row or its negation.  Rows
+    reaching zero drop out; the rest return ordered by their number of
+    reductions, then by input position.  The pairs the sign prefilter
+    meets are charged to budget, as one scan.
+
+    One pass: each row meets each chunk of the norm-sorted members (64,
+    64, 128, ...) at most once.  In a chunk the first member found below
+    the row is subtracted at once, and only the later ones found below
+    it are checked again, against the reduced row, until none lies
+    below it.  A reduced row lies conformally below the row it came
+    from, so no member that was not below the row lies below a later
+    form: the reductions are those of a scan that starts again from the
+    lightest member after each one.  A row leaves once it is zero or
+    lighter than the next chunk.  Each chunk is gathered once; its rows
+    go in blocks of ascending 1-norm, sized as in _find_below, that
+    meet only the members up to the block's heaviest row.
+    """
+    work = cand.astype(state.arr.dtype)  # a copy, reduced in place
+    wabs = np.abs(work)
+    reach = wabs.sum(axis=1)
+    rmask = _pack_signs(work, state.words)
+    reds = np.zeros(len(work), dtype=np.intp)
+    stale = np.zeros(len(work), dtype=bool)  # reduced since rmask was packed
+    step = max(1, _FILTER_ELEMS // (len(state) * state.words))
+    live, lo, met = np.arange(len(work)), 0, 0
+    while live.size and lo < len(state):
+        cut = state.order[lo:2 * lo or 64]
+        gnorm, gmask = state.norm[cut], state.mask[cut]
+        live = live[reach[live] >= gnorm[0]]
+        if live.size > step:
+            live = live[np.argsort(reach[live], kind="stable")]
+        fresh = live[stale[live]]
+        if fresh.size:
+            rmask[fresh], stale[fresh] = _pack_signs(work[fresh], state.words), False
+        for start in range(0, live.size, step):
+            blk = live[start:start + step]
+            k = int(np.searchsorted(gnorm, reach[blk].max(), side="right"))
+            met += blk.size * k
+            ci, gi, plus = _sign_pairs(gmask[:k], gnorm, rmask[blk], reach[blk])
+            while ci.size:
+                ok = _magnitudes_fit(state, cut[gi], wabs, blk[ci])
+                ci, gi = ci[ok], gi[ok]
+                if not ci.size:
+                    break
+                first = np.ones(ci.size, dtype=bool)  # each row's reducer
+                first[1:] = ci[1:] != ci[:-1]
+                c, g, rows = ci[first], gi[first], blk[ci[first]]
+                w = _subtract_max_multiple(work[rows], wabs[rows], state.arr[cut[g]],
+                                           np.where(plus[c, g], 1, -1))
+                work[rows], wabs[rows] = w, np.abs(w)
+                reach[rows] = wabs[rows].sum(axis=1)
+                reds[rows] += 1
+                stale[rows] = True
+                ci, gi = ci[~first], gi[~first]
+        lo = 2 * lo or 64
+    budget.spend(met)
+    out = np.lexsort((np.arange(len(work)), reds))
+    return work[out[reach[out] > 0]]
 
 
 def _pop_candidates(state: _Completion, lo: int, hi: int,
@@ -398,10 +436,12 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     1-norms strictly drop along a chain of distinct forms, so each
     re-reduction subtracts at least once and the loop ends.
 
-    Each scan charges budget for the pairs it tests or meets.
+    Each pairing and each scan charges budget for the pairs it tests or
+    meets: one normal-form pass (_batch_normal_form) and one minimality
+    filter per batch.
 
-    Returns the minimal members' rows, by a strict _find_below of the
-    members against themselves, and (candidates formed, rounds).
+    Returns the minimal members' rows, by _find_below over the members,
+    and (candidates formed, rounds).
     """
     state = _Completion(n)
     state.add_block(_canonical(seeds))
@@ -424,7 +464,7 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
             budget.spend(met)
             state.add_block(forms[keep])
             work = forms[~keep]
-    red, _, met = _find_below(state, state.arr, state.mask, strict=True)
+    red, met = _find_below(state)
     budget.spend(met)
     return state.arr[red < 0], (candidates, rounds)
 
@@ -632,13 +672,13 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
 def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """A mask of the distinct canonical nonzero rows (int64 or object)
     with no other row conformally below them, up to sign, and the pairs
-    the sign prefilter met: the completion's strict scan (_find_below).
+    the sign prefilter met: the completion's minimality scan (_find_below).
     A kept row meets about every kept row lighter than it, and a dropped
     one the chunks up to the first holding a row below it, often the
     first 64, so about len(rows) * 64 + kept^2 / 2 pairs."""
     state = _Completion(rows.shape[1])
     state.add_block(rows)
-    red, _, met = _find_below(state, state.arr, state.mask, strict=True)
+    red, met = _find_below(state)
     return red < 0, met
 
 

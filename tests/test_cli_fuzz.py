@@ -2,17 +2,21 @@
 
 Each case writes token soups (headers, section names, huge and negative
 numbers, rationals) or token-level mutations of a valid file, runs main
-in-process under a wall-clock bound and a traced-memory cap, and demands
-an exit code of 0, 2, 3 or 4: never an exception.
+in-process under a wall-clock bound and a traced-memory cap, with
+--verify for graver, testset, solve and qap, and demands an exit code
+of 0, 2, 3 or 4: never an exception.
 
 A huge matrix entry can give a Graver basis of about that many
 elements (that of [1, 1, H] has H + 2).  Its completion
 (graver._complete) may run past the wall-clock bound before its budget
 (graver.COMPLETION_BUDGET) stops it: the budget has to admit larger
-legitimate bases, such as the 865 elements of [2 3 5 7 11 13 17].  A
-case overrunning inside the completion therefore runs again under
-BUDGET_SECONDS and must then end with exit code 2 and a message naming
-the budget.  Every other overrun fails.
+legitimate bases, such as the 865 elements of [2 3 5 7 11 13 17].  So
+can a --verify oracle (graver.graver_oracle and its box search
+graver.box_kernel_vectors, augment.brute_force_optimum) before its own
+budget stops it.  A case overrunning inside the completion or an oracle
+therefore runs again under BUDGET_SECONDS and must then end with exit
+code 2 and the message of that budget: one naming COMPLETION_BUDGET, or
+"could not verify within the budget".  Every other overrun fails.
 """
 
 import io
@@ -54,6 +58,18 @@ VALID = {
     "q": "2 2\n2 1\n1 2\n",
     "c": "1/2 -1\n",
     "qap": "3\n0 2 1\n2 0 3\n1 3 0\n0 4 2\n4 0 1\n2 1 0\n",
+}
+
+# the subcommands that take --verify
+VERIFY = ("graver", "testset", "solve", "qap")
+
+# the functions whose overrun a budget ends, by file, and the message it
+# ends with
+BUDGETED = {
+    ("graver.py", "_complete"): "COMPLETION_BUDGET",
+    ("graver.py", "graver_oracle"): "could not verify within the budget",
+    ("graver.py", "box_kernel_vectors"): "could not verify within the budget",
+    ("augment.py", "brute_force_optimum"): "could not verify within the budget",
 }
 
 # file arguments per subcommand: (kind, option), option None when positional
@@ -129,7 +145,8 @@ def bounded(seconds, max_bytes):
 
 
 def run_cli(command, files, extra=()):
-    """Run main on (option or None, file text) arguments plus extra."""
+    """Run main on (option or None, file text) arguments plus extra, and
+    --verify where the subcommand takes it."""
     argv = [command]
     with tempfile.TemporaryDirectory() as tmp:
         for i, (option, text) in enumerate(files):
@@ -137,25 +154,31 @@ def run_cli(command, files, extra=()):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             argv += [option, path] if option else [path]
-        argv += list(extra)
+        argv += list(extra) + ["--verify"] * (command in VERIFY)
         sink = io.StringIO()
         try:
             with redirect_stdout(sink), redirect_stderr(sink), bounded(SECONDS, MAX_BYTES):
                 code = main(argv)
         except _Runaway as e:
-            if not in_completion(e):
+            message = budget_message(e)
+            if message is None:
                 raise
             sink = io.StringIO()
             with redirect_stdout(sink), redirect_stderr(sink), bounded(BUDGET_SECONDS,
                                                                        MAX_BYTES):
                 code = main(argv)
-            assert code == 2 and "COMPLETION_BUDGET" in sink.getvalue(), (files, extra, code)
+            assert code == 2 and message in sink.getvalue(), (files, extra, code)
     assert code in (0, 2, 3, 4), (files, extra, code)
 
 
-def in_completion(exc):
-    return any(frame.name == "_complete" and frame.filename.endswith("graver.py")
-               for frame in traceback.extract_tb(exc.__traceback__))
+def budget_message(exc):
+    """The message of the budget that ends the innermost budgeted frame
+    of the traceback, None if no frame is budgeted."""
+    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
+        for (name, func), message in BUDGETED.items():
+            if frame.name == func and frame.filename.endswith(name):
+                return message
+    return None
 
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,

@@ -258,9 +258,12 @@ class TestCompletionBudget:
         monkeypatch.setattr(graver, "_Budget", budget)
         return budgets[0].spent
 
-    @pytest.mark.parametrize("rows", [[[2, 3, 5]], [[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]]])
+    @pytest.mark.parametrize("rows", [[[2, 3, 5]], [[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]],
+                                      [[2, 3, 5, 7, 11]]])
     def test_budget_bounds_the_work(self, monkeypatch, rows):
-        # a start completion, or unit start and lift steps only
+        # a start completion, or unit start and lift steps only, or a
+        # start completion of 95 elements that reduces rows across chunks
+        # (test_rows_reduce_across_chunks)
         a = IntMatrix.from_rows(rows)
         want = compute_graver(a)
         spent = self.spent(monkeypatch, a)
@@ -271,6 +274,25 @@ class TestCompletionBudget:
         with pytest.raises(graver.CompletionBudgetError,
                            match="budget of %d pairs .COMPLETION_BUDGET." % (spent - 1)):
             compute_graver(a)
+
+    def test_rows_reduce_across_chunks(self, monkeypatch):
+        # the normal forms of [2 3 5 7 11]'s completion, against the
+        # reference: some rows meet a set of more than 64 members and
+        # take reducers from two chunks or more
+        spans = []
+        normal_form = graver._batch_normal_form
+
+        def spy(state, cand, budget):
+            got = normal_form(state, cand, budget)
+            if len(state) > 64:
+                want, chunks = reference_normal_forms(state.arr.tolist(), cand.tolist())
+                assert got.tolist() == want
+                spans.extend(map(len, chunks))
+            return got
+
+        monkeypatch.setattr(graver, "_batch_normal_form", spy)
+        assert len(compute_graver(IntMatrix.from_rows([[2, 3, 5, 7, 11]]))) == 95
+        assert max(spans) > 1
 
     def test_tiny_budget_is_a_value_error(self, monkeypatch):
         monkeypatch.setattr(graver, "COMPLETION_BUDGET", 10)
@@ -290,6 +312,103 @@ class TestMaximalMultiple:
             got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object),
                                             graver._Budget(graver.COMPLETION_BUDGET))
         assert got.tolist() == [[0, 1]]
+
+
+def reference_normal_forms(members, rows):
+    """The normal forms of rows against members (canonical, in insertion
+    order), reduced one at a time, and the chunks of the norm-sorted
+    members (64, 64, 128, ...) each row's reducers came from.
+
+    Each step takes the first member in (1-norm, insertion) order that
+    lies conformally below the row or its negation, checked entrywise
+    here, and subtracts its largest multiple that stays below.  Zero
+    forms drop out; the rest are ordered by reductions, then input
+    position."""
+    ordered = sorted(members, key=lambda g: sum(map(abs, g)))  # stable
+
+    def below(g, r):
+        return all(x == 0 or (x * y > 0 and abs(x) <= abs(y)) for x, y in zip(g, r))
+
+    forms, spans = [], []
+    for pos, row in enumerate(rows):
+        r, count, chunks = list(row), 0, set()
+        while True:
+            for p, g in enumerate(ordered):
+                s = 1 if below(g, r) else -1 if below(g, [-y for y in r]) else 0
+                if s:
+                    break
+            else:
+                break
+            k = min(abs(y) // abs(x) for x, y in zip(g, r) if x)
+            r = [y - k * s * x for x, y in zip(g, r)]
+            count += 1
+            chunks.add(0 if p < 64 else (p // 64).bit_length())
+        spans.append(chunks)
+        if any(r):
+            forms.append((count, pos, r))
+    return [r for _, _, r in sorted(forms)], spans
+
+
+def normal_form_case(seed, big):
+    """(members, rows): 130 to 260 distinct canonical members of two to
+    four entries in -3..3 and rows in -9..9, a fifth of them multiples
+    of a member.  With big, one member holds an entry past 2^63 and a
+    fifth of the rows hold multiples of it."""
+    rng = random.Random(seed)
+    n = rng.choice((5, 6, 8))
+    members, seen = [], set()
+    if big:
+        members.append(canonical_rep(((1 << 63) + 3, -1) + (0,) * (n - 2)))
+    size = rng.randint(130, 260)
+    while len(members) < size:
+        v = [0] * n
+        for j in rng.sample(range(n), rng.randint(2, 4)):
+            v[j] = rng.choice((-1, 1)) * rng.randint(1, 3)
+        v = canonical_rep(tuple(v))
+        if v not in seen:
+            seen.add(v)
+            members.append(v)
+    rows = []
+    for _ in range(rng.randint(40, 80)):
+        r = [rng.randint(-9, 9) for _ in range(n)]
+        if rng.random() < 0.2:
+            r = [rng.choice((-2, 1, 3)) * x for x in rng.choice(members)]
+        elif big and rng.random() < 0.25:
+            r = [rng.randint(1, 5) * x + y for x, y in zip(members[0], r)]
+        rows.append(r)
+    return members, rows
+
+
+class TestNormalForm:
+    """_batch_normal_form against reference_normal_forms, which shares
+    no code with graver."""
+
+    @staticmethod
+    def run(members, rows, dtype):
+        state = graver._Completion(len(rows[0]))
+        state.add_block(np.array(members, dtype=dtype))
+        return graver._batch_normal_form(state, np.array(rows, dtype=dtype),
+                                         graver._Budget(graver.COMPLETION_BUDGET)).tolist()
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(["int64", "limit 4", "big"]))
+    def test_matches_the_reference(self, seed, mode):
+        # int64 arrays; object arrays from 1-norm 4 on; an entry past 2^63
+        members, rows = normal_form_case(seed, mode == "big")
+        want, _ = reference_normal_forms(members, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            if mode == "limit 4":
+                mp.setattr(graver, "_FAST_ABS_LIMIT", 4)
+            got = self.run(members, rows, object if mode == "big" else np.int64)
+        assert got == want
+
+    def test_rows_reduce_across_chunks(self, monkeypatch):
+        members, rows = normal_form_case(5, False)
+        want, spans = reference_normal_forms(members, rows)
+        assert len(members) > 128 and sum(len(s) > 1 for s in spans) > 10
+        assert self.run(members, rows, np.int64) == want
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
+        assert self.run(members, rows, np.int64) == want
 
 
 def naive_minimal(vectors):

@@ -78,3 +78,13 @@ def test_signed_draws_match_their_recording():
                for q in draws)
     recorded = json.loads(same_outputs.DIGESTS.read_text())
     assert same_outputs.signed(7) == recorded["results"]["qap-signed 7"]
+
+
+def test_bases_entry_covers_both_limits():
+    """The bases digests, recorded at the default int64 limit and at 4,
+    agree: the completion's dtype never changes a basis."""
+    recorded = json.loads(same_outputs.DIGESTS.read_text())["bases"]
+    assert sorted(recorded) == ["limit 4", "limit default"]
+    assert recorded["limit 4"] == recorded["limit default"]
+    matrices = same_outputs.basis_matrices()
+    assert len(matrices) == 712 and len(set(matrices)) > 650

@@ -21,7 +21,10 @@ which runs came before.  The entry qap-signed at each seed is no
 bench workload: it hashes the solve_qap results on mixed-sign
 assignment draws the tool makes itself (3 and 4 facilities, rng =
 random.Random("qap-signed:<seed>")), the data on which no workload
-runs to_cip.
+runs to_cip.  The bases entry hashes compute_graver over a seeded set
+of random matrices (basis_matrices), as (dimension, sorted directions),
+once at the default graver._FAST_ABS_LIMIT and once with it lowered
+to 4, so that the completion runs on object arrays from 1-norm 4 on.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
@@ -43,7 +46,8 @@ CHECKOUT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().with_name("same_outputs.json")
 sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "perfbench")]
 
-from graveropt import augment, qap, testset  # noqa: E402
+from graveropt import augment, graver, qap, testset  # noqa: E402
+from graveropt.core import IntMatrix  # noqa: E402
 from workload import WORKLOADS  # noqa: E402
 
 SEEDS = (7, 8, 9)
@@ -52,6 +56,8 @@ PASSES = 8
 TEST_SET_WORKLOADS = ("bounded-qp", "qap-n3")
 SIGNED = "qap-signed"
 SIGNED_SIZES = (3,) * 8 + (4,) * 4  # facilities of each mixed-sign draw
+# the forced int64 limits of the bases entry, None for the default
+BASIS_LIMITS = (None, 4)
 # the loggers whose DEBUG records trace the completion and the box search
 COMPLETION_LOGGERS = ("graveropt.graver", "graveropt.testset")
 
@@ -141,8 +147,41 @@ def signed(seed: int) -> str:
     return digest(qap.solve_qap(q) for q in signed_draws(seed))
 
 
+def basis_matrices() -> list[IntMatrix]:
+    """600 random matrices of 1 to 3 rows and 2 to 5 columns with
+    entries in -3..3, 80 of 1 to 3 rows and 5 to 7 columns in -2..2, 26
+    of 1 to 2 rows and 2 to 6 columns in -5..5 (rng =
+    random.Random("bases")), and six edge cases: a start lattice 3Z, a
+    start determinant of 5, no rows, zero columns, a trivial kernel, a
+    zero row."""
+    rng = random.Random("bases")
+    out = []
+    for count, rows, cols, mag in ((600, 3, (2, 5), 3), (80, 3, (5, 7), 2),
+                                   (26, 2, (2, 6), 5)):
+        for _ in range(count):
+            r, c = rng.randint(1, rows), rng.randint(*cols)
+            out.append(IntMatrix.from_rows(
+                [[rng.randint(-mag, mag) for _ in range(c)] for _ in range(r)]))
+    edges = [([[2, 3]], 2), ([[6, 10, 15]], 3), ([], 3), ([[0, 1, -1, 0], [0, 2, 1, 0]], 4),
+             ([[1, 0], [0, 1]], 2), ([[1, 2, 0], [0, 0, 0]], 3)]
+    return out + [IntMatrix.from_rows(rows, cols=cols) for rows, cols in edges]
+
+
+def bases(limit: int | None) -> str:
+    """Digest of compute_graver over basis_matrices at an int64 limit."""
+    original = graver._FAST_ABS_LIMIT
+    graver._FAST_ABS_LIMIT = original if limit is None else limit
+    try:
+        return digest((t.dimension, sorted(t.directions))
+                      for t in map(graver.compute_graver, basis_matrices()))
+    finally:
+        graver._FAST_ABS_LIMIT = original
+
+
 def digests() -> dict:
-    out = {"results": {}, "instance_test_set": {}, "completion": {}}
+    out = {"results": {}, "instance_test_set": {}, "completion": {},
+           "bases": {"limit %s" % (limit or "default"): bases(limit)
+                     for limit in BASIS_LIMITS}}
     for name in WORKLOADS:
         for seed in SEEDS:
             key = "%s %d" % (name, seed)
