@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import IntMatrix, ParseError, Vec, parse_int_matrix, parse_int_vector
 from .objective import SeparableObjective, parse_objective
-from .graver import OracleBudgetError, int_dtype
+from .graver import OracleBudgetError, append_products, int_dtype
 from .testset import TestSet, box_test_set, compute_test_set
 
 logger = logging.getLogger(__name__)
@@ -201,7 +201,7 @@ def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
     A set cut down to a box only covers instances bounded inside it: a
     wider box admits steps longer than any of its directions.  A set
     without provenance must at least keep Az = b: each of its
-    directions has to lie in the kernel of A.
+    directions has to lie in the kernel of A, exactly (append_products).
     """
     if t_set.dimension != inst.n:
         raise ValueError("test set dimension %d != instance dimension %d"
@@ -211,11 +211,11 @@ def check_compatible(inst: CipInstance, t_set: TestSet) -> None:
         raise ValueError("test set was cut down to the box %s, which does not "
                          "contain the instance's box" % (t_set.box,))
     if t_set.provenance is None:
-        zero = (0,) * inst.a.rows
-        for d in t_set.directions:
-            if inst.a.mat_vec(d) != zero:
-                raise ValueError("test set direction %s is not in the kernel of "
-                                 "the constraint matrix" % (d,))
+        d_at = append_products(t_set.rows, [inst.a.column(j) for j in range(inst.n)])
+        off = (d_at[:, inst.n:] != 0).any(axis=1)
+        if off.any():
+            raise ValueError("test set direction %s is not in the kernel of the "
+                             "constraint matrix" % (tuple(t_set.rows[off.argmax()].tolist()),))
         return
     a, c = t_set.provenance
     if a != inst.a:

@@ -93,9 +93,7 @@ def cmd_graver(args) -> int:
     basis = compute_graver(a)
     if args.verify and not verify_against_oracle(a, basis):
         raise VerificationError("graver: enumeration disagrees with completion")
-    rows = sorted(basis.directions)
-    m = IntMatrix(len(rows), a.cols, tuple(rows))
-    _emit(format_int_matrix(m), args.out)
+    _emit(format_int_matrix(IntMatrix.from_rows(basis.rows.tolist(), cols=a.cols)), args.out)
     return 0
 
 
@@ -104,9 +102,8 @@ def cmd_testset(args) -> int:
     a = parse_int_matrix(_read(args.matrix))
     c = parse_int_matrix(_read(args.compositions))
     t = compute_test_set(a, c)
-    if args.verify:
-        if not compute_graver(a).directions <= t.directions:
-            raise VerificationError("testset: Graver basis not contained in result")
+    if args.verify and not compute_graver(a).directions <= t.directions:
+        raise VerificationError("testset: Graver basis not contained in result")
     _emit(format_test_set(t), args.out)
     return 0
 
@@ -147,14 +144,14 @@ def cmd_solve(args) -> int:
         if args.slack_bounds and t_set.dimension == 2 * inst.n:
             # a kernel vector (t, s) of the slack lift [[A, 0], [I, I]] has
             # s = -t; solve checks that t lies in ker A
-            n = inst.n
-            for d in t_set.directions:
-                if d[n:] != negate(d[:n]):
-                    raise ValueError("test set direction %s is not in the kernel of "
-                                     "the slack-lifted constraint matrix" % (d,))
+            n, rows = inst.n, t_set.rows
+            off = (rows[:, n:] != -rows[:, :n]).any(axis=1)
+            if off.any():
+                raise ValueError("test set direction %s is not in the kernel of the "
+                                 "slack-lifted matrix" % (tuple(rows[off.argmax()].tolist()),))
             # slack j moves by -t_j, so its bound holds t_j as well
             box = t_set.box and tuple(map(min, t_set.box[:n], t_set.box[n:]))
-            t_set = TestSet(n, frozenset(d[:n] for d in t_set.directions), box=box)
+            t_set = TestSet(n, rows[:, :n], box=box)
     report = solve(inst, t_set, z0, best=args.best_improving, cap=args.cap)
     shown = _slack_view(report, inst.upper) if args.slack_bounds else report
     _emit(_report_text(shown, args.json), args.out)

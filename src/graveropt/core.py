@@ -9,6 +9,7 @@ because a 0xN matrix is meaningful (its kernel is all of Z^N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -26,6 +27,14 @@ def conformal_leq(u: Sequence[int], v: Sequence[int]) -> bool:
         if a * b < 0 or abs(a) > abs(b):
             return False
     return True
+
+
+def as_int(x) -> int:
+    """operator.index(x), a ValueError for a float or other non-integer."""
+    try:
+        return index(x)
+    except TypeError as e:
+        raise ValueError(str(e)) from None
 
 
 def canonical_rep(v: Sequence[int]) -> Vec:

@@ -28,6 +28,9 @@ graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
 conformal_leq, which the completion does not use.  Its work is bounded
 (ORACLE_BUDGET), as is that of the completion (COMPLETION_BUDGET).
+
+A TestSet stores a direction set as one array, its rows: the completion
+hands over its array, and the walk's signed scan is derived from it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from math import prod
 
 import numpy as np
 
-from .core import (IntMatrix, Vec, canonical_rep, conformal_leq, euclid_reduce,
+from .core import (IntMatrix, Vec, as_int, conformal_leq, euclid_reduce,
                    kernel_lattice_basis, negate)
 
 # Magnitude at which arrays leave int64 for Python ints (int_dtype); below
@@ -72,10 +75,16 @@ _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch s
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TestSet:
     """Directions for the family (A, C), one canonical representative
     (first nonzero entry positive) per +/- pair; ``v in t`` raises TypeError.
+
+    rows, the one stored form, holds them read-only in tuple order, of
+    int_dtype(reach), reach the largest entry magnitude (0 for none).
+    The constructor canonicalises, dedupes and sorts any array or
+    iterable of integer vectors; a non-integer entry, a zero row or one
+    of the wrong length is a ValueError.  == and hash read directions.
 
     compute_graver gives the Graver basis of A, the test set of the
     family with no composition rows.  provenance keeps (A, C), so a
@@ -88,29 +97,50 @@ class TestSet:
     __test__ = False  # not a pytest class, despite the name
 
     dimension: int
-    directions: frozenset[Vec]
+    rows: np.ndarray
     provenance: tuple[IntMatrix, IntMatrix] | None = None
     box: Vec | None = None
 
+    def __init__(self, dimension: int, directions, provenance=None, box=None):
+        rows = directions
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64):
+            rows = np.array([[as_int(x) for x in d] for d in rows] or np.empty((0, dimension)),
+                            dtype=object)
+        if rows.shape[1:] != (dimension,) or not rows.any(axis=1).all():
+            raise ValueError("TestSet: a direction is zero or not of length %d" % dimension)
+        reach = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+        rows = _canonical(rows.astype(int_dtype(reach), copy=False))
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows.flags.writeable = False
+        vars(self).update(  # past the frozen __setattr__, as cached_property does
+            dimension=dimension, rows=rows, reach=reach, provenance=provenance, box=box)
+
     def __len__(self) -> int:
-        return len(self.directions)
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TestSet) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.dimension, self.directions, self.provenance, self.box
 
     @cached_property
-    def scan(self) -> tuple[Vec, ...]:  # not a field: == and hash ignore it
-        """The signed directions in walk order: each sorted d, then -d."""
-        return tuple(t for d in sorted(self.directions) for t in (d, negate(d)))
+    def scan_array(self) -> np.ndarray:  # not a field: repr ignores it
+        """S, the signed directions in walk order: each row d, then -d."""
+        s = np.stack((self.rows, -self.rows), axis=1).reshape(2 * len(self), self.dimension)
+        s.flags.writeable = False
+        return s
 
     @cached_property
-    def scan_array(self) -> np.ndarray:  # not a field either
-        """S, the rows of scan as one len(scan) x dimension array: int64,
-        or object (Python ints) past the int64 range (int_dtype of reach)."""
-        return np.array(self.scan, dtype=int_dtype(self.reach)).reshape(len(self.scan),
-                                                                        self.dimension)
+    def scan(self) -> tuple[Vec, ...]:  # nor this: scan_array's rows, Python int tuples
+        return tuple(map(tuple, self.scan_array.tolist()))
 
     @cached_property
-    def reach(self) -> int:  # nor is this
-        """The largest magnitude of a direction entry, 0 for no directions."""
-        return max((abs(x) for d in self.directions for x in d), default=0)
+    def directions(self) -> frozenset[Vec]:  # nor this
+        return frozenset(self.scan[::2])
 
 
 def int_dtype(reach: int) -> type:
@@ -563,7 +593,7 @@ def compute_graver(a: IntMatrix) -> TestSet:
     n, r = a.cols, len(seeds)
     provenance = (a, IntMatrix.zero(0, n))
     if r == 0:
-        return TestSet(n, frozenset(), provenance)
+        return TestSet(n, (), provenance)
     sigma, basis = _start_columns(seeds, n)
     order = sigma + [j for j in range(n) if j not in sigma]
     det, lift = _lift_map(basis, sigma, order)
@@ -582,13 +612,12 @@ def compute_graver(a: IntMatrix) -> TestSet:
         logger.debug("lift step %d: column %d, %d elements in, %d candidates, "
                      "%d rounds, %d elements out", d - r, order[d - 1], len(lifted),
                      candidates, rounds, len(current))
-    full = _canonical(current[:, np.argsort(order)])
-    return TestSet(n, frozenset(map(tuple, full.tolist())), provenance)
+    return TestSet(n, current[:, np.argsort(order)], provenance)
 
 
 def box_kernel_vectors(a: IntMatrix, bounds: Vec,
                        limit: int | None = None) -> list[Vec] | None:
-    """Canonical nonzero kernel vectors v with |v_j| <= bounds[j].
+    """Canonical nonzero kernel vectors v with |v_j| <= bounds[j], in tuple order.
 
     Depth-first over the coordinates with per-row residual pruning: a
     partial assignment survives only while every row's partial sum can
@@ -701,7 +730,6 @@ def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:
     reps = box_kernel_vectors(a, (bound,) * a.cols, limit=budget)
     if reps is None:
         raise over
-    reps.sort()
     work = len(reps)
     minimal = []
     for v in reps:
@@ -727,15 +755,11 @@ def verify_against_oracle(a: IntMatrix, basis: TestSet) -> bool:
     that size is caught.  graver_oracle raises OracleBudgetError where
     that box is too large to check.
     """
-    peak = max((abs(x) for v in basis.directions for x in v), default=1)
-    return graver_oracle(a, 2 * peak) == basis.directions
+    return graver_oracle(a, 2 * max(basis.reach, 1)) == basis.directions
 
 
-def project_first_n(vectors, n: int) -> frozenset[Vec]:
-    """Canonical representatives of nonzero leading-n projections."""
-    out = set()
-    for v in vectors:
-        head = tuple(v[:n])
-        if any(head):
-            out.add(canonical_rep(head))
-    return frozenset(out)
+def project_first_n(rows: np.ndarray, n: int) -> np.ndarray:
+    """The distinct canonical representatives of the nonzero leading-n
+    projections of the rows of an array, in first-occurrence order."""
+    heads = rows[:, :n]
+    return _canonical(heads[(heads != 0).any(axis=1)])

@@ -21,21 +21,13 @@ from itertools import accumulate
 from operator import index
 from typing import Sequence
 
-from .core import IntMatrix, ParseError, Vec
+from .core import IntMatrix, ParseError, Vec, as_int
 from .testset import FAMILY_CACHE_SIZE
 
 
 def _as_fraction(x) -> Fraction:
     """x itself if it is a Fraction (they are immutable), else Fraction(x)."""
     return x if type(x) is Fraction else Fraction(x)
-
-
-def _as_int(x) -> int:
-    """operator.index(x), a ValueError for a float or other non-integer."""
-    try:
-        return index(x)
-    except TypeError as e:
-        raise ValueError(str(e)) from None
 
 
 class DiscreteConvexFn:
@@ -66,7 +58,7 @@ class ScaledEvenPower(DiscreteConvexFn):
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("ScaledEvenPower: alpha must be positive")
-        if _as_int(self.exponent) < 2 or self.exponent % 2:
+        if as_int(self.exponent) < 2 or self.exponent % 2:
             raise ValueError("ScaledEvenPower: exponent must be even and >= 2")
 
     def value(self, x: int) -> Fraction:
@@ -120,7 +112,7 @@ class PiecewiseTable(DiscreteConvexFn):
         items = self.increments
         if isinstance(items, dict):
             items = items.items()
-        norm = tuple(sorted((_as_int(j), _as_fraction(v)) for j, v in items))
+        norm = tuple(sorted((as_int(j), _as_fraction(v)) for j, v in items))
         if not norm:
             raise ValueError("PiecewiseTable: empty increment table")
         keys = [j for j, _ in norm]

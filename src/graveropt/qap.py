@@ -89,17 +89,8 @@ def assignment_matrix(n: int) -> tuple[IntMatrix, Vec]:
     one size share the very same matrix."""
     if n < 1:
         raise ValueError("assignment_matrix: need n >= 1")
-    rows = []
-    for i in range(n):
-        r = [0] * (n * n)
-        for j in range(n):
-            r[i * n + j] = 1
-        rows.append(tuple(r))
-    for j in range(n):
-        r = [0] * (n * n)
-        for i in range(n):
-            r[i * n + j] = 1
-        rows.append(tuple(r))
+    rows = [tuple(int(v // n == i) for v in range(n * n)) for i in range(n)]
+    rows += [tuple(int(v % n == j) for v in range(n * n)) for j in range(n)]
     return IntMatrix(2 * n, n * n, tuple(rows)), (1,) * (2 * n)
 
 

@@ -8,7 +8,7 @@ the Graver basis of A and is in general strictly larger.
 
 box_test_set builds only the directions that fit a box |t_j| <= u_j and
 keeps the sets of recent families (A, C, u); compute_test_set is not
-cached.
+cached.  Both hand TestSet an array; the file format prints its rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (IntMatrix, ParseError, Vec, canonical_rep, parse_int_matrix,
+from .core import (IntMatrix, ParseError, Vec, format_int_matrix, parse_int_matrix,
                    parse_int_vector)
 from .graver import (TestSet, append_products, box_kernel_vectors, compute_graver,
                      conformally_minimal, int_dtype, project_first_n)
@@ -56,9 +56,8 @@ def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
 def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
     """Project the lifted Graver basis onto the first n coordinates;
     compute_graver(a), provenance included, when C has no rows."""
-    lifted = build_lifted_matrix(a, c)
-    dirs = project_first_n(compute_graver(lifted).directions, a.cols)
-    return TestSet(a.cols, dirs, provenance=(a, c))
+    lifted = compute_graver(build_lifted_matrix(a, c)).rows
+    return TestSet(a.cols, project_first_n(lifted, a.cols), provenance=(a, c))
 
 
 def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
@@ -114,27 +113,26 @@ def _box_family(a: IntMatrix, c: IntMatrix, upper: Vec) -> tuple[TestSet, tuple]
         raise ValueError("box_test_set: A and C must have equal column counts")
     cands = _box_candidates(a, upper)
     if cands is None:
-        dirs = frozenset(d for d in compute_test_set(a, c).directions
-                         if all(abs(x) <= u for x, u in zip(d, upper)))
-        line = ("test set: completion (box search over its %d-candidate budget), "
-                "%d directions in the box", BOX_CANDIDATE_LIMIT, len(dirs))
-        return TestSet(a.cols, dirs, provenance=(a, c), box=upper), line
+        full = compute_test_set(a, c).rows
+        inside = (np.abs(full) <= np.array(upper, dtype=int_dtype(max(upper)))).all(axis=1)
+        t_set = TestSet(a.cols, full[inside], provenance=(a, c), box=upper)
+        return t_set, ("test set: completion (box search over its %d-candidate budget), "
+                       "%d directions in the box", BOX_CANDIDATE_LIMIT, len(t_set))
     z = cands.z
     if cands.kept_all and cands.incomparable is None:
         cands.incomparable = bool(conformally_minimal(z)[0].all())
     if cands.incomparable:
-        dirs = frozenset(map(tuple, z.tolist()))
         logger.debug("box: %d candidates, all kept, no two compare", len(z))
+        keep = slice(None)
     else:
         # each z lifts to (z, -Cz): z times -C^T appended
         keep, met = conformally_minimal(
             append_products(z, [[-x for x in c.column(j)] for j in range(a.cols)]))
-        dirs = frozenset(map(tuple, z[keep].tolist()))
         logger.debug("box: %d candidates, %d kept, %d sign-prefilter pairs",
-                     len(z), len(dirs), met)
-        cands.kept_all |= len(dirs) == len(z)
-    line = ("test set: box, %d candidates, %d directions", len(z), len(dirs))
-    return TestSet(a.cols, dirs, provenance=(a, c), box=upper), line
+                     len(z), keep.sum(), met)
+    t_set = TestSet(a.cols, z[keep], provenance=(a, c), box=upper)
+    cands.kept_all |= len(t_set) == len(z)
+    return t_set, ("test set: box, %d candidates, %d directions", len(z), len(t_set))
 
 
 @dataclass(eq=False)
@@ -174,18 +172,11 @@ def build_split_matrix(a: IntMatrix, c: IntMatrix, k: int) -> IntMatrix:
         raise ValueError("build_split_matrix: A and C must have equal column counts")
     if k < 1:
         raise ValueError("build_split_matrix: k must be positive")
-    n, s = a.cols, c.rows
-    width = n + 2 * k * s
-    rows = []
-    for row in a.entries:
-        rows.append(row + (0,) * (2 * k * s))
-    for i in range(s):
-        pad = [0] * (2 * k * s)
-        for t in range(k):
-            pad[2 * k * i + t] = -1
-            pad[2 * k * i + k + t] = 1
-        rows.append(c.row(i) + tuple(pad))
-    return IntMatrix(a.rows + s, width, tuple(rows))
+    s = c.rows
+    rows = [row + (0,) * (2 * k * s) for row in a.entries]
+    rows += [row + (0,) * (2 * k * i) + (-1,) * k + (1,) * k + (0,) * (2 * k * (s - i - 1))
+             for i, row in enumerate(c.entries)]
+    return IntMatrix(a.rows + s, a.cols + 2 * k * s, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +187,11 @@ def format_test_set(t: TestSet) -> str:
     without provenance), for a set cut down to a box a second header
     line "# hcip box=<u_1>,...,<u_n>", then the directions as a matrix
     in sorted order."""
-    rows = sorted(t.directions)
     lines = ["# hcip n=%d s=%d" % (t.dimension, t.provenance[1].rows if t.provenance else 0)]
     if t.box is not None:
         lines.append("# hcip box=%s" % ",".join(map(str, t.box)))
-    lines.append("%d %d" % (len(rows), t.dimension))
-    lines.extend(" ".join(str(x) for x in r) for r in rows)
-    return "\n".join(lines) + "\n"
+    body = IntMatrix.from_rows(t.rows.tolist(), cols=t.dimension)
+    return "\n".join(lines) + "\n" + format_int_matrix(body)
 
 
 def parse_test_set(text: str) -> TestSet:
@@ -221,9 +210,6 @@ def parse_test_set(text: str) -> TestSet:
     m = parse_int_matrix("\n".join(body))
     if box is not None and (len(box) != m.cols or min(box) < 0):
         raise ParseError("test set: bad box %s for %d columns" % (box, m.cols))
-    dirs = set()
-    for row in m.entries:
-        if not any(row):
-            raise ParseError("test set: zero direction")
-        dirs.add(canonical_rep(row))
-    return TestSet(m.cols, frozenset(dirs), box=box)
+    if not all(map(any, m.entries)):
+        raise ParseError("test set: zero direction")
+    return TestSet(m.cols, m.entries, box=box)

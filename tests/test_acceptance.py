@@ -25,7 +25,7 @@ from graveropt.augment import (
     solve,
 )
 from graveropt.core import IntMatrix
-from graveropt.graver import compute_graver, project_first_n
+from graveropt.graver import TestSet, compute_graver, project_first_n
 from graveropt.objective import (
     GeometricAbs,
     PiecewiseTable,
@@ -143,7 +143,6 @@ def test_criterion_03_integer_quadratic_rewrites(capsys):
 
 
 def test_criterion_04_descent_vs_truncated_directions(capsys):
-    from graveropt.testset import TestSet
     with gate(capsys, 4, "paired-square descent from every start in the box", 5.0):
         inst = square_pair_instance()
         full = compute_test_set(ZERO2, IntMatrix.from_rows([[1, 1], [1, -1]]))
@@ -196,8 +195,8 @@ def test_criterion_06_column_splits_and_lift_projection(capsys):
             expected = compute_test_set(a, c).directions
             for k in (1, 2):
                 widened = build_split_matrix(a, c, k)
-                got = project_first_n(compute_graver(widened).directions, cols)
-                assert got == expected, (a, c, k)
+                got = TestSet(cols, project_first_n(compute_graver(widened).rows, cols))
+                assert got.directions == expected, (a, c, k)
 
 
 def test_criterion_07_split_minimum_identity(capsys):

@@ -403,6 +403,18 @@ class TestCompatibility:
         with pytest.raises(ValueError, match="kernel"):
             solve(inst, TestSet(2, frozenset({(1, 0)})), (2, 0))
 
+    def test_anonymous_direction_off_the_kernel_by_one_past_int64(self):
+        # A d = 2^64 + (1 - 2^64) = 1, which a float64 product rounds to 0
+        big = 1 << 64
+        inst = CipInstance(IntMatrix.from_rows([[1, 1]]), (big,), None,
+                           linear_objective([1, 2]))
+        check_compatible(inst, TestSet(2, frozenset({(big, -big)})))
+        off = TestSet(2, frozenset({(big, 1 - big)}))
+        assert off.rows.dtype == object
+        with pytest.raises(ValueError, match=r"^test set direction \(%d, %d\) is not in "
+                                             r"the kernel" % (big, 1 - big)):
+            check_compatible(inst, off)
+
 
 class TestBruteForce:
     def test_square_pair_box(self, square_pair):

@@ -1,15 +1,20 @@
 import logging
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graveropt import graver, testset
+from graveropt.augment import (CipInstance, SolveStatus, brute_force_optimum,
+                               instance_test_set, solve)
 from graveropt.core import IntMatrix, ParseError, canonical_rep, conformal_leq, negate
 from graveropt.graver import compute_graver, graver_oracle, project_first_n
+from graveropt.objective import ScaledEvenPower, SeparableObjective, Term, linear_objective
 from graveropt.testset import (
     TestSet,
     box_test_set,
@@ -92,8 +97,8 @@ class TestComputeTestSet:
         basis = compute_graver(lifted)
         bound = max(max(abs(x) for x in v) for v in basis.directions)
         assert graver_oracle(lifted, bound) == basis.directions
-        assert project_first_n(basis.directions, 3) == \
-            compute_test_set(ZERO3, WIDE_TRIPLE).directions
+        assert TestSet(3, project_first_n(basis.rows, 3)) == \
+            TestSet(3, compute_test_set(ZERO3, WIDE_TRIPLE).rows)
 
     def test_strict_inclusion_between_rewrites(self):
         small = compute_test_set(ZERO3, SUM_PAIR).directions
@@ -406,6 +411,132 @@ class TestSetInvariants:
         assert compute_test_set(a, IntMatrix.zero(0, a.cols)) == compute_graver(a)
 
 
+
+def reference_scan(rows) -> tuple:
+    """The walk order written out by hand: the distinct canonical rows
+    (first nonzero entry positive) in tuple order, each followed by its
+    negation."""
+    canon = set()
+    for r in rows:
+        r = tuple(int(x) for x in r)
+        lead = next(x for x in r if x)
+        canon.add(r if lead > 0 else tuple(-x for x in r))
+    return tuple(v for r in sorted(canon) for v in (r, tuple(-x for x in r)))
+
+
+BIG_ENTRIES = (1 << 61, (1 << 63) + 5, -(1 << 64) - 3)
+
+
+@st.composite
+def direction_rows(draw):
+    """Nonzero rows of one dimension, some of them with an entry past
+    int64 or at the int64/object boundary of int_dtype."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3) | st.sampled_from(BIG_ENTRIES)
+    rows = draw(st.lists(st.tuples(*[entry] * n).filter(any), max_size=8))
+    return n, rows
+
+
+class TestRepresentation:
+    """Every form a direction set can be handed over in gives one set."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(direction_rows(), st.randoms(use_true_random=False))
+    def test_every_form_gives_the_same_set(self, drawn, rng):
+        n, rows = drawn
+        shuffled = rows + [tuple(-x for x in r) for r in rows] + rows[:2]
+        rng.shuffle(shuffled)
+        forms = [frozenset(rows), list(reversed(rows)), shuffled,
+                 np.array(rows, dtype=object).reshape(len(rows), n),
+                 np.array(shuffled, dtype=object).reshape(len(shuffled), n)]
+        small = all(abs(x) < 1 << 61 for r in rows for x in r)
+        if small:
+            forms += [np.array(rows, dtype=np.int64).reshape(len(rows), n),
+                      np.array(shuffled, dtype=np.int64).reshape(len(shuffled), n)]
+        sets = [TestSet(n, form) for form in forms]
+        want = reference_scan(rows)
+        reach = max((abs(x) for r in rows for x in r), default=0)
+        for t in sets:
+            assert t == sets[0] and hash(t) == hash(sets[0])
+            assert t.scan == want and len(t) == len(want) // 2
+            assert all(type(x) is int for v in t.scan for x in v)
+            assert all(type(x) is int for v in t.directions for x in v)
+            assert t.reach == reach
+            assert t.rows.dtype == (np.int64 if small else object)
+            assert not t.rows.flags.writeable and not t.scan_array.flags.writeable
+            assert t.scan_array.tolist() == [list(v) for v in want]
+            assert format_test_set(t) == format_test_set(sets[0])
+
+    def test_int64_and_object_arrays_of_the_same_rows_are_one_set(self):
+        rows = [(1, -2), (0, 3)]
+        small, wide = (TestSet(2, np.array(rows, dtype=d)) for d in (np.int64, object))
+        assert small == wide and hash(small) == hash(wide)
+        assert {small} == {wide} and small.rows.dtype == wide.rows.dtype == np.int64
+
+
+class TestConstructorRefusals:
+    # a float entry once slipped through: step_limits truncated 0.5 to
+    # 0 while line_search walked the real 0.5
+    FLOAT = frozenset({(0.5, 0), (0, 1)})
+    ZERO_ROW = frozenset({(0, 0), (0, 1)})
+    SHORT_ROW = frozenset({(1,), (0, 1)})
+
+    @pytest.mark.parametrize("provenance", [None, (IntMatrix.from_rows([[0, 0]]),
+                                                   IntMatrix.zero(0, 2))])
+    @pytest.mark.parametrize("rows", [FLOAT, ZERO_ROW, SHORT_ROW,
+                                      np.array([[0.5, 0], [0, 1]]),
+                                      np.zeros((1, 2), dtype=np.int64),
+                                      np.ones((1, 3), dtype=np.int64),
+                                      [(1, 2), (1, 2, 3)]])
+    def test_refused(self, provenance, rows):
+        with pytest.raises(ValueError):
+            TestSet(2, rows, provenance)
+
+    def test_float_case_walks_to_the_box_optimum(self):
+        # with the float set the walk ended unbounded-suspected at (3, 0),
+        # value 3; the integer axes reach the box optimum (0, 0)
+        a = IntMatrix.from_rows([[0, 0]])
+        inst = CipInstance(a, (0,), (4, 4), linear_objective([1, 1]))
+        with pytest.raises(ValueError):
+            TestSet(2, self.FLOAT)
+        report = solve(inst, TestSet(2, {(1, 0), (0, 1)}), (3, 3), cap=10)
+        assert (report.status, report.optimum, report.value) == (
+            SolveStatus.OPTIMAL, (0, 0), 0)
+        assert brute_force_optimum(inst, (4, 4)) == ((0, 0), 0)
+
+    def test_parse_keeps_its_messages(self):
+        with pytest.raises(ParseError, match="^test set: zero direction$"):
+            parse_test_set("2 2\n0 0\n0 1\n")
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_test_set("2 2\n0.5 0\n0 1\n")
+
+
+class TestSolvePathBuildsNoTuples:
+    """solve reads the set's array; the frozenset view stays unbuilt."""
+
+    def square_instance(self, upper):
+        a = IntMatrix.from_rows([[1, 1, 1]])
+        obj = SeparableObjective(3, (Term(ScaledEvenPower(1, 2), (1, -1, 0), 0),
+                                     Term(ScaledEvenPower(2, 2), (0, 1, -1), -1)),
+                                 (Fraction(0),) * 3)
+        return CipInstance(a, (6,), upper, obj)
+
+    @pytest.mark.parametrize("upper", [None, (6, 6, 6)])
+    @pytest.mark.parametrize("best", [False, True])
+    def test_instance_test_set(self, upper, best):
+        inst = self.square_instance(upper)
+        t_set = instance_test_set(inst)
+        report = solve(inst, t_set, (6, 0, 0), best=best)
+        assert report.status is SolveStatus.OPTIMAL and report.steps
+        assert "directions" not in vars(t_set)
+
+    def test_compute_test_set(self):
+        inst = self.square_instance(None)
+        t_set = compute_test_set(inst.a, inst.objective.composition_matrix)
+        report = solve(inst, t_set, (0, 0, 6))
+        assert report.status is SolveStatus.OPTIMAL and report.steps
+        assert "directions" not in vars(t_set)
+
 class TestBuildSplitMatrix:
     def test_single_row_single_step(self):
         a = IntMatrix.zero(0, 1)
@@ -427,8 +558,8 @@ class TestBuildSplitMatrix:
             want = compute_test_set(a, c).directions
             for k in (1, 2):
                 split = build_split_matrix(a, c, k)
-                got = project_first_n(compute_graver(split).directions, n)
-                assert got == want, (a.entries, c.entries, k)
+                got = TestSet(n, project_first_n(compute_graver(split).rows, n))
+                assert got.directions == want, (a.entries, c.entries, k)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
