@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import IntMatrix, ParseError, Vec, parse_int_matrix, parse_int_vector
+from .core import IntMatrix, ParseError, Vec, as_int, parse_int_matrix, parse_int_vector
 from .objective import SeparableObjective, parse_objective
 from .graver import OracleBudgetError, append_products, int_dtype
 from .testset import TestSet, box_test_set, compute_test_set
@@ -74,7 +74,8 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class CipInstance:
-    """Equality-constrained integer program with separable convex cost."""
+    """Equality-constrained integer program with separable convex cost;
+    b and upper are stored as tuples of ints (a float is a ValueError)."""
 
     a: IntMatrix
     b: Vec
@@ -82,6 +83,9 @@ class CipInstance:
     objective: SeparableObjective
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "b", tuple(map(as_int, self.b)))
+        if self.upper is not None:
+            object.__setattr__(self, "upper", tuple(map(as_int, self.upper)))
         if len(self.b) != self.a.rows:
             raise ValueError("CipInstance: right-hand side has wrong length")
         if self.objective.n != self.a.cols:
@@ -90,7 +94,7 @@ class CipInstance:
             raise ValueError("CipInstance: bound vector has wrong length")
         if self.upper is not None and min(self.upper) < 0:
             raise ValueError("CipInstance: upper bounds %s include a negative entry"
-                             % (tuple(self.upper),))
+                             % (self.upper,))
 
     @property
     def n(self) -> int:

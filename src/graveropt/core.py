@@ -82,7 +82,8 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        ent = tuple(tuple(int(x) for x in r) for r in rows)
+        """Entries through as_int: a float is a ValueError, not truncated."""
+        ent = tuple(tuple(map(as_int, r)) for r in rows)
         if cols is None:
             if not ent:
                 raise ValueError("IntMatrix.from_rows: empty matrix needs explicit cols")

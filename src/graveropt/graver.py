@@ -31,6 +31,7 @@ conformal_leq, which the completion does not use.  Its work is bounded
 
 A TestSet stores a direction set as one array, its rows: the completion
 hands over its array, and the walk's signed scan is derived from it.
+Every direction array is in tuple order, sorted once by _canonical.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _FAST_ABS_LIMIT = 1 << 61
 # host int64 scans meet about 50M pairs a second, and a call costs about
 # as much NumPy overhead as 20,000 of them (0.4 ms a call on
 # [1 1 10^30-1], whose calls meet few pairs).  The largest legitimate
-# count on record is 83.8M (83,825,823), the 865-element basis of
+# count on record is 83.5M (83,478,630), the 865-element basis of
 # [2 3 5 7 11 13 17]; bases of about 10^30 elements stop after 2 to 6 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
 _SCAN_PAIRS = 2 * 10 ** 4
@@ -110,7 +111,6 @@ class TestSet:
             raise ValueError("TestSet: a direction is zero or not of length %d" % dimension)
         reach = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
         rows = _canonical(rows.astype(int_dtype(reach), copy=False))
-        rows = rows[np.lexsort(rows.T[::-1])]
         rows.flags.writeable = False
         vars(self).update(  # past the frozen __setattr__, as cached_property does
             dimension=dimension, rows=rows, reach=reach, provenance=provenance, box=box)
@@ -163,13 +163,13 @@ def append_products(x: np.ndarray, m: list[list[int]], det: int = 1) -> np.ndarr
 
 def _canonical(rows: np.ndarray) -> np.ndarray:
     """The canonical representatives (first nonzero entry positive) of
-    nonzero rows, each distinct one once, in first-occurrence order."""
+    nonzero rows, each distinct one once, in tuple order."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     rows = np.where((lead < 0)[:, None], -rows, rows)
-    by_row = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    rows = rows[np.lexsort(rows.T[::-1])]
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[by_row[1:]] != rows[by_row[:-1]]).any(axis=1)
-    return rows[np.sort(by_row[first])]
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 def _pack_signs(mat: np.ndarray, words: int) -> np.ndarray:
@@ -295,10 +295,10 @@ def _magnitudes_fit(state: _Completion, g: np.ndarray, rabs: np.ndarray,
 
 
 def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
-    """Per member: the index of a member of smaller 1-norm conformally
-    below it or below its negation, -1 where none is, and the pairs the
-    sign prefilter met.  Smaller, since a member below a vector of equal
-    1-norm equals it up to sign.  The minimality filters run this scan.
+    """Per member: whether a member of smaller 1-norm lies conformally
+    below it or below its negation, and the pairs the sign prefilter
+    met.  Smaller, since a member below a vector of equal 1-norm equals
+    it up to sign.  The minimality filters run this scan.
 
     Rows go in ascending 1-norm, so a block of them only meets the
     prefix of the norm-sorted members lighter than its heaviest row, in
@@ -314,12 +314,11 @@ def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
     leave the prefix that later blocks meet.  The verdicts stay exact:
     if a dropped w lies below v up to sign, some minimal w' lies below
     w, so below v, and w' has a smaller 1-norm than w and is never
-    dropped.  Only the reducer index can change, and callers read the
-    verdict alone.
+    dropped.
     """
-    red = np.full(len(state), -1, dtype=np.intp)
+    below = np.zeros(len(state), dtype=bool)
     if not len(state):
-        return red, 0
+        return below, 0
     rabs = np.abs(state.arr)
     reach = state.norm - 1  # the largest member 1-norm each row may meet
     idx = state.order
@@ -331,7 +330,7 @@ def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
     met = 0
     for start in range(0, pending.size, step):
         if start:
-            live = red[idx] < 0
+            live = ~below[idx]
             idx, inorm, gm = idx[live], inorm[live], gm[live]
         blk = pending[start:start + step]
         k = int(np.searchsorted(inorm, reach[blk[-1]], side="right"))
@@ -339,17 +338,13 @@ def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
         while blk.size:
             met += blk.size * (hi - lo)
             ci, gi, _ = _sign_pairs(gm[lo:hi], inorm[lo:hi], state.mask[blk], reach[blk])
-            ok = _magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])
-            ci, gi = ci[ok], gi[ok]
-            first = np.ones(ci.size, dtype=bool)  # each row's first pair
-            first[1:] = ci[1:] != ci[:-1]
-            red[blk[ci[first]]] = idx[lo + gi[first]]
+            below[blk[ci[_magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])]]] = True
             if hi == k:
                 break
             # the unmatched rows that reach the next member go on
-            blk = blk[(red[blk] < 0) & (reach[blk] >= inorm[hi])]
+            blk = blk[~below[blk] & (reach[blk] >= inorm[hi])]
             lo, hi = hi, min(k, 2 * hi)
-    return red, met
+    return below, met
 
 
 def _batch_normal_form(state: _Completion, cand: np.ndarray,
@@ -357,9 +352,8 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray,
     """Reduce candidate rows, in the set's dtype, by maximal multiples
     until irreducible against the set as of entry, each time by the
     first member in norm order below the row or its negation.  Rows
-    reaching zero drop out; the rest return ordered by their number of
-    reductions, then by input position.  The pairs the sign prefilter
-    meets are charged to budget, as one scan.
+    reaching zero drop out; the rest return in input order.  The pairs
+    the sign prefilter meets are charged to budget, as one scan.
 
     One pass: each row meets each chunk of the norm-sorted members (64,
     64, 128, ...) at most once.  In a chunk the first member found below
@@ -377,7 +371,6 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray,
     wabs = np.abs(work)
     reach = wabs.sum(axis=1)
     rmask = _pack_signs(work, state.words)
-    reds = np.zeros(len(work), dtype=np.intp)
     stale = np.zeros(len(work), dtype=bool)  # reduced since rmask was packed
     step = max(1, _FILTER_ELEMS // (len(state) * state.words))
     live, lo, met = np.arange(len(work)), 0, 0
@@ -407,13 +400,11 @@ def _batch_normal_form(state: _Completion, cand: np.ndarray,
                                            np.where(plus[c, g], 1, -1))
                 work[rows], wabs[rows] = w, np.abs(w)
                 reach[rows] = wabs[rows].sum(axis=1)
-                reds[rows] += 1
                 stale[rows] = True
                 ci, gi = ci[~first], gi[~first]
         lo = 2 * lo or 64
     budget.spend(met)
-    out = np.lexsort((np.arange(len(work)), reds))
-    return work[out[reach[out] > 0]]
+    return work[reach > 0]
 
 
 def _pop_candidates(state: _Completion, lo: int, hi: int,
@@ -437,7 +428,7 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
 
 def _complete(seeds: np.ndarray, n: int, fixed: int,
               budget: _Budget) -> tuple[np.ndarray, tuple[int, int]]:
-    """Complete the seed rows (distinct up to sign, nonzero) and keep
+    """Complete the seed rows (canonical, distinct, nonzero) and keep
     the conformally minimal members.
 
     Two members u, v give the candidates u + v and u - v only where the
@@ -456,15 +447,16 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     at least one pivot.
 
     The round's candidates then join as normal forms, batch-minimal
-    forms first.  The distinct forms (canonical representatives) of a
-    batch that no other form of the batch lies conformally below join
-    the set as one block, and the other forms reduce again against the
-    grown set.  Each kept form is irreducible against the set (a
-    normal form) and against the other kept forms, so every member is
-    irreducible when it enters.  Each form not kept has a kept form
-    below it, since the conformal order is transitive up to sign and
-    1-norms strictly drop along a chain of distinct forms, so each
-    re-reduction subtracts at least once and the loop ends.
+    forms first.  The distinct forms (canonical representatives, in
+    tuple order) of a batch that no other form of the batch lies
+    conformally below join the set as one block, and the other forms
+    reduce again against the grown set.  Each kept form is irreducible
+    against the set (a normal form) and against the other kept forms,
+    so every member is irreducible when it enters.  Each form not kept
+    has a kept form below it, since the conformal order is transitive
+    up to sign and 1-norms strictly drop along a chain of distinct
+    forms, so each re-reduction subtracts at least once and the loop
+    ends.
 
     Each pairing and each scan charges budget for the pairs it tests or
     meets: one normal-form pass (_batch_normal_form) and one minimality
@@ -474,7 +466,7 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     and (candidates formed, rounds).
     """
     state = _Completion(n)
-    state.add_block(_canonical(seeds))
+    state.add_block(seeds)
     # columns [0, fixed), either sign, as a packed mask
     old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0]
     old |= _flip(old)
@@ -494,9 +486,9 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
             budget.spend(met)
             state.add_block(forms[keep])
             work = forms[~keep]
-    red, met = _find_below(state)
+    below, met = _find_below(state)
     budget.spend(met)
-    return state.arr[red < 0], (candidates, rounds)
+    return state.arr[~below], (candidates, rounds)
 
 
 def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
@@ -603,7 +595,7 @@ def compute_graver(a: IntMatrix) -> TestSet:
         candidates = rounds = 0
     else:
         start = np.array([[row[j] for j in sigma] for row in basis], dtype=object)
-        current, (candidates, rounds) = _complete(start, r, 0, budget)
+        current, (candidates, rounds) = _complete(_canonical(start), r, 0, budget)
     logger.debug("start: columns %s, |det| %d, %d candidates, %d rounds, %d elements",
                  sigma, abs(det), candidates, rounds, len(current))
     for d in range(r + 1, n + 1):
@@ -701,14 +693,14 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
 def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """A mask of the distinct canonical nonzero rows (int64 or object)
     with no other row conformally below them, up to sign, and the pairs
-    the sign prefilter met: the completion's minimality scan (_find_below).
+    the sign prefilter met: _find_below's verdicts over the rows, negated.
     A kept row meets about every kept row lighter than it, and a dropped
     one the chunks up to the first holding a row below it, often the
     first 64, so about len(rows) * 64 + kept^2 / 2 pairs."""
     state = _Completion(rows.shape[1])
     state.add_block(rows)
-    red, met = _find_below(state)
-    return red < 0, met
+    below, met = _find_below(state)
+    return ~below, met
 
 
 def graver_oracle(a: IntMatrix, bound: int) -> frozenset[Vec]:
@@ -760,6 +752,6 @@ def verify_against_oracle(a: IntMatrix, basis: TestSet) -> bool:
 
 def project_first_n(rows: np.ndarray, n: int) -> np.ndarray:
     """The distinct canonical representatives of the nonzero leading-n
-    projections of the rows of an array, in first-occurrence order."""
+    projections of the rows of an array, in tuple order."""
     heads = rows[:, :n]
     return _canonical(heads[(heads != 0).any(axis=1)])

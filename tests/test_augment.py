@@ -330,6 +330,27 @@ class TestFeasible:
             solve(inst, lying, (2, 0), best=best)
 
 
+class TestIntegerData:
+    """b and upper are stored as exact ints: a float is refused, never
+    truncated or compared."""
+
+    def test_float_right_hand_side_refused(self):
+        with pytest.raises(ValueError):
+            CipInstance(IntMatrix.from_rows([[1, 1]]), (2.5,), None, linear_objective([1, 1]))
+
+    def test_float_upper_refused(self):
+        # kept, (2.5, 2.5) would become the box of the instance's test set
+        with pytest.raises(ValueError):
+            CipInstance(FREE2, (), (2.5, 2.5), linear_objective([1, 1]))
+
+    def test_upper_as_a_list(self):
+        inst = CipInstance(FREE2, (), [2, 3], linear_objective([1, 1]))
+        assert inst.upper == (2, 3) and inst.feasible((2, 3)) and not inst.feasible((3, 0))
+        t_set = instance_test_set(inst)
+        assert t_set.box == (2, 3)
+        assert solve(inst, t_set, (2, 3)).optimum == (0, 0)
+
+
 class TestCompatibility:
     def test_first_missing_row_named(self):
         inst = CipInstance(FREE2, (), None, SeparableObjective(2, (

@@ -106,6 +106,12 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([])
 
+    def test_from_rows_refuses_a_float(self):
+        # int() would truncate 1.5 to 1 and build another matrix
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1.5, 2, -3]])
+        assert IntMatrix.from_rows([(1, True, -3)]).entries == ((1, 1, -3),)
+
     def test_identity_and_accessors(self):
         e = IntMatrix.identity(3)
         assert e.row(1) == (0, 1, 0)

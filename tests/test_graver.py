@@ -322,16 +322,15 @@ def reference_normal_forms(members, rows):
     Each step takes the first member in (1-norm, insertion) order that
     lies conformally below the row or its negation, checked entrywise
     here, and subtracts its largest multiple that stays below.  Zero
-    forms drop out; the rest are ordered by reductions, then input
-    position."""
+    forms drop out; the rest keep their input order."""
     ordered = sorted(members, key=lambda g: sum(map(abs, g)))  # stable
 
     def below(g, r):
         return all(x == 0 or (x * y > 0 and abs(x) <= abs(y)) for x, y in zip(g, r))
 
     forms, spans = [], []
-    for pos, row in enumerate(rows):
-        r, count, chunks = list(row), 0, set()
+    for row in rows:
+        r, chunks = list(row), set()
         while True:
             for p, g in enumerate(ordered):
                 s = 1 if below(g, r) else -1 if below(g, [-y for y in r]) else 0
@@ -341,12 +340,11 @@ def reference_normal_forms(members, rows):
                 break
             k = min(abs(y) // abs(x) for x, y in zip(g, r) if x)
             r = [y - k * s * x for x, y in zip(g, r)]
-            count += 1
             chunks.add(0 if p < 64 else (p // 64).bit_length())
         spans.append(chunks)
         if any(r):
-            forms.append((count, pos, r))
-    return [r for _, _, r in sorted(forms)], spans
+            forms.append(r)
+    return forms, spans
 
 
 def normal_form_case(seed, big):
@@ -626,6 +624,58 @@ class TestAgainstOracle:
                 assert any(conformal_leq(g, v) for g in signed), (a.entries, v)
 
 
+def graver_set(rows):
+    """compute_graver of the matrix of rows, as a TestSet without
+    provenance, so that sets of different matrices compare."""
+    return TestSet(len(rows[0]), compute_graver(IntMatrix.from_rows(rows)).rows)
+
+
+metamorphic_matrices = st.integers(1, 2).flatmap(lambda m: st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=m, max_size=m)))
+
+
+class TestMetamorphic:
+    """compute_graver against itself on a transformed matrix, mapped
+    back: another matrix takes other start columns and another lift
+    order, so each relation compares two different runs."""
+
+    SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+    @SETTINGS
+    @given(metamorphic_matrices, st.data())
+    def test_column_permutation(self, rows, data):
+        # G(A P) = G(A) P: column j of A P is column p[j] of A
+        p = data.draw(st.permutations(range(len(rows[0]))))
+        permuted = graver_set([[row[j] for j in p] for row in rows])
+        assert TestSet(len(p), permuted.rows[:, np.argsort(p)]) == graver_set(rows)
+
+    @SETTINGS
+    @given(metamorphic_matrices, st.data())
+    def test_column_sign_flips(self, rows, data):
+        # G(A D) = G(A) D for D diagonal with entries +/-1, D = D^-1
+        d = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=len(rows[0]),
+                               max_size=len(rows[0])))
+        flipped = graver_set([[x * s for x, s in zip(row, d)] for row in rows])
+        assert TestSet(len(d), flipped.rows * np.array(d)) == graver_set(rows)
+
+    @SETTINGS
+    @given(metamorphic_matrices, st.data())
+    def test_unimodular_row_operation(self, rows, data):
+        # G(U A) = G(A): U negates a row, or adds k times one row to the
+        # other (two rows) and then may swap them
+        u = [list(row) for row in rows]
+        i = data.draw(st.integers(0, len(u) - 1))
+        if len(u) == 1 or data.draw(st.booleans()):
+            u[i] = [-x for x in u[i]]
+        else:
+            k = data.draw(st.sampled_from((-2, -1, 1, 2)))
+            u[1 - i] = [x + k * y for x, y in zip(u[1 - i], u[i])]
+            if data.draw(st.booleans()):
+                u.reverse()
+        assert graver_set(u) == graver_set(rows)
+
+
 def table_cycles(r, c):
     """Canonical +/-1 vectors of the cycles of K_{r,c}, entry i*c + j
     for cell (i, j): rows i_1..i_k and columns j_1..j_k give +1 at
@@ -748,6 +798,39 @@ class TestBasisType:
         with pytest.raises(AttributeError):
             b.dimension = 3
         assert hash(b) == hash(TestSet(2, frozenset({(1, 0), (0, 1)}), b.provenance))
+
+
+class TestCanonical:
+    """_canonical against the sorted set of the rows' canonical tuples,
+    computed here with no code of graver."""
+
+    @staticmethod
+    def reference(rows):
+        out = set()
+        for row in rows:
+            sign = 1 if next(x for x in row if x) > 0 else -1
+            out.add(tuple(sign * x for x in row))
+        return sorted(out)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_distinct_canonical_rows_in_tuple_order(self, data):
+        # int64 rows, object rows, and object rows with an entry past
+        # 2^63; each row enters negated, duplicated or both, shuffled
+        n = data.draw(st.integers(1, 5))
+        mode = data.draw(st.sampled_from(["int64", "object", "big"]))
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                                  .filter(any), min_size=1, max_size=10))
+        if mode == "big":
+            j = data.draw(st.integers(0, n - 1))
+            rows[0][j] = data.draw(st.sampled_from(((1 << 63) + 5, -(1 << 64) - 3)))
+        signs = st.sampled_from(((1,), (-1,), (1, -1), (1, 1), (-1, 1, -1)))
+        copies = [[s * x for x in row] for row in rows for s in data.draw(signs)]
+        copies = data.draw(st.permutations(copies))
+        arr = np.array(copies, dtype=np.int64 if mode == "int64" else object)
+        got = graver._canonical(arr)
+        assert got.dtype == arr.dtype
+        assert got.tolist() == [list(v) for v in self.reference(copies)]
 
 
 class TestProjectAndLift:

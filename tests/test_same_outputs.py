@@ -81,10 +81,13 @@ def test_signed_draws_match_their_recording():
 
 
 def test_bases_entry_covers_both_limits():
-    """The bases digests, recorded at the default int64 limit and at 4,
-    agree: the completion's dtype never changes a basis."""
+    """The bases digests and their trace digests, recorded at the
+    default int64 limit and at 4, agree: the completion's dtype never
+    changes a basis, nor a lift step's start columns, |det|,
+    candidates, rounds or elements."""
     recorded = json.loads(same_outputs.DIGESTS.read_text())["bases"]
-    assert sorted(recorded) == ["limit 4", "limit default"]
+    assert sorted(recorded) == ["limit 4", "limit default", "trace 4", "trace default"]
     assert recorded["limit 4"] == recorded["limit default"]
+    assert recorded["trace 4"] == recorded["trace default"]
     matrices = same_outputs.basis_matrices()
     assert len(matrices) == 712 and len(set(matrices)) > 650

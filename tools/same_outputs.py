@@ -23,8 +23,11 @@ assignment draws the tool makes itself (3 and 4 facilities, rng =
 random.Random("qap-signed:<seed>")), the data on which no workload
 runs to_cip.  The bases entry hashes compute_graver over a seeded set
 of random matrices (basis_matrices), as (dimension, sorted directions),
-once at the default graver._FAST_ABS_LIMIT and once with it lowered
-to 4, so that the completion runs on object arrays from 1-norm 4 on.
+and, as its trace, the messages of the DEBUG records graveropt.graver
+emits over them (start columns, |det|, candidates, rounds and elements
+of each lift step): once at the default graver._FAST_ABS_LIMIT and
+once with it lowered to 4, so that the completion runs on object
+arrays from 1-norm 4 on.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
@@ -167,21 +170,25 @@ def basis_matrices() -> list[IntMatrix]:
     return out + [IntMatrix.from_rows(rows, cols=cols) for rows, cols in edges]
 
 
-def bases(limit: int | None) -> str:
-    """Digest of compute_graver over basis_matrices at an int64 limit."""
+def bases(limit: int | None) -> tuple[str, str]:
+    """(bases, trace) digests of compute_graver over basis_matrices at
+    an int64 limit."""
     original = graver._FAST_ABS_LIMIT
     graver._FAST_ABS_LIMIT = original if limit is None else limit
     try:
-        return digest((t.dimension, sorted(t.directions))
-                      for t in map(graver.compute_graver, basis_matrices()))
+        with recorded_completion() as trace:
+            sets = [(t.dimension, sorted(t.directions))
+                    for t in map(graver.compute_graver, basis_matrices())]
+        return digest(sets), digest(trace)
     finally:
         graver._FAST_ABS_LIMIT = original
 
 
 def digests() -> dict:
-    out = {"results": {}, "instance_test_set": {}, "completion": {},
-           "bases": {"limit %s" % (limit or "default"): bases(limit)
-                     for limit in BASIS_LIMITS}}
+    out = {"results": {}, "instance_test_set": {}, "completion": {}, "bases": {}}
+    for limit in BASIS_LIMITS:
+        label = limit or "default"
+        out["bases"]["limit %s" % label], out["bases"]["trace %s" % label] = bases(limit)
     for name in WORKLOADS:
         for seed in SEEDS:
             key = "%s %d" % (name, seed)
