@@ -4,25 +4,28 @@ compute_graver runs Hemmecke's project-and-lift: it starts from the
 Graver basis of the kernel lattice projected onto a few columns on
 which the projection is injective, and adds the other columns one at a
 time.  Each step lifts the basis so far onto the new column and runs a
-completion procedure on it: form sums and differences of pairs,
-reduce each candidate against the current set under the conformal
-partial order, and keep irreducible remainders.  Only the critical
-pairs are formed, those that are sign-compatible on the columns
+completion procedure on it: form sums and differences of pairs, and
+keep the candidates that no member lies below in the conformal
+partial order.  Only the critical pairs are formed, those that are sign-compatible on the columns
 already lifted and opposed on the new one.  At the fixpoint every
 kernel vector of the projection is a sign-compatible sum of set
 members, so the conformally minimal members are exactly its Graver
 basis.
 
-The completion runs in rounds (_complete): a round's candidates reduce
-in one batch, and their normal forms that no other form of the batch
-lies below join the set as one block.  The scans meet the members in
-ascending 1-norm, in growing chunks, and packed sign bitmasks prefilter
-(row, member) pairs so the magnitude comparison only runs on the few
-sign-compatible ones.  _batch_normal_form reduces in one pass: each row
-meets each chunk once and is reduced there by every member below it,
-in norm order.  _find_below serves the minimality filters: a row stops
-at the first chunk holding a member below it, and the filter also stops
-meeting the members it has found non-minimal.
+The completion runs in rounds (_complete).  In a lift step a round
+drops each candidate that some member already lies below, and the
+candidates left that no other of them lies below join the set as one
+block; the start completion reduces its candidates to normal forms
+instead.  The scans meet the members in ascending 1-norm, in growing
+chunks, and packed sign bitmasks prefilter (row, member) pairs so the
+magnitude comparison only runs on the few sign-compatible ones.  One
+scan, _below, asks of each row whether a member no heavier than a
+given reach lies below it, and a row stops at the first chunk holding
+one: _reducible runs it on a lift step's candidates, and _find_below on
+the members for the minimality filters, which also stop meeting the
+members found non-minimal.  _batch_normal_form reduces in one pass:
+each row meets each chunk once and is reduced there by every member
+below it, in norm order.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -52,12 +55,13 @@ _FAST_ABS_LIMIT = 1 << 61
 
 # Work one compute_graver call may do before it raises
 # CompletionBudgetError, counted in pairs: the (pivot, member) pairs
-# _pop_candidates tests and the (row, member) pairs _batch_normal_form
-# and _find_below meet, plus _SCAN_PAIRS per call of any.  On a 2-core
-# host int64 scans meet about 50M pairs a second, and a call costs about
-# as much NumPy overhead as 20,000 of them (0.4 ms a call on
+# _pop_candidates tests and the (row, member) pairs the scans meet (a
+# lift step's reducibility scans, the start completion's normal forms,
+# the minimality filters), plus _SCAN_PAIRS per call of any.  On a
+# 2-core host int64 scans meet about 50M pairs a second, and a call
+# costs about as much NumPy overhead as 20,000 of them (0.4 ms a call on
 # [1 1 10^30-1], whose calls meet few pairs).  The largest legitimate
-# count on record is 83.5M (83,478,630), the 865-element basis of
+# count on record is 67.0M (66,996,484), the 865-element basis of
 # [2 3 5 7 11 13 17]; bases of about 10^30 elements stop after 2 to 6 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
 _SCAN_PAIRS = 2 * 10 ** 4
@@ -294,50 +298,49 @@ def _magnitudes_fit(state: _Completion, g: np.ndarray, rabs: np.ndarray,
         for s in range(0, g.size, step)])
 
 
-def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
-    """Per member: whether a member of smaller 1-norm lies conformally
-    below it or below its negation, and the pairs the sign prefilter
-    met.  Smaller, since a member below a vector of equal 1-norm equals
-    it up to sign.  The minimality filters run this scan.
+def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.ndarray,
+           rows: np.ndarray, members: bool = False) -> tuple[np.ndarray, int]:
+    """Per row (entry magnitudes rabs, sign masks rmask): whether a
+    member of 1-norm at most reach[row] lies conformally below it or
+    below its negation, and the pairs the sign prefilter met.  rows
+    lists the row indices in ascending reach.
 
-    Rows go in ascending 1-norm, so a block of them only meets the
-    prefix of the norm-sorted members lighter than its heaviest row, in
-    chunks of 64, 64, 128, ... members; a row leaves after the first
-    chunk holding a member below it.  So nearly every row of a filter
-    that keeps few rows stops in the first chunk, and a minimal row
-    meets the whole prefix.  Blocks are sized so that no temporary over
-    pairs holds more than _FILTER_ELEMS elements while the set has at
-    most _FILTER_ELEMS / words members (a block holds at least one row,
-    and that row meets the whole sorted prefix).
+    A block of rows only meets the prefix of the norm-sorted members
+    within its heaviest row's reach, in chunks of 64, 64, 128, ...
+    members; a row leaves after the first chunk holding a member below
+    it.  So nearly every row of a scan that finds most rows reducible
+    stops in the first chunk, and an irreducible row meets the whole
+    prefix.  Blocks are sized so that no temporary over pairs holds
+    more than _FILTER_ELEMS elements while the set has at most
+    _FILTER_ELEMS / words members (a block holds at least one row, and
+    that row meets the whole sorted prefix).
 
-    After each row block, the members that block found a member below
-    leave the prefix that later blocks meet.  The verdicts stay exact:
-    if a dropped w lies below v up to sign, some minimal w' lies below
-    w, so below v, and w' has a smaller 1-norm than w and is never
-    dropped.
+    With members, the rows are the members themselves, and after each
+    row block the members that block found a member below leave the
+    prefix that later blocks meet.  The verdicts stay exact: if a
+    dropped w lies below v up to sign, some minimal w' lies below w, so
+    below v, and w' has a smaller 1-norm than w and is never dropped.
     """
-    below = np.zeros(len(state), dtype=bool)
+    below = np.zeros(len(reach), dtype=bool)
     if not len(state):
         return below, 0
-    rabs = np.abs(state.arr)
-    reach = state.norm - 1  # the largest member 1-norm each row may meet
     idx = state.order
     inorm = state.norm[idx]
-    # rows as light as every member meet none of them
-    pending = idx[np.searchsorted(inorm, inorm[0], side="right"):]
+    # rows lighter than every member meet none of them
+    rows = rows[reach[rows] >= inorm[0]]
     gm = state.mask[idx]
     step = max(1, _FILTER_ELEMS // (idx.size * state.words))
     met = 0
-    for start in range(0, pending.size, step):
-        if start:
+    for start in range(0, rows.size, step):
+        if members and start:
             live = ~below[idx]
             idx, inorm, gm = idx[live], inorm[live], gm[live]
-        blk = pending[start:start + step]
+        blk = rows[start:start + step]
         k = int(np.searchsorted(inorm, reach[blk[-1]], side="right"))
         lo, hi = 0, min(k, 64)
         while blk.size:
             met += blk.size * (hi - lo)
-            ci, gi, _ = _sign_pairs(gm[lo:hi], inorm[lo:hi], state.mask[blk], reach[blk])
+            ci, gi, _ = _sign_pairs(gm[lo:hi], inorm[lo:hi], rmask[blk], reach[blk])
             below[blk[ci[_magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])]]] = True
             if hi == k:
                 break
@@ -345,6 +348,28 @@ def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
             blk = blk[~below[blk] & (reach[blk] >= inorm[hi])]
             lo, hi = hi, min(k, 2 * hi)
     return below, met
+
+
+def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
+    """Per member: whether a member of smaller 1-norm lies conformally
+    below it or below its negation, and the pairs the sign prefilter
+    met (_below over the members).  Smaller, since a member below a
+    vector of equal 1-norm equals it up to sign.  The minimality filters
+    run this scan."""
+    return _below(state, np.abs(state.arr), state.mask, state.norm - 1, state.order,
+                  members=True)
+
+
+def _reducible(state: _Completion, cand: np.ndarray, budget: _Budget) -> np.ndarray:
+    """Per candidate row, in the set's dtype: whether a member lies
+    conformally below it or below its negation (_below, a member equal
+    to it up to sign included).  The pairs met are charged to budget."""
+    cabs = np.abs(cand)
+    reach = cabs.sum(axis=1)
+    below, met = _below(state, cabs, _pack_signs(cand, state.words), reach,
+                        np.argsort(reach, kind="stable"))
+    budget.spend(met)
+    return below
 
 
 def _batch_normal_form(state: _Completion, cand: np.ndarray,
@@ -426,6 +451,19 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
     return np.concatenate((arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]))
 
 
+def _join(state: _Completion, forms: np.ndarray, budget: _Budget) -> np.ndarray:
+    """Add the distinct forms (canonical representatives, in tuple
+    order) that no other form lies conformally below as one block, and
+    return the others.  The minimality filter is charged to budget."""
+    forms = _canonical(forms)
+    if not len(forms):
+        return forms
+    keep, met = conformally_minimal(forms)
+    budget.spend(met)
+    state.add_block(forms[keep])
+    return forms[~keep]
+
+
 def _complete(seeds: np.ndarray, n: int, fixed: int,
               budget: _Budget) -> tuple[np.ndarray, tuple[int, int]]:
     """Complete the seed rows (canonical, distinct, nonzero) and keep
@@ -446,20 +484,23 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     entries, (end - done + 1) * end <= _PAIR_BATCH, and a round takes
     at least one pivot.
 
-    The round's candidates then join as normal forms, batch-minimal
-    forms first.  The distinct forms (canonical representatives, in
-    tuple order) of a batch that no other form of the batch lies
-    conformally below join the set as one block, and the other forms
-    reduce again against the grown set.  Each kept form is irreducible
-    against the set (a normal form) and against the other kept forms,
-    so every member is irreducible when it enters.  Each form not kept
-    has a kept form below it, since the conformal order is transitive
-    up to sign and 1-norms strictly drop along a chain of distinct
-    forms, so each re-reduction subtracts at least once and the loop
-    ends.
+    In a lift step (fixed >= 1) a round drops each candidate that a
+    member lies conformally below, up to sign (_reducible), and the
+    candidates left that no other of them lies below join the set as
+    one block (_join); the others are dropped too.  compute_graver
+    explains why the dropped sums are not needed.  The start completion
+    (fixed = 0) has no such argument, so its candidates join as normal
+    forms: each round's candidates reduce in one batch
+    (_batch_normal_form), the batch-minimal forms join, and the other
+    forms reduce again against the grown set.  Each form not kept has a
+    kept form below it, since the conformal order is transitive up to
+    sign and 1-norms strictly drop along a chain of distinct forms, so
+    each re-reduction subtracts at least once and the loop ends.
+    Either way each member is irreducible against the set and the rest
+    of its block when it enters.
 
     Each pairing and each scan charges budget for the pairs it tests or
-    meets: one normal-form pass (_batch_normal_form) and one minimality
+    meets: a reducibility scan or normal-form pass and one minimality
     filter per batch.
 
     Returns the minimal members' rows, by _find_below over the members,
@@ -480,12 +521,13 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
         done = end
         candidates += len(work)
         rounds += 1
-        while len(work):
-            forms = _canonical(_batch_normal_form(state, work, budget))
-            keep, met = conformally_minimal(forms)
-            budget.spend(met)
-            state.add_block(forms[keep])
-            work = forms[~keep]
+        if not len(work):
+            continue
+        if fixed:
+            _join(state, work[~_reducible(state, work, budget)], budget)
+        else:
+            while len(work):
+                work = _join(state, _batch_normal_form(state, work, budget), budget)
     below, met = _find_below(state)
     budget.spend(met)
     return state.arr[~below], (candidates, rounds)
@@ -564,18 +606,30 @@ def compute_graver(a: IntMatrix) -> TestSet:
     the columns already lifted and have opposite signs on the new one
     yields the Graver basis of the larger projection.
 
-    Why the critical pairs suffice: by induction every vector of L is
-    a sum of lifted elements that are conformal to it on the columns
-    already lifted (the positive sum property of the previous basis).
-    If such a representation is not conformal on the new column j,
-    two of its summands are compatible on the old columns and have
-    opposite signs on j.  Their sum is a candidate, and its normal
-    form writes it as a sum of set members conformal to it, so the
-    summands stay conformal to the vector on the old columns while
-    sum |g_j| over the summands strictly drops.  After finitely many
-    replacements the representation is conformal everywhere, so each
-    Graver element of the larger projection is in the completed set,
-    and the minimality filter keeps exactly those.
+    Why the critical pairs suffice.  The new projection L' projects
+    injectively onto the old columns F (they hold the start columns),
+    so every nonzero vector of L' has a positive 1-norm |x|_F on F.
+    Call x represented if it is a sum of members, up to sign, each
+    conformal to x.  By induction on |x|_F every x in L' is represented.
+    By the positive sum property of the previous basis, x is a sum of
+    lifted elements (members) conformal to it on F; take such a sum with
+    the least sum |g_j| over its summands, j the new column.  If it is
+    not conformal to x on j, two summands u, v have opposite signs on
+    j, and both are sign-compatible on F: a critical pair, so the
+    completion formed u + v (up to sign).  Either u + v became a member,
+    or some member w lies conformally below it, up to sign (_complete
+    drops such sums, and a sum its batch filter drops has a kept one
+    below it).  Then r = u + v - w lies below u + v too, and
+    |r|_F = |u + v|_F - |w|_F < |u + v|_F <= |x|_F, so r is
+    represented, and w plus r's summands represent u + v.  Either way u
+    and v give way to summands conformal to u + v, which stay conformal
+    to x on F, while sum |g_j| strictly drops, since u_j and v_j have
+    opposite signs: a contradiction.  So the least sum is conformal to
+    x everywhere.  Each Graver element of L' is then a member, and the
+    minimality filter keeps exactly those.  The start completion has no
+    such F to induct on, so it reduces every candidate to its normal
+    form and keeps the nonzero ones: a normal form writes the candidate
+    as a sum of members conformal to it.
 
     A basis can have far more elements than its matrix suggests (that
     of [1, 1, H] has H + 2), so the whole call may do at most

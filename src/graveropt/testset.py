@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (IntMatrix, ParseError, Vec, format_int_matrix, parse_int_matrix,
+from .core import (IntMatrix, ParseError, Vec, as_int, format_int_matrix, parse_int_matrix,
                    parse_int_vector)
 from .graver import (TestSet, append_products, box_kernel_vectors, compute_graver,
                      conformally_minimal, int_dtype, project_first_n)
@@ -98,7 +98,7 @@ def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:
     The candidates read neither C nor b and are kept, read-only, with
     their verdict, for the last FAMILY_CACHE_SIZE pairs (A, u).
     """
-    t_set, line = _box_family(a, c, tuple(upper))
+    t_set, line = _box_family(a, c, tuple(map(as_int, upper)))
     logger.info(*line)
     return t_set
 

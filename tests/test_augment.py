@@ -343,6 +343,12 @@ class TestIntegerData:
         with pytest.raises(ValueError):
             CipInstance(FREE2, (), (2.5, 2.5), linear_objective([1, 1]))
 
+    def test_float_box_refused(self):
+        # a direct caller's float bound would become the set's box
+        with pytest.raises(ValueError):
+            box_test_set(IntMatrix.zero(0, 2), IntMatrix.zero(0, 2), (2.5, 2.5))
+        assert box_test_set(IntMatrix.zero(0, 2), IntMatrix.zero(0, 2), [2, 2]).box == (2, 2)
+
     def test_upper_as_a_list(self):
         inst = CipInstance(FREE2, (), [2, 3], linear_objective([1, 1]))
         assert inst.upper == (2, 3) and inst.feasible((2, 3)) and not inst.feasible((3, 0))

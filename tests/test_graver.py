@@ -676,6 +676,85 @@ class TestMetamorphic:
         assert graver_set(u) == graver_set(rows)
 
 
+def normal_form_complete(seeds, n, fixed, budget):
+    """graver._complete as it ran before lift steps dropped reducible
+    sums: every candidate reduces to its normal form, the batch-minimal
+    forms join and the others reduce again, in lift steps as in the
+    start completion.  One pivot a round."""
+    state = graver._Completion(n)
+    state.add_block(seeds)
+    old = graver._pack_signs((np.arange(n) < fixed)[None], state.words)[0]
+    old |= graver._flip(old)
+    pivot = 0
+    while pivot < len(state):
+        work = graver._pop_candidates(state, pivot, pivot + 1, old)
+        pivot += 1
+        while len(work):
+            forms = graver._canonical(graver._batch_normal_form(state, work, budget))
+            keep, _ = conformally_minimal(forms)
+            state.add_block(forms[keep])
+            work = forms[~keep]
+    below, _ = graver._find_below(state)
+    return state.arr[~below], (0, 0)
+
+
+class TestLiftStepDrops:
+    """A lift step drops each critical sum that a member lies below
+    instead of reducing it to its normal form (compute_graver explains
+    why); bases stay those of the completion that reduces every sum."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(metamorphic_matrices)
+    def test_matches_the_normal_form_completion(self, rows):
+        # the default int64 limit, then object arrays from 1-norm 4 on
+        a = IntMatrix.from_rows(rows)
+        for limit in (graver._FAST_ABS_LIMIT, 4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graver, "_FAST_ABS_LIMIT", limit)
+                got = compute_graver(a)
+                mp.setattr(graver, "_complete", normal_form_complete)
+                assert compute_graver(a) == got, (rows, limit)
+
+    def test_some_dropped_sum_has_a_nonzero_normal_form(self, monkeypatch):
+        # the sums a lift step drops are not all ones that reduce to zero
+        nonzero = []
+        reducible = graver._reducible
+
+        def spy(state, cand, budget):
+            below = reducible(state, cand, budget)
+            if below.any():
+                forms = graver._batch_normal_form(state, cand[below],
+                                                  graver._Budget(graver.COMPLETION_BUDGET))
+                nonzero.append(len(forms))
+            return below
+
+        monkeypatch.setattr(graver, "_reducible", spy)
+        # the lifted matrix [[A, 0], [C, I]] of a graver-lift shape, A = [1 2 1 2]
+        compute_graver(IntMatrix.from_rows([[1, 2, 1, 2, 0, 0], [-2, 2, -1, 1, 1, 0],
+                                            [1, 2, -1, 0, 0, 1]]))
+        assert max(nonzero) > 0
+
+    def test_normal_forms_only_in_the_start_completion(self, monkeypatch):
+        fixed, reduced = [], []
+        complete, normal_form = graver._complete, graver._batch_normal_form
+
+        def spy_complete(seeds, n, f, budget):
+            fixed.append(f)
+            return complete(seeds, n, f, budget)
+
+        def spy_normal_form(state, cand, budget):
+            reduced.append(fixed[-1])
+            return normal_form(state, cand, budget)
+
+        monkeypatch.setattr(graver, "_complete", spy_complete)
+        monkeypatch.setattr(graver, "_batch_normal_form", spy_normal_form)
+        # a start completion that reduces candidates, then lift steps
+        a = IntMatrix.from_rows([[1, 2, 3, 4]])
+        assert verify_against_oracle(a, compute_graver(a))
+        assert fixed[0] == 0 and max(fixed) > 0
+        assert reduced and set(reduced) == {0}
+
+
 def table_cycles(r, c):
     """Canonical +/-1 vectors of the cycles of K_{r,c}, entry i*c + j
     for cell (i, j): rows i_1..i_k and columns j_1..j_k give +1 at

@@ -1,5 +1,5 @@
 """tools/same_outputs.py on the first benchmark pass of each workload at
-seed 7, and its comparison.  The full check (8 passes, seeds 7-9) is the
+seed 7, its comparison and --record.  The full check (8 passes, seeds 7-9) is the
 tool itself, a step of CI.  Loading the tool puts perfbench/ on sys.path,
 as the tool does when run."""
 
@@ -19,7 +19,7 @@ NOTHING = "e3b0c44298fc1c14"  # the digest of no results: sha256 of b""
 # (results, instance_test_set results, completion trace) of the first
 # pass at seed 7
 FIRST_PASS = {
-    "graver-lift": ("21367365a5be71ee", NOTHING, "7148c2889b35a8ee"),
+    "graver-lift": ("21367365a5be71ee", NOTHING, "d84259bea4ca137d"),
     "bounded-qp": ("08ee99f09e3b1e5b", "1cc17e86e1c60e20", "5fbbe0805a91ec52"),
     "qap-n3": ("833cf6215fd277b6", "8906d95405d0b58a", "f1ab970cbe45fad6"),
     "walk-dense": ("b16a8d5c486808b7", NOTHING, "bb488e678ddfb074"),
@@ -40,6 +40,46 @@ def test_every_difference_is_reported():
         "results w 8: None, recorded b",
         "results w 9: d, recorded None",
     ]
+
+
+class TestRecord:
+    """--record rewrites just the digests it names and compares the rest."""
+
+    RECORDED = {"results": {"w 7": "a", "w 8": "b"}, "completion": {"w 7": "c"}}
+    GOT = {"results": {"w 7": "a", "w 8": "B"}, "completion": {"w 7": "C"}}
+
+    def test_only_the_named_entries_change(self):
+        got = same_outputs.record(self.GOT, self.RECORDED, ["completion w 7"])
+        assert got == {"results": {"w 7": "a", "w 8": "b"}, "completion": {"w 7": "C"}}
+        assert same_outputs.mismatches(self.GOT, got) == ["results w 8: B, recorded b"]
+        assert self.RECORDED["completion"] == {"w 7": "c"}
+
+    @pytest.mark.parametrize("name", ["completion w 9", "nothing w 7", "results"])
+    def test_unknown_key_refused(self, name):
+        with pytest.raises(ValueError, match="no digest"):
+            same_outputs.record(self.GOT, self.RECORDED, ["results w 8", name])
+
+    def run_main(self, monkeypatch, tmp_path, capsys, argv):
+        path = tmp_path / "digests.json"
+        path.write_text(json.dumps(self.RECORDED))
+        monkeypatch.setattr(same_outputs, "DIGESTS", path)
+        monkeypatch.setattr(same_outputs, "digests", lambda: self.GOT)
+        code = same_outputs.main(argv)
+        return code, json.loads(path.read_text()), capsys.readouterr().err
+
+    def test_main_records_and_still_compares(self, monkeypatch, tmp_path, capsys):
+        code, written, err = self.run_main(monkeypatch, tmp_path, capsys,
+                                           ["--record", "completion w 7"])
+        assert written == {"results": {"w 7": "a", "w 8": "b"}, "completion": {"w 7": "C"}}
+        assert (code, err) == (1, "same_outputs: results w 8: B, recorded b\n")
+        code, written, err = self.run_main(monkeypatch, tmp_path, capsys,
+                                           ["--record", "completion w 7", "results w 8"])
+        assert written == self.GOT and (code, err) == (0, "")
+
+    def test_main_writes_nothing_on_an_unknown_key(self, monkeypatch, tmp_path, capsys):
+        code, written, err = self.run_main(monkeypatch, tmp_path, capsys,
+                                           ["--record", "completion w 7", "results w 9"])
+        assert (code, written) == (2, self.RECORDED) and "results w 9" in err
 
 
 def test_recorded_digests_cover_every_workload_and_seed():

@@ -112,6 +112,37 @@ class TestComputeTestSet:
         assert got.dimension == 3
 
 
+lift_families = st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 2), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=3)))
+
+
+class TestRedundantCompositionRows:
+    """compute_test_set(A, C) is unchanged when C gains a unit row or an
+    integer multiple, up to sign, of one of its rows: the lifted kernels
+    are isomorphic and their conformal orders agree, since the new
+    coordinate's sign and size follow from an old one.  Each added row
+    is one more lift step of another lifted matrix.  Shapes as in the
+    graver-lift benchmark: one row of A in 1..2, rows of C in -2..2."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lift_families, st.data())
+    def test_added_row_keeps_the_set(self, family, data):
+        a_row, c_rows = family
+        n = len(a_row)
+        if data.draw(st.booleans(), label="unit row"):
+            j = data.draw(st.integers(0, n - 1))
+            row = [int(k == j) for k in range(n)]
+        else:
+            k = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            row = [k * x for x in data.draw(st.sampled_from(c_rows))]
+        at = data.draw(st.integers(0, len(c_rows)))
+        a = IntMatrix.from_rows([a_row])
+        grown = IntMatrix.from_rows(c_rows[:at] + [row] + c_rows[at:], cols=n)
+        assert compute_test_set(a, grown).directions == \
+            compute_test_set(a, IntMatrix.from_rows(c_rows)).directions
+
+
 def counted_box_set(caplog, a, c, upper):
     """box_test_set(a, c, upper) and the candidate count its INFO line gives."""
     caplog.clear()

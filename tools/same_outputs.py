@@ -1,6 +1,6 @@
 """Same outputs: digests of the benchmark workloads' results.
 
-    python3 tools/same_outputs.py
+    python3 tools/same_outputs.py [--record KEY [KEY ...]]
 
 Run from anywhere; the tool imports graveropt from the checkout's src
 and the workloads from perfbench/, which it only reads.  For each
@@ -32,11 +32,15 @@ arrays from 1-norm 4 on.
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
 exit code is 1.  A change that alters outputs on purpose records the
-new digests by writing the printed JSON over that file.
+new digests of just the entries it names, each KEY a kind and key as
+the difference lines print them ("completion graver-lift 7"): --record
+rewrites those entries of DIGESTS and compares the rest as before.  A
+KEY with no digest is refused (exit code 2) and nothing is written.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import logging
@@ -209,10 +213,36 @@ def mismatches(got: dict, want: dict) -> list[str]:
             if ours.get(key) != theirs.get(key)]
 
 
-def main() -> int:
+def record(got: dict, want: dict, names: list[str]) -> dict:
+    """want with the digests named ("<kind> <key>") taken from got; a
+    name that got holds no digest for is a ValueError."""
+    out = {kind: dict(entries) for kind, entries in want.items()}
+    for name in names:
+        kind, _, key = name.partition(" ")
+        if key not in got.get(kind, {}):
+            raise ValueError("same_outputs: no digest %r to record" % name)
+        out.setdefault(kind, {})[key] = got[kind][key]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digests of the benchmark workloads' "
+                                                 "results, compared with %s." % DIGESTS.name)
+    parser.add_argument("--record", nargs="+", default=[], metavar="KEY",
+                        help='record these digests, each "<kind> <key>" as a difference '
+                             'line names it, and compare the rest')
+    args = parser.parse_args(argv)
     got = digests()
     print(json.dumps(got, indent=1, sort_keys=True))
-    bad = mismatches(got, json.loads(DIGESTS.read_text()))
+    want = json.loads(DIGESTS.read_text())
+    if args.record:
+        try:
+            want = record(got, want, args.record)
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 2
+        DIGESTS.write_text(json.dumps(want, indent=1, sort_keys=True) + "\n")
+    bad = mismatches(got, want)
     for line in bad:
         print("same_outputs: %s" % line, file=sys.stderr)
     return 1 if bad else 0
