@@ -6,26 +6,25 @@ which the projection is injective, and adds the other columns one at a
 time.  Each step lifts the basis so far onto the new column and runs a
 completion procedure on it: form sums and differences of pairs, and
 keep the candidates that no member lies below in the conformal
-partial order.  Only the critical pairs are formed, those that are sign-compatible on the columns
-already lifted and opposed on the new one.  At the fixpoint every
-kernel vector of the projection is a sign-compatible sum of set
-members, so the conformally minimal members are exactly its Graver
-basis.
+partial order.  Only the critical pairs are formed, those that are
+sign-compatible on the columns already lifted and opposed on the new
+one.  At the fixpoint every kernel vector of the projection is a
+sign-compatible sum of set members, so the conformally minimal members
+are exactly its Graver basis.
 
 The completion runs in rounds (_complete).  In a lift step a round
 drops each candidate that some member already lies below, and the
 candidates left that no other of them lies below join the set as one
 block; the start completion reduces its candidates to normal forms
-instead.  The scans meet the members in ascending 1-norm, in growing
-chunks, and packed sign bitmasks prefilter (row, member) pairs so the
-magnitude comparison only runs on the few sign-compatible ones.  One
-scan, _below, asks of each row whether a member no heavier than a
-given reach lies below it, and a row stops at the first chunk holding
-one: _reducible runs it on a lift step's candidates, and _find_below on
-the members for the minimality filters, which also stop meeting the
-members found non-minimal.  _batch_normal_form reduces in one pass:
-each row meets each chunk once and is reduced there by every member
-below it, in norm order.
+instead.  Every scan is one, _below: it meets the members in ascending
+1-norm, in growing chunks, and packed sign bitmasks prefilter (row,
+member) pairs so the magnitude comparison only runs on the few
+sign-compatible ones.  A row stops at the chunk holding the first
+member no heavier than a given reach that lies below it.  _reducible
+runs it on a lift step's candidates and _find_below on the members for
+the minimality filters, which also stop meeting the members found
+non-minimal.  _batch_normal_form runs it until no row is reducible,
+and subtracts from each row the first member below it (_first_below).
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -55,14 +54,14 @@ _FAST_ABS_LIMIT = 1 << 61
 
 # Work one compute_graver call may do before it raises
 # CompletionBudgetError, counted in pairs: the (pivot, member) pairs
-# _pop_candidates tests and the (row, member) pairs the scans meet (a
-# lift step's reducibility scans, the start completion's normal forms,
-# the minimality filters), plus _SCAN_PAIRS per call of any.  On a
-# 2-core host int64 scans meet about 50M pairs a second, and a call
-# costs about as much NumPy overhead as 20,000 of them (0.4 ms a call on
-# [1 1 10^30-1], whose calls meet few pairs).  The largest legitimate
-# count on record is 67.0M (66,996,484), the 865-element basis of
-# [2 3 5 7 11 13 17]; bases of about 10^30 elements stop after 2 to 6 s.
+# _pop_candidates tests and the (row, member) pairs the scans meet (the
+# _below scans, and the chunks _first_below meets again), plus
+# _SCAN_PAIRS per call of any.  On a 2-core host int64 scans meet about
+# 50M pairs a second, and a call costs about as much NumPy overhead as
+# 20,000 of them (0.4 ms a call on [1 1 10^30-1], whose calls meet few
+# pairs).  The largest count of the test suite is 61.0M (61,044,003),
+# the 1,002-element basis of [1 1 1000]; bases of about 10^30 elements
+# stop after 2 to 6 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
 _SCAN_PAIRS = 2 * 10 ** 4
 
@@ -300,30 +299,32 @@ def _magnitudes_fit(state: _Completion, g: np.ndarray, rabs: np.ndarray,
 
 def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.ndarray,
            rows: np.ndarray, members: bool = False) -> tuple[np.ndarray, int]:
-    """Per row (entry magnitudes rabs, sign masks rmask): whether a
-    member of 1-norm at most reach[row] lies conformally below it or
-    below its negation, and the pairs the sign prefilter met.  rows
-    lists the row indices in ascending reach.
+    """Per row (entry magnitudes rabs, sign masks rmask): the start of
+    the chunk of the norm-sorted members that holds the first member of
+    1-norm at most reach[row] below the row or below its negation, -1
+    for none; and the pairs the sign prefilter met.  rows lists the row
+    indices in ascending reach.
 
     A block of rows only meets the prefix of the norm-sorted members
-    within its heaviest row's reach, in chunks of 64, 64, 128, ...
-    members; a row leaves after the first chunk holding a member below
-    it.  So nearly every row of a scan that finds most rows reducible
-    stops in the first chunk, and an irreducible row meets the whole
-    prefix.  Blocks are sized so that no temporary over pairs holds
-    more than _FILTER_ELEMS elements while the set has at most
-    _FILTER_ELEMS / words members (a block holds at least one row, and
-    that row meets the whole sorted prefix).
+    within its heaviest row's reach, in chunks [0, 64), [64, 128),
+    [128, 256), ...; a row leaves after the first chunk holding a
+    member below it.  So nearly every row of a scan that finds most
+    rows reducible stops in the first chunk, and an irreducible row
+    meets the whole prefix.  Blocks are sized so that no temporary over
+    pairs holds more than _FILTER_ELEMS elements while the set has at
+    most _FILTER_ELEMS / words members (a block holds at least one row,
+    and that row meets the whole sorted prefix).
 
     With members, the rows are the members themselves, and after each
     row block the members that block found a member below leave the
-    prefix that later blocks meet.  The verdicts stay exact: if a
-    dropped w lies below v up to sign, some minimal w' lies below w, so
-    below v, and w' has a smaller 1-norm than w and is never dropped.
+    prefix that later blocks meet, so only whether there is one is
+    reported.  The verdicts stay exact: if a dropped w lies below v up
+    to sign, some minimal w' lies below w, so below v, and w' has a
+    smaller 1-norm than w and is never dropped.
     """
-    below = np.zeros(len(reach), dtype=bool)
+    chunk = np.full(len(reach), -1, dtype=np.intp)
     if not len(state):
-        return below, 0
+        return chunk, 0
     idx = state.order
     inorm = state.norm[idx]
     # rows lighter than every member meet none of them
@@ -333,7 +334,7 @@ def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.nd
     met = 0
     for start in range(0, rows.size, step):
         if members and start:
-            live = ~below[idx]
+            live = chunk[idx] < 0
             idx, inorm, gm = idx[live], inorm[live], gm[live]
         blk = rows[start:start + step]
         k = int(np.searchsorted(inorm, reach[blk[-1]], side="right"))
@@ -341,13 +342,13 @@ def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.nd
         while blk.size:
             met += blk.size * (hi - lo)
             ci, gi, _ = _sign_pairs(gm[lo:hi], inorm[lo:hi], rmask[blk], reach[blk])
-            below[blk[ci[_magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])]]] = True
+            chunk[blk[ci[_magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])]]] = lo
             if hi == k:
                 break
             # the unmatched rows that reach the next member go on
-            blk = blk[~below[blk] & (reach[blk] >= inorm[hi])]
+            blk = blk[(chunk[blk] < 0) & (reach[blk] >= inorm[hi])]
             lo, hi = hi, min(k, 2 * hi)
-    return below, met
+    return chunk, met
 
 
 def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
@@ -356,8 +357,9 @@ def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
     met (_below over the members).  Smaller, since a member below a
     vector of equal 1-norm equals it up to sign.  The minimality filters
     run this scan."""
-    return _below(state, np.abs(state.arr), state.mask, state.norm - 1, state.order,
-                  members=True)
+    chunk, met = _below(state, np.abs(state.arr), state.mask, state.norm - 1, state.order,
+                        members=True)
+    return chunk >= 0, met
 
 
 def _reducible(state: _Completion, cand: np.ndarray, budget: _Budget) -> np.ndarray:
@@ -366,70 +368,59 @@ def _reducible(state: _Completion, cand: np.ndarray, budget: _Budget) -> np.ndar
     to it up to sign included).  The pairs met are charged to budget."""
     cabs = np.abs(cand)
     reach = cabs.sum(axis=1)
-    below, met = _below(state, cabs, _pack_signs(cand, state.words), reach,
+    chunk, met = _below(state, cabs, _pack_signs(cand, state.words), reach,
                         np.argsort(reach, kind="stable"))
     budget.spend(met)
-    return below
+    return chunk >= 0
+
+
+def _first_below(state: _Completion, rabs: np.ndarray,
+                 rmask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per row (entry magnitudes rabs, sign masks rmask): the first
+    member in norm order (stable) below the row or its negation, as its
+    index in the set, -1 for none; the sign, 1 or -1, that puts it below
+    the row; and the pairs met.  _below finds the chunk that holds it,
+    and only that chunk is met again, in blocks sized as in _below, so
+    _below stays the scan that _reducible and _find_below run."""
+    reach = rabs.sum(axis=1)
+    chunk, met = _below(state, rabs, rmask, reach, np.argsort(reach, kind="stable"))
+    first = np.full(len(reach), -1, dtype=np.intp)
+    sign = np.ones(len(reach), dtype=np.int64)
+    for lo in np.unique(chunk[chunk >= 0]).tolist():
+        cut = state.order[lo:2 * lo or 64]
+        rows = np.flatnonzero(chunk == lo)
+        step = max(1, _FILTER_ELEMS // (cut.size * state.words))
+        for start in range(0, rows.size, step):
+            blk = rows[start:start + step]
+            met += blk.size * cut.size
+            ci, gi, plus = _sign_pairs(state.mask[cut], state.norm[cut], rmask[blk], reach[blk])
+            ok = _magnitudes_fit(state, cut[gi], rabs, blk[ci])
+            ci, at = np.unique(ci[ok], return_index=True)  # each row's first pair
+            gi = gi[ok][at]
+            first[blk[ci]], sign[blk[ci]] = cut[gi], np.where(plus[ci, gi], 1, -1)
+    return first, sign, met
 
 
 def _batch_normal_form(state: _Completion, cand: np.ndarray,
                        budget: _Budget) -> np.ndarray:
     """Reduce candidate rows, in the set's dtype, by maximal multiples
     until irreducible against the set as of entry, each time by the
-    first member in norm order below the row or its negation.  Rows
-    reaching zero drop out; the rest return in input order.  The pairs
-    the sign prefilter meets are charged to budget, as one scan.
-
-    One pass: each row meets each chunk of the norm-sorted members (64,
-    64, 128, ...) at most once.  In a chunk the first member found below
-    the row is subtracted at once, and only the later ones found below
-    it are checked again, against the reduced row, until none lies
-    below it.  A reduced row lies conformally below the row it came
-    from, so no member that was not below the row lies below a later
-    form: the reductions are those of a scan that starts again from the
-    lightest member after each one.  A row leaves once it is zero or
-    lighter than the next chunk.  Each chunk is gathered once; its rows
-    go in blocks of ascending 1-norm, sized as in _find_below, that
-    meet only the members up to the block's heaviest row.
-    """
+    first member in norm order below the row or its negation: one scan
+    (_first_below) a reduction, over the rows still reducible.  Rows
+    reaching zero drop out; the rest return in input order.  Each
+    scan's pairs are charged to budget."""
     work = cand.astype(state.arr.dtype)  # a copy, reduced in place
-    wabs = np.abs(work)
-    reach = wabs.sum(axis=1)
-    rmask = _pack_signs(work, state.words)
-    stale = np.zeros(len(work), dtype=bool)  # reduced since rmask was packed
-    step = max(1, _FILTER_ELEMS // (len(state) * state.words))
-    live, lo, met = np.arange(len(work)), 0, 0
-    while live.size and lo < len(state):
-        cut = state.order[lo:2 * lo or 64]
-        gnorm, gmask = state.norm[cut], state.mask[cut]
-        live = live[reach[live] >= gnorm[0]]
-        if live.size > step:
-            live = live[np.argsort(reach[live], kind="stable")]
-        fresh = live[stale[live]]
-        if fresh.size:
-            rmask[fresh], stale[fresh] = _pack_signs(work[fresh], state.words), False
-        for start in range(0, live.size, step):
-            blk = live[start:start + step]
-            k = int(np.searchsorted(gnorm, reach[blk].max(), side="right"))
-            met += blk.size * k
-            ci, gi, plus = _sign_pairs(gmask[:k], gnorm, rmask[blk], reach[blk])
-            while ci.size:
-                ok = _magnitudes_fit(state, cut[gi], wabs, blk[ci])
-                ci, gi = ci[ok], gi[ok]
-                if not ci.size:
-                    break
-                first = np.ones(ci.size, dtype=bool)  # each row's reducer
-                first[1:] = ci[1:] != ci[:-1]
-                c, g, rows = ci[first], gi[first], blk[ci[first]]
-                w = _subtract_max_multiple(work[rows], wabs[rows], state.arr[cut[g]],
-                                           np.where(plus[c, g], 1, -1))
-                work[rows], wabs[rows] = w, np.abs(w)
-                reach[rows] = wabs[rows].sum(axis=1)
-                stale[rows] = True
-                ci, gi = ci[~first], gi[~first]
-        lo = 2 * lo or 64
-    budget.spend(met)
-    return work[reach > 0]
+    live = np.arange(len(work))
+    while live.size:
+        w = work[live]
+        wabs = np.abs(w)
+        first, sign, met = _first_below(state, wabs, _pack_signs(w, state.words))
+        budget.spend(met)
+        hit = first >= 0
+        live = live[hit]
+        work[live] = _subtract_max_multiple(w[hit], wabs[hit], state.arr[first[hit]],
+                                            sign[hit])
+    return work[work.any(axis=1)]
 
 
 def _pop_candidates(state: _Completion, lo: int, hi: int,
@@ -490,7 +481,7 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     one block (_join); the others are dropped too.  compute_graver
     explains why the dropped sums are not needed.  The start completion
     (fixed = 0) has no such argument, so its candidates join as normal
-    forms: each round's candidates reduce in one batch
+    forms: each round's candidates reduce in one batch, by _below scans
     (_batch_normal_form), the batch-minimal forms join, and the other
     forms reduce again against the grown set.  Each form not kept has a
     kept form below it, since the conformal order is transitive up to
@@ -500,8 +491,8 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     of its block when it enters.
 
     Each pairing and each scan charges budget for the pairs it tests or
-    meets: a reducibility scan or normal-form pass and one minimality
-    filter per batch.
+    meets: a reducibility scan or the normal-form scans, and one
+    minimality filter per batch.
 
     Returns the minimal members' rows, by _find_below over the members,
     and (candidates formed, rounds).
@@ -533,15 +524,16 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     return state.arr[~below], (candidates, rounds)
 
 
-def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
-    """r columns on which the r lattice basis vectors have full rank.
+def _start_columns(seeds: list[Vec], columns) -> tuple[list[int], list[list[int]]]:
+    """r of the given columns on which the r lattice basis vectors have
+    full rank; the columns given must hold such r.
 
     Unimodular row operations (Euclid on one column over the rows not
     yet used) bring the basis to echelon form; its pivot columns are
-    the choice.  A first sweep takes only columns whose pivot is +/-1,
-    a second sweep fills up with any nonzero pivot, so the determinant
-    on the chosen columns is the product of the pivots and is +/-1
-    whenever the sweeps find unit pivots throughout.
+    the choice.  A first sweep over the columns, in their order, takes
+    only columns whose pivot is +/-1, a second fills up with any nonzero
+    pivot, so the determinant on the chosen columns is the product of
+    the pivots and is +/-1 whenever the sweeps find unit pivots.
 
     Returns the columns in the order chosen and the transformed basis
     (same lattice), row k pivoting the k-th column.  There it is upper
@@ -553,7 +545,7 @@ def _start_columns(seeds: list[Vec], n: int) -> tuple[list[int], list[list[int]]
     chosen: list[int] = []
     pivots: list[int] = []
     for unit_only in (True, False):
-        for j in range(n):
+        for j in columns:
             if not free:
                 break
             if j in chosen:
@@ -599,7 +591,11 @@ def compute_graver(a: IntMatrix) -> TestSet:
     injectively (_start_columns).  The Graver basis of the projection
     of L onto sigma is the unit vectors when the lattice basis has
     determinant +/-1 there; otherwise the completion computes it from
-    the projected basis.  Then the other columns join one at a time:
+    the projected basis, a lattice of index |det|.  For one row a the
+    start leaves out a column j of least nonzero |a_j|, the last such:
+    leaving out j gives the index |a_j| / gcd(a), so this is the least.
+    Other matrices sweep their columns in order; no basis depends on
+    the start.  Then the other columns join one at a time:
     each element of the basis so far is lifted to its unique
     continuation on the new column (the exact map of _lift_map), and
     a completion that pairs u, v only when they are sign-compatible on
@@ -640,7 +636,12 @@ def compute_graver(a: IntMatrix) -> TestSet:
     provenance = (a, IntMatrix.zero(0, n))
     if r == 0:
         return TestSet(n, (), provenance)
-    sigma, basis = _start_columns(seeds, n)
+    columns = range(n)
+    if a.rows == 1 and any(a.entries[0]):
+        row = a.entries[0]
+        least = min((j for j in columns if row[j]), key=lambda j: (abs(row[j]), -j))
+        columns = [j for j in columns if j != least]
+    sigma, basis = _start_columns(seeds, columns)
     order = sigma + [j for j in range(n) if j not in sigma]
     det, lift = _lift_map(basis, sigma, order)
     budget = _Budget(COMPLETION_BUDGET)
@@ -661,8 +662,7 @@ def compute_graver(a: IntMatrix) -> TestSet:
     return TestSet(n, current[:, np.argsort(order)], provenance)
 
 
-def box_kernel_vectors(a: IntMatrix, bounds: Vec,
-                       limit: int | None = None) -> list[Vec] | None:
+def box_kernel_vectors(a: IntMatrix, bounds: Vec, limit: int) -> list[Vec] | None:
     """Canonical nonzero kernel vectors v with |v_j| <= bounds[j], in tuple order.
 
     Depth-first over the coordinates with per-row residual pruning: a
@@ -673,11 +673,11 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
     that steps the deepest coordinate through its interval, so the
     dimension is not bounded by Python's recursion limit.
 
-    With a limit, the search stops and returns None as soon as it has
-    found more than limit vectors or reached more than n * limit
-    partial assignments.  A vector costs at most n partial assignments,
-    so the second budget only binds first where the pruning leaves many
-    dead ends, and it caps the work there.
+    The search stops and returns None as soon as it has found more than
+    limit vectors or reached more than n * limit partial assignments.
+    A vector costs at most n partial assignments, so the second budget
+    only binds first where the pruning leaves many dead ends, and it
+    caps the work there.
     """
     n = a.cols
     if len(bounds) != n:
@@ -698,7 +698,7 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
     point = [0] * n
     top = [0] * n  # top[j]: the largest value of coordinate j on this path
     lead = [True] * (n + 1)  # lead[j]: point[:j] is all zero
-    budget = None if limit is None else n * limit
+    budget = n * limit
     j = 0  # coordinates [0, j) are set
     while True:
         if j < n:
@@ -712,10 +712,9 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
                 else:
                     lo, hi = max(lo, -((rest - p) // -c)), min(hi, (rest + p) // -c)
             if hi >= lo:
-                if budget is not None:
-                    budget -= hi - lo + 1
-                    if budget < 0:
-                        return None
+                budget -= hi - lo + 1
+                if budget < 0:
+                    return None
                 point[j], top[j] = lo, hi
                 for i, c, _ in touching[j]:
                     partial[i] += c * lo
@@ -724,7 +723,7 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec,
                 continue
         elif not lead[n]:
             found.append(tuple(point))
-            if limit is not None and len(found) > limit:
+            if len(found) > limit:
                 return None
         # step the deepest coordinate below its top up by one; a lead
         # coordinate starts at 0, so the new point leaves the lead

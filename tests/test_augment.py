@@ -728,7 +728,7 @@ class TestBoundedDirectionSet:
         inst = self.walk_family((2,) * 5)
         with caplog.at_level(logging.INFO, logger="graveropt.testset"):
             got = instance_test_set(inst)
-        count = len(box_kernel_vectors(inst.a, inst.upper))
+        count = len(box_kernel_vectors(inst.a, inst.upper, limit=BOX_CANDIDATE_LIMIT))
         assert caplog.messages == [
             "test set: box, %d candidates, %d directions" % (count, len(got))]
 

@@ -2,8 +2,10 @@ import logging
 import random
 import re
 import tracemalloc
+from functools import reduce
 from itertools import permutations, product
-from math import prod
+from math import gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graveropt import graver
-from graveropt.core import IntMatrix, canonical_rep, conformal_leq, negate
+from graveropt.core import IntMatrix, canonical_rep, conformal_leq, negate, parse_int_matrix
 from graveropt.graver import (
     TestSet,
     box_kernel_vectors,
@@ -152,12 +154,12 @@ class TestBoxKernelVectors:
             expected = {canonical_rep(v)
                         for v in product(*(range(-u, u + 1) for u in bounds))
                         if any(v) and not any(a.mat_vec(v))}
-            got = box_kernel_vectors(a, bounds)
+            got = box_kernel_vectors(a, bounds, limit=10 ** 4)
             assert len(got) == len(expected) and set(got) == expected, a.entries
 
     def test_limit_reports_overflow(self):
         a = IntMatrix.from_rows([[1, 1, -1, -1]])
-        full = box_kernel_vectors(a, (2, 2, 2, 2))
+        full = box_kernel_vectors(a, (2, 2, 2, 2), limit=10 ** 4)
         assert len(full) > 10
         assert box_kernel_vectors(a, (2, 2, 2, 2), limit=10) is None
         assert box_kernel_vectors(a, (2, 2, 2, 2), limit=len(full) - 1) is None
@@ -171,7 +173,7 @@ class TestBoxKernelVectors:
         a = IntMatrix.from_rows([[1, 1000]])
         with time_bound(5):
             assert box_kernel_vectors(a, (10 ** 6, 10 ** 6), limit=4096) is None
-            got = box_kernel_vectors(a, (10 ** 4, 10 ** 4))
+            got = box_kernel_vectors(a, (10 ** 4, 10 ** 4), limit=10 ** 4)
         assert got == [(1000 * k, -k) for k in range(1, 11)]
 
     def test_deeper_than_the_recursion_limit(self):
@@ -182,9 +184,9 @@ class TestBoxKernelVectors:
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            box_kernel_vectors(IntMatrix.zero(0, 2), (1,))
+            box_kernel_vectors(IntMatrix.zero(0, 2), (1,), limit=10)
         with pytest.raises(ValueError):
-            box_kernel_vectors(IntMatrix.zero(0, 2), (1, -1))
+            box_kernel_vectors(IntMatrix.zero(0, 2), (1, -1), limit=10)
 
 
 def norm1(v):
@@ -259,10 +261,10 @@ class TestCompletionBudget:
         return budgets[0].spent
 
     @pytest.mark.parametrize("rows", [[[2, 3, 5]], [[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]],
-                                      [[2, 3, 5, 7, 11]]])
+                                      [[11, 13, 17, 19, 23]]])
     def test_budget_bounds_the_work(self, monkeypatch, rows):
         # a start completion, or unit start and lift steps only, or a
-        # start completion of 95 elements that reduces rows across chunks
+        # start completion of 80 elements that reduces rows across chunks
         # (test_rows_reduce_across_chunks)
         a = IntMatrix.from_rows(rows)
         want = compute_graver(a)
@@ -276,9 +278,10 @@ class TestCompletionBudget:
             compute_graver(a)
 
     def test_rows_reduce_across_chunks(self, monkeypatch):
-        # the normal forms of [2 3 5 7 11]'s completion, against the
-        # reference: some rows meet a set of more than 64 members and
-        # take reducers from two chunks or more
+        # the normal forms of [11 13 17 19 23]'s start completion (index
+        # 11, 80 elements), against the reference: some rows meet a set
+        # of more than 64 members and take reducers from two chunks or
+        # more
         spans = []
         normal_form = graver._batch_normal_form
 
@@ -291,7 +294,7 @@ class TestCompletionBudget:
             return got
 
         monkeypatch.setattr(graver, "_batch_normal_form", spy)
-        assert len(compute_graver(IntMatrix.from_rows([[2, 3, 5, 7, 11]]))) == 95
+        assert len(compute_graver(IntMatrix.from_rows([[11, 13, 17, 19, 23]]))) == 284
         assert max(spans) > 1
 
     def test_tiny_budget_is_a_value_error(self, monkeypatch):
@@ -407,6 +410,46 @@ class TestNormalForm:
         assert self.run(members, rows, np.int64) == want
         monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
         assert self.run(members, rows, np.int64) == want
+
+
+class TestFirstBelow:
+    """The member _first_below reports for each row, from the chunk
+    _below reports, against a scan of conformal_leq over the members in
+    (1-norm, insertion) order, which shares no code with graver."""
+
+    @staticmethod
+    def reference(members, row):
+        """(index, sign) of the first member g in norm order with
+        sign * g conformally below row, (-1, 1) for none."""
+        ordered = sorted(range(len(members)), key=lambda i: sum(map(abs, members[i])))
+        for i in ordered:
+            for sign in (1, -1):
+                if conformal_leq([sign * x for x in members[i]], row):
+                    return i, sign
+        return -1, 1
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(["int64", "object", "big"]))
+    def test_lightest_member_below(self, seed, mode):
+        # int64 arrays; object arrays (the int64 limit lowered to 4); an
+        # entry past 2^63.  Each member is a row too, and the first
+        # member below a heavy one may lie past the first chunk; no
+        # member lies below the zero row.
+        members, rows = normal_form_case(seed, mode == "big")
+        rows += [list(g) for g in members] + [[0] * len(rows[0])]
+        with pytest.MonkeyPatch.context() as mp:
+            if mode == "object":
+                mp.setattr(graver, "_FAST_ABS_LIMIT", 4)
+            state = graver._Completion(len(rows[0]))
+            state.add_block(np.array(members, dtype=object if mode == "big" else np.int64))
+            work = np.array(rows, dtype=state.arr.dtype)
+            first, sign, _ = graver._first_below(state, np.abs(work),
+                                                 graver._pack_signs(work, state.words))
+        assert state.arr.dtype == (np.int64 if mode == "int64" else object)
+        got = list(zip(first.tolist(), sign.tolist()))
+        assert got == [self.reference(members, row) for row in rows]
+        positions = np.argsort(state.norm, kind="stable").tolist()
+        assert max(positions.index(i) for i, _ in got if i >= 0) >= 64, "one chunk only"
 
 
 def naive_minimal(vectors):
@@ -530,7 +573,7 @@ class TestConformallyMinimal:
         # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted
         # by two composition rows
         c = ((2, -1, 1, 0), (1, 1, -2, 3))
-        box = box_kernel_vectors(IntMatrix.zero(0, 4), (3, 3, 3, 3))
+        box = box_kernel_vectors(IntMatrix.zero(0, 4), (3, 3, 3, 3), limit=10 ** 4)
         lifted = [z + tuple(-sum(x * y for x, y in zip(row, z)) for row in c)
                   for z in box]
         assert len(lifted) == 1200
@@ -569,25 +612,31 @@ class TestAgainstOracle:
                     (a.entries, limit, cap, batch)
 
     def test_absorb_reduces_a_form_again(self, monkeypatch):
-        # some batch of normal forms holds a form with another form of
-        # the batch below it, so that form reduces again
-        a = IntMatrix.from_rows([[1, 2, 3, 4]])
-        sizes = []
-        minimal = graver.conformally_minimal
+        # some batch of normal forms of the start completion (index 4)
+        # holds a form with another form of the batch below it, so that
+        # form reduces again
+        a = IntMatrix.from_rows([[4, 5, 6, 7]])
+        sizes, fixed = [], []
+        minimal, complete = graver.conformally_minimal, graver._complete
 
         def spy(rows):
             keep, met = minimal(rows)
-            sizes.append((len(rows), int(keep.sum())))
+            sizes.append((fixed[-1], len(rows), int(keep.sum())))
             return keep, met
 
+        def spy_complete(seeds, n, f, budget):
+            fixed.append(f)
+            return complete(seeds, n, f, budget)
+
         monkeypatch.setattr(graver, "conformally_minimal", spy)
+        monkeypatch.setattr(graver, "_complete", spy_complete)
         basis = compute_graver(a)
-        assert any(kept < given for given, kept in sizes), sizes
+        assert any(f == 0 and kept < given for f, given, kept in sizes), sizes
         assert verify_against_oracle(a, basis)
 
     @pytest.mark.parametrize("rows, cols", [
         ([[2, 3]], 2),                      # start lattice 3Z: not unimodular
-        ([[6, 10, 15]], 3),                 # |det| 5 on the start columns
+        ([[6, 10, 15]], 3),                 # |det| 6 on the start columns
         ([], 3),                            # 0-row A: unit vectors
         ([[0, 1, -1, 0], [0, 2, 1, 0]], 4),  # zero columns
         ([[1, 0], [0, 1]], 2),              # trivial kernel
@@ -624,11 +673,47 @@ class TestAgainstOracle:
                 assert any(conformal_leq(g, v) for g in signed), (a.entries, v)
 
 
+class TestLeastIndexStart:
+    """A one-row matrix starts where its lattice index is least: leaving
+    out column j gives index |a_j| / gcd(a), computed here from the row
+    alone."""
+
+    class Chosen(Exception):
+        """Raised with the start pivots, so that no completion runs."""
+
+    def start_pivots(self, a):
+        """The pivots of the start columns compute_graver chooses."""
+        start_columns = graver._start_columns
+
+        def spy(seeds, columns):
+            sigma, basis = start_columns(seeds, columns)
+            raise self.Chosen([row[j] for row, j in zip(basis, sigma)])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graver, "_start_columns", spy)
+            with pytest.raises(self.Chosen) as chosen:
+                compute_graver(a)
+        return chosen.value.args[0]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6).filter(any))
+    @example([10, 9, 6])  # a unit sweep takes the 6, after 10 and 9, and leaves out the 9
+    @example([2, 3, 5, 7, 11, 13])
+    def test_pivot_product_is_the_least_index(self, row):
+        a = IntMatrix.from_rows([row])
+        least = min(abs(x) for x in row if x) // reduce(gcd, row)
+        assert abs(prod(self.start_pivots(a))) == least
+        if len(row) <= 3 and max(map(abs, row)) <= 12:
+            assert verify_against_oracle(a, compute_graver(a)), row
+
+
 def graver_set(rows):
     """compute_graver of the matrix of rows, as a TestSet without
     provenance, so that sets of different matrices compare."""
     return TestSet(len(rows[0]), compute_graver(IntMatrix.from_rows(rows)).rows)
 
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 metamorphic_matrices = st.integers(1, 2).flatmap(lambda m: st.integers(2, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
@@ -674,6 +759,19 @@ class TestMetamorphic:
             if data.draw(st.booleans()):
                 u.reverse()
         assert graver_set(u) == graver_set(rows)
+
+    def test_865_element_basis(self):
+        # [2 3 5 7 11 13 17] reversed, with the 7 negated: the 2 it
+        # leaves out of the start is now the last column, and the sweep
+        # and lift orders change; mapped back, the recorded CLI output
+        row = [2, 3, 5, 7, 11, 13, 17]
+        p = list(range(len(row)))[::-1]
+        d = [1, 1, 1, -1, 1, 1, 1]
+        got = graver_set([[row[j] * s for j, s in zip(p, d)]])
+        mapped = TestSet(len(p), (got.rows * np.array(d))[:, np.argsort(p)])
+        want = parse_int_matrix((GOLDEN / "graver_primes.out").read_text())
+        assert len(want.entries) == 865
+        assert mapped == TestSet(len(row), want.entries)
 
 
 def normal_form_complete(seeds, n, fixed, budget):
@@ -748,8 +846,9 @@ class TestLiftStepDrops:
 
         monkeypatch.setattr(graver, "_complete", spy_complete)
         monkeypatch.setattr(graver, "_batch_normal_form", spy_normal_form)
-        # a start completion that reduces candidates, then lift steps
-        a = IntMatrix.from_rows([[1, 2, 3, 4]])
+        # a start completion (index 2) that reduces candidates, then a
+        # lift step
+        a = IntMatrix.from_rows([[2, 3, 5]])
         assert verify_against_oracle(a, compute_graver(a))
         assert fixed[0] == 0 and max(fixed) > 0
         assert reduced and set(reduced) == {0}
@@ -916,7 +1015,7 @@ class TestProjectAndLift:
     def test_unit_pivots_preferred(self):
         # column 0 has pivot 2 on the kernel basis, columns 1 and 2 a unit one
         a = IntMatrix.from_rows([[1, 2, 2]])
-        sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), 3)
+        sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), range(3))
         det, _ = graver._lift_map(basis, sigma, [0, 1, 2])
         assert sigma == [1, 2] and abs(det) == 1
 
@@ -926,7 +1025,7 @@ class TestProjectAndLift:
         for rows in ([[6, 10, 15]], [[2, 3]], [[1, -3, -3, 3], [-2, 1, 0, -2]]):
             a = IntMatrix.from_rows(rows)
             n = a.cols
-            sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), n)
+            sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), range(n))
             det, lift = graver._lift_map(basis, sigma, list(range(n)))
             for v in compute_graver(a).directions:
                 head = np.array([[v[j] for j in sigma]], dtype=np.int64)
@@ -943,7 +1042,7 @@ class TestProjectAndLift:
     @pytest.mark.parametrize("rows, big_det, negative", PIVOT_CASES)
     def test_pivot_cases_are_what_they_claim(self, rows, big_det, negative):
         a = IntMatrix.from_rows(rows)
-        sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), a.cols)
+        sigma, basis = graver._start_columns(graver.kernel_lattice_basis(a), range(a.cols))
         pivots = [row[j] for row, j in zip(basis, sigma)]
         assert (abs(prod(pivots)) > 1, min(pivots) < 0) == (big_det, negative)
 
@@ -960,7 +1059,7 @@ class TestProjectAndLift:
         n = a.cols
         seeds = graver.kernel_lattice_basis(a)
         r = len(seeds)
-        sigma, basis = graver._start_columns(seeds, n)
+        sigma, basis = graver._start_columns(seeds, range(n))
         assert len(set(sigma)) == len(sigma) == r
         block = [[row[j] for j in sigma] for row in basis]
         # upper triangular with a nonzero diagonal, in choice order
@@ -987,9 +1086,10 @@ class TestProjectAndLift:
         assert got.tolist() == [[big, 3, 2 * big + 3], [-1, 2, 0]]
 
     def test_one_log_line_per_lift_step(self, caplog):
-        # a unit start, then a start of |det| 5 that needs a completion
+        # a unit start, then a start of |det| 2, the least index of
+        # [2 3 5], that needs a completion
         for rows, rank, det in (([[1, 2, 2, 1, 1], [0, 1, -1, 2, 0]], 3, 1),
-                                ([[2, 3, 5]], 2, 5)):
+                                ([[2, 3, 5]], 2, 2)):
             a = IntMatrix.from_rows(rows)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="graveropt.graver"):

@@ -59,11 +59,11 @@ class TestRecord:
         with pytest.raises(ValueError, match="no digest"):
             same_outputs.record(self.GOT, self.RECORDED, ["results w 8", name])
 
-    def run_main(self, monkeypatch, tmp_path, capsys, argv):
+    def run_main(self, monkeypatch, tmp_path, capsys, argv, digests=None):
         path = tmp_path / "digests.json"
         path.write_text(json.dumps(self.RECORDED))
         monkeypatch.setattr(same_outputs, "DIGESTS", path)
-        monkeypatch.setattr(same_outputs, "digests", lambda: self.GOT)
+        monkeypatch.setattr(same_outputs, "digests", digests or (lambda: self.GOT))
         code = same_outputs.main(argv)
         return code, json.loads(path.read_text()), capsys.readouterr().err
 
@@ -77,9 +77,22 @@ class TestRecord:
         assert written == self.GOT and (code, err) == (0, "")
 
     def test_main_writes_nothing_on_an_unknown_key(self, monkeypatch, tmp_path, capsys):
+        # refused before any digest is computed
+        def digests():
+            raise AssertionError("digests computed for an unknown key")
+
         code, written, err = self.run_main(monkeypatch, tmp_path, capsys,
-                                           ["--record", "completion w 7", "results w 9"])
+                                           ["--record", "completion w 7", "results w 9"],
+                                           digests)
         assert (code, written) == (2, self.RECORDED) and "results w 9" in err
+
+    def test_main_accepts_a_key_of_the_scheme_before_it_is_recorded(
+            self, monkeypatch, tmp_path, capsys):
+        # "bases trace 4" is a key digests() fills, though not recorded here
+        code, written, err = self.run_main(monkeypatch, tmp_path, capsys,
+                                           ["--record", "bases trace 4"],
+                                           lambda: {**self.GOT, "bases": {"trace 4": "T"}})
+        assert written["bases"] == {"trace 4": "T"} and code == 1
 
 
 def test_recorded_digests_cover_every_workload_and_seed():
@@ -92,6 +105,9 @@ def test_recorded_digests_cover_every_workload_and_seed():
         "%s %d" % (w, s) for w in same_outputs.TEST_SET_WORKLOADS for s in seeds)
     assert sorted(recorded["completion"]) == sorted(
         "%s %d" % (w, s) for w in same_outputs.WORKLOADS for s in seeds)
+    # the key scheme --record checks names against is the recorded one
+    assert {kind: sorted(keys) for kind, keys in same_outputs.keys().items()} == {
+        kind: sorted(entries) for kind, entries in recorded.items()}
 
 
 def test_completion_trace_is_the_debug_records():
@@ -130,4 +146,4 @@ def test_bases_entry_covers_both_limits():
     assert recorded["limit 4"] == recorded["limit default"]
     assert recorded["trace 4"] == recorded["trace default"]
     matrices = same_outputs.basis_matrices()
-    assert len(matrices) == 712 and len(set(matrices)) > 650
+    assert len(matrices) == 716 and len(set(matrices)) > 650

@@ -249,7 +249,8 @@ class TestBoxTestSet:
         # the largest norm of its rows less one
         norms = sorted(sum(map(abs, z)) + sum(abs(sum(x * y for x, y in zip(row, z)))
                                               for row in c)
-                       for z in graver.box_kernel_vectors(IntMatrix.zero(0, 4), (4,) * 4))
+                       for z in graver.box_kernel_vectors(IntMatrix.zero(0, 4), (4,) * 4,
+                                                          limit=10 ** 4))
         reach = [x - 1 for x in norms if x > norms[0]]
         step = (1 << 17) // len(norms)
         unpruned = sum(len(reach[s:s + step]) * sum(x <= reach[s:s + step][-1] for x in norms)

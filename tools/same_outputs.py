@@ -22,12 +22,12 @@ bench workload: it hashes the solve_qap results on mixed-sign
 assignment draws the tool makes itself (3 and 4 facilities, rng =
 random.Random("qap-signed:<seed>")), the data on which no workload
 runs to_cip.  The bases entry hashes compute_graver over a seeded set
-of random matrices (basis_matrices), as (dimension, sorted directions),
-and, as its trace, the messages of the DEBUG records graveropt.graver
-emits over them (start columns, |det|, candidates, rounds and elements
-of each lift step): once at the default graver._FAST_ABS_LIMIT and
-once with it lowered to 4, so that the completion runs on object
-arrays from 1-norm 4 on.
+of random matrices and some fixed ones (basis_matrices), as
+(dimension, sorted directions), and, as its trace, the messages of the
+DEBUG records graveropt.graver emits over them (start columns, |det|,
+candidates, rounds and elements of each lift step): once at the
+default graver._FAST_ABS_LIMIT and once with it lowered to 4, so that
+the completion runs on object arrays from 1-norm 4 on.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
@@ -35,7 +35,9 @@ exit code is 1.  A change that alters outputs on purpose records the
 new digests of just the entries it names, each KEY a kind and key as
 the difference lines print them ("completion graver-lift 7"): --record
 rewrites those entries of DIGESTS and compares the rest as before.  A
-KEY with no digest is refused (exit code 2) and nothing is written.
+KEY that neither DIGESTS nor the tool's key scheme (keys) holds is
+refused before any digest is computed, and one the run holds no digest
+for after; either way the exit code is 2 and nothing is written.
 """
 
 from __future__ import annotations
@@ -158,9 +160,11 @@ def basis_matrices() -> list[IntMatrix]:
     """600 random matrices of 1 to 3 rows and 2 to 5 columns with
     entries in -3..3, 80 of 1 to 3 rows and 5 to 7 columns in -2..2, 26
     of 1 to 2 rows and 2 to 6 columns in -5..5 (rng =
-    random.Random("bases")), and six edge cases: a start lattice 3Z, a
-    start determinant of 5, no rows, zero columns, a trivial kernel, a
-    zero row."""
+    random.Random("bases")), six edge cases (a start lattice 3Z, a
+    start of |det| above 1 on three columns, no rows, zero columns, a
+    trivial kernel, a zero row) and four one-row matrices of 180 to 311
+    elements with no unit entry, whose start index depends most on the
+    start columns."""
     rng = random.Random("bases")
     out = []
     for count, rows, cols, mag in ((600, 3, (2, 5), 3), (80, 3, (5, 7), 2),
@@ -171,6 +175,9 @@ def basis_matrices() -> list[IntMatrix]:
                 [[rng.randint(-mag, mag) for _ in range(c)] for _ in range(r)]))
     edges = [([[2, 3]], 2), ([[6, 10, 15]], 3), ([], 3), ([[0, 1, -1, 0], [0, 2, 1, 0]], 4),
              ([[1, 0], [0, 1]], 2), ([[1, 2, 0], [0, 0, 0]], 3)]
+    one_row = [[2, 3, 5, 7, 11, 13], [4, 6, 9, 10, 15, 21], [3, 4, 5, 6, 7, 8],
+               [11, 13, 17, 19, 23]]
+    edges += [([row], len(row)) for row in one_row]
     return out + [IntMatrix.from_rows(rows, cols=cols) for rows, cols in edges]
 
 
@@ -186,6 +193,17 @@ def bases(limit: int | None) -> tuple[str, str]:
         return digest(sets), digest(trace)
     finally:
         graver._FAST_ABS_LIMIT = original
+
+
+def keys() -> dict:
+    """The keys of each kind that digests() fills, computing nothing."""
+    runs = ["%s %d" % (name, seed) for name in WORKLOADS for seed in SEEDS]
+    return {"results": runs + ["%s %d" % (SIGNED, seed) for seed in SEEDS],
+            "instance_test_set": ["%s %d" % (name, seed)
+                                  for name in TEST_SET_WORKLOADS for seed in SEEDS],
+            "completion": runs,
+            "bases": ["%s %s" % (part, limit or "default")
+                      for limit in BASIS_LIMITS for part in ("limit", "trace")]}
 
 
 def digests() -> dict:
@@ -232,9 +250,15 @@ def main(argv: list[str] | None = None) -> int:
                         help='record these digests, each "<kind> <key>" as a difference '
                              'line names it, and compare the rest')
     args = parser.parse_args(argv)
+    want = json.loads(DIGESTS.read_text())
+    known = {"%s %s" % (kind, key) for source in (want, keys())
+             for kind, entries in source.items() for key in entries}
+    for name in args.record:
+        if name not in known:  # refused before any workload runs
+            print("same_outputs: no digest %r to record" % name, file=sys.stderr)
+            return 2
     got = digests()
     print(json.dumps(got, indent=1, sort_keys=True))
-    want = json.loads(DIGESTS.read_text())
     if args.record:
         try:
             want = record(got, want, args.record)
