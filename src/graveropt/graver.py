@@ -14,17 +14,19 @@ are exactly its Graver basis.
 
 The completion runs in rounds (_complete).  In a lift step a round
 drops each candidate that some member already lies below, and the
-candidates left that no other of them lies below join the set as one
-block; the start completion reduces its candidates to normal forms
-instead.  Every scan is one, _below: it meets the members in ascending
-1-norm, in growing chunks, and packed sign bitmasks prefilter (row,
-member) pairs so the magnitude comparison only runs on the few
-sign-compatible ones.  A row stops at the chunk holding the first
-member no heavier than a given reach that lies below it.  _reducible
-runs it on a lift step's candidates and _find_below on the members for
-the minimality filters, which also stop meeting the members found
-non-minimal.  _batch_normal_form runs it until no row is reducible,
-and subtracts from each row the first member below it (_first_below).
+candidates left that no other of them lies below join the set; the
+start completion reduces its candidates to normal forms instead.  The
+set and each round's batch are blocks (_Completion), each row's scan
+data computed once.  Every scan is one, _below: it meets a block's
+rows in ascending 1-norm, in growing chunks, and packed sign bitmasks
+prefilter (row, member) pairs so the magnitude comparison only runs on
+the few sign-compatible ones.  A row stops at the chunk holding the
+first member no heavier than a given reach that lies below it.
+_reducible runs it on a lift step's candidates and _find_below on a
+block's rows for the minimality filters, which also stop meeting the
+members found non-minimal.  _batch_normal_form runs it until no row is
+reducible, and subtracts from each row the first member below it
+(_first_below).
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -237,41 +239,40 @@ class _Budget:
 
 
 class _Completion:
-    """Working state of the completion run.
+    """A block of distinct canonical nonzero rows, int64 or object: the
+    completion's set, a round's batch, or conformally_minimal's rows.
 
-    Members are stored once per +/- pair (canonical representative),
-    in insertion order, and never removed.  NumPy arrays hold their
-    entries arr, 1-norms norm and sign masks mask (_pack_signs) for the
-    vectorized scans; order lists them by ascending 1-norm (stable), so
-    the light members that do nearly all reductions come first and a
-    row only meets the members no heavier than itself.
-
-    arr and the norms take int_dtype of the largest member 1-norm: the
-    first block reaching _FAST_ABS_LIMIT turns both into object arrays
-    of Python ints, once, and every scan runs unchanged on either dtype.
+    NumPy arrays hold their entries arr, 1-norms norm and sign masks
+    mask (_pack_signs), computed once, for the vectorized scans; order
+    lists them by ascending 1-norm (stable), so the light members that
+    do nearly all reductions come first and a row only meets the
+    members no heavier than itself.  arr and norm take int_dtype of the
+    largest 1-norm, and every scan runs unchanged on either dtype.  The
+    set grows only by extend and never loses a row: the first kept row
+    whose 1-norm reaches _FAST_ABS_LIMIT turns its arr and norm into
+    object arrays, once, and until then kept rows enter as int64.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.words = (n + 31) // 32
-        self.arr = np.zeros((0, n), dtype=np.int64)
-        self.norm = np.zeros(0, dtype=np.int64)
-        self.mask = np.zeros((0, self.words), dtype=np.uint64)
-        self.order = np.zeros(0, dtype=np.intp)
+    def __init__(self, rows: np.ndarray):
+        self.n, self.words = rows.shape[1], (rows.shape[1] + 31) // 32
+        rabs = np.abs(rows)
+        norm = rabs.astype(int_dtype(int(rabs.max(initial=0)) * self.n), copy=False).sum(axis=1)
+        dtype = int_dtype(int(norm.max(initial=0)))
+        self.arr, self.norm = rows.astype(dtype, copy=False), norm.astype(dtype, copy=False)
+        self.mask = _pack_signs(self.arr, self.words)
+        self.order = np.argsort(self.norm, kind="stable")
 
     def __len__(self) -> int:
         return len(self.arr)
 
-    def add_block(self, rows: np.ndarray) -> None:
-        """Append canonical nonzero rows, an int64 or object array, at once."""
-        rabs = np.abs(rows)
-        norms = rabs.astype(int_dtype(int(rabs.max(initial=0)) * self.n), copy=False).sum(axis=1)
-        if int_dtype(int(norms.max(initial=0))) is object:
+    def extend(self, block: _Completion, keep: np.ndarray) -> None:
+        """Append the rows of block that the mask keep selects, in order."""
+        arr, norm = block.arr[keep], block.norm[keep]
+        if int_dtype(int(norm.max(initial=0))) is object:
             self.arr, self.norm = self.arr.astype(object), self.norm.astype(object)
-        mat = rows.astype(self.arr.dtype, copy=False)
-        self.arr = np.concatenate([self.arr, mat])
-        self.norm = np.concatenate([self.norm, norms.astype(self.norm.dtype, copy=False)])
-        self.mask = np.concatenate([self.mask, _pack_signs(mat, self.words)])
+        self.arr = np.concatenate([self.arr, arr.astype(self.arr.dtype, copy=False)])
+        self.norm = np.concatenate([self.norm, norm.astype(self.norm.dtype, copy=False)])
+        self.mask = np.concatenate([self.mask, block.mask[keep]])
         self.order = np.argsort(self.norm, kind="stable")
 
 
@@ -352,11 +353,11 @@ def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.nd
 
 
 def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
-    """Per member: whether a member of smaller 1-norm lies conformally
-    below it or below its negation, and the pairs the sign prefilter
-    met (_below over the members).  Smaller, since a member below a
-    vector of equal 1-norm equals it up to sign.  The minimality filters
-    run this scan."""
+    """Per row of a block: whether a row of smaller 1-norm lies
+    conformally below it or below its negation, and the pairs the sign
+    prefilter met (_below over the block's rows).  Smaller, since a row
+    below a vector of equal 1-norm equals it up to sign.  The
+    minimality filters run this scan."""
     chunk, met = _below(state, np.abs(state.arr), state.mask, state.norm - 1, state.order,
                         members=True)
     return chunk >= 0, met
@@ -443,16 +444,18 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
 
 
 def _join(state: _Completion, forms: np.ndarray, budget: _Budget) -> np.ndarray:
-    """Add the distinct forms (canonical representatives, in tuple
-    order) that no other form lies conformally below as one block, and
-    return the others.  The minimality filter is charged to budget."""
+    """Add to the set, as one block, the distinct forms (canonical
+    representatives, in tuple order) that no other form lies
+    conformally below, and return the others.  The block's minimality
+    filter (_find_below) is charged to budget."""
     forms = _canonical(forms)
     if not len(forms):
         return forms
-    keep, met = conformally_minimal(forms)
+    block = _Completion(forms)
+    below, met = _find_below(block)
     budget.spend(met)
-    state.add_block(forms[keep])
-    return forms[~keep]
+    state.extend(block, ~below)
+    return forms[below]
 
 
 def _complete(seeds: np.ndarray, n: int, fixed: int,
@@ -494,11 +497,10 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     meets: a reducibility scan or the normal-form scans, and one
     minimality filter per batch.
 
-    Returns the minimal members' rows, by _find_below over the members,
-    and (candidates formed, rounds).
+    The set starts as the seeds' block.  Returns the minimal members'
+    rows, by _find_below over them, and (candidates formed, rounds).
     """
-    state = _Completion(n)
-    state.add_block(seeds)
+    state = _Completion(seeds)
     # columns [0, fixed), either sign, as a packed mask
     old = _pack_signs((np.arange(n) < fixed)[None], state.words)[0]
     old |= _flip(old)
@@ -746,13 +748,11 @@ def box_kernel_vectors(a: IntMatrix, bounds: Vec, limit: int) -> list[Vec] | Non
 def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """A mask of the distinct canonical nonzero rows (int64 or object)
     with no other row conformally below them, up to sign, and the pairs
-    the sign prefilter met: _find_below's verdicts over the rows, negated.
+    the sign prefilter met: _find_below over the rows' block, negated.
     A kept row meets about every kept row lighter than it, and a dropped
     one the chunks up to the first holding a row below it, often the
     first 64, so about len(rows) * 64 + kept^2 / 2 pairs."""
-    state = _Completion(rows.shape[1])
-    state.add_block(rows)
-    below, met = _find_below(state)
+    below, met = _find_below(_Completion(rows))
     return ~below, met
 
 

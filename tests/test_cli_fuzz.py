@@ -29,7 +29,7 @@ import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from graveropt.cli import main
@@ -186,6 +186,24 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
 
 
 class TestCliFuzz:
+    # derandomize draws each command's cases from a seed derived from the
+    # test's source and node id; these are the values it derived, pinned
+    # so that an edit of the body keeps the draws
+    SEEDS = {
+        "ak": 30485751966422591204795524871215381896091827209695665850396035909461499258038777799825453479324802780438917381830808,
+        "graver": 32486056337461301520222445932037112185273792319692688348338076257434368982168031252500982984740904504804190274809308,
+        "qap": 36713929361152357378772303930635926950401093500646905140944209377836608257384732695959832958957856618336733702165387,
+        "quad": 361940222199044670756235677174464623554706291381400884785386429574921951241857288587584326475241019420647204946890,
+        "solve": 15204279452918926971697966310978063602049406504224940155912093976606257180325893534376572082722875802162444182676176,
+        "testset": 11461582358476093090598266228109020460068764590346926305565564833887941225363576792300114671135996082786945600875728,
+    }
+
+    @pytest.fixture(autouse=True)
+    def pinned_seed(self, request):
+        # set per command: a @seed decorator would give all commands one seed
+        seed(self.SEEDS[request.node.callspec.params["command"]])(
+            TestCliFuzz.test_exit_code_without_exception)
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @FUZZ
     @given(data=st.data())

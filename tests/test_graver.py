@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from graveropt import graver
@@ -277,6 +277,22 @@ class TestCompletionBudget:
                            match="budget of %d pairs .COMPLETION_BUDGET." % (spent - 1)):
             compute_graver(a)
 
+    @pytest.mark.parametrize("limit", [graver._FAST_ABS_LIMIT, 4])
+    @pytest.mark.parametrize("rows, charge", [
+        ([[2, 3, 5, 7, 11, 13, 17]], 6_309_937),
+        ([[11, 13, 17, 19, 23]], 2_489_294),
+        # the lifted matrix [[A, 0], [C, I]] of a graver-lift shape, A = [1 2 1 2]
+        ([[1, 2, 1, 2, 0, 0], [-2, 2, -1, 1, 1, 0], [1, 2, -1, 0, 0, 1]], 605_310),
+    ])
+    def test_charges_are_pinned(self, monkeypatch, rows, charge, limit):
+        # the charges the README quotes, the same on object arrays
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", limit)
+        assert self.spent(monkeypatch, IntMatrix.from_rows(rows)) == charge
+
+    def test_largest_charge_of_the_suite_is_pinned(self, monkeypatch):
+        # the 1,002-element basis of [1 1 1000]
+        assert self.spent(monkeypatch, IntMatrix.from_rows([[1, 1, 1000]])) == 61_044_003
+
     def test_rows_reduce_across_chunks(self, monkeypatch):
         # the normal forms of [11 13 17 19 23]'s start completion (index
         # 11, 80 elements), against the reference: some rows meet a set
@@ -308,8 +324,7 @@ class TestMaximalMultiple:
         # (2^200, 1) drops to (0, 1) by one subtraction of 2^200 (1, 0);
         # a fill for the zero entry below 2^200 would cap the multiple
         monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 1)
-        state = graver._Completion(2)
-        state.add_block(np.array([[1, 0]], dtype=np.int64))
+        state = graver._Completion(np.array([[1, 0]], dtype=np.int64))
         assert state.arr.dtype == object
         with time_bound(5):
             got = graver._batch_normal_form(state, np.array([[1 << 200, 1]], dtype=object),
@@ -386,8 +401,7 @@ class TestNormalForm:
 
     @staticmethod
     def run(members, rows, dtype):
-        state = graver._Completion(len(rows[0]))
-        state.add_block(np.array(members, dtype=dtype))
+        state = graver._Completion(np.array(members, dtype=dtype))
         return graver._batch_normal_form(state, np.array(rows, dtype=dtype),
                                          graver._Budget(graver.COMPLETION_BUDGET)).tolist()
 
@@ -428,7 +442,9 @@ class TestFirstBelow:
                     return i, sign
         return -1, 1
 
+    # the seed derandomize derived from the source before the body changed
     @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @seed(12347907343738698866999226145926327629879282955024231565067601160509237382860931864257180384641976206418672903778585)
     @given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(["int64", "object", "big"]))
     def test_lightest_member_below(self, seed, mode):
         # int64 arrays; object arrays (the int64 limit lowered to 4); an
@@ -440,8 +456,8 @@ class TestFirstBelow:
         with pytest.MonkeyPatch.context() as mp:
             if mode == "object":
                 mp.setattr(graver, "_FAST_ABS_LIMIT", 4)
-            state = graver._Completion(len(rows[0]))
-            state.add_block(np.array(members, dtype=object if mode == "big" else np.int64))
+            state = graver._Completion(np.array(members,
+                                                dtype=object if mode == "big" else np.int64))
             work = np.array(rows, dtype=state.arr.dtype)
             first, sign, _ = graver._first_below(state, np.abs(work),
                                                  graver._pack_signs(work, state.words))
@@ -450,6 +466,46 @@ class TestFirstBelow:
         assert got == [self.reference(members, row) for row in rows]
         positions = np.argsort(state.norm, kind="stable").tolist()
         assert max(positions.index(i) for i, _ in got if i >= 0) >= 64, "one chunk only"
+
+
+class TestExtend:
+    """The completion's set grows by extend with the rows a batch's
+    filter keeps: its dtype follows the kept rows only, and its norm
+    order stays stable."""
+
+    @staticmethod
+    def join(state, rows):
+        """Extend state with the rows of their block no other row lies
+        below, as _join does, and check the norm order."""
+        block = graver._Completion(np.array(rows, dtype=np.int64))
+        below, _ = graver._find_below(block)
+        state.extend(block, ~below)
+        assert state.order.tolist() == np.argsort(state.norm, kind="stable").tolist()
+        return block
+
+    def test_dtype_follows_the_kept_rows(self, monkeypatch):
+        monkeypatch.setattr(graver, "_FAST_ABS_LIMIT", 4)
+        state = graver._Completion(np.array([[1, 0, 0], [0, 1, 1]], dtype=np.int64))
+        assert state.arr.dtype == np.int64
+        # (1, 1, 2), of 1-norm 4, makes its block object, but (0, 0, 1)
+        # lies below it: the set stays int64, and the tie at 1-norm 1
+        # keeps insertion order
+        block = self.join(state, [[0, 0, 1], [1, 1, 2]])
+        assert block.arr.dtype == block.norm.dtype == object
+        assert state.arr.dtype == state.norm.dtype == np.int64
+        assert state.arr.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+        assert state.order.tolist() == [0, 2, 1]
+        # a kept row of 1-norm 4 turns the set object
+        self.join(state, [[1, -1, 2], [2, -1, 4]])
+        assert state.arr.dtype == state.norm.dtype == object
+        assert state.arr.tolist()[3:] == [[1, -1, 2]]
+        # and object it stays: int64 rows below the limit enter as objects
+        object_arr = state.arr
+        self.join(state, [[1, -1, 0]])
+        assert state.arr.dtype == state.norm.dtype == object
+        assert state.arr[:4].tolist() == object_arr.tolist()
+        assert state.norm.tolist() == [1, 2, 1, 4, 2]
+        assert state.mask.tolist() == graver._pack_signs(state.arr, 1).tolist()
 
 
 def naive_minimal(vectors):
@@ -617,18 +673,20 @@ class TestAgainstOracle:
         # form reduces again
         a = IntMatrix.from_rows([[4, 5, 6, 7]])
         sizes, fixed = [], []
-        minimal, complete = graver.conformally_minimal, graver._complete
+        join, complete = graver._join, graver._complete
 
-        def spy(rows):
-            keep, met = minimal(rows)
-            sizes.append((fixed[-1], len(rows), int(keep.sum())))
-            return keep, met
+        def spy(state, forms, budget):
+            size = len(state)
+            rest = join(state, forms, budget)
+            kept = len(state) - size
+            sizes.append((fixed[-1], kept + len(rest), kept))
+            return rest
 
         def spy_complete(seeds, n, f, budget):
             fixed.append(f)
             return complete(seeds, n, f, budget)
 
-        monkeypatch.setattr(graver, "conformally_minimal", spy)
+        monkeypatch.setattr(graver, "_join", spy)
         monkeypatch.setattr(graver, "_complete", spy_complete)
         basis = compute_graver(a)
         assert any(f == 0 and kept < given for f, given, kept in sizes), sizes
@@ -779,8 +837,7 @@ def normal_form_complete(seeds, n, fixed, budget):
     sums: every candidate reduces to its normal form, the batch-minimal
     forms join and the others reduce again, in lift steps as in the
     start completion.  One pivot a round."""
-    state = graver._Completion(n)
-    state.add_block(seeds)
+    state = graver._Completion(seeds)
     old = graver._pack_signs((np.arange(n) < fixed)[None], state.words)[0]
     old |= graver._flip(old)
     pivot = 0
@@ -789,9 +846,10 @@ def normal_form_complete(seeds, n, fixed, budget):
         pivot += 1
         while len(work):
             forms = graver._canonical(graver._batch_normal_form(state, work, budget))
-            keep, _ = conformally_minimal(forms)
-            state.add_block(forms[keep])
-            work = forms[~keep]
+            block = graver._Completion(forms)
+            below, _ = graver._find_below(block)
+            state.extend(block, ~below)
+            work = forms[below]
     below, _ = graver._find_below(state)
     return state.arr[~below], (0, 0)
 

@@ -137,13 +137,16 @@ def test_signed_draws_match_their_recording():
 
 
 def test_bases_entry_covers_both_limits():
-    """The bases digests and their trace digests, recorded at the
-    default int64 limit and at 4, agree: the completion's dtype never
-    changes a basis, nor a lift step's start columns, |det|,
-    candidates, rounds or elements."""
+    """The bases digests, their trace digests and their charges
+    digests, recorded at the default int64 limit and at 4, agree: the
+    completion's dtype never changes a basis, nor a lift step's start
+    columns, |det|, candidates, rounds or elements, nor the pairs a
+    call charges to its budget."""
     recorded = json.loads(same_outputs.DIGESTS.read_text())["bases"]
-    assert sorted(recorded) == ["limit 4", "limit default", "trace 4", "trace default"]
+    assert sorted(recorded) == ["charges 4", "charges default", "limit 4", "limit default",
+                                "trace 4", "trace default"]
     assert recorded["limit 4"] == recorded["limit default"]
     assert recorded["trace 4"] == recorded["trace default"]
+    assert recorded["charges 4"] == recorded["charges default"]
     matrices = same_outputs.basis_matrices()
     assert len(matrices) == 716 and len(set(matrices)) > 650

@@ -25,9 +25,11 @@ runs to_cip.  The bases entry hashes compute_graver over a seeded set
 of random matrices and some fixed ones (basis_matrices), as
 (dimension, sorted directions), and, as its trace, the messages of the
 DEBUG records graveropt.graver emits over them (start columns, |det|,
-candidates, rounds and elements of each lift step): once at the
-default graver._FAST_ABS_LIMIT and once with it lowered to 4, so that
-the completion runs on object arrays from 1-norm 4 on.
+candidates, rounds and elements of each lift step), and, as its
+charges, the pairs each call charges to its budget (_Budget.spent, one
+value per call that runs a completion, in order): once at the default
+graver._FAST_ABS_LIMIT and once with it lowered to 4, so that the
+completion runs on object arrays from 1-norm 4 on.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
@@ -67,6 +69,8 @@ SIGNED = "qap-signed"
 SIGNED_SIZES = (3,) * 8 + (4,) * 4  # facilities of each mixed-sign draw
 # the forced int64 limits of the bases entry, None for the default
 BASIS_LIMITS = (None, 4)
+# the digests of the bases entry at each limit, in the order bases returns them
+BASIS_PARTS = ("limit", "trace", "charges")
 # the loggers whose DEBUG records trace the completion and the box search
 COMPLETION_LOGGERS = ("graveropt.graver", "graveropt.testset")
 
@@ -181,18 +185,25 @@ def basis_matrices() -> list[IntMatrix]:
     return out + [IntMatrix.from_rows(rows, cols=cols) for rows, cols in edges]
 
 
-def bases(limit: int | None) -> tuple[str, str]:
-    """(bases, trace) digests of compute_graver over basis_matrices at
-    an int64 limit."""
-    original = graver._FAST_ABS_LIMIT
+def bases(limit: int | None) -> tuple[str, str, str]:
+    """(bases, trace, charges) digests of compute_graver over
+    basis_matrices at an int64 limit."""
+    original, budget = graver._FAST_ABS_LIMIT, graver._Budget
+    budgets = []
+
+    def recorded_budget(cap):
+        budgets.append(budget(cap))
+        return budgets[-1]
+
     graver._FAST_ABS_LIMIT = original if limit is None else limit
+    graver._Budget = recorded_budget
     try:
         with recorded_completion() as trace:
             sets = [(t.dimension, sorted(t.directions))
                     for t in map(graver.compute_graver, basis_matrices())]
-        return digest(sets), digest(trace)
+        return digest(sets), digest(trace), digest([b.spent for b in budgets])
     finally:
-        graver._FAST_ABS_LIMIT = original
+        graver._FAST_ABS_LIMIT, graver._Budget = original, budget
 
 
 def keys() -> dict:
@@ -203,14 +214,14 @@ def keys() -> dict:
                                   for name in TEST_SET_WORKLOADS for seed in SEEDS],
             "completion": runs,
             "bases": ["%s %s" % (part, limit or "default")
-                      for limit in BASIS_LIMITS for part in ("limit", "trace")]}
+                      for limit in BASIS_LIMITS for part in BASIS_PARTS]}
 
 
 def digests() -> dict:
     out = {"results": {}, "instance_test_set": {}, "completion": {}, "bases": {}}
     for limit in BASIS_LIMITS:
-        label = limit or "default"
-        out["bases"]["limit %s" % label], out["bases"]["trace %s" % label] = bases(limit)
+        for part, value in zip(BASIS_PARTS, bases(limit)):
+            out["bases"]["%s %s" % (part, limit or "default")] = value
     for name in WORKLOADS:
         for seed in SEEDS:
             key = "%s %d" % (name, seed)
