@@ -13,20 +13,20 @@ sign-compatible sum of set members, so the conformally minimal members
 are exactly its Graver basis.
 
 The completion runs in rounds (_complete).  In a lift step a round
-drops each candidate that some member already lies below, and the
-candidates left that no other of them lies below join the set; the
-start completion reduces its candidates to normal forms instead.  The
-set and each round's batch are blocks (_Completion), each row's scan
-data computed once.  Every scan is one, _below: it meets a block's
-rows in ascending 1-norm, in growing chunks, and packed sign bitmasks
-prefilter (row, member) pairs so the magnitude comparison only runs on
-the few sign-compatible ones.  A row stops at the chunk holding the
-first member no heavier than a given reach that lies below it.
-_reducible runs it on a lift step's candidates and _find_below on a
-block's rows for the minimality filters, which also stop meeting the
-members found non-minimal.  _batch_normal_form runs it until no row is
-reducible, and subtracts from each row the first member below it
-(_first_below).
+drops each candidate that some member already lies below, and every
+candidate left joins the set, minimal or not; the start completion
+reduces its candidates to normal forms instead.  One minimality filter
+runs per basis, on the final set.  The set and each round's batch are
+blocks (_Completion), each row's scan data computed once.  Every scan
+is one, _below: it meets a block's rows in ascending 1-norm, in
+growing chunks, and packed sign bitmasks prefilter (row, member) pairs
+so the magnitude comparison only runs on the few sign-compatible ones.
+A row stops at the chunk holding the first member no heavier than a
+given reach that lies below it.  A lift round runs it on its batch,
+and _find_below on a block's rows for the minimality filters, which
+also stop meeting the members found non-minimal.  _batch_normal_form
+runs it until no row is reducible, and subtracts from each row the
+first member below it (_first_below).
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -58,14 +58,15 @@ _FAST_ABS_LIMIT = 1 << 61
 # CompletionBudgetError, counted in pairs: the (pivot, member) pairs
 # _pop_candidates tests and the (row, member) pairs the scans meet (the
 # _below scans, and the chunks _first_below meets again), plus
-# _SCAN_PAIRS per call of any.  On a 2-core host int64 scans meet about
-# 50M pairs a second, and a call costs about as much NumPy overhead as
-# 20,000 of them (0.4 ms a call on [1 1 10^30-1], whose calls meet few
-# pairs).  The largest count of the test suite is 61.0M (61,044,003),
-# the 1,002-element basis of [1 1 1000]; bases of about 10^30 elements
-# stop after 2 to 6 s.
+# _SCAN_PAIRS per call of any.  On a 2-core host int64 scans meet 50M
+# to 130M pairs a second, and a call costs about as much NumPy overhead
+# as 30,000 of them (0.35 to 0.41 ms a call on [1 1 10^30-1], whose
+# calls meet few pairs; a lift round makes two, its pairing and its
+# scan).  The largest count of the test suite is 61.1M (61,064,003),
+# the 1,002-element basis of [1 1 1000]; bases of 10^29 elements and
+# more stop after 1.5 to 4 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
-_SCAN_PAIRS = 2 * 10 ** 4
+_SCAN_PAIRS = 3 * 10 ** 4
 
 # Work one graver_oracle call may do before it raises OracleBudgetError:
 # the kernel vectors its box search finds plus the (g, v) pairs its
@@ -241,6 +242,8 @@ class _Budget:
 class _Completion:
     """A block of distinct canonical nonzero rows, int64 or object: the
     completion's set, a round's batch, or conformally_minimal's rows.
+    The set's members need not be minimal: a lift step keeps every
+    candidate no member lies below, and compute_graver filters once.
 
     NumPy arrays hold their entries arr, 1-norms norm and sign masks
     mask (_pack_signs), computed once, for the vectorized scans; order
@@ -316,6 +319,10 @@ def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.nd
     most _FILTER_ELEMS / words members (a block holds at least one row,
     and that row meets the whole sorted prefix).
 
+    A lift round runs it on its batch's block with reach each row's own
+    1-norm, so that a member equal to a row up to sign counts as below
+    it; _find_below runs it strictly, on a block's own rows.
+
     With members, the rows are the members themselves, and after each
     row block the members that block found a member below leave the
     prefix that later blocks meet, so only whether there is one is
@@ -363,18 +370,6 @@ def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
     return chunk >= 0, met
 
 
-def _reducible(state: _Completion, cand: np.ndarray, budget: _Budget) -> np.ndarray:
-    """Per candidate row, in the set's dtype: whether a member lies
-    conformally below it or below its negation (_below, a member equal
-    to it up to sign included).  The pairs met are charged to budget."""
-    cabs = np.abs(cand)
-    reach = cabs.sum(axis=1)
-    chunk, met = _below(state, cabs, _pack_signs(cand, state.words), reach,
-                        np.argsort(reach, kind="stable"))
-    budget.spend(met)
-    return chunk >= 0
-
-
 def _first_below(state: _Completion, rabs: np.ndarray,
                  rmask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Per row (entry magnitudes rabs, sign masks rmask): the first
@@ -382,7 +377,7 @@ def _first_below(state: _Completion, rabs: np.ndarray,
     index in the set, -1 for none; the sign, 1 or -1, that puts it below
     the row; and the pairs met.  _below finds the chunk that holds it,
     and only that chunk is met again, in blocks sized as in _below, so
-    _below stays the scan that _reducible and _find_below run."""
+    _below stays the scan that a lift round and _find_below run."""
     reach = rabs.sum(axis=1)
     chunk, met = _below(state, rabs, rmask, reach, np.argsort(reach, kind="stable"))
     first = np.full(len(reach), -1, dtype=np.intp)
@@ -435,10 +430,16 @@ def _pop_candidates(state: _Completion, lo: int, hi: int,
     """
     m = hi - 1
     r, b = state.mask[lo:hi][:, None], state.mask[:m][None]
+    if state.words == 1:  # one word: test it directly, as _sign_fits does
+        r, b, old = r[..., 0], b[..., 0], old[0]
+
+    def meets(x):
+        return x != 0 if x.ndim == 2 else x.any(axis=2)
+
     opp, same = b & _flip(r), b & r
     before = np.arange(m)[None] < np.arange(lo, hi)[:, None]
-    pi, ti = np.nonzero(before & ~(opp & old).any(axis=2) & (opp & ~old).any(axis=2))
-    di, tj = np.nonzero(before & ~(same & old).any(axis=2) & (same & ~old).any(axis=2))
+    pi, ti = np.nonzero(before & ~meets(opp & old) & meets(opp & ~old))
+    di, tj = np.nonzero(before & ~meets(same & old) & meets(same & ~old))
     arr = state.arr
     return np.concatenate((arr[ti] + arr[lo + pi], arr[tj] - arr[lo + di]))
 
@@ -447,7 +448,8 @@ def _join(state: _Completion, forms: np.ndarray, budget: _Budget) -> np.ndarray:
     """Add to the set, as one block, the distinct forms (canonical
     representatives, in tuple order) that no other form lies
     conformally below, and return the others.  The block's minimality
-    filter (_find_below) is charged to budget."""
+    filter (_find_below) is charged to budget.  Only the start
+    completion joins its forms so."""
     forms = _canonical(forms)
     if not len(forms):
         return forms
@@ -460,8 +462,7 @@ def _join(state: _Completion, forms: np.ndarray, budget: _Budget) -> np.ndarray:
 
 def _complete(seeds: np.ndarray, n: int, fixed: int,
               budget: _Budget) -> tuple[np.ndarray, tuple[int, int]]:
-    """Complete the seed rows (canonical, distinct, nonzero) and keep
-    the conformally minimal members.
+    """Complete the seed rows (canonical, distinct, nonzero).
 
     Two members u, v give the candidates u + v and u - v only where the
     summands are sign-compatible on the first fixed columns and opposed
@@ -478,27 +479,31 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     entries, (end - done + 1) * end <= _PAIR_BATCH, and a round takes
     at least one pivot.
 
-    In a lift step (fixed >= 1) a round drops each candidate that a
-    member lies conformally below, up to sign (_reducible), and the
-    candidates left that no other of them lies below join the set as
-    one block (_join); the others are dropped too.  compute_graver
-    explains why the dropped sums are not needed.  The start completion
+    In a lift step (fixed >= 1) a round's candidates, canonical and
+    distinct, form one block; one _below scan, each row's reach its own
+    1-norm, drops every candidate that a member lies conformally below,
+    up to sign (a member equal to it included), and the rest join the
+    set as they are, without a batch filter.  compute_graver explains
+    why neither the dropped sums nor minimal members are needed.  The
+    loop ends: no member lies above one of an earlier block, and in its
+    own block only above lighter ones, so with each block listed
+    heaviest first no member lies above an earlier one, and by Dickson's
+    lemma on the pairs (x+, x-) the set is finite.  The start completion
     (fixed = 0) has no such argument, so its candidates join as normal
     forms: each round's candidates reduce in one batch, by _below scans
-    (_batch_normal_form), the batch-minimal forms join, and the other
-    forms reduce again against the grown set.  Each form not kept has a
-    kept form below it, since the conformal order is transitive up to
-    sign and 1-norms strictly drop along a chain of distinct forms, so
-    each re-reduction subtracts at least once and the loop ends.
-    Either way each member is irreducible against the set and the rest
-    of its block when it enters.
+    (_batch_normal_form), the batch-minimal forms join (_join), and the
+    other forms reduce again against the grown set.  Each form not kept
+    has a kept form below it, since the conformal order is transitive
+    up to sign and 1-norms strictly drop along a chain of distinct
+    forms, so each re-reduction subtracts at least once and the loop
+    ends.
 
     Each pairing and each scan charges budget for the pairs it tests or
-    meets: a reducibility scan or the normal-form scans, and one
+    meets: a lift round's one scan, or the normal-form scans and one
     minimality filter per batch.
 
-    The set starts as the seeds' block.  Returns the minimal members'
-    rows, by _find_below over them, and (candidates formed, rounds).
+    The set starts as the seeds' block.  Returns every member's row,
+    unfiltered, and (candidates formed, rounds).
     """
     state = _Completion(seeds)
     # columns [0, fixed), either sign, as a packed mask
@@ -517,13 +522,14 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
         if not len(work):
             continue
         if fixed:
-            _join(state, work[~_reducible(state, work, budget)], budget)
+            block = _Completion(_canonical(work))
+            chunk, met = _below(state, np.abs(block.arr), block.mask, block.norm, block.order)
+            budget.spend(met)
+            state.extend(block, chunk < 0)
         else:
             while len(work):
                 work = _join(state, _batch_normal_form(state, work, budget), budget)
-    below, met = _find_below(state)
-    budget.spend(met)
-    return state.arr[~below], (candidates, rounds)
+    return state.arr, (candidates, rounds)
 
 
 def _start_columns(seeds: list[Vec], columns) -> tuple[list[int], list[list[int]]]:
@@ -616,28 +622,44 @@ def compute_graver(a: IntMatrix) -> TestSet:
     j, and both are sign-compatible on F: a critical pair, so the
     completion formed u + v (up to sign).  Either u + v became a member,
     or some member w lies conformally below it, up to sign (_complete
-    drops such sums, and a sum its batch filter drops has a kept one
-    below it).  Then r = u + v - w lies below u + v too, and
+    drops only such sums).  Then r = u + v - w lies below u + v too, and
     |r|_F = |u + v|_F - |w|_F < |u + v|_F <= |x|_F, so r is
     represented, and w plus r's summands represent u + v.  Either way u
     and v give way to summands conformal to u + v, which stay conformal
     to x on F, while sum |g_j| strictly drops, since u_j and v_j have
     opposite signs: a contradiction.  So the least sum is conformal to
-    x everywhere.  Each Graver element of L' is then a member, and the
-    minimality filter keeps exactly those.  The start completion has no
-    such F to induct on, so it reduces every candidate to its normal
-    form and keeps the nonzero ones: a normal form writes the candidate
-    as a sum of members conformal to it.
+    x everywhere.  The start completion has no such F to induct on, so
+    it reduces every candidate to its normal form and keeps the nonzero
+    ones: a normal form writes the candidate as a sum of members
+    conformal to it.
+
+    Why one minimality filter suffices.  The induction needs only two
+    things: every x in the previous projection is a conformal sum of
+    members, which holds for any superset of its Graver basis, and
+    every critical pair of members is formed.  Neither needs the
+    members to be minimal, so no step filters them.  At the fixpoint
+    every Graver element of L' is a member, and a member is minimal in
+    the final set exactly when it is a Graver element, so the one
+    closing filter (conformally_minimal, charged to the budget) returns
+    exactly G(L').  Lifting keeps rows distinct and canonical, as their
+    first nonzero entry lies in the old columns, so the non-minimal
+    members pass from one lift step to the next as seeds.
 
     A basis can have far more elements than its matrix suggests (that
     of [1, 1, H] has H + 2), so the whole call may do at most
     COMPLETION_BUDGET pairs of work; past it, CompletionBudgetError.
     """
+    return TestSet(a.cols, _graver_rows(a), (a, IntMatrix.zero(0, a.cols)))
+
+
+def _graver_rows(a: IntMatrix) -> np.ndarray:
+    """compute_graver's basis as an array, one row per +/- pair, in no
+    particular order and not yet canonical: the rows the closing
+    minimality filter keeps, in A's column order."""
     seeds = kernel_lattice_basis(a)
     n, r = a.cols, len(seeds)
-    provenance = (a, IntMatrix.zero(0, n))
     if r == 0:
-        return TestSet(n, (), provenance)
+        return np.zeros((0, n), dtype=np.int64)
     columns = range(n)
     if a.rows == 1 and any(a.entries[0]):
         row = a.entries[0]
@@ -661,7 +683,9 @@ def compute_graver(a: IntMatrix) -> TestSet:
         logger.debug("lift step %d: column %d, %d elements in, %d candidates, "
                      "%d rounds, %d elements out", d - r, order[d - 1], len(lifted),
                      candidates, rounds, len(current))
-    return TestSet(n, current[:, np.argsort(order)], provenance)
+    keep, met = conformally_minimal(current)
+    budget.spend(met)
+    return current[keep][:, np.argsort(order)]
 
 
 def box_kernel_vectors(a: IntMatrix, bounds: Vec, limit: int) -> list[Vec] | None:
@@ -805,6 +829,8 @@ def verify_against_oracle(a: IntMatrix, basis: TestSet) -> bool:
 
 def project_first_n(rows: np.ndarray, n: int) -> np.ndarray:
     """The distinct canonical representatives of the nonzero leading-n
-    projections of the rows of an array, in tuple order."""
+    projections of the rows of an array, in tuple order: for lifts
+    whose projections may repeat or vanish, as a split matrix's do.
+    compute_test_set's projection does neither and cuts the rows itself."""
     heads = rows[:, :n]
     return _canonical(heads[(heads != 0).any(axis=1)])

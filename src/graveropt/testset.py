@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import (IntMatrix, ParseError, Vec, as_int, format_int_matrix, parse_int_matrix,
                    parse_int_vector)
-from .graver import (TestSet, append_products, box_kernel_vectors, compute_graver,
-                     conformally_minimal, int_dtype, project_first_n)
+from .graver import (TestSet, _graver_rows, append_products, box_kernel_vectors,
+                     conformally_minimal, int_dtype)
 
 logger = logging.getLogger(__name__)
 
@@ -55,9 +55,12 @@ def build_lifted_matrix(a: IntMatrix, c: IntMatrix) -> IntMatrix:
 
 def compute_test_set(a: IntMatrix, c: IntMatrix) -> TestSet:
     """Project the lifted Graver basis onto the first n coordinates;
-    compute_graver(a), provenance included, when C has no rows."""
-    lifted = compute_graver(build_lifted_matrix(a, c)).rows
-    return TestSet(a.cols, project_first_n(lifted, a.cols), provenance=(a, c))
+    compute_graver(a), provenance included, when C has no rows.  The
+    projection is injective on the lifted kernel and never zero there,
+    so the lifted rows are cut to their first n entries unsorted and
+    TestSet sorts them once."""
+    lifted = _graver_rows(build_lifted_matrix(a, c))
+    return TestSet(a.cols, lifted[:, :a.cols], provenance=(a, c))
 
 
 def box_test_set(a: IntMatrix, c: IntMatrix, upper: Vec) -> TestSet:

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: instance and assignment writers,
 exact rational products and rank, the exhaustive or constructive
-oracles for the paper's column splits and 0/1 split minima, a dense
+oracles for the paper's column splits and 0/1 split minima, the
+closed-form Graver basis of a rank-2 kernel and its count, a dense
 objective evaluation, a reference walk, a time bound and an instance
 deeper than the recursion limit."""
 
@@ -8,7 +9,9 @@ import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
+from math import gcd
 
 from graveropt.augment import (CipInstance, SolveReport, SolveStatus, Step,
                                brute_force_optimum)
@@ -240,3 +243,143 @@ def reference_walk(inst: CipInstance, t_set: TestSet, z0: Vec, best: bool = Fals
         t, lam, value = champion
         z = tuple(a - lam * b for a, b in zip(z, t))
         steps.append(Step(t, lam, value))
+
+
+# ---------------------------------------------------------------------------
+# Graver bases of rank-2 kernels in closed form, sharing no code with graveropt
+
+def rank2_kernel_basis(rows: list[list[int]], n: int) -> tuple[list[int], list[int]]:
+    """(b1, b2), a basis of the lattice {x in Z^n : Ax = 0} of rank 2.
+
+    Column operations by Euclid's algorithm, applied to A and to the
+    identity alike, clear each row of A beyond its pivot column; the
+    identity's columns past the pivots then span the kernel lattice,
+    since the operations are unimodular.  The result is checked: A b = 0,
+    rank A is n - 2, and the 2 x 2 minors of (b1, b2) have gcd 1, which
+    makes (b1, b2) a basis of the whole lattice, not of a sublattice.
+    """
+    a = [list(row) for row in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]  # columns of u follow a's
+
+    def combine(j, k, q):  # column j -= q * column k
+        for mat in (a, u):
+            for row in mat:
+                row[j] -= q * row[k]
+
+    def swap(j, k):
+        for mat in (a, u):
+            for row in mat:
+                row[j], row[k] = row[k], row[j]
+
+    pivot = 0
+    for row in a:
+        while True:
+            nonzero = [j for j in range(pivot, n) if row[j]]
+            if len(nonzero) <= 1:
+                break
+            k = min(nonzero, key=lambda j: abs(row[j]))
+            for j in nonzero:
+                if j != k:
+                    combine(j, k, row[j] // row[k])
+        if nonzero:
+            swap(pivot, nonzero[0])
+            pivot += 1
+    if n - pivot != 2:
+        raise ValueError("rank2_kernel_basis: the kernel has rank %d" % (n - pivot))
+    b1, b2 = ([u[i][j] for i in range(n)] for j in (pivot, pivot + 1))
+    assert exact_rank(IntMatrix.from_rows(rows, cols=n)) == n - 2
+    assert all(sum(x * y for x, y in zip(row, b)) == 0 for row in rows for b in (b1, b2))
+    minors = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            minors = gcd(minors, b1[i] * b2[j] - b1[j] * b2[i])
+    assert minors == 1
+    return b1, b2
+
+
+def _det(p, q) -> int:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _sectors(b1, b2) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The sectors of the (s, t) plane, x = s b1 + t b2, inside which no
+    coordinate of x changes sign, one of each +/- pair: (p, q), primitive
+    rays with det(p, q) > 0, counterclockwise from angle 0 to angle pi.
+
+    Coordinate j vanishes on the line through (-b2_j, b1_j); each line's
+    ray in the upper half plane (y > 0, or y = 0 and x > 0), sorted by
+    angle, bounds the sectors, and the last one closes at the negation
+    of the first.  b1 and b2 are independent, so there are two lines at
+    least and every sector is narrower than pi."""
+    rays = set()
+    for x, y in zip(b1, b2):
+        if x or y:
+            r = (-y, x)
+            if r[1] < 0 or (r[1] == 0 and r[0] < 0):
+                r = (-r[0], -r[1])
+            g = gcd(*r)
+            rays.add((r[0] // g, r[1] // g))
+    rays = sorted(rays, key=cmp_to_key(lambda p, q: -1 if _det(p, q) > 0 else 1))
+    ends = rays[1:] + [(-rays[0][0], -rays[0][1])]
+    return list(zip(rays, ends))
+
+
+def _chain_runs(p, q):
+    """The Hilbert basis of the cone of the primitive rays p, q
+    (det(p, q) > 0), as runs: each run (h, delta, k) stands for
+    h + delta, ..., h + k delta, and p itself comes first.
+
+    The basis is the chain p = h_0, ..., h_m = q with det(h_i, h_i+1) = 1
+    (the Hirzebruch-Jung continued fraction of the cone): the next
+    element after h is the x with det(h, x) = 1 and
+    0 <= det(x, q) < det(h, q), found by one extended gcd.  Along a run
+    h, h + delta, h + 2 delta, ... every step has det 1 with the last and
+    det(., q) falls by the same d, so the run goes on while det(., q)
+    stays nonnegative: det(h, q) // d steps, by one division.
+    """
+    h = p
+    while h != q:
+        dh = _det(h, q)
+        # extended gcd: u h_0 + v h_1 = 1, so det(h, (-v, u)) = 1
+        (r0, u0, v0), (r1, u1, v1) = (h[0], 1, 0), (h[1], 0, 1)
+        while r1:
+            f = r0 // r1
+            (r0, u0, v0), (r1, u1, v1) = (r1, u1, v1), (r0 - f * r1, u0 - f * u1, v0 - f * v1)
+        if r0 < 0:
+            u0, v0 = -u0, -v0
+        x = (-v0, u0)
+        f = _det(x, q) // dh
+        x = (x[0] - f * h[0], x[1] - f * h[1])
+        delta = (x[0] - h[0], x[1] - h[1])
+        k = dh // (dh - _det(x, q))
+        yield h, delta, k
+        h = (h[0] + k * delta[0], h[1] + k * delta[1])
+
+
+def rank2_graver_count(rows: list[list[int]], n: int) -> int:
+    """The number of elements, one per +/- pair, of the Graver basis of
+    A when its kernel has rank 2, without listing them: the sectors'
+    chains, p to q each, less the rays that two sectors share."""
+    b1, b2 = rank2_kernel_basis(rows, n)
+    return sum(k for p, q in _sectors(b1, b2) for _, _, k in _chain_runs(p, q))
+
+
+def rank2_graver(rows: list[list[int]], n: int) -> frozenset:
+    """The Graver basis of A, canonical representatives (first nonzero
+    entry positive), when its kernel has rank 2.
+
+    The Graver basis is the union over orthants of the Hilbert bases of
+    the kernel lattice inside each; x = s b1 + t b2 maps Z^2 onto the
+    lattice, and each orthant onto a sector of the (s, t) plane
+    (_sectors), so it is the union of the sectors' Hilbert bases
+    (_chain_runs), mapped back."""
+    b1, b2 = rank2_kernel_basis(rows, n)
+    out = set()
+    for p, q in _sectors(b1, b2):
+        points = [p]
+        for h, delta, k in _chain_runs(p, q):
+            points += [(h[0] + i * delta[0], h[1] + i * delta[1]) for i in range(1, k + 1)]
+        for s, t in points:
+            x = tuple(s * y + t * z for y, z in zip(b1, b2))
+            out.add(canonical_rep(x))
+    return frozenset(out)

@@ -9,7 +9,8 @@ from graveropt.core import IntMatrix, parse_int_matrix
 from graveropt.objective import linear_objective, parse_objective
 from graveropt.testset import TestSet, box_test_set, compute_test_set, format_test_set
 from tests.conftest import two_square_instance
-from tests.helpers import format_instance, path_difference_instance, time_bound
+from tests.helpers import (format_instance, path_difference_instance, rank2_graver_count,
+                           time_bound)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -409,7 +410,9 @@ class TestCompletionBudget:
 
     @pytest.mark.parametrize("row", [(1, 1, H), (H, 1, -2)])
     def test_hopeless_basis_exits_2(self, tmp_path, capsys, row):
-        # Graver bases of about H elements: the completion stops at its budget
+        # Graver bases of 10^30 + 1 and 5 * 10^29 + 3 elements (counted
+        # in closed form): the completion stops at its budget
+        assert rank2_graver_count([list(row)], 3) > 10 ** 9
         matrix = put(tmp_path, "a.mat", "1 3\n%d %d %d\n" % row)
         with time_bound(60):
             assert main(["graver", matrix]) == 2
@@ -417,7 +420,9 @@ class TestCompletionBudget:
 
     def test_bounded_instance_past_the_box_budget_exits_2(self, tmp_path, capsys):
         # the box search gives up on bounds this wide and falls back to
-        # the completion of [[1, 1, H], [1, 0, 0]], which stops at its budget
+        # the completion of [[1, 1, H], [1, 0, 0]], whose lifted matrix
+        # has a basis of 10^30 + 1 elements: it stops at its budget
+        assert rank2_graver_count([[1, 1, self.H, 0], [1, 0, 0, 1]], 4) > 10 ** 9
         text = ("A\n1 3\n1 1 %d\nb\n%d\nupper\n%d %d 1\nobjective\n"
                 "abs 1 | 1 0 0 | 0\nlinear | 0 0 0\n" % ((self.H,) * 4))
         argv = ["solve", put(tmp_path, "i.txt", text), put(tmp_path, "z.txt", "0 0 1\n")]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from graveropt import graver
@@ -24,8 +24,9 @@ from graveropt.graver import (
     verify_against_oracle,
 )
 from tests.conftest import random_int_matrix
-from tests.helpers import (expand_duplicated_column, expand_negated_column,
-                           path_difference_instance, time_bound)
+from tests.helpers import (exact_rank, expand_duplicated_column, expand_negated_column,
+                           path_difference_instance, rank2_graver, rank2_graver_count,
+                           time_bound)
 
 
 class TestComputeGraver:
@@ -224,9 +225,10 @@ class TestInt64BoundCrossing:
         complete = graver._complete
 
         def spy(seeds, n, fixed, budget):
-            minimal, candidates = complete(seeds, n, fixed, budget)
+            members, candidates = complete(seeds, n, fixed, budget)
+            minimal = members[conformally_minimal(members)[0]]
             steps.append((fixed, max(map(norm1, seeds)), max(map(norm1, minimal))))
-            return minimal, candidates
+            return members, candidates
 
         monkeypatch.setattr(graver, "_complete", spy)
         with time_bound(15):
@@ -277,12 +279,16 @@ class TestCompletionBudget:
                            match="budget of %d pairs .COMPLETION_BUDGET." % (spent - 1)):
             compute_graver(a)
 
+    # the ids are fixed, not drawn from the charges, so that the test
+    # names stay the same when a change to the completion re-pins them;
+    # each id keeps the charge the case was first named with
     @pytest.mark.parametrize("limit", [graver._FAST_ABS_LIMIT, 4])
     @pytest.mark.parametrize("rows, charge", [
-        ([[2, 3, 5, 7, 11, 13, 17]], 6_309_937),
-        ([[11, 13, 17, 19, 23]], 2_489_294),
+        pytest.param([[2, 3, 5, 7, 11, 13, 17]], 5_638_807, id="rows0-6309937"),
+        pytest.param([[11, 13, 17, 19, 23]], 2_892_976, id="rows1-2489294"),
         # the lifted matrix [[A, 0], [C, I]] of a graver-lift shape, A = [1 2 1 2]
-        ([[1, 2, 1, 2, 0, 0], [-2, 2, -1, 1, 1, 0], [1, 2, -1, 0, 0, 1]], 605_310),
+        pytest.param([[1, 2, 1, 2, 0, 0], [-2, 2, -1, 1, 1, 0], [1, 2, -1, 0, 0, 1]],
+                     604_250, id="rows2-605310"),
     ])
     def test_charges_are_pinned(self, monkeypatch, rows, charge, limit):
         # the charges the README quotes, the same on object arrays
@@ -291,7 +297,7 @@ class TestCompletionBudget:
 
     def test_largest_charge_of_the_suite_is_pinned(self, monkeypatch):
         # the 1,002-element basis of [1 1 1000]
-        assert self.spent(monkeypatch, IntMatrix.from_rows([[1, 1, 1000]])) == 61_044_003
+        assert self.spent(monkeypatch, IntMatrix.from_rows([[1, 1, 1000]])) == 61_064_003
 
     def test_rows_reduce_across_chunks(self, monkeypatch):
         # the normal forms of [11 13 17 19 23]'s start completion (index
@@ -317,6 +323,52 @@ class TestCompletionBudget:
         monkeypatch.setattr(graver, "COMPLETION_BUDGET", 10)
         with pytest.raises(ValueError, match="COMPLETION_BUDGET"):
             compute_graver(IntMatrix.from_rows([[2, 3, 5]]))
+
+
+class TestRank2ClosedForm:
+    """compute_graver against the closed form of a rank-2 kernel's
+    Graver basis (tests.helpers.rank2_graver, the sectors' chains),
+    which shares no code with graver, at sizes graver_oracle cannot
+    reach."""
+
+    K = (1 << 64) - 59
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-30, 30), min_size=m + 2, max_size=m + 2),
+        min_size=m, max_size=m)), st.booleans(), st.data())
+    def test_matches_the_closed_form(self, rows, big, data):
+        # big: every column but a nonzero one times K, a prime past 2^63;
+        # K is prime to that column, so the kernel is the small one's
+        # with that coordinate times K, and the arrays turn object
+        n = len(rows[0])
+        assume(exact_rank(IntMatrix.from_rows(rows)) == len(rows))
+        if big:
+            j = data.draw(st.sampled_from([j for j in range(n) if any(r[j] for r in rows)]))
+            rows = [[x if i == j else self.K * x for i, x in enumerate(r)] for r in rows]
+        count = rank2_graver_count(rows, n)
+        assume(count <= 2000)
+        got = compute_graver(IntMatrix.from_rows(rows)).directions
+        assert len(got) == count
+        assert got == rank2_graver(rows, n)
+        assert not big or max(abs(x) for v in got for x in v) > 1 << 63
+
+    def test_1002_element_basis(self):
+        # [1 1 1000], the largest completed charge of the suite:
+        # (1, -1, 0), and (k, 1000 - k, -1) for k = 0..1000
+        got = compute_graver(IntMatrix.from_rows([[1, 1, 1000]])).directions
+        assert rank2_graver_count([[1, 1, 1000]], 3) == len(got) == 1002
+        assert got == rank2_graver([[1, 1, 1000]], 3)
+
+    @pytest.mark.parametrize("rows, count", [
+        ([[2, 3, 5]], 7),
+        ([[6, 10, 15]], 3),
+        ([[1, 1, 10 ** 30 - 1]], 10 ** 30 + 1),
+        ([[10 ** 30 - 1, 1, -2]], 5 * 10 ** 29 + 3),
+        ([[-(1 << 61), 1, -2]], (1 << 60) + 2),
+    ])
+    def test_counts(self, rows, count):
+        assert rank2_graver_count(rows, len(rows[0])) == count
 
 
 class TestMaximalMultiple:
@@ -856,8 +908,9 @@ def normal_form_complete(seeds, n, fixed, budget):
 
 class TestLiftStepDrops:
     """A lift step drops each critical sum that a member lies below
-    instead of reducing it to its normal form (compute_graver explains
-    why); bases stay those of the completion that reduces every sum."""
+    instead of reducing it to its normal form, and keeps the others
+    without a minimality filter (compute_graver explains why); bases
+    stay those of the completion that reduces every sum."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(metamorphic_matrices)
@@ -873,22 +926,50 @@ class TestLiftStepDrops:
 
     def test_some_dropped_sum_has_a_nonzero_normal_form(self, monkeypatch):
         # the sums a lift step drops are not all ones that reduce to zero
-        nonzero = []
-        reducible = graver._reducible
+        nonzero, fixed = [], []
+        complete, extend = graver._complete, graver._Completion.extend
 
-        def spy(state, cand, budget):
-            below = reducible(state, cand, budget)
-            if below.any():
-                forms = graver._batch_normal_form(state, cand[below],
+        def spy_complete(seeds, n, f, budget):
+            fixed.append(f)
+            return complete(seeds, n, f, budget)
+
+        def spy_extend(state, block, keep):
+            # a lift round's block: the sums keep drops, a member below each
+            if fixed[-1] and not keep.all():
+                forms = graver._batch_normal_form(state, block.arr[~keep],
                                                   graver._Budget(graver.COMPLETION_BUDGET))
                 nonzero.append(len(forms))
-            return below
+            extend(state, block, keep)
 
-        monkeypatch.setattr(graver, "_reducible", spy)
+        monkeypatch.setattr(graver, "_complete", spy_complete)
+        monkeypatch.setattr(graver._Completion, "extend", spy_extend)
         # the lifted matrix [[A, 0], [C, I]] of a graver-lift shape, A = [1 2 1 2]
         compute_graver(IntMatrix.from_rows([[1, 2, 1, 2, 0, 0], [-2, 2, -1, 1, 1, 0],
                                             [1, 2, -1, 0, 0, 1]]))
         assert max(nonzero) > 0
+
+    def test_a_lift_step_hands_on_a_non_minimal_member(self, monkeypatch):
+        # the first lift step of this matrix starts from minimal seeds and
+        # ends with a member that another member lies below; lifted, it is
+        # still one in the next step's seeds, and the basis is still the
+        # Graver basis
+        a = IntMatrix.from_rows([[0, 1, 3, 1, 2], [1, -1, -1, -2, 2]])
+        steps = []
+        complete = graver._complete
+
+        def spy(seeds, n, fixed, budget):
+            members, candidates = complete(seeds, n, fixed, budget)
+            steps.append((fixed, conformally_minimal(seeds)[0].all(),
+                          conformally_minimal(members)[0].all()))
+            return members, candidates
+
+        monkeypatch.setattr(graver, "_complete", spy)
+        got = compute_graver(a)
+        assert any(fixed and seeds and not members and not next_seeds
+                   for (fixed, seeds, members), (_, next_seeds, _) in zip(steps, steps[1:])), steps
+        assert got.directions == graver_oracle(a, got.reach)
+        monkeypatch.setattr(graver, "_complete", normal_form_complete)
+        assert compute_graver(a) == got
 
     def test_normal_forms_only_in_the_start_completion(self, monkeypatch):
         fixed, reduced = [], []

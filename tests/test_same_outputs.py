@@ -19,10 +19,10 @@ NOTHING = "e3b0c44298fc1c14"  # the digest of no results: sha256 of b""
 # (results, instance_test_set results, completion trace) of the first
 # pass at seed 7
 FIRST_PASS = {
-    "graver-lift": ("21367365a5be71ee", NOTHING, "d84259bea4ca137d"),
+    "graver-lift": ("21367365a5be71ee", NOTHING, "d3a5458ddd56d6be"),
     "bounded-qp": ("08ee99f09e3b1e5b", "1cc17e86e1c60e20", "5fbbe0805a91ec52"),
     "qap-n3": ("833cf6215fd277b6", "8906d95405d0b58a", "f1ab970cbe45fad6"),
-    "walk-dense": ("b16a8d5c486808b7", NOTHING, "bb488e678ddfb074"),
+    "walk-dense": ("b16a8d5c486808b7", NOTHING, "9f4ef05cbb519a89"),
 }
 
 
@@ -141,12 +141,14 @@ def test_bases_entry_covers_both_limits():
     digests, recorded at the default int64 limit and at 4, agree: the
     completion's dtype never changes a basis, nor a lift step's start
     columns, |det|, candidates, rounds or elements, nor the pairs a
-    call charges to its budget."""
+    call charges to its budget.  The large entry, at the default limit
+    only, lists the element counts of its bases."""
     recorded = json.loads(same_outputs.DIGESTS.read_text())["bases"]
-    assert sorted(recorded) == ["charges 4", "charges default", "limit 4", "limit default",
-                                "trace 4", "trace default"]
+    assert sorted(recorded) == ["charges 4", "charges default", "large", "limit 4",
+                                "limit default", "trace 4", "trace default"]
     assert recorded["limit 4"] == recorded["limit default"]
     assert recorded["trace 4"] == recorded["trace default"]
     assert recorded["charges 4"] == recorded["charges default"]
     matrices = same_outputs.basis_matrices()
     assert len(matrices) == 716 and len(set(matrices)) > 650
+    assert recorded["large"].split()[1] == "865/1002/597/2032"

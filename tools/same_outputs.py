@@ -29,7 +29,10 @@ candidates, rounds and elements of each lift step), and, as its
 charges, the pairs each call charges to its budget (_Budget.spent, one
 value per call that runs a completion, in order): once at the default
 graver._FAST_ABS_LIMIT and once with it lowered to 4, so that the
-completion runs on object arrays from 1-norm 4 on.
+completion runs on object arrays from 1-norm 4 on.  Its large entry
+hashes, at the default limit only, compute_graver over LARGE_MATRICES,
+the bases whose completions hold the largest sets, as (dimension,
+sorted directions), and lists their element counts after the digest.
 
 It prints the digests as JSON and compares them with DIGESTS, the file
 next to this one; any difference is listed on standard error and the
@@ -71,6 +74,11 @@ SIGNED_SIZES = (3,) * 8 + (4,) * 4  # facilities of each mixed-sign draw
 BASIS_LIMITS = (None, 4)
 # the digests of the bases entry at each limit, in the order bases returns them
 BASIS_PARTS = ("limit", "trace", "charges")
+# the matrices of the bases large entry: 865 and 1,002 elements on one
+# row, and starts of |det| 72 and 21 on two
+LARGE_MATRICES = ([[2, 3, 5, 7, 11, 13, 17]], [[1, 1, 1000]],
+                  [[3, 5, 7, 11, 13, 17], [2, 0, 3, 0, 5, 1]],
+                  [[4, 6, 9, 10, 15, 21, 25], [1, 0, 2, 0, 3, 0, 1]])
 # the loggers whose DEBUG records trace the completion and the box search
 COMPLETION_LOGGERS = ("graveropt.graver", "graveropt.testset")
 
@@ -206,6 +214,14 @@ def bases(limit: int | None) -> tuple[str, str, str]:
         graver._FAST_ABS_LIMIT, graver._Budget = original, budget
 
 
+def large() -> str:
+    """The digest of compute_graver over LARGE_MATRICES, as (dimension,
+    sorted directions), then each basis's element count."""
+    sets = [graver.compute_graver(IntMatrix.from_rows(rows)) for rows in LARGE_MATRICES]
+    return "%s %s" % (digest((t.dimension, sorted(t.directions)) for t in sets),
+                      "/".join(str(len(t)) for t in sets))
+
+
 def keys() -> dict:
     """The keys of each kind that digests() fills, computing nothing."""
     runs = ["%s %d" % (name, seed) for name in WORKLOADS for seed in SEEDS]
@@ -214,7 +230,7 @@ def keys() -> dict:
                                   for name in TEST_SET_WORKLOADS for seed in SEEDS],
             "completion": runs,
             "bases": ["%s %s" % (part, limit or "default")
-                      for limit in BASIS_LIMITS for part in BASIS_PARTS]}
+                      for limit in BASIS_LIMITS for part in BASIS_PARTS] + ["large"]}
 
 
 def digests() -> dict:
@@ -222,6 +238,7 @@ def digests() -> dict:
     for limit in BASIS_LIMITS:
         for part, value in zip(BASIS_PARTS, bases(limit)):
             out["bases"]["%s %s" % (part, limit or "default")] = value
+    out["bases"]["large"] = large()
     for name in WORKLOADS:
         for seed in SEEDS:
             key = "%s %d" % (name, seed)
