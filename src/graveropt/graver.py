@@ -18,15 +18,15 @@ candidate left joins the set, minimal or not; the start completion
 reduces its candidates to normal forms instead.  One minimality filter
 runs per basis, on the final set.  The set and each round's batch are
 blocks (_Completion), each row's scan data computed once.  Every scan
-is one, _below: it meets a block's rows in ascending 1-norm, in
-growing chunks, and packed sign bitmasks prefilter (row, member) pairs
-so the magnitude comparison only runs on the few sign-compatible ones.
-A row stops at the chunk holding the first member no heavier than a
-given reach that lies below it.  A lift round runs it on its batch,
-and _find_below on a block's rows for the minimality filters, which
-also stop meeting the members found non-minimal.  _batch_normal_form
-runs it until no row is reducible, and subtracts from each row the
-first member below it (_first_below).
+is one, _below: it meets the members in ascending 1-norm, in growing
+chunks, all rows at once, and packed sign bitmasks prefilter (row,
+member) pairs so the magnitude comparison only runs on the few
+sign-compatible ones.  A row stops at the chunk holding the first
+member no heavier than a given reach that lies below it, and the scan
+names that member.  A lift round runs it on its batch, and _find_below
+on a block's rows for the minimality filters, which also stop meeting
+the members found non-minimal.  _batch_normal_form runs it until no
+row is reducible, and subtracts from each row the member it names.
 
 graver_oracle is the independent check: enumerate every kernel vector
 in a box (box_kernel_vectors) and filter the minimal ones directly with
@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -56,14 +56,14 @@ _FAST_ABS_LIMIT = 1 << 61
 
 # Work one compute_graver call may do before it raises
 # CompletionBudgetError, counted in pairs: the (pivot, member) pairs
-# _pop_candidates tests and the (row, member) pairs the scans meet (the
-# _below scans, and the chunks _first_below meets again), plus
-# _SCAN_PAIRS per call of any.  On a 2-core host int64 scans meet 50M
-# to 130M pairs a second, and a call costs about as much NumPy overhead
-# as 30,000 of them (0.35 to 0.41 ms a call on [1 1 10^30-1], whose
-# calls meet few pairs; a lift round makes two, its pairing and its
-# scan).  The largest count of the test suite is 61.1M (61,064,003),
-# the 1,002-element basis of [1 1 1000]; bases of 10^29 elements and
+# _pop_candidates tests and the (row, member) pairs the _below scans
+# meet, plus _SCAN_PAIRS per call of any.  On a 2-core host int64 scans
+# meet 50M to 130M pairs a second, and a call costs about as much NumPy
+# overhead as 30,000 of them (0.35 to 0.41 ms a call on [1 1 10^30-1],
+# whose calls meet few pairs; a lift round makes two, its pairing and
+# its scan).  The largest count of the test suite is 70.8M
+# (70,773,075), the 2,032-element basis of
+# [[4 6 9 10 15 21 25], [1 0 2 0 3 0 1]]; bases of 10^29 elements and
 # more stop after 1.5 to 4 s.
 COMPLETION_BUDGET = 3 * 10 ** 8
 _SCAN_PAIRS = 3 * 10 ** 4
@@ -76,7 +76,10 @@ _SCAN_PAIRS = 3 * 10 ** 4
 # three columns.  The largest call of the test suite does 90,689.
 ORACLE_BUDGET = 5 * 10 ** 5
 
-_FILTER_ELEMS = 1 << 17  # cap on the elements of one scan temporary
+# cap on the elements of one scan temporary over (row, member) pairs,
+# whatever the set size: a chunk holds at most _FILTER_ELEMS // words
+# members, and its rows are met in slices that keep within the cap
+_FILTER_ELEMS = 1 << 17
 _PAIR_BATCH = 1 << 15    # cap on the (pivot, element) pairs one pairing batch scans
 
 logger = logging.getLogger(__name__)
@@ -280,15 +283,13 @@ class _Completion:
 
 
 def _sign_pairs(gmask: np.ndarray, gnorm: np.ndarray, rmask: np.ndarray,
-                reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (row, member) pairs, row by row, whose member has its support
-    inside the row's with the row's signs or their negation, and a
-    1-norm within the row's reach; and plus, whether each member fits
-    the row's own signs."""
-    plus, minus = _sign_fits(gmask[None], rmask[:, None])
-    ci, gi = np.nonzero(plus | minus)
+                reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, member) pairs, row by row and in member order, whose
+    member has its support inside the row's with the row's signs or
+    their negation, and a 1-norm within the row's reach."""
+    ci, gi = np.nonzero(np.logical_or(*_sign_fits(gmask[None], rmask[:, None])))
     light = gnorm[gi] <= reach[ci]
-    return ci[light], gi[light], plus
+    return ci[light], gi[light]
 
 
 def _magnitudes_fit(state: _Completion, g: np.ndarray, rabs: np.ndarray,
@@ -296,126 +297,116 @@ def _magnitudes_fit(state: _Completion, g: np.ndarray, rabs: np.ndarray,
     """Per pair: whether |member g| <= rabs[r] entrywise, checked in
     slices of at most _FILTER_ELEMS elements."""
     step = max(1, _FILTER_ELEMS // state.n)
-    return np.concatenate([np.zeros(0, dtype=bool)] + [
-        (np.abs(state.arr[g[s:s + step]]) <= rabs[r[s:s + step]]).all(axis=1)
-        for s in range(0, g.size, step)])
+    fit = np.empty(g.size, dtype=bool)
+    for s in range(0, g.size, step):
+        fit[s:s + step] = (np.abs(state.arr[g[s:s + step]]) <= rabs[r[s:s + step]]).all(axis=1)
+    return fit
 
 
 def _below(state: _Completion, rabs: np.ndarray, rmask: np.ndarray, reach: np.ndarray,
            rows: np.ndarray, members: bool = False) -> tuple[np.ndarray, int]:
-    """Per row (entry magnitudes rabs, sign masks rmask): the start of
-    the chunk of the norm-sorted members that holds the first member of
-    1-norm at most reach[row] below the row or below its negation, -1
+    """Per row (entry magnitudes rabs, sign masks rmask): the first
+    member in (1-norm, insertion) order of 1-norm at most reach[row]
+    below the row or below its negation, as its index in the set, -1
     for none; and the pairs the sign prefilter met.  rows lists the row
     indices in ascending reach.
 
-    A block of rows only meets the prefix of the norm-sorted members
-    within its heaviest row's reach, in chunks [0, 64), [64, 128),
-    [128, 256), ...; a row leaves after the first chunk holding a
-    member below it.  So nearly every row of a scan that finds most
-    rows reducible stops in the first chunk, and an irreducible row
-    meets the whole prefix.  Blocks are sized so that no temporary over
-    pairs holds more than _FILTER_ELEMS elements while the set has at
-    most _FILTER_ELEMS / words members (a block holds at least one row,
-    and that row meets the whole sorted prefix).
+    The rows meet the norm-sorted members within the heaviest row's
+    reach chunk by chunk, [0, 64), [64, 128), [128, 256), ..., doubling
+    up to _FILTER_ELEMS / words members, all rows at once, in slices of
+    rows that keep every temporary over pairs within _FILTER_ELEMS
+    elements whatever the set size.  A row leaves at the first chunk
+    holding a member below it, and before the first chunk whose members
+    all lie past its reach.  So nearly every row of a scan that finds
+    most rows reducible stops in the first chunk, and no row meets a
+    member twice.
+
+    Why the member is the first: the chunks are met in norm order, and
+    a row leaves at its first chunk with a member below.  Inside a
+    chunk np.nonzero lists each row's pairs in member order, so the
+    row's first pair that passes the magnitude check is its first
+    member in (1-norm, insertion) order.
 
     A lift round runs it on its batch's block with reach each row's own
     1-norm, so that a member equal to a row up to sign counts as below
-    it; _find_below runs it strictly, on a block's own rows.
+    it; _find_below runs it strictly, on a block's own rows; and
+    _batch_normal_form subtracts the member it names.
 
     With members, the rows are the members themselves, and after each
-    row block the members that block found a member below leave the
-    prefix that later blocks meet, so only whether there is one is
-    reported.  The verdicts stay exact: if a dropped w lies below v up
-    to sign, some minimal w' lies below w, so below v, and w' has a
-    smaller 1-norm than w and is never dropped.
+    chunk the members found non-minimal leave the members not yet met,
+    so only whether a row has a member below it is exact, not which.
+    The verdicts stay exact: if a pruned w lies below v up to sign,
+    some minimal w' lies below w, so below v, and w' has a smaller
+    1-norm than w and is never pruned; if w' lies in a chunk v has met,
+    v has already left.
     """
-    chunk = np.full(len(reach), -1, dtype=np.intp)
-    if not len(state):
-        return chunk, 0
-    idx = state.order
-    inorm = state.norm[idx]
-    # rows lighter than every member meet none of them
-    rows = rows[reach[rows] >= inorm[0]]
-    gm = state.mask[idx]
-    step = max(1, _FILTER_ELEMS // (idx.size * state.words))
-    met = 0
-    for start in range(0, rows.size, step):
-        if members and start:
-            live = chunk[idx] < 0
+    found = np.full(len(reach), -1, dtype=np.intp)
+    if not rows.size:
+        return found, 0
+    inorm = state.norm[state.order]
+    idx = state.order[:inorm.searchsorted(reach[rows[-1]], side="right")]
+    inorm, gm = inorm[:idx.size], state.mask[idx]
+    cap = max(1, _FILTER_ELEMS // state.words)
+    met = lo = 0
+    while idx.size:
+        # the unmatched rows that reach the next member go on
+        rows = rows[(found[rows] < 0) & (reach[rows] >= inorm[0])]
+        if not rows.size:
+            break
+        size = min(max(64, lo), cap)
+        step = max(1, _FILTER_ELEMS // (size * state.words))
+        for start in range(0, rows.size, step):
+            blk = rows[start:start + step]
+            met += blk.size * min(size, idx.size)
+            ci, gi = _sign_pairs(gm[:size], inorm[:size], rmask[blk], reach[blk])
+            ok = _magnitudes_fit(state, idx[gi], rabs, blk[ci])
+            ci, gi = ci[ok], gi[ok]
+            if ci.size:
+                first = np.ones(ci.size, dtype=bool)  # each row's first pair
+                first[1:] = ci[1:] != ci[:-1]
+                found[blk[ci[first]]] = idx[gi[first]]
+        idx, inorm, gm = idx[size:], inorm[size:], gm[size:]
+        lo += size
+        if members:
+            live = found[idx] < 0
             idx, inorm, gm = idx[live], inorm[live], gm[live]
-        blk = rows[start:start + step]
-        k = int(np.searchsorted(inorm, reach[blk[-1]], side="right"))
-        lo, hi = 0, min(k, 64)
-        while blk.size:
-            met += blk.size * (hi - lo)
-            ci, gi, _ = _sign_pairs(gm[lo:hi], inorm[lo:hi], rmask[blk], reach[blk])
-            chunk[blk[ci[_magnitudes_fit(state, idx[lo + gi], rabs, blk[ci])]]] = lo
-            if hi == k:
-                break
-            # the unmatched rows that reach the next member go on
-            blk = blk[(chunk[blk] < 0) & (reach[blk] >= inorm[hi])]
-            lo, hi = hi, min(k, 2 * hi)
-    return chunk, met
+    return found, met
 
 
 def _find_below(state: _Completion) -> tuple[np.ndarray, int]:
     """Per row of a block: whether a row of smaller 1-norm lies
     conformally below it or below its negation, and the pairs the sign
-    prefilter met (_below over the block's rows).  Smaller, since a row
-    below a vector of equal 1-norm equals it up to sign.  The
-    minimality filters run this scan."""
-    chunk, met = _below(state, np.abs(state.arr), state.mask, state.norm - 1, state.order,
+    prefilter met (_below over the block's rows, pruning the rows found
+    non-minimal, so it reads only whether _below names a member).
+    Smaller, since a row below a vector of equal 1-norm equals it up to
+    sign.  The minimality filters run this scan."""
+    found, met = _below(state, np.abs(state.arr), state.mask, state.norm - 1, state.order,
                         members=True)
-    return chunk >= 0, met
-
-
-def _first_below(state: _Completion, rabs: np.ndarray,
-                 rmask: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per row (entry magnitudes rabs, sign masks rmask): the first
-    member in norm order (stable) below the row or its negation, as its
-    index in the set, -1 for none; the sign, 1 or -1, that puts it below
-    the row; and the pairs met.  _below finds the chunk that holds it,
-    and only that chunk is met again, in blocks sized as in _below, so
-    _below stays the scan that a lift round and _find_below run."""
-    reach = rabs.sum(axis=1)
-    chunk, met = _below(state, rabs, rmask, reach, np.argsort(reach, kind="stable"))
-    first = np.full(len(reach), -1, dtype=np.intp)
-    sign = np.ones(len(reach), dtype=np.int64)
-    for lo in np.unique(chunk[chunk >= 0]).tolist():
-        cut = state.order[lo:2 * lo or 64]
-        rows = np.flatnonzero(chunk == lo)
-        step = max(1, _FILTER_ELEMS // (cut.size * state.words))
-        for start in range(0, rows.size, step):
-            blk = rows[start:start + step]
-            met += blk.size * cut.size
-            ci, gi, plus = _sign_pairs(state.mask[cut], state.norm[cut], rmask[blk], reach[blk])
-            ok = _magnitudes_fit(state, cut[gi], rabs, blk[ci])
-            ci, at = np.unique(ci[ok], return_index=True)  # each row's first pair
-            gi = gi[ok][at]
-            first[blk[ci]], sign[blk[ci]] = cut[gi], np.where(plus[ci, gi], 1, -1)
-    return first, sign, met
+    return found >= 0, met
 
 
 def _batch_normal_form(state: _Completion, cand: np.ndarray,
                        budget: _Budget) -> np.ndarray:
     """Reduce candidate rows, in the set's dtype, by maximal multiples
     until irreducible against the set as of entry, each time by the
-    first member in norm order below the row or its negation: one scan
-    (_first_below) a reduction, over the rows still reducible.  Rows
-    reaching zero drop out; the rest return in input order.  Each
+    first member in norm order below the row or its negation: one _below
+    scan a reduction, over the rows still reducible, names the member,
+    and the packed masks give the sign that puts it below the row.
+    Rows reaching zero drop out; the rest return in input order.  Each
     scan's pairs are charged to budget."""
     work = cand.astype(state.arr.dtype)  # a copy, reduced in place
     live = np.arange(len(work))
     while live.size:
         w = work[live]
-        wabs = np.abs(w)
-        first, sign, met = _first_below(state, wabs, _pack_signs(w, state.words))
+        wabs, wmask = np.abs(w), _pack_signs(w, state.words)
+        reach = wabs.sum(axis=1)
+        first, met = _below(state, wabs, wmask, reach, np.argsort(reach, kind="stable"))
         budget.spend(met)
         hit = first >= 0
-        live = live[hit]
-        work[live] = _subtract_max_multiple(w[hit], wabs[hit], state.arr[first[hit]],
-                                            sign[hit])
+        live, g = live[hit], first[hit]
+        plus, _ = _sign_fits(state.mask[g], wmask[hit])
+        work[live] = _subtract_max_multiple(w[hit], wabs[hit], state.arr[g],
+                                            np.where(plus, 1, -1))
     return work[work.any(axis=1)]
 
 
@@ -460,6 +451,16 @@ def _join(state: _Completion, forms: np.ndarray, budget: _Budget) -> np.ndarray:
     return forms[below]
 
 
+def _round_end(done: int, size: int) -> int:
+    """The end of a round that pairs the pivots [done, end) of a set of
+    size members: the largest end with (end - done) * (end - 1) <=
+    _PAIR_BATCH, the entries of its pivot-by-prefix mask, at most size
+    but at least done + 1.  That bound is the larger root of
+    e^2 - (done + 1) e + done - _PAIR_BATCH, rounded down."""
+    root = (done + 1 + isqrt((done - 1) ** 2 + 4 * _PAIR_BATCH)) // 2
+    return max(done + 1, min(size, root))
+
+
 def _complete(seeds: np.ndarray, n: int, fixed: int,
               budget: _Budget) -> tuple[np.ndarray, tuple[int, int]]:
     """Complete the seed rows (canonical, distinct, nonzero).
@@ -476,8 +477,7 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     with the members added before each, oldest pivot first, so each
     pair is formed once, when its later member is the pivot.  end is
     the largest that keeps the pivot-by-prefix mask within _PAIR_BATCH
-    entries, (end - done + 1) * end <= _PAIR_BATCH, and a round takes
-    at least one pivot.
+    entries, and a round takes at least one pivot (_round_end).
 
     In a lift step (fixed >= 1) a round's candidates, canonical and
     distinct, form one block; one _below scan, each row's reach its own
@@ -511,9 +511,7 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
     old |= _flip(old)
     done = candidates = rounds = 0
     while done < len(state):
-        end = done + 1
-        while end < len(state) and (end - done + 1) * end <= _PAIR_BATCH:
-            end += 1
+        end = _round_end(done, len(state))
         work = _pop_candidates(state, done, end, old)
         budget.spend((end - done) * (end - 1))
         done = end
@@ -523,9 +521,9 @@ def _complete(seeds: np.ndarray, n: int, fixed: int,
             continue
         if fixed:
             block = _Completion(_canonical(work))
-            chunk, met = _below(state, np.abs(block.arr), block.mask, block.norm, block.order)
+            found, met = _below(state, np.abs(block.arr), block.mask, block.norm, block.order)
             budget.spend(met)
-            state.extend(block, chunk < 0)
+            state.extend(block, found < 0)
         else:
             while len(work):
                 work = _join(state, _batch_normal_form(state, work, budget), budget)
@@ -775,7 +773,8 @@ def conformally_minimal(rows: np.ndarray) -> tuple[np.ndarray, int]:
     the sign prefilter met: _find_below over the rows' block, negated.
     A kept row meets about every kept row lighter than it, and a dropped
     one the chunks up to the first holding a row below it, often the
-    first 64, so about len(rows) * 64 + kept^2 / 2 pairs."""
+    first 64, so about len(rows) * 64 + kept^2 / 2 pairs, and up to a
+    chunk more per row, since a row meets the whole chunk its reach ends in."""
     below, met = _find_below(_Completion(rows))
     return ~below, met
 

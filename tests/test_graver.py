@@ -284,11 +284,18 @@ class TestCompletionBudget:
     # each id keeps the charge the case was first named with
     @pytest.mark.parametrize("limit", [graver._FAST_ABS_LIMIT, 4])
     @pytest.mark.parametrize("rows, charge", [
-        pytest.param([[2, 3, 5, 7, 11, 13, 17]], 5_638_807, id="rows0-6309937"),
-        pytest.param([[11, 13, 17, 19, 23]], 2_892_976, id="rows1-2489294"),
+        pytest.param([[2, 3, 5, 7, 11, 13, 17]], 5_713_756, id="rows0-6309937"),
+        pytest.param([[11, 13, 17, 19, 23]], 2_559_434, id="rows1-2489294"),
         # the lifted matrix [[A, 0], [C, I]] of a graver-lift shape, A = [1 2 1 2]
         pytest.param([[1, 2, 1, 2, 0, 0], [-2, 2, -1, 1, 1, 0], [1, 2, -1, 0, 0, 1]],
                      604_250, id="rows2-605310"),
+        # large bases whose start completions run normal forms: 597
+        # elements from a start of |det| 72, and 2,032 from one of |det|
+        # 21, the largest count of the suite
+        pytest.param([[3, 5, 7, 11, 13, 17], [2, 0, 3, 0, 5, 1]], 39_488_110,
+                     id="rows3-39488110"),
+        pytest.param([[4, 6, 9, 10, 15, 21, 25], [1, 0, 2, 0, 3, 0, 1]], 70_773_075,
+                     id="rows4-70773075"),
     ])
     def test_charges_are_pinned(self, monkeypatch, rows, charge, limit):
         # the charges the README quotes, the same on object arrays
@@ -296,7 +303,9 @@ class TestCompletionBudget:
         assert self.spent(monkeypatch, IntMatrix.from_rows(rows)) == charge
 
     def test_largest_charge_of_the_suite_is_pinned(self, monkeypatch):
-        # the 1,002-element basis of [1 1 1000]
+        # the 1,002-element basis of [1 1 1000], the largest count of a
+        # one-row basis; the two-row bases of test_charges_are_pinned
+        # count more
         assert self.spent(monkeypatch, IntMatrix.from_rows([[1, 1, 1000]])) == 61_064_003
 
     def test_rows_reduce_across_chunks(self, monkeypatch):
@@ -479,9 +488,10 @@ class TestNormalForm:
 
 
 class TestFirstBelow:
-    """The member _first_below reports for each row, from the chunk
-    _below reports, against a scan of conformal_leq over the members in
-    (1-norm, insertion) order, which shares no code with graver."""
+    """The member _below names for each row, and the sign the first
+    normal-form step gives it, against a scan of conformal_leq over the
+    members in (1-norm, insertion) order, which shares no code with
+    graver."""
 
     @staticmethod
     def reference(members, row):
@@ -502,22 +512,41 @@ class TestFirstBelow:
         # int64 arrays; object arrays (the int64 limit lowered to 4); an
         # entry past 2^63.  Each member is a row too, and the first
         # member below a heavy one may lie past the first chunk; no
-        # member lies below the zero row.
+        # member lies below the zero row.  The default temporaries, then
+        # chunks of at most 64 members met by one row at a time.
         members, rows = normal_form_case(seed, mode == "big")
         rows += [list(g) for g in members] + [[0] * len(rows[0])]
-        with pytest.MonkeyPatch.context() as mp:
-            if mode == "object":
-                mp.setattr(graver, "_FAST_ABS_LIMIT", 4)
-            state = graver._Completion(np.array(members,
-                                                dtype=object if mode == "big" else np.int64))
-            work = np.array(rows, dtype=state.arr.dtype)
-            first, sign, _ = graver._first_below(state, np.abs(work),
-                                                 graver._pack_signs(work, state.words))
-        assert state.arr.dtype == (np.int64 if mode == "int64" else object)
-        got = list(zip(first.tolist(), sign.tolist()))
-        assert got == [self.reference(members, row) for row in rows]
+        want = [self.reference(members, row) for row in rows]
+        steps = []
+        subtract = graver._subtract_max_multiple
+
+        def spy(w, wabs, g, sign):
+            steps.append((g.tolist(), sign.tolist()))
+            return subtract(w, wabs, g, sign)
+
+        for cap in (graver._FILTER_ELEMS, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graver, "_FILTER_ELEMS", cap)
+                if mode == "object":
+                    mp.setattr(graver, "_FAST_ABS_LIMIT", 4)
+                state = graver._Completion(np.array(members,
+                                                    dtype=object if mode == "big" else np.int64))
+                work = np.array(rows, dtype=state.arr.dtype)
+                wabs = np.abs(work)
+                reach = wabs.sum(axis=1)
+                first, _ = graver._below(state, wabs, graver._pack_signs(work, state.words),
+                                         reach, np.argsort(reach, kind="stable"))
+                # the first normal-form step subtracts each reducible row's
+                # member, with the sign that puts it below the row
+                steps.clear()
+                mp.setattr(graver, "_subtract_max_multiple", spy)
+                graver._batch_normal_form(state, work, graver._Budget(graver.COMPLETION_BUDGET))
+            assert state.arr.dtype == (np.int64 if mode == "int64" else object)
+            assert first.tolist() == [i for i, _ in want], cap
+            assert steps[0] == ([list(members[i]) for i, _ in want if i >= 0],
+                                [s for i, s in want if i >= 0]), cap
         positions = np.argsort(state.norm, kind="stable").tolist()
-        assert max(positions.index(i) for i, _ in got if i >= 0) >= 64, "one chunk only"
+        assert max(positions.index(i) for i, _ in want if i >= 0) >= 64, "one chunk only"
 
 
 class TestExtend:
@@ -662,20 +691,38 @@ class TestConformallyMinimal:
             shapes.append(plus.shape)
             return plus, minus
 
+        # every (row, member) pair that reaches the magnitude check
+        pairs = []
+        magnitudes_fit = graver._magnitudes_fit
+
+        def pair_spy(state, g, rabs, r):
+            pairs.extend(zip(r.tolist(), g.tolist()))
+            return magnitudes_fit(state, g, rabs, r)
+
         monkeypatch.setattr(graver, "_sign_fits", spy)
+        monkeypatch.setattr(graver, "_magnitudes_fit", pair_spy)
         keep, met = conformally_minimal(rows)
         assert keep.tolist() == want
         assert met == sum(r * m for r, m in shapes)
-        # one row block: chunks of members [0, 64), [64, 128) and from
-        # 128 on a wider one, so the prefix passes 192 members
-        assert shapes[0][1] == 64 and len(shapes) >= 3 and max(m for _, m in shapes) > 64
-        # blocks of one row each, at most 400: some meet a second chunk
-        monkeypatch.setattr(graver, "_FILTER_ELEMS", 1 << 8)
+        assert pairs and len(set(pairs)) == len(pairs), "a pair met twice"
+        # chunk by chunk, all rows at once: the rows past the lightest
+        # members meet [0, 64), those left [64, 128), then the members
+        # of [128, 256) not yet found non-minimal, within reach
+        norms = np.abs(rows).sum(axis=1)
+        assert shapes[:2] == [((norms > norms.min()).sum(), 64), (shapes[1][0], 64)]
+        assert len(shapes) == 3 and 0 < shapes[2][1] <= 128
+        assert shapes[0][0] > shapes[1][0] > shapes[2][0]
+        # chunks of at most 64 members, met one row at a time: no
+        # temporary over pairs holds more than 64 elements
+        monkeypatch.setattr(graver, "_FILTER_ELEMS", 1 << 6)
         shapes.clear()
+        pairs.clear()
         keep, met = conformally_minimal(rows)
         assert keep.tolist() == want
         assert met == sum(r * m for r, m in shapes)
-        assert {r for r, _ in shapes} == {1} and len(shapes) > 400
+        assert pairs and len(set(pairs)) == len(pairs), "a pair met twice"
+        assert {r for r, _ in shapes} == {1} and max(m for _, m in shapes) == 64
+        assert len(shapes) > 400
 
     def test_filter_transient_stays_small(self):
         # the 1200 canonical vectors of the box |z_j| <= 3 in Z^4, lifted
@@ -991,6 +1038,25 @@ class TestLiftStepDrops:
         assert verify_against_oracle(a, compute_graver(a))
         assert fixed[0] == 0 and max(fixed) > 0
         assert reduced and set(reduced) == {0}
+
+
+class TestRoundEnd:
+    """_round_end, in closed form, against the loop that stepped a
+    round's end one pivot at a time."""
+
+    @staticmethod
+    def loop(done, size):
+        end = done + 1
+        while end < size and (end - done + 1) * end <= graver._PAIR_BATCH:
+            end += 1
+        return end
+
+    @pytest.mark.parametrize("batch", [graver._PAIR_BATCH, 256])
+    def test_matches_the_stepping_loop(self, monkeypatch, batch):
+        monkeypatch.setattr(graver, "_PAIR_BATCH", batch)
+        wrong = [(done, size) for size in range(601) for done in range(size + 1)
+                 if graver._round_end(done, size) != self.loop(done, size)]
+        assert not wrong
 
 
 def table_cycles(r, c):

@@ -240,22 +240,26 @@ class TestBoxTestSet:
             got = box_test_set(IntMatrix.zero(0, 4), IntMatrix.from_rows(c), (4, 4, 4, 4))
         records = [r for r in caplog.records if r.name == "graveropt.testset"]
         assert [r.getMessage() for r in records] == [
-            "box: 3280 candidates, 48 kept, 173921 sign-prefilter pairs",
+            "box: 3280 candidates, 48 kept, 209883 sign-prefilter pairs",
             "test set: box, 3280 candidates, 48 directions"]
-        assert len(got) == 48 and sum(met) == 173921
+        assert len(got) == 48 and sum(met) == 209883
         assert testset._box_family.cache_info()[:2] == (0, 1)
-        # the scan without dropping: one-member-word blocks of 2^17 //
-        # 3280 rows in ascending 1-norm, each meeting every member up to
-        # the largest norm of its rows less one
+        # the scan without dropping: the members no heavier than the
+        # heaviest row's 1-norm less one, in chunks [0, 64), [64, 128),
+        # [128, 256), ... of ascending 1-norm, each met whole by every
+        # row whose 1-norm less one reaches its lightest member
         norms = sorted(sum(map(abs, z)) + sum(abs(sum(x * y for x, y in zip(row, z)))
                                               for row in c)
                        for z in graver.box_kernel_vectors(IntMatrix.zero(0, 4), (4,) * 4,
                                                           limit=10 ** 4))
-        reach = [x - 1 for x in norms if x > norms[0]]
-        step = (1 << 17) // len(norms)
-        unpruned = sum(len(reach[s:s + step]) * sum(x <= reach[s:s + step][-1] for x in norms)
-                       for s in range(0, len(reach), step))
-        assert unpruned == 5261145 > 173921
+        reach = [x - 1 for x in norms]
+        members = [x for x in norms if x <= reach[-1]]
+        unpruned = lo = 0
+        while lo < len(members):
+            chunk = members[lo:lo + max(64, lo)]
+            unpruned += sum(x >= chunk[0] for x in reach) * len(chunk)
+            lo += len(chunk)
+        assert unpruned == 6598457 > 209883
 
     def test_filter_meets_the_members_in_chunks(self, caplog, monkeypatch):
         # the 171 canonical vectors of the box |z_j| <= 3 in Z^3, lifted
